@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .core import (
     Dataset,
     PredictionInterval,
     Regressor,
+    _sq_dists,
 )
 from .regress import fit, fit_kernel, fit_lasso, fit_ols, kernel_weights, predict, predict_many
 
@@ -80,33 +82,27 @@ class ConformalSpec:
         object.__setattr__(self, "grid_expansion", float(self.grid_expansion))
 
 
+def _kth_smallest(values: np.ndarray, k: int) -> float:
+    """k-th smallest entry, with k clamped to [1, len(values)]."""
+    k = min(max(k, 1), len(values))
+    return float(np.partition(np.asarray(values, dtype=float), k - 1)[k - 1])
+
+
 def split_quantile(abs_residuals: np.ndarray, alpha: float) -> float:
     """k-th smallest with k = ceil((m+1)(1-alpha)), clamped to [1, m]."""
-    m = len(abs_residuals)
-    k = min(max(ceil_guarded((m + 1) * (1.0 - alpha)), 1), m)
-    return float(np.partition(np.asarray(abs_residuals, dtype=float), k - 1)[k - 1])
+    return _kth_smallest(abs_residuals, ceil_guarded((len(abs_residuals) + 1) * (1.0 - alpha)))
 
 
 def loo_quantile(abs_residuals: np.ndarray, alpha: float) -> float:
     """k-th smallest with k = ceil(n(1-alpha)), clamped to [1, n]."""
-    n = len(abs_residuals)
-    k = min(max(ceil_guarded(n * (1.0 - alpha)), 1), n)
-    return float(np.partition(np.asarray(abs_residuals, dtype=float), k - 1)[k - 1])
+    return _kth_smallest(abs_residuals, ceil_guarded(len(abs_residuals) * (1.0 - alpha)))
 
 
 # ---------------------------------------------------------------------------
 # Split conformal
 # ---------------------------------------------------------------------------
 
-def split_conformal(
-    d: Dataset,
-    reg,
-    x0,
-    spec: ConformalSpec,
-    seed: int,
-    lam: float | None = None,
-    bandwidth: float | None = None,
-) -> PredictionInterval:
+def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> PredictionInterval:
     """Fit on a seeded ``rho`` fraction, calibrate on the held-out rest.
 
     The interval is the base forecast plus/minus the calibration
@@ -119,10 +115,10 @@ def split_conformal(
             f"split needs 2 <= floor(rho*n) <= n-2; rho={spec.rho}, n={d.n}"
         )
     perm = np.random.default_rng(seed).permutation(d.n)
-    train, cal = d.subset(perm[:n_train]), d.subset(perm[n_train:])
-    model = fit(train, reg, seed=seed, lam=lam, bandwidth=bandwidth)
+    model = fit(d.subset(perm[:n_train]), reg, seed=seed)
     point = predict(model, x0)
-    resid = np.abs(cal.y - predict_many(model, cal.x))
+    cal = perm[n_train:]
+    resid = np.abs(d.y[cal] - predict_many(model, d.x[cal]))
     dstar = split_quantile(resid, spec.alpha)
     return PredictionInterval(
         point, point - dstar, point + dstar,
@@ -141,13 +137,7 @@ def _candidate_grid(y: np.ndarray, spec: ConformalSpec) -> np.ndarray:
 
 
 def full_conformal_accepted(
-    d: Dataset,
-    reg,
-    x0,
-    spec: ConformalSpec,
-    seed: int = 0,
-    lam: float | None = None,
-    bandwidth: float | None = None,
+    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Candidate grid, per-candidate acceptance mask, and the base forecast.
 
@@ -160,7 +150,7 @@ def full_conformal_accepted(
     """
     reg = Regressor(reg)
     x0 = np.asarray(x0, dtype=float).ravel()
-    base = fit(d, reg, seed=seed, lam=lam, bandwidth=bandwidth)
+    base = fit(d, reg, seed=seed)
     point = predict(base, x0)
     grid = _candidate_grid(d.y, spec)
     n = d.n
@@ -168,7 +158,7 @@ def full_conformal_accepted(
     k_accept = min(max(ceil_guarded((n + 1) * (1.0 - spec.alpha)), 1), n + 1)
 
     if reg is Regressor.KERNEL:
-        km = fit_kernel(Dataset(x_aug, np.zeros(n + 1)), bandwidth=bandwidth)
+        km = fit_kernel(Dataset(x_aug, np.zeros(n + 1)))
         w = kernel_weights(km, x_aug)
         y_pad = np.append(d.y, 0.0)
         a = y_pad - w @ y_pad
@@ -180,13 +170,12 @@ def full_conformal_accepted(
         return grid, ranks <= k_accept, point
 
     accepted = np.zeros(grid.size, dtype=bool)
-    lam_used = base.lam if reg is Regressor.LASSO else None
     for g, trial in enumerate(grid):
         y_aug = np.append(d.y, trial)
         if reg is Regressor.OLS:
             m = fit_ols(Dataset(x_aug, y_aug))
         else:
-            m = fit_lasso(Dataset(x_aug, y_aug), lam=lam_used)
+            m = fit_lasso(Dataset(x_aug, y_aug), lam=base.lam)
         resid = np.abs(y_aug - predict_many(m, x_aug))
         rank = 1 + int((resid[:n] < resid[n]).sum())
         accepted[g] = rank <= k_accept
@@ -194,22 +183,14 @@ def full_conformal_accepted(
 
 
 def full_conformal(
-    d: Dataset,
-    reg,
-    x0,
-    spec: ConformalSpec,
-    seed: int = 0,
-    lam: float | None = None,
-    bandwidth: float | None = None,
+    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0
 ) -> PredictionInterval:
     """[min accepted, max accepted] over the candidate grid.
 
     An empty acceptance region degrades to a zero-length interval at the
     base forecast, flagged ``degenerate`` so downstream metrics can see it.
     """
-    grid, accepted, point = full_conformal_accepted(
-        d, reg, x0, spec, seed=seed, lam=lam, bandwidth=bandwidth
-    )
+    grid, accepted, point = full_conformal_accepted(d, reg, x0, spec, seed=seed)
     reg = Regressor(reg)
     if not accepted.any():
         return PredictionInterval(
@@ -246,6 +227,13 @@ def jackknife_residuals(
     """
     reg = Regressor(reg)
     n = d.n
+    if reg is Regressor.KERNEL:
+        km = fit_kernel(d, bandwidth=bandwidth)
+        d2 = _sq_dists(km.train_z, km.train_z)
+        np.fill_diagonal(d2, np.inf)
+        d2 -= d2.min(axis=1, keepdims=True)
+        w = np.exp(-d2 / (2.0 * km.bandwidth**2))
+        return d.y - (w @ d.y) / w.sum(axis=1)
     if reg is Regressor.OLS:
         a = np.column_stack([np.ones(n), d.x])
         coef, _, rank, _ = np.linalg.lstsq(a, d.y, rcond=None)
@@ -254,48 +242,30 @@ def jackknife_residuals(
             h = np.einsum("ij,ji->i", a, np.linalg.pinv(a))
             if np.max(h) < 1.0 - 1e-8:
                 return e / (1.0 - h)
-        out = np.empty(n)
-        for i in range(n):
-            rest = np.delete(np.arange(n), i)
-            m = fit_ols(d.subset(rest))
-            out[i] = d.y[i] - predict(m, d.x[i])
-        return out
-    if reg is Regressor.LASSO:
+        refit = fit_ols
+    else:
         if lam is None:
             lam = fit_lasso(d, seed=seed).lam
-        out = np.empty(n)
-        for i in range(n):
-            rest = np.delete(np.arange(n), i)
-            m = fit_lasso(d.subset(rest), lam=lam)
-            out[i] = d.y[i] - predict(m, d.x[i])
-        return out
-    km = fit_kernel(d, bandwidth=bandwidth)
-    z = km.train_z
-    d2 = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    d2 -= d2.min(axis=1, keepdims=True)
-    w = np.exp(-d2 / (2.0 * km.bandwidth**2))
-    return d.y - (w @ d.y) / w.sum(axis=1)
+        refit = partial(fit_lasso, lam=lam)
+    out = np.empty(n)
+    for i in range(n):
+        m = refit(d.subset(np.delete(np.arange(n), i)))
+        out[i] = d.y[i] - predict(m, d.x[i])
+    return out
 
 
 def jackknife_conformal(
-    d: Dataset,
-    reg,
-    x0,
-    spec: ConformalSpec,
-    seed: int = 0,
-    lam: float | None = None,
-    bandwidth: float | None = None,
+    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0
 ) -> PredictionInterval:
     """Base forecast plus/minus the leave-one-out residual quantile."""
     if d.n < 3:
         raise DataError(f"jackknife needs n >= 3, got n={d.n}")
     reg = Regressor(reg)
-    base = fit(d, reg, seed=seed, lam=lam, bandwidth=bandwidth)
+    base = fit(d, reg, seed=seed)
     point = predict(base, x0)
-    lam_used = base.lam if reg is Regressor.LASSO else None
-    bw_used = base.bandwidth if reg is Regressor.KERNEL else None
-    loo = np.abs(jackknife_residuals(d, reg, seed=seed, lam=lam_used, bandwidth=bw_used))
+    loo = np.abs(
+        jackknife_residuals(d, reg, seed=seed, lam=base.lam, bandwidth=base.bandwidth)
+    )
     dstar = loo_quantile(loo, spec.alpha)
     return PredictionInterval(
         point, point - dstar, point + dstar,
@@ -304,17 +274,11 @@ def jackknife_conformal(
 
 
 def conformal_interval(
-    d: Dataset,
-    reg,
-    x0,
-    spec: ConformalSpec,
-    seed: int = 0,
-    lam: float | None = None,
-    bandwidth: float | None = None,
+    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0
 ) -> PredictionInterval:
     """Dispatch on ``spec.method``."""
     if spec.method is ConformalMethod.SPLIT:
-        return split_conformal(d, reg, x0, spec, seed, lam=lam, bandwidth=bandwidth)
+        return split_conformal(d, reg, x0, spec, seed)
     if spec.method is ConformalMethod.FULL:
-        return full_conformal(d, reg, x0, spec, seed=seed, lam=lam, bandwidth=bandwidth)
-    return jackknife_conformal(d, reg, x0, spec, seed=seed, lam=lam, bandwidth=bandwidth)
+        return full_conformal(d, reg, x0, spec, seed=seed)
+    return jackknife_conformal(d, reg, x0, spec, seed=seed)

@@ -70,11 +70,16 @@ class IntervalPath(str, enum.Enum):
     RELEVANT_SIMULATED = "relevant_simulated"
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    """Return a float64 copy flagged read-only (containers are immutable)."""
-    out = np.array(a, dtype=np.float64)
+def _readonly(a, dtype=np.float64) -> np.ndarray:
+    """Return a copy flagged read-only (containers are immutable)."""
+    out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from each row of ``a`` to each row of ``b``."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -128,9 +133,20 @@ class Dataset:
         return self.x.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        """Dataset restricted to the given row indices (order preserved)."""
+        """Dataset restricted to the given row indices (order preserved).
+
+        The rows were checked when this Dataset was built, so the copy
+        skips ``__post_init__``.
+        """
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.x[idx], self.y[idx], self.feature_names, self.head_name)
+        if idx.size == 0:
+            raise DataError("subset selects no rows")
+        out = object.__new__(Dataset)
+        object.__setattr__(out, "x", _readonly(self.x[idx]))
+        object.__setattr__(out, "y", _readonly(self.y[idx]))
+        object.__setattr__(out, "feature_names", self.feature_names)
+        object.__setattr__(out, "head_name", self.head_name)
+        return out
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from .core import (
     DataError,
     Dataset,
     Similarity,
+    _readonly,
+    _sq_dists,
     standardize,
     transform_features,
 )
@@ -51,12 +53,6 @@ class ControlMode(str, enum.Enum):
     GAUSSIAN_MIMIC = "gaussian_mimic"
 
 
-def _frozen(a, dtype=np.float64) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class RelevanceSelection:
     """Row indices judged relevant to one query, with their evidence.
@@ -74,7 +70,7 @@ class RelevanceSelection:
     fallback: bool = False
 
     def __post_init__(self):
-        idx = _frozen(self.indices, dtype=np.int64)
+        idx = _readonly(self.indices, dtype=np.int64)
         if idx.size == 0:
             raise DataError("relevance selection is empty")
         if len(np.unique(idx)) != idx.size:
@@ -82,7 +78,7 @@ class RelevanceSelection:
         if idx.min() < 0 or idx.max() >= len(self.scores):
             raise DataError("relevance index out of range")
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "scores", _frozen(self.scores))
+        object.__setattr__(self, "scores", _readonly(self.scores))
         object.__setattr__(self, "method", Similarity(self.method))
 
     @property
@@ -236,8 +232,7 @@ def simulate_controls(
             x_syn[row] = mu + _row_rng(seed, row).normal(size=d.p) * sigma
         z_rel = (x_rel - mu) / sigma
         z_syn = (x_syn - mu) / sigma
-        d2 = ((z_syn[:, None, :] - z_rel[None, :, :]) ** 2).sum(axis=-1)
-        y_syn = y_rel[np.argmin(d2, axis=1)]
+        y_syn = y_rel[np.argmin(_sq_dists(z_syn, z_rel), axis=1)]
         tag = Origin.GAUSSIAN_MIMIC
 
     stacked = Dataset(

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, Dataset, Regressor, standardize, transform_features
+from .core import (
+    DataError,
+    Dataset,
+    Regressor,
+    _readonly,
+    _sq_dists,
+    standardize,
+    transform_features,
+)
 
 __all__ = [
     "FittedModel",
@@ -64,12 +72,6 @@ class FittedModel:
         return self.train_z.shape[1]
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out.flags.writeable = False
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Ordinary least squares
 # ---------------------------------------------------------------------------
@@ -84,7 +86,7 @@ def fit_ols(d: Dataset) -> FittedModel:
     a = np.column_stack([np.ones(d.n), d.x])
     coef, *_ = np.linalg.lstsq(a, d.y, rcond=None)
     return FittedModel(
-        kind=Regressor.OLS, intercept=float(coef[0]), coefficients=_frozen(coef[1:])
+        kind=Regressor.OLS, intercept=float(coef[0]), coefficients=_readonly(coef[1:])
     )
 
 
@@ -215,7 +217,7 @@ def fit_lasso(
         raise DataError(f"penalty must be >= 0, got {lam}")
     intercept, coef = _lasso_solve(d.x, d.y, lam)
     return FittedModel(
-        kind=Regressor.LASSO, intercept=intercept, coefficients=_frozen(coef), lam=lam
+        kind=Regressor.LASSO, intercept=intercept, coefficients=_readonly(coef), lam=lam
     )
 
 
@@ -247,7 +249,7 @@ def lasso_kkt_residual(d: Dataset, m: FittedModel) -> float:
 # ---------------------------------------------------------------------------
 
 def _median_pairwise_distance(z: np.ndarray) -> float:
-    d2 = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1)
+    d2 = _sq_dists(z, z)
     iu = np.triu_indices(z.shape[0], k=1)
     return float(np.sqrt(np.median(d2[iu])))
 
@@ -270,8 +272,8 @@ def fit_kernel(d: Dataset, bandwidth: float | None = None) -> FittedModel:
         bandwidth=bandwidth,
         train_z=z.x,
         train_y=d.y,
-        centers=_frozen(centers),
-        scales=_frozen(scales),
+        centers=_readonly(centers),
+        scales=_readonly(scales),
     )
 
 
@@ -283,7 +285,7 @@ def kernel_weights(m: FittedModel, x_new: np.ndarray) -> np.ndarray:
     never all underflow.
     """
     z0 = transform_features(np.atleast_2d(x_new), m.centers, m.scales)
-    d2 = ((z0[:, None, :] - m.train_z[None, :, :]) ** 2).sum(axis=-1)
+    d2 = _sq_dists(z0, m.train_z)
     d2 -= d2.min(axis=1, keepdims=True)
     w = np.exp(-d2 / (2.0 * m.bandwidth**2))
     return w / w.sum(axis=1, keepdims=True)
@@ -305,18 +307,15 @@ def predict(m: FittedModel, x0) -> float:
     return float(predict_many(m, x0[None, :])[0])
 
 
-def fit(
-    d: Dataset,
-    kind,
-    seed: int = 0,
-    lam: float | None = None,
-    bandwidth: float | None = None,
-    folds: int = 5,
-) -> FittedModel:
-    """Dispatch to the chosen engine; hyperparameter overrides pass through."""
+def fit(d: Dataset, kind, seed: int = 0) -> FittedModel:
+    """Dispatch to the chosen engine at its default hyperparameters.
+
+    LASSO picks its penalty by cross-validation with folds drawn from
+    ``seed``; the kernel uses the median-heuristic bandwidth.
+    """
     kind = Regressor(kind)
     if kind is Regressor.OLS:
         return fit_ols(d)
     if kind is Regressor.LASSO:
-        return fit_lasso(d, folds=folds, lam=lam, seed=seed)
-    return fit_kernel(d, bandwidth=bandwidth)
+        return fit_lasso(d, seed=seed)
+    return fit_kernel(d)

@@ -212,6 +212,8 @@ class RunManifest:
             raise ConfigError(str(exc)) from None
         if not self.regressors or not self.methods or not self.similarities:
             raise ConfigError("regressors, methods, and similarities must be non-empty")
+        # the numeric knobs are checked by the config every grid cell builds
+        self.base_config(self.regressors[0], self.similarities[0], self.methods[0])
 
     def _semantic_items(self) -> list[tuple[str, str]]:
         return [

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, config files, exit codes."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -211,10 +212,12 @@ class TestTopLevel:
         assert "FAIL" not in out
 
     def test_module_entry_point(self):
+        # the child imports relconf from this process's path, installed or not
         proc = subprocess.run(
             [sys.executable, "-m", "relconf.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert proc.returncode == 0
         assert "relconf" in proc.stdout

@@ -175,13 +175,24 @@ class TestFull:
         np.testing.assert_array_equal(accepted, np.array(oracle))
 
     def test_lasso_penalty_reused_from_base_fit(self):
+        # every candidate refit uses the cross-validated penalty of the
+        # base fit on the original rows
         rng = np.random.default_rng(8)
         d = make_dataset(rng, 25, 3)
+        x0 = np.zeros(3)
         spec = ConformalSpec(method="full", alpha=0.2, grid_points=12)
-        base_lam = fit_lasso(d, seed=0).lam
-        via_cv = full_conformal(d, "lasso", [0.0, 0.0, 0.0], spec, seed=0)
-        via_fixed = full_conformal(d, "lasso", [0.0, 0.0, 0.0], spec, lam=base_lam)
-        assert (via_cv.lo, via_cv.up) == (via_fixed.lo, via_fixed.up)
+        grid, accepted, _ = full_conformal_accepted(d, "lasso", x0, spec, seed=0)
+        lam = fit_lasso(d, seed=0).lam
+        k = math.ceil((d.n + 1) * (1 - spec.alpha) - 1e-9)
+        x_aug = np.vstack([d.x, x0])
+        oracle = []
+        for t in grid:
+            y_aug = np.append(d.y, t)
+            m = fit_lasso(Dataset(x_aug, y_aug), lam=lam)
+            r = np.abs(y_aug - predict_many(m, x_aug))
+            oracle.append(1 + int((r[: d.n] < r[d.n]).sum()) <= k)
+        assert accepted.any() and not accepted.all()
+        np.testing.assert_array_equal(accepted, np.array(oracle))
 
 
 class TestJackknife:

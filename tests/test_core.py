@@ -46,10 +46,14 @@ class TestDataset:
             Dataset(np.ones((2, 2)), [1.0, np.inf])
 
     def test_subset_preserves_order(self):
-        d = Dataset(np.arange(8.0).reshape(4, 2), np.arange(4.0))
+        d = Dataset(np.arange(8.0).reshape(4, 2), np.arange(4.0), ("a", "b"), "h")
         s = d.subset([2, 0])
         np.testing.assert_array_equal(s.y, [2.0, 0.0])
         np.testing.assert_array_equal(s.x[0], d.x[2])
+        assert not s.x.flags.writeable and not s.y.flags.writeable
+        assert (s.feature_names, s.head_name) == (("a", "b"), "h")
+        with pytest.raises(DataError):
+            d.subset([])
 
 
 class TestQuery:

@@ -296,3 +296,11 @@ class TestRunGrid:
             RunManifest(suite="external-csv")
         with pytest.raises(ConfigError, match="non-empty"):
             RunManifest(methods=())
+        with pytest.raises(ConfigError, match="alpha"):
+            RunManifest(alpha=2.0)
+        with pytest.raises(ConfigError, match="grid_points"):
+            RunManifest(grid_points=3)
+        with pytest.raises(ConfigError, match="min_relevant"):
+            RunManifest(min_relevant=1)
+        with pytest.raises(ConfigError, match="noise_scale"):
+            RunManifest(noise_scale=0.0)
