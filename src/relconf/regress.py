@@ -4,6 +4,11 @@ Each engine exposes the same surface: a ``fit_*`` constructor returning an
 immutable :class:`FittedModel`, plus :func:`predict` / :func:`predict_many`
 for evaluation at new tails. ``fit`` dispatches on the engine enum so
 interval constructors stay engine-agnostic.
+
+LASSO runs covariance-update coordinate descent (Friedman, Hastie &
+Tibshirani 2010) on the p x p Gram matrix of the standardized problem,
+along a warm-started penalty path; cross-validation solves each fold's
+whole path in one call.
 """
 
 from __future__ import annotations
@@ -52,7 +57,9 @@ class FittedModel:
 
     ``coefficients``/``intercept`` describe linear engines; the kernel
     engine instead retains its standardized training tails, heads, the
-    standardization parameters, and the bandwidth.
+    standardization parameters, and the bandwidth. LASSO fits also carry
+    the coordinate-descent ``sweeps`` at their penalty and whether those
+    sweeps ``converged`` to LASSO_TOL before LASSO_MAX_SWEEPS.
     """
 
     kind: Regressor
@@ -64,6 +71,8 @@ class FittedModel:
     train_y: np.ndarray | None = None
     centers: np.ndarray | None = None
     scales: np.ndarray | None = None
+    sweeps: int | None = None
+    converged: bool | None = None
 
     @property
     def p(self) -> int:
@@ -91,7 +100,7 @@ def fit_ols(d: Dataset) -> FittedModel:
 
 
 # ---------------------------------------------------------------------------
-# LASSO via cyclic coordinate descent
+# LASSO via covariance-update coordinate descent
 # ---------------------------------------------------------------------------
 
 def soft_threshold(z: float, lam: float) -> float:
@@ -123,49 +132,82 @@ def lasso_objective(x, y, intercept: float, coef, lam: float) -> float:
     return float((r @ r) / (2 * len(y)) + lam * np.abs(coef).sum())
 
 
-def _cd_sweeps(xs, yc, lam, beta, active, trace: list | None = None):
-    """Cyclic coordinate descent at a fixed penalty; mutates and returns beta.
+def _cd_path(gram, xty, lams, active):
+    """Cyclic coordinate descent along a penalty path, on the Gram matrix.
 
-    ``trace``, if given, collects the objective value after every sweep.
+    Solves (1/2) b'Gb - c'b + lam*||b||_1 with ``gram`` G = xs'xs/n and
+    ``xty`` c = xs'yc/n of the standardized problem, for each penalty in
+    ``lams`` in turn, each warm-started from the previous solution. Only
+    ``active`` coordinates move; every active column has G[j, j] = 1 up to
+    rounding, so a coordinate update is one soft-threshold step. The
+    gradient c - Gb is kept current as coordinates change, so a sweep costs
+    O(p) per changed coordinate and never touches the n data rows. Per
+    penalty, sweeps stop when no coefficient moves by LASSO_TOL or more, or
+    after LASSO_MAX_SWEEPS.
+
+    Returns (path, sweeps, converged): one coefficient row per penalty, the
+    total number of sweeps, and whether every penalty met the tolerance.
     """
-    n = xs.shape[0]
-    r = yc - xs @ beta
-    for _ in range(LASSO_MAX_SWEEPS):
-        delta = 0.0
-        for j in np.flatnonzero(active):
-            old = beta[j]
-            zj = xs[:, j] @ r / n + old
-            new = soft_threshold(zj, lam)
-            if new != old:
-                r += xs[:, j] * (old - new)
-                beta[j] = new
-                change = abs(new - old)
-                if change > delta:
-                    delta = change
-        if trace is not None:
-            trace.append(float((r @ r) / (2 * n) + lam * np.abs(beta).sum()))
-        if delta < LASSO_TOL:
-            break
-    return beta
+    rows = gram.tolist()
+    grad = xty.tolist()
+    beta = [0.0] * len(grad)
+    cols = np.flatnonzero(active).tolist()
+    path = []
+    sweeps = 0
+    converged = True
+    for lam in lams:
+        lam = float(lam)
+        for sweep in range(1, LASSO_MAX_SWEEPS + 1):
+            delta = 0.0
+            for j in cols:
+                old = beta[j]
+                new = soft_threshold(grad[j] + old, lam)
+                if new != old:
+                    step = new - old
+                    beta[j] = new
+                    grad = [g - gj * step for g, gj in zip(grad, rows[j])]
+                    change = abs(step)
+                    if change > delta:
+                        delta = change
+            if delta < LASSO_TOL:
+                break
+        else:
+            converged = False
+        sweeps += sweep
+        path.append(list(beta))
+    return np.array(path), sweeps, converged
 
 
-def _lambda_grid(xs, yc) -> np.ndarray:
-    n = xs.shape[0]
-    lam_max = float(np.max(np.abs(xs.T @ yc)) / n) if xs.size else 0.0
+def _gram_problem(x, y):
+    """Standardize (x, y) and reduce it to the p x p data the solver needs.
+
+    Returns (gram, xty, active, centers, scales, ybar): gram = xs'xs/n and
+    xty = xs'(y - ybar)/n, with ``active`` marking non-constant columns.
+    """
+    xs, m, s = _internal_scale(x)
+    n = x.shape[0]
+    ybar = y.mean()
+    gram = xs.T @ xs / n
+    xty = xs.T @ (y - ybar) / n
+    return gram, xty, np.any(xs != 0.0, axis=0), m, s, ybar
+
+
+def _lambda_grid(xty) -> np.ndarray:
+    lam_max = float(np.max(np.abs(xty))) if xty.size else 0.0
     if lam_max <= 0.0:
         lam_max = 1e-3  # constant response: any penalty zeroes everything
     return np.geomspace(lam_max, lam_max * LASSO_GRID_RATIO, LASSO_GRID_SIZE)
 
 
-def _lasso_solve(x, y, lam, trace=None) -> tuple[float, np.ndarray]:
-    """One penalized fit; returns (intercept, coefficients) on the input scale."""
-    xs, m, s = _internal_scale(x)
-    active = np.any(xs != 0.0, axis=0)
-    ybar = y.mean()
-    yc = y - ybar
-    beta = _cd_sweeps(xs, yc, lam, np.zeros(x.shape[1]), active, trace)
-    coef = beta / s
-    return float(ybar - coef @ m), coef
+def _lasso_solve(x, y, lam) -> tuple[float, np.ndarray, int, bool]:
+    """One penalized fit: (intercept, coefficients, sweeps, converged).
+
+    The intercept and coefficients are on the input scale.
+    """
+    gram, xty, active, m, s, ybar = _gram_problem(x, y)
+    path, sweeps, converged = _cd_path(gram, xty, [lam], active)
+    coef = path[0] / s
+    return float(ybar - coef @ m), coef, sweeps, converged
 
 
 def _cv_lambda(x, y, folds: int, seed: int) -> float:
@@ -175,24 +217,17 @@ def _cv_lambda(x, y, folds: int, seed: int) -> float:
     warm starts. Ties resolve to the largest (most parsimonious) penalty.
     """
     n = x.shape[0]
-    grid = _lambda_grid(_internal_scale(x)[0], y - y.mean())
+    grid = _lambda_grid(_gram_problem(x, y)[1])
     rng = np.random.default_rng(seed)
     fold_ids = np.array_split(rng.permutation(n), folds)
     sse = np.zeros(grid.size)
     for held in fold_ids:
         mask = np.ones(n, dtype=bool)
         mask[held] = False
-        xt, yt = x[mask], y[mask]
-        xs, m, s = _internal_scale(xt)
-        active = np.any(xs != 0.0, axis=0)
-        ybar = yt.mean()
-        yc = yt - ybar
-        beta = np.zeros(x.shape[1])
-        for g, lam in enumerate(grid):
-            beta = _cd_sweeps(xs, yc, lam, beta, active)
-            coef = beta / s
-            pred = (ybar - coef @ m) + x[held] @ coef
-            sse[g] += float(((y[held] - pred) ** 2).sum())
+        gram, xty, active, m, s, ybar = _gram_problem(x[mask], y[mask])
+        coefs = _cd_path(gram, xty, grid, active)[0] / s
+        pred = (ybar - coefs @ m)[:, None] + coefs @ x[held].T
+        sse += ((y[held] - pred) ** 2).sum(axis=1)
     best = float(grid[np.argmin(sse)])  # argmin takes the first = largest lam
     return best
 
@@ -205,7 +240,8 @@ def fit_lasso(
     Coordinate descent runs on internally rescaled features; reported
     coefficients are on the original scale. When ``lam`` is None it is
     chosen by ``folds``-fold cross-validation with fold assignment drawn
-    from ``seed``.
+    from ``seed``. ``sweeps`` and ``converged`` on the result describe the
+    final fit at the chosen penalty.
     """
     if lam is None:
         folds = int(folds)
@@ -215,9 +251,14 @@ def fit_lasso(
     lam = float(lam)
     if lam < 0.0:
         raise DataError(f"penalty must be >= 0, got {lam}")
-    intercept, coef = _lasso_solve(d.x, d.y, lam)
+    intercept, coef, sweeps, converged = _lasso_solve(d.x, d.y, lam)
     return FittedModel(
-        kind=Regressor.LASSO, intercept=intercept, coefficients=_readonly(coef), lam=lam
+        kind=Regressor.LASSO,
+        intercept=intercept,
+        coefficients=_readonly(coef),
+        lam=lam,
+        sweeps=sweeps,
+        converged=converged,
     )
 
 

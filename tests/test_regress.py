@@ -15,7 +15,8 @@ from relconf.regress import (
     predict,
     predict_many,
 )
-from relconf.regress import _cd_sweeps, _internal_scale
+from relconf import regress
+from relconf.regress import _cd_path, _gram_problem, _internal_scale, _lambda_grid
 
 
 def make_dataset(rng, n, p, noise=1.0):
@@ -23,6 +24,60 @@ def make_dataset(rng, n, p, noise=1.0):
     coef = rng.normal(size=p)
     y = 1.0 + x @ coef + noise * rng.normal(size=n)
     return Dataset(x, y)
+
+
+def reference_sweeps(xs, yc, lam, beta, active):
+    """Residual-update coordinate descent on the n data rows: the loop the
+    Gram-matrix solver replaced, kept as the reference it must reproduce."""
+    n = xs.shape[0]
+    r = yc - xs @ beta
+    for _ in range(regress.LASSO_MAX_SWEEPS):
+        delta = 0.0
+        for j in np.flatnonzero(active):
+            old = beta[j]
+            new = regress.soft_threshold(xs[:, j] @ r / n + old, lam)
+            if new != old:
+                r += xs[:, j] * (old - new)
+                beta[j] = new
+                delta = max(delta, abs(new - old))
+        if delta < regress.LASSO_TOL:
+            break
+    return beta
+
+
+def reference_fit(x, y, lam):
+    xs, m, s = _internal_scale(x)
+    ybar = y.mean()
+    beta = reference_sweeps(
+        xs, y - ybar, lam, np.zeros(x.shape[1]), np.any(xs != 0.0, axis=0)
+    )
+    coef = beta / s
+    return float(ybar - coef @ m), coef
+
+
+def reference_cv_lambda(x, y, folds, seed):
+    n = x.shape[0]
+    xs, _, _ = _internal_scale(x)
+    lam_max = float(np.max(np.abs(xs.T @ (y - y.mean()))) / n)
+    grid = np.geomspace(
+        lam_max, lam_max * regress.LASSO_GRID_RATIO, regress.LASSO_GRID_SIZE
+    )
+    fold_ids = np.array_split(np.random.default_rng(seed).permutation(n), folds)
+    sse = np.zeros(grid.size)
+    for held in fold_ids:
+        mask = np.ones(n, dtype=bool)
+        mask[held] = False
+        xt, yt = x[mask], y[mask]
+        xs, m, s = _internal_scale(xt)
+        active = np.any(xs != 0.0, axis=0)
+        yc = yt - yt.mean()
+        beta = np.zeros(x.shape[1])
+        for g, lam in enumerate(grid):
+            beta = reference_sweeps(xs, yc, lam, beta, active)
+            coef = beta / s
+            pred = (yt.mean() - coef @ m) + x[held] @ coef
+            sse[g] += float(((y[held] - pred) ** 2).sum())
+    return float(grid[np.argmin(sse)])
 
 
 def orthonormal_design(rng, n, p):
@@ -111,16 +166,92 @@ class TestLasso:
             m = fit_lasso(d, folds=5, seed=trial)
             assert lasso_kkt_residual(d, m) <= 1e-6
 
-    def test_objective_non_increasing_across_sweeps(self):
+    def test_objective_non_increasing_across_sweeps(self, monkeypatch):
+        # The solver is deterministic, so capping it at k sweeps yields the
+        # k-th iterate of an uncapped run.
         rng = np.random.default_rng(8)
         x = rng.normal(size=(40, 6))
         y = x @ rng.normal(size=6) + rng.normal(size=40)
+        gram, xty, active, _, _, _ = _gram_problem(x, y)
         xs, _, _ = _internal_scale(x)
         yc = y - y.mean()
+        total = _cd_path(gram, xty, [0.1], active)[1]
         trace = []
-        _cd_sweeps(xs, yc, 0.1, np.zeros(6), np.ones(6, dtype=bool), trace)
-        assert len(trace) >= 1
+        for k in range(1, total + 1):
+            monkeypatch.setattr(regress, "LASSO_MAX_SWEEPS", k)
+            beta = _cd_path(gram, xty, [0.1], active)[0][0]
+            trace.append(lasso_objective(xs, yc, 0.0, beta, 0.1))
+        assert len(trace) >= 2
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+    def test_warm_started_path_meets_kkt_at_every_penalty(self):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(30, 6))
+        x[:, 1] = x[:, 0] + 0.2 * rng.normal(size=30)
+        d = Dataset(x, x @ rng.normal(size=6) + rng.normal(size=30))
+        gram, xty, active, m, s, ybar = _gram_problem(d.x, d.y)
+        grid = _lambda_grid(xty)
+        path, sweeps, converged = _cd_path(gram, xty, grid, active)
+        assert path.shape == (regress.LASSO_GRID_SIZE, 6)
+        assert converged and sweeps >= grid.size
+        for lam, beta in zip(grid, path):
+            coef = beta / s
+            row = FittedModel(
+                kind=Regressor.LASSO,
+                intercept=float(ybar - coef @ m),
+                coefficients=coef,
+                lam=float(lam),
+            )
+            assert lasso_kkt_residual(d, row) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "n, p, lam, constant_col",
+        [
+            (40, 2, 0.05, None),
+            (40, 2, 0.0, None),
+            (60, 5, 0.02, 3),
+            (25, 5, 0.0, 0),
+            (50, 12, 0.01, 7),
+            (12, 12, 0.0, 4),
+        ],
+    )
+    def test_matches_residual_update_reference(self, n, p, lam, constant_col):
+        rng = np.random.default_rng(1000 * n + 10 * p + (constant_col or 0))
+        x = rng.normal(size=(n, p))
+        x[:, 1] = x[:, 0] + 0.3 * rng.normal(size=n)
+        if constant_col is not None:
+            x[:, constant_col] = 2.5
+        y = 1.0 + x @ rng.normal(size=p) + rng.normal(size=n)
+        d = Dataset(x, y)
+        m = fit_lasso(d, lam=lam)
+        intercept, coef = reference_fit(x, y, lam)
+        np.testing.assert_allclose(m.coefficients, coef, rtol=0, atol=1e-12)
+        assert m.intercept == pytest.approx(intercept, rel=0, abs=1e-12)
+        cv = fit_lasso(d, seed=p)
+        chosen = reference_cv_lambda(x, y, 5, p)
+        assert cv.lam == chosen
+        intercept, coef = reference_fit(x, y, chosen)
+        np.testing.assert_allclose(cv.coefficients, coef, rtol=0, atol=1e-12)
+        assert cv.intercept == pytest.approx(intercept, rel=0, abs=1e-12)
+
+    def test_sweep_count_and_convergence_reported(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(30, 4))
+        x[:, 1] = x[:, 0] + 0.2 * rng.normal(size=30)
+        d = Dataset(x, x @ np.array([1.0, -1.0, 0.5, 0.0]) + rng.normal(size=30))
+        m = fit_lasso(d, lam=0.01)
+        assert m.converged is True
+        assert m.sweeps > 1
+        assert fit_lasso(d, seed=0).converged is True
+        # A path counts the sweeps of every penalty: re-solving at the same
+        # penalty from its own solution takes exactly one more sweep.
+        gram, xty, active, _, _, _ = _gram_problem(d.x, d.y)
+        assert _cd_path(gram, xty, [0.01, 0.01], active)[1] == m.sweeps + 1
+        monkeypatch.setattr(regress, "LASSO_MAX_SWEEPS", 1)
+        capped = fit_lasso(d, lam=0.01)
+        assert capped.converged is False
+        assert capped.sweeps == 1
+        assert fit_ols(d).sweeps is None and fit_ols(d).converged is None
 
     def test_cv_is_seed_deterministic(self):
         d = make_dataset(np.random.default_rng(9), 40, 5)
