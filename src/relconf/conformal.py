@@ -30,7 +30,9 @@ from .core import (
     Regressor,
     _sq_dists,
 )
-from .regress import fit, fit_kernel, fit_lasso, fit_ols, kernel_weights, predict, predict_many
+from .regress import (
+    LASSO_CV_FOLDS, fit, fit_kernel, fit_lasso, fit_ols, kernel_weights, predict, predict_many,
+)
 
 __all__ = [
     "ConformalSpec",
@@ -102,6 +104,13 @@ def loo_quantile(abs_residuals: np.ndarray, alpha: float) -> float:
 # Split conformal
 # ---------------------------------------------------------------------------
 
+def _split_train_rows(n: int, rho: float, fit_rows: int = 2) -> int | None:
+    """Rows split conformal fits on, floor(rho*n), or None when that leaves
+    fewer than ``fit_rows`` to fit or fewer than 2 to calibrate."""
+    n_train = int(math.floor(rho * n + _CEIL_GUARD))
+    return n_train if fit_rows <= n_train <= n - 2 else None
+
+
 def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> PredictionInterval:
     """Fit on a seeded ``rho`` fraction, calibrate on the held-out rest.
 
@@ -109,8 +118,8 @@ def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> Pred
     residual quantile. Both partition cells must get at least 2 rows.
     """
     reg = Regressor(reg)
-    n_train = int(math.floor(spec.rho * d.n + _CEIL_GUARD))
-    if not (2 <= n_train <= d.n - 2):
+    n_train = _split_train_rows(d.n, spec.rho)
+    if n_train is None:
         raise DataError(
             f"split needs 2 <= floor(rho*n) <= n-2; rho={spec.rho}, n={d.n}"
         )
@@ -271,6 +280,23 @@ def jackknife_conformal(
         point, point - dstar, point + dstar,
         conformal_method=ConformalMethod.JACKKNIFE, regressor=reg,
     )
+
+
+def _min_rows(spec: ConformalSpec, reg) -> int:
+    """Smallest dataset ``conformal_interval`` can run on with ``spec`` and ``reg``.
+
+    A fit needs 2 rows, or LASSO_CV_FOLDS for LASSO's cross-validated
+    penalty; split fits on floor(rho*n) rows; jackknife needs 3.
+    """
+    fit_rows = LASSO_CV_FOLDS if Regressor(reg) is Regressor.LASSO else 2
+    if spec.method is ConformalMethod.SPLIT:
+        n = fit_rows + 2
+        while _split_train_rows(n, spec.rho, fit_rows) is None:
+            n += 1
+        return n
+    if spec.method is ConformalMethod.JACKKNIFE:
+        return max(fit_rows, 3)
+    return fit_rows
 
 
 def conformal_interval(

@@ -16,6 +16,7 @@ General column averaging the three method columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -49,7 +50,6 @@ METHOD_LABELS = {
 # variant encodes regressor (l/k) and path (r = relevant only,
 # rs = relevant + simulated)
 METRIC_FAMILIES = ("diffpred", "%pred", "int", "ab")
-VARIANT_ORDER = ("", "r", "rs", "l", "lr", "lrs", "k", "kr", "krs")
 
 _REG_CODE = {Regressor.OLS: "", Regressor.LASSO: "l", Regressor.KERNEL: "k"}
 _PATH_CODE = {
@@ -62,6 +62,9 @@ _PATH_CODE = {
 def variant_code(regressor, path) -> str:
     """Row-label suffix for a (regressor, path) cell, e.g. ('lasso','relevant') -> 'lr'."""
     return _REG_CODE[Regressor(regressor)] + _PATH_CODE[IntervalPath(path)]
+
+
+VARIANT_ORDER = tuple(variant_code(r, p) for r, p in product(Regressor, IntervalPath))
 
 
 @dataclass(frozen=True)
@@ -149,34 +152,14 @@ def summary_table(rows: list[MetricRow]) -> list[tuple[str, dict[str, float | No
     cells = aggregate(rows, by=("regressor", "path", "method"))
     table = []
     for family in METRIC_FAMILIES:
-        for variant in VARIANT_ORDER:
-            reg, path = _decode_variant(variant)
-            label = family + variant
+        for reg, path in product(Regressor, IntervalPath):
             columns: dict[str, float | None] = {}
-            per_method = []
-            for method in (
-                ConformalMethod.FULL,
-                ConformalMethod.SPLIT,
-                ConformalMethod.JACKKNIFE,
-            ):
+            for method, method_label in METHOD_LABELS.items():
                 stats = cells.get((reg.value, path.value, method.value))
                 value = stats[_FAMILY_FIELD[family]] if stats else None
                 if value is not None and family == "%pred":
                     value *= 100.0
-                columns[METHOD_LABELS[method]] = value
-                per_method.append(value)
-            columns["General"] = _mean(per_method)
-            table.append((label, columns))
+                columns[method_label] = value
+            columns["General"] = _mean(list(columns.values()))
+            table.append((family + variant_code(reg, path), columns))
     return table
-
-
-def _decode_variant(variant: str) -> tuple[Regressor, IntervalPath]:
-    reg = Regressor.OLS
-    rest = variant
-    if variant.startswith("l"):
-        reg, rest = Regressor.LASSO, variant[1:]
-    elif variant.startswith("k"):
-        reg, rest = Regressor.KERNEL, variant[1:]
-    path = {"": IntervalPath.STANDARD, "r": IntervalPath.RELEVANT,
-            "rs": IntervalPath.RELEVANT_SIMULATED}[rest]
-    return reg, path

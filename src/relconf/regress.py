@@ -43,7 +43,9 @@ __all__ = [
 ]
 
 # LASSO path constants: 50-point log grid down to 1e-4 of the smallest
-# all-zero lambda, coordinate sweeps stop at max coefficient change 1e-8.
+# all-zero lambda, coordinate sweeps stop at max coefficient change 1e-8,
+# and a cross-validated penalty uses 5 folds, so needs at least 5 rows.
+LASSO_CV_FOLDS = 5
 LASSO_GRID_SIZE = 50
 LASSO_GRID_RATIO = 1e-4
 LASSO_TOL = 1e-8
@@ -58,8 +60,9 @@ class FittedModel:
     ``coefficients``/``intercept`` describe linear engines; the kernel
     engine instead retains its standardized training tails, heads, the
     standardization parameters, and the bandwidth. LASSO fits also carry
-    the coordinate-descent ``sweeps`` at their penalty and whether those
-    sweeps ``converged`` to LASSO_TOL before LASSO_MAX_SWEEPS.
+    the coordinate-descent ``sweeps`` at their penalty and whether the fit
+    ``converged``: False when the final solve or, for a cross-validated
+    penalty, any fold's path hit LASSO_MAX_SWEEPS before LASSO_TOL.
     """
 
     kind: Regressor
@@ -210,44 +213,49 @@ def _lasso_solve(x, y, lam) -> tuple[float, np.ndarray, int, bool]:
     return float(ybar - coef @ m), coef, sweeps, converged
 
 
-def _cv_lambda(x, y, folds: int, seed: int) -> float:
+def _cv_lambda(x, y, folds: int, seed: int) -> tuple[float, bool]:
     """Pick the penalty by K-fold cross-validation on mean squared error.
 
     The grid comes from the full data; each fold fits the whole path with
     warm starts. Ties resolve to the largest (most parsimonious) penalty.
+    Returns (penalty, whether every fold's path converged).
     """
     n = x.shape[0]
     grid = _lambda_grid(_gram_problem(x, y)[1])
     rng = np.random.default_rng(seed)
     fold_ids = np.array_split(rng.permutation(n), folds)
     sse = np.zeros(grid.size)
+    converged = True
     for held in fold_ids:
         mask = np.ones(n, dtype=bool)
         mask[held] = False
         gram, xty, active, m, s, ybar = _gram_problem(x[mask], y[mask])
-        coefs = _cd_path(gram, xty, grid, active)[0] / s
+        path, _, fold_converged = _cd_path(gram, xty, grid, active)
+        converged = converged and fold_converged
+        coefs = path / s
         pred = (ybar - coefs @ m)[:, None] + coefs @ x[held].T
         sse += ((y[held] - pred) ** 2).sum(axis=1)
     best = float(grid[np.argmin(sse)])  # argmin takes the first = largest lam
-    return best
+    return best, converged
 
 
 def fit_lasso(
-    d: Dataset, folds: int = 5, lam: float | None = None, seed: int = 0
+    d: Dataset, folds: int = LASSO_CV_FOLDS, lam: float | None = None, seed: int = 0
 ) -> FittedModel:
     """L1-penalized least squares, objective (1/2n)||y - b0 - X b||^2 + lam*||b||_1.
 
     Coordinate descent runs on internally rescaled features; reported
     coefficients are on the original scale. When ``lam`` is None it is
     chosen by ``folds``-fold cross-validation with fold assignment drawn
-    from ``seed``. ``sweeps`` and ``converged`` on the result describe the
-    final fit at the chosen penalty.
+    from ``seed``. ``sweeps`` on the result counts the final fit at the
+    chosen penalty; ``converged`` also covers the cross-validation paths.
     """
+    cv_converged = True
     if lam is None:
         folds = int(folds)
         if not (2 <= folds <= d.n):
             raise DataError(f"need n >= folds >= 2, got n={d.n}, folds={folds}")
-        lam = _cv_lambda(d.x, d.y, folds, seed)
+        lam, cv_converged = _cv_lambda(d.x, d.y, folds, seed)
     lam = float(lam)
     if lam < 0.0:
         raise DataError(f"penalty must be >= 0, got {lam}")
@@ -258,7 +266,7 @@ def fit_lasso(
         coefficients=_readonly(coef),
         lam=lam,
         sweeps=sweeps,
-        converged=converged,
+        converged=converged and cv_converged,
     )
 
 

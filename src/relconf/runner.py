@@ -1,30 +1,35 @@
 """End-to-end experiment driver.
 
-``run_algorithm1`` produces the three intervals for one query under one
-configuration: the standard interval on the full dataset, the relevant
-interval on the similarity-selected subset, and the relevant+simulated
-interval on the synthetic controls built from that subset. Paths 2 and 3
-share one relevance selection, and all three paths share one conformal
-seed per query so they differ only through the data they see.
+One query passes through three stages: cell setup (query check,
+conformal spec, selection floor), its neighbourhood (the
+similarity-selected rows and the synthetic controls built from them),
+and one conformal interval per path: standard on the full dataset,
+relevant on the selected rows, relevant+simulated on the controls. All
+three paths share one conformal seed per query, so they differ only
+through the data they see.
 
+``run_algorithm1`` composes the stages for one configuration.
 ``run_grid`` sweeps {full, split, jackknife} x {ols, lasso, kernel} x
-{percentile, cosine} x all queries of a suite and writes deterministic
-CSV outputs: per-query raw tables, aggregated summary tables, and a
-flat plot-data file. Every CSV carries version, seed, and config hash
-in ``#`` comment lines; no timestamps, so re-runs are byte-identical.
+{percentile, cosine} x all queries of a suite through the same stages,
+computing a query's standard interval once per (regressor, method) and
+its neighbourhood once per (similarity, selection floor). It writes
+deterministic CSV outputs: per-query raw tables, aggregated summary
+tables, and a flat plot-data file. Every CSV carries version, seed, and
+config hash in ``#`` comment lines; no timestamps, so re-runs are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .conformal import ConformalSpec, conformal_interval
+from .conformal import ConformalSpec, _min_rows, conformal_interval
 from .core import (
     ARTIFACT_VERSION,
     ConfigError,
@@ -41,7 +46,7 @@ from .core import (
     subseed,
 )
 from .dgp import SUITES
-from .evaluate import METHOD_LABELS, Cell, score, summary_table
+from .evaluate import METHOD_LABELS, Cell, score, summary_table, variant_code
 from .individualize import ControlMode, select, simulate_controls
 
 __all__ = [
@@ -58,27 +63,47 @@ _METHOD_ORDER = (ConformalMethod.FULL, ConformalMethod.SPLIT, ConformalMethod.JA
 
 # raw-table rows cover the linear engines only; kernel cells appear in the
 # summary tables and plot data
-_RAW_VARIANTS = (
-    ("", Regressor.OLS, IntervalPath.STANDARD),
-    ("r", Regressor.OLS, IntervalPath.RELEVANT),
-    ("rs", Regressor.OLS, IntervalPath.RELEVANT_SIMULATED),
-    ("l", Regressor.LASSO, IntervalPath.STANDARD),
-    ("lr", Regressor.LASSO, IntervalPath.RELEVANT),
-    ("lrs", Regressor.LASSO, IntervalPath.RELEVANT_SIMULATED),
+_RAW_VARIANTS = tuple(
+    (variant_code(reg, path), reg, path)
+    for reg, path in product((Regressor.OLS, Regressor.LASSO), IntervalPath)
 )
 
 
-def _min_rows(method, rho: float) -> int:
-    """Smallest dataset each conformal method can run on."""
-    method = ConformalMethod(method)
-    if method is ConformalMethod.JACKKNIFE:
-        return 3
-    if method is ConformalMethod.FULL:
-        return 2
-    n = 4
-    while not (2 <= math.floor(rho * n + 1e-9) <= n - 2):
-        n += 1
-    return n
+def _setup(d: Dataset, q: Query, cfg: ExperimentConfig):
+    """Check one cell's inputs; return (x0, conformal spec, selection floor).
+
+    The floor is ``min_relevant`` raised to the smallest dataset the
+    conformal method and regressor can run on, and capped at ``d.n``.
+    """
+    x0 = np.asarray(q.x0, dtype=float).ravel()
+    if x0.size != d.p:
+        raise DataError(f"query has {x0.size} features, dataset has {d.p}")
+    spec = ConformalSpec(
+        cfg.conformal_method, cfg.alpha, cfg.rho, cfg.grid_points, cfg.grid_expansion
+    )
+    needed = _min_rows(spec, cfg.regressor)
+    if d.n < needed:
+        raise DataError(
+            f"{cfg.conformal_method.value} conformal with {cfg.regressor.value} "
+            f"needs n >= {needed}, got n={d.n}"
+        )
+    return x0, spec, min(max(int(cfg.min_relevant), needed), d.n)
+
+
+def _neighbourhood(d, x0, cfg, floor: int, query_index: int, control_mode):
+    """The query's relevant rows and the synthetic controls cloned from them."""
+    selection = select(d, x0, cfg.similarity, cfg.alpha, cfg.gamma, min_relevant=floor)
+    seed = subseed(cfg.seed, "controls", query_index)
+    controls = simulate_controls(d, selection, cfg.noise_scale, mode=control_mode, seed=seed)
+    return d.subset(selection.indices), controls.simulated
+
+
+def _interval(d, x0, cfg, spec, query_index: int, path) -> PredictionInterval:
+    """One path's interval, on the query's shared conformal seed."""
+    iv = conformal_interval(
+        d, cfg.regressor, x0, spec, seed=subseed(cfg.seed, "conformal", query_index)
+    )
+    return replace(iv, path=path)
 
 
 def run_algorithm1(
@@ -87,7 +112,6 @@ def run_algorithm1(
     cfg: ExperimentConfig,
     query_index: int = 0,
     control_mode=ControlMode.PERTURB,
-    scratch: dict | None = None,
 ) -> tuple[PredictionInterval, PredictionInterval, PredictionInterval]:
     """The three-path pipeline for one query.
 
@@ -98,68 +122,16 @@ def run_algorithm1(
     degenerate selection and vanishing noise the paths coincide.
 
     If the selection would be smaller than the conformal method's
-    minimum sample size, the ``min_relevant`` floor is raised to that
-    minimum; only a dataset below the minimum is a hard error.
-
-    ``scratch`` is optional shared memo space for grid sweeps: pass the
-    same dict across calls that keep the seed, the selection knobs, and
-    the query_index -> dataset mapping fixed, and per-query work
-    (standard intervals, selections, controls) is reused.
+    minimum sample size for the regressor, the ``min_relevant`` floor is
+    raised to that minimum; only a dataset below the minimum is a hard
+    error.
     """
-    x0 = np.asarray(q.x0, dtype=float).ravel()
-    if x0.size != d.p:
-        raise DataError(f"query has {x0.size} features, dataset has {d.p}")
-    needed = _min_rows(cfg.conformal_method, cfg.rho)
-    if d.n < needed:
-        raise DataError(
-            f"{cfg.conformal_method.value} conformal needs n >= {needed}, got n={d.n}"
-        )
-    spec = ConformalSpec(
-        method=cfg.conformal_method,
-        alpha=cfg.alpha,
-        rho=cfg.rho,
-        grid_points=cfg.grid_points,
-        grid_expansion=cfg.grid_expansion,
+    x0, spec, floor = _setup(d, q, cfg)
+    neighbourhood = _neighbourhood(d, x0, cfg, floor, query_index, control_mode)
+    return tuple(
+        _interval(rows, x0, cfg, spec, query_index, path)
+        for rows, path in zip((d, *neighbourhood), IntervalPath)
     )
-    conformal_seed = subseed(cfg.seed, "conformal", query_index)
-    scratch = {} if scratch is None else scratch
-
-    key = ("standard", query_index, cfg.regressor.value, cfg.conformal_method.value)
-    if key not in scratch:
-        iv = conformal_interval(d, cfg.regressor, x0, spec, seed=conformal_seed)
-        scratch[key] = replace(iv, path=IntervalPath.STANDARD)
-    standard = scratch[key]
-
-    min_rel = min(max(int(cfg.min_relevant), needed), d.n)
-    key = ("selection", query_index, cfg.similarity.value, min_rel)
-    if key not in scratch:
-        scratch[key] = select(
-            d, x0, cfg.similarity, alpha=cfg.alpha, gamma=cfg.gamma, min_relevant=min_rel
-        )
-    selection = scratch[key]
-
-    iv = conformal_interval(
-        d.subset(selection.indices), cfg.regressor, x0, spec, seed=conformal_seed
-    )
-    relevant = replace(iv, path=IntervalPath.RELEVANT)
-
-    mode = ControlMode(control_mode)
-    key = ("controls", query_index, cfg.similarity.value, min_rel, mode.value)
-    if key not in scratch:
-        scratch[key] = simulate_controls(
-            d,
-            selection,
-            noise_scale=cfg.noise_scale,
-            mode=mode,
-            seed=subseed(cfg.seed, "controls", query_index),
-        )
-    controls = scratch[key]
-
-    iv = conformal_interval(
-        controls.simulated, cfg.regressor, x0, spec, seed=conformal_seed
-    )
-    simulated = replace(iv, path=IntervalPath.RELEVANT_SIMULATED)
-    return standard, relevant, simulated
 
 
 @dataclass(frozen=True)
@@ -333,19 +305,29 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
 
     results: dict[tuple, PredictionInterval] = {}
     metric_rows: dict[str, list] = {s.value: [] for s in manifest.similarities}
-    scratch: dict = {}
-    for qidx, (d, q, qlabel) in enumerate(zip(datasets, queries, qlabels)):
+    for qidx, (d, q) in enumerate(zip(datasets, queries)):
+        # work shared by this query's cells; the manifest fixes every other
+        # input, so these keys are complete
+        standard = {}  # (regressor, method) -> standard interval
+        neighbourhoods = {}  # (similarity, floor) -> (relevant, simulated) rows
         for sim in manifest.similarities:
             for reg in manifest.regressors:
                 for method in manifest.methods:
                     cfg = manifest.base_config(reg, sim, method)
-                    triple = run_algorithm1(
-                        d,
-                        q,
-                        cfg,
-                        query_index=qidx,
-                        control_mode=manifest.control_mode,
-                        scratch=scratch,
+                    x0, spec, floor = _setup(d, q, cfg)
+                    if (reg, method) not in standard:
+                        standard[reg, method] = _interval(
+                            d, x0, cfg, spec, qidx, IntervalPath.STANDARD
+                        )
+                    if (sim, floor) not in neighbourhoods:
+                        neighbourhoods[sim, floor] = _neighbourhood(
+                            d, x0, cfg, floor, qidx, manifest.control_mode
+                        )
+                    relevant, simulated = neighbourhoods[sim, floor]
+                    triple = (
+                        standard[reg, method],
+                        _interval(relevant, x0, cfg, spec, qidx, IntervalPath.RELEVANT),
+                        _interval(simulated, x0, cfg, spec, qidx, IntervalPath.RELEVANT_SIMULATED),
                     )
                     for iv in triple:
                         key = (sim.value, qidx, reg.value, method.value, iv.path.value)

@@ -172,6 +172,7 @@ def synthetic_rows():
 
 class TestSummaryTable:
     def test_layout_rows_and_order(self):
+        assert VARIANT_ORDER == ("", "r", "rs", "l", "lr", "lrs", "k", "kr", "krs")
         rows, _ = synthetic_rows()
         table = summary_table(rows)
         labels = [label for label, _ in table]

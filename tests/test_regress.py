@@ -253,6 +253,20 @@ class TestLasso:
         assert capped.sweeps == 1
         assert fit_ols(d).sweeps is None and fit_ols(d).converged is None
 
+    def test_unconverged_cv_path_reported(self, monkeypatch):
+        # Twelve near-copies of one column and a pure-noise head: under a
+        # 50-sweep cap every fold's path stalls, while the final fit at the
+        # chosen penalty converges in one sweep.
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=(30, 1))
+        x = z + 0.05 * rng.normal(size=(30, 12))
+        d = Dataset(x, rng.normal(size=30))
+        monkeypatch.setattr(regress, "LASSO_MAX_SWEEPS", 50)
+        m = fit_lasso(d, seed=0)
+        assert m.converged is False
+        assert m.sweeps == 1
+        assert fit_lasso(d, lam=m.lam).converged is True
+
     def test_cv_is_seed_deterministic(self):
         d = make_dataset(np.random.default_rng(9), 40, 5)
         m1 = fit_lasso(d, seed=3)

@@ -1,5 +1,6 @@
 """Three-path pipeline behavior and grid-runner output structure."""
 
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,9 @@ from relconf.core import (
     save_csv,
     subseed,
 )
-from relconf.runner import RunManifest, run_algorithm1, run_grid
+from relconf import runner
+from relconf.individualize import select, simulate_controls
+from relconf.runner import RunManifest, _load_grid_data, _setup, run_algorithm1, run_grid
 from relconf.evaluate import METRIC_FAMILIES, VARIANT_ORDER
 
 
@@ -158,18 +161,30 @@ class TestRunAlgorithm1:
             atol=1e-6,
         )
 
-    def test_scratch_reuses_standard_interval(self):
-        d = make_data()
-        q = Query(np.array([0.5, -0.2]))
-        scratch = {}
-        first = run_algorithm1(d, q, BASE, scratch=scratch)
-        second = run_algorithm1(
-            d, q, replace(BASE, similarity=Similarity.COSINE), scratch=scratch
+    @pytest.mark.parametrize(
+        "method, needed",
+        [(ConformalMethod.FULL, 5), (ConformalMethod.SPLIT, 10), (ConformalMethod.JACKKNIFE, 5)],
+    )
+    def test_lasso_floor_covers_cross_validation_folds(self, method, needed):
+        # No tail clears gamma, so the cosine rule falls back to exactly the
+        # floor. min_relevant=4 is below the rows a 5-fold LASSO fit needs
+        # (split at rho=0.5 fits on half its rows), so the floor must rise.
+        d = positive_data(n=24)
+        q = Query(np.array([1.9, 1.1]))
+        cfg = ExperimentConfig(
+            regressor=Regressor.LASSO,
+            conformal_method=method,
+            similarity=Similarity.COSINE,
+            gamma=0.99999,
+            min_relevant=4,
+            grid_points=20,
+            seed=2,
         )
-        assert first[0] is second[0]
-        # memoized results match a fresh computation
-        fresh = run_algorithm1(d, q, replace(BASE, similarity=Similarity.COSINE))
-        assert second == fresh
+        for iv in run_algorithm1(d, q, cfg):
+            assert np.isfinite([iv.point, iv.lo, iv.up]).all()
+            assert iv.lo <= iv.up
+        with pytest.raises(DataError, match=f"n >= {needed},"):
+            run_algorithm1(d.subset(np.arange(needed - 1)), q, cfg)
 
 
 def external_manifest(tmp_path, **overrides):
@@ -304,3 +319,74 @@ class TestRunGrid:
             RunManifest(min_relevant=1)
         with pytest.raises(ConfigError, match="noise_scale"):
             RunManifest(noise_scale=0.0)
+
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"min_relevant": 2, "rho": 0.9}],
+        ids=["default_floor", "four_floors"],
+    )
+    def test_grid_cells_reproduce_in_isolation(self, tmp_path, knobs):
+        # every plotdata row equals its cell run alone through run_algorithm1
+        manifest = external_manifest(tmp_path, **knobs)
+        lines = read_lines(run_grid(manifest)["plotdata"])
+        header = lines[3].split(",")
+        datasets, queries, _ = _load_grid_data(manifest)
+        alone = {}
+        for line in lines[4:]:
+            row = dict(zip(header, line.split(",")))
+            qidx = int(row["query"]) - 1
+            key = (qidx, row["similarity"], row["regressor"], row["method"])
+            if key not in alone:
+                cfg = manifest.base_config(row["regressor"], row["similarity"], row["method"])
+                alone[key] = run_algorithm1(
+                    datasets[qidx], queries[qidx], cfg, qidx, manifest.control_mode
+                )
+            (iv,) = [iv for iv in alone[key] if iv.path.value == row["path"]]
+            for k in ("point", "lo", "up"):
+                assert row[k] == repr(getattr(iv, k))
+            assert row["degenerate"] == str(int(iv.degenerate))
+        assert len(alone) == 2 * 2 * 3 * 3
+
+    def test_grid_shares_each_query_standard_interval_and_neighbourhood(
+        self, tmp_path, monkeypatch
+    ):
+        # min_relevant=2 and rho=0.9 give four selection floors per query:
+        # 2 (full), 3 (jackknife), 5 (LASSO full and jackknife), 11 (split)
+        manifest = external_manifest(tmp_path, min_relevant=2, rho=0.9)
+        datasets, queries, labels = _load_grid_data(manifest)
+        standard = Counter()
+        selections = []  # (query tail, similarity, floor, selection) per select call
+        controlled = []  # the selection behind each simulate_controls call
+
+        def counting_interval(d, reg, x0, spec, seed=0):
+            if any(d is full for full in datasets):
+                standard[seed, Regressor(reg), spec.method] += 1
+            return conformal_interval(d, reg, x0, spec, seed=seed)
+
+        def counting_select(d, x0, method, alpha, gamma, min_relevant=30):
+            rel = select(d, x0, method, alpha, gamma, min_relevant)
+            selections.append((x0.tobytes(), Similarity(method), min_relevant, rel))
+            return rel
+
+        def counting_controls(d, rel, noise_scale, mode, seed):
+            controlled.append(rel)
+            return simulate_controls(d, rel, noise_scale, mode=mode, seed=seed)
+
+        monkeypatch.setattr(runner, "_load_grid_data", lambda m: (datasets, queries, labels))
+        monkeypatch.setattr(runner, "conformal_interval", counting_interval)
+        monkeypatch.setattr(runner, "select", counting_select)
+        monkeypatch.setattr(runner, "simulate_controls", counting_controls)
+        run_grid(manifest)
+
+        assert sorted(standard.values()) == [1] * (2 * 3 * 3)
+        expected = {
+            (q.x0.tobytes(), sim, _setup(d, q, manifest.base_config(reg, sim, method))[2])
+            for d, q in zip(datasets, queries)
+            for sim in manifest.similarities
+            for reg in manifest.regressors
+            for method in manifest.methods
+        }
+        assert len(expected) == 2 * 2 * 4
+        assert sorted(key[:3] for key in selections) == sorted(expected)
+        assert [id(rel) for rel in controlled] == [id(key[3]) for key in selections]
