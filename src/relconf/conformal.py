@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -31,7 +30,16 @@ from .core import (
     _sq_dists,
 )
 from .regress import (
-    LASSO_CV_FOLDS, fit, fit_kernel, fit_lasso, fit_ols, kernel_weights, predict, predict_many,
+    LASSO_CV_FOLDS,
+    fit,
+    fit_kernel,
+    fit_lasso,
+    fit_ols,
+    kernel_weights,
+    lasso_candidate_residuals,
+    lasso_loo_residuals,
+    predict,
+    predict_many,
 )
 
 __all__ = [
@@ -150,12 +158,14 @@ def full_conformal_accepted(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Candidate grid, per-candidate acceptance mask, and the base forecast.
 
-    Each candidate head is appended to the data and the model refit; the
-    candidate survives when its absolute residual ranks within the lowest
-    ceil((n+1)(1-alpha)) of all n+1. LASSO refits reuse the penalty of
-    the base fit (re-running cross-validation per candidate is pointless
-    and slow); the kernel refit is computed once because its weights
-    depend only on the tails, which all candidates share.
+    Each candidate head is appended to the data and the model refit on the
+    n+1 rows; the candidate survives when its absolute residual ranks
+    within the lowest ceil((n+1)(1-alpha)) of all n+1. OLS refits once per
+    candidate. LASSO refits reuse the penalty of the base fit (re-running
+    cross-validation per candidate is pointless and slow) and are solved
+    as one batch. The kernel refit is computed once because its weights
+    depend only on the tails, which all candidates share, so its residuals
+    are affine in the candidate head.
     """
     reg = Regressor(reg)
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -166,6 +176,16 @@ def full_conformal_accepted(
     x_aug = np.vstack([d.x, x0])
     k_accept = min(max(ceil_guarded((n + 1) * (1.0 - spec.alpha)), 1), n + 1)
 
+    if reg is Regressor.OLS:
+        accepted = np.zeros(grid.size, dtype=bool)
+        for g, trial in enumerate(grid):
+            y_aug = np.append(d.y, trial)
+            m = fit_ols(Dataset(x_aug, y_aug))
+            resid = np.abs(y_aug - predict_many(m, x_aug))
+            rank = 1 + int((resid[:n] < resid[n]).sum())
+            accepted[g] = rank <= k_accept
+        return grid, accepted, point
+
     if reg is Regressor.KERNEL:
         km = fit_kernel(Dataset(x_aug, np.zeros(n + 1)))
         w = kernel_weights(km, x_aug)
@@ -175,20 +195,10 @@ def full_conformal_accepted(
         e_last[n] = 1.0
         b = e_last - w[:, n]
         resid = np.abs(a[:, None] + b[:, None] * grid[None, :])  # (n+1, grid)
-        ranks = 1 + (resid[:n, :] < resid[n, :][None, :]).sum(axis=0)
-        return grid, ranks <= k_accept, point
-
-    accepted = np.zeros(grid.size, dtype=bool)
-    for g, trial in enumerate(grid):
-        y_aug = np.append(d.y, trial)
-        if reg is Regressor.OLS:
-            m = fit_ols(Dataset(x_aug, y_aug))
-        else:
-            m = fit_lasso(Dataset(x_aug, y_aug), lam=base.lam)
-        resid = np.abs(y_aug - predict_many(m, x_aug))
-        rank = 1 + int((resid[:n] < resid[n]).sum())
-        accepted[g] = rank <= k_accept
-    return grid, accepted, point
+    else:
+        resid = lasso_candidate_residuals(x_aug, d.y, grid, base.lam)
+    ranks = 1 + (resid[:n, :] < resid[n, :][None, :]).sum(axis=0)
+    return grid, ranks <= k_accept, point
 
 
 def full_conformal(
@@ -229,10 +239,11 @@ def jackknife_residuals(
     OLS uses the exact leave-one-out identity e_i / (1 - h_ii) (equal to
     literal per-row refits for full-rank designs) and falls back to the
     naive loop when the design is rank-deficient or a leverage reaches 1.
-    LASSO refits per row at a fixed penalty (the base fit's CV choice
-    unless ``lam`` is given). The kernel engine keeps the full-data
-    standardization and bandwidth and drops row i's own weight, the LOO
-    analogue of its fixed-tail refit in full conformal.
+    LASSO solves all n leave-one-out problems as one batch at a fixed
+    penalty (the base fit's CV choice unless ``lam`` is given). The kernel
+    engine keeps the full-data standardization and bandwidth and drops row
+    i's own weight, the LOO analogue of its fixed-tail refit in full
+    conformal.
     """
     reg = Regressor(reg)
     n = d.n
@@ -243,22 +254,20 @@ def jackknife_residuals(
         d2 -= d2.min(axis=1, keepdims=True)
         w = np.exp(-d2 / (2.0 * km.bandwidth**2))
         return d.y - (w @ d.y) / w.sum(axis=1)
-    if reg is Regressor.OLS:
-        a = np.column_stack([np.ones(n), d.x])
-        coef, _, rank, _ = np.linalg.lstsq(a, d.y, rcond=None)
-        e = d.y - a @ coef
-        if rank == a.shape[1]:
-            h = np.einsum("ij,ji->i", a, np.linalg.pinv(a))
-            if np.max(h) < 1.0 - 1e-8:
-                return e / (1.0 - h)
-        refit = fit_ols
-    else:
+    if reg is Regressor.LASSO:
         if lam is None:
             lam = fit_lasso(d, seed=seed).lam
-        refit = partial(fit_lasso, lam=lam)
+        return lasso_loo_residuals(d.x, d.y, lam)
+    a = np.column_stack([np.ones(n), d.x])
+    coef, _, rank, _ = np.linalg.lstsq(a, d.y, rcond=None)
+    e = d.y - a @ coef
+    if rank == a.shape[1]:
+        h = np.einsum("ij,ji->i", a, np.linalg.pinv(a))
+        if np.max(h) < 1.0 - 1e-8:
+            return e / (1.0 - h)
     out = np.empty(n)
     for i in range(n):
-        m = refit(d.subset(np.delete(np.arange(n), i)))
+        m = fit_ols(d.subset(np.delete(np.arange(n), i)))
         out[i] = d.y[i] - predict(m, d.x[i])
     return out
 

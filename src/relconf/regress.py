@@ -8,7 +8,9 @@ interval constructors stay engine-agnostic.
 LASSO runs covariance-update coordinate descent (Friedman, Hastie &
 Tibshirani 2010) on the p x p Gram matrix of the standardized problem,
 along a warm-started penalty path; cross-validation solves each fold's
-whole path in one call.
+whole path in one call. The fixed-penalty refits of interval constructors
+(every leave-one-out problem, every full-conformal candidate head) are
+solved together, as one vectorised batch.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ __all__ = [
     "predict",
     "predict_many",
     "kernel_weights",
+    "lasso_candidate_residuals",
     "lasso_kkt_residual",
+    "lasso_loo_residuals",
     "lasso_objective",
     "soft_threshold",
 ]
@@ -50,6 +54,10 @@ LASSO_GRID_SIZE = 50
 LASSO_GRID_RATIO = 1e-4
 LASSO_TOL = 1e-8
 LASSO_MAX_SWEEPS = 10_000
+# A leave-one-out LASSO problem is refit from its rows instead of
+# downdated when its left-out row holds all but 1/_LOO_DOWNDATE_RATIO of a
+# column's centred sum of squares.
+_LOO_DOWNDATE_RATIO = 1e4
 KERNEL_MIN_BANDWIDTH = 1e-6
 
 
@@ -115,18 +123,20 @@ def soft_threshold(z: float, lam: float) -> float:
     return 0.0
 
 
-def _internal_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _internal_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Center columns and scale by the root mean square deviation.
 
     The 1/n denominator makes every active standardized column satisfy
     (1/n)||col||^2 = 1, which reduces each coordinate update to a pure
-    soft-threshold step. Constant columns get scale 1 and stay inactive.
+    soft-threshold step. A column is active when its max exceeds its min;
+    the rest are constant, get scale 1 and standardize to exact zeros, so
+    the rounding dust of a float mean never scales up into a feature.
+    Returns (xs, centers, scales, active).
     """
     m = x.mean(axis=0)
-    s = np.sqrt(((x - m) ** 2).mean(axis=0))
-    active = s > 0.0
-    s = np.where(active, s, 1.0)
-    return (x - m) / s, m, s
+    active = x.max(axis=0) > x.min(axis=0)
+    s = np.where(active, np.sqrt(((x - m) ** 2).mean(axis=0)), 1.0)
+    return np.where(active, (x - m) / s, 0.0), m, s, active
 
 
 def lasso_objective(x, y, intercept: float, coef, lam: float) -> float:
@@ -181,18 +191,74 @@ def _cd_path(gram, xty, lams, active):
     return np.array(path), sweeps, converged
 
 
+def _cd_batch(gram, xty, lam, active):
+    """Cyclic coordinate descent on B problems at one penalty, all at once.
+
+    ``xty`` and ``active`` are (B, p); ``gram`` is (B, p, p), or one (p, p)
+    matrix that every problem shares. Each step moves coordinate j of every
+    live problem together, with the soft threshold written as the exact
+    z - clip(z, -lam, lam). A problem is frozen, and dropped from the
+    working arrays, once its own sweep moves no coefficient by LASSO_TOL or
+    it reaches LASSO_MAX_SWEEPS. Frozen problems take no step, so problem b
+    gets the iterates, sweep count and convergence of
+    ``_cd_path(gram[b], xty[b], [lam], active[b])`` bit for bit.
+
+    Returns (beta, sweeps, converged) of shapes (B, p), (B,) and (B,).
+
+    Penalty paths stay with ``_cd_path``: cross-validation solves at most
+    LASSO_CV_FOLDS paths, and on so few problems numpy's per-call overhead
+    costs more than the Python float loop it would replace.
+    """
+    lam = float(lam)
+    grad = np.array(xty, dtype=np.float64)
+    n_problems, p = grad.shape
+    shared = gram.ndim == 2
+    beta = np.zeros((n_problems, p))
+    sweeps = np.full(n_problems, LASSO_MAX_SWEEPS)
+    converged = np.zeros(n_problems, dtype=bool)
+    live = np.arange(n_problems)
+    b = beta.copy()
+    act = np.broadcast_to(active, (n_problems, p))
+    for sweep in range(1, LASSO_MAX_SWEEPS + 1):
+        delta = np.zeros(live.size)
+        for j in range(p):
+            old = b[:, j]
+            z = grad[:, j] + old
+            new = z - np.clip(z, -lam, lam)
+            move = act[:, j] & (new != old)
+            if not move.any():
+                continue
+            step = new - old
+            b[move, j] = new[move]
+            row = gram[j] if shared else gram[:, j, :]
+            np.subtract(grad, row * step[:, None], out=grad, where=move[:, None])
+            np.maximum(delta, np.abs(step), out=delta, where=move)
+        done = delta < LASSO_TOL
+        if done.any():
+            frozen = live[done]
+            beta[frozen], sweeps[frozen], converged[frozen] = b[done], sweep, True
+            keep = ~done
+            live, b, grad, act = live[keep], b[keep], grad[keep], act[keep]
+            if not shared:
+                gram = gram[keep]
+            if not live.size:
+                break
+    beta[live] = b
+    return beta, sweeps, converged
+
+
 def _gram_problem(x, y):
     """Standardize (x, y) and reduce it to the p x p data the solver needs.
 
     Returns (gram, xty, active, centers, scales, ybar): gram = xs'xs/n and
     xty = xs'(y - ybar)/n, with ``active`` marking non-constant columns.
     """
-    xs, m, s = _internal_scale(x)
+    xs, m, s, active = _internal_scale(x)
     n = x.shape[0]
     ybar = y.mean()
     gram = xs.T @ xs / n
     xty = xs.T @ (y - ybar) / n
-    return gram, xty, np.any(xs != 0.0, axis=0), m, s, ybar
+    return gram, xty, active, m, s, ybar
 
 
 def _lambda_grid(xty) -> np.ndarray:
@@ -270,6 +336,76 @@ def fit_lasso(
     )
 
 
+def lasso_loo_residuals(x, y, lam: float) -> np.ndarray:
+    """Signed leave-one-out residuals y_i - f_{-i}(x_i) of LASSO at penalty ``lam``.
+
+    Problem i is the standardized problem of the rows other than i. All n
+    are built in O(n p^2) by downdating the full data's centred
+    cross-products by row i, whose removal moves the mean to
+    mu + (mu - x_i)/(n-1), and solved together by ``_cd_batch``. Column j
+    is active without row i when its leave-one-out min and max differ.
+    Downdating cancels when row i carries nearly all of a column's centred
+    sum of squares, and the column's leave-one-out scale loses its digits;
+    such a row is an outlier whose residual is an extrapolation, so it is
+    refit from its n - 1 rows and predicted exactly as ``fit_lasso`` and
+    ``predict`` would. A head outlier needs no such care: the cancelled
+    cross-products err by rounding on the scale of its own residual.
+    """
+    n, p = x.shape
+    mu, ybar = x.mean(axis=0), y.mean()
+    dx, dy = x - mu, y - ybar
+    sxx = dx.T @ dx
+    w = n / (n - 1)
+    cxx = sxx - w * dx[:, :, None] * dx[:, None, :]
+    cxy = dx.T @ dy - w * dx * dy[:, None]
+    ss_x = np.diagonal(cxx, axis1=1, axis2=2)
+    refit = np.any(ss_x * _LOO_DOWNDATE_RATIO < np.diag(sxx), axis=1)
+    order = np.argsort(x, axis=0)
+    cols = np.arange(p)
+    own = np.arange(n)[:, None]
+    lo = np.where(own == order[0], x[order[1], cols], x[order[0], cols])
+    hi = np.where(own == order[-1], x[order[-2], cols], x[order[-1], cols])
+    active = (hi > lo) & ~refit[:, None]  # refit rows are solved below
+    s = np.sqrt(np.where(active, ss_x / (n - 1), 1.0))
+    gram = cxx / (n - 1) / (s[:, :, None] * s[:, None, :])
+    xty = cxy / (n - 1) / s
+    beta, _, _ = _cd_batch(gram, xty, lam, active)
+    coef = beta / s
+    loo_mu = mu + (mu - x) / (n - 1)
+    loo_ybar = ybar + (ybar - y) / (n - 1)
+    intercept = loo_ybar - np.einsum("ij,ij->i", coef, loo_mu)
+    resid = y - (intercept + np.einsum("ij,ij->i", x, coef))
+    for i in np.flatnonzero(refit):
+        b0, b, _, _ = _lasso_solve(np.delete(x, i, axis=0), np.delete(y, i), lam)
+        resid[i] = y[i] - (b0 + x[i : i + 1] @ b)[0]
+    return resid
+
+
+def lasso_candidate_residuals(x_aug, y, candidates, lam: float) -> np.ndarray:
+    """Absolute residuals of the LASSO refits of full conformal, (n+1, G).
+
+    Column g holds |y_aug - f(x_aug)| for the fit at penalty ``lam`` on the
+    n+1 rows of ``x_aug`` with heads y_aug = (y, candidates[g]). The tails
+    are shared, so their standardization and Gram matrix are formed once;
+    each candidate's cross-products, intercept and residuals use the same
+    expressions as ``_gram_problem`` and ``predict_many``, and all G
+    problems are solved together by ``_cd_batch``, so every column equals
+    that of a literal ``fit_lasso`` refit.
+    """
+    xs, m, s, active = _internal_scale(x_aug)
+    n1 = x_aug.shape[0]
+    y_aug = [np.append(y, t) for t in candidates]
+    ybar = [ya.mean() for ya in y_aug]
+    xty = np.array([xs.T @ (ya - yb) / n1 for ya, yb in zip(y_aug, ybar)])
+    beta, _, _ = _cd_batch(xs.T @ xs / n1, xty, lam, active)
+    resid = []
+    for ya, yb, b in zip(y_aug, ybar, beta):
+        coef = b / s
+        intercept = float(yb - coef @ m)
+        resid.append(np.abs(ya - (intercept + x_aug @ coef)))
+    return np.stack(resid, axis=1)
+
+
 def lasso_kkt_residual(d: Dataset, m: FittedModel) -> float:
     """Largest violation of the LASSO stationarity conditions at ``m``.
 
@@ -277,8 +413,7 @@ def lasso_kkt_residual(d: Dataset, m: FittedModel) -> float:
     active coordinates need gradient = lam * sign, inactive ones need
     |gradient| <= lam. Zero means exact optimality.
     """
-    xs, centers, scales = _internal_scale(d.x)
-    active_cols = np.any(xs != 0.0, axis=0)
+    xs, centers, scales, active_cols = _internal_scale(d.x)
     beta = m.coefficients * scales
     r = (d.y - d.y.mean()) - xs @ beta
     grad = xs.T @ r / d.n

@@ -176,23 +176,25 @@ class TestFull:
 
     def test_lasso_penalty_reused_from_base_fit(self):
         # every candidate refit uses the cross-validated penalty of the
-        # base fit on the original rows
-        rng = np.random.default_rng(8)
-        d = make_dataset(rng, 25, 3)
-        x0 = np.zeros(3)
-        spec = ConformalSpec(method="full", alpha=0.2, grid_points=12)
-        grid, accepted, _ = full_conformal_accepted(d, "lasso", x0, spec, seed=0)
-        lam = fit_lasso(d, seed=0).lam
-        k = math.ceil((d.n + 1) * (1 - spec.alpha) - 1e-9)
-        x_aug = np.vstack([d.x, x0])
-        oracle = []
-        for t in grid:
-            y_aug = np.append(d.y, t)
-            m = fit_lasso(Dataset(x_aug, y_aug), lam=lam)
-            r = np.abs(y_aug - predict_many(m, x_aug))
-            oracle.append(1 + int((r[: d.n] < r[d.n]).sum()) <= k)
-        assert accepted.any() and not accepted.all()
-        np.testing.assert_array_equal(accepted, np.array(oracle))
+        # base fit on the original rows, and the batched refits give the
+        # literal refits' acceptance mask exactly
+        for p in (3, 12):
+            rng = np.random.default_rng(8)
+            d = make_dataset(rng, 25, p)
+            x0 = np.zeros(p)
+            spec = ConformalSpec(method="full", alpha=0.2, grid_points=12)
+            grid, accepted, _ = full_conformal_accepted(d, "lasso", x0, spec, seed=0)
+            lam = fit_lasso(d, seed=0).lam
+            k = math.ceil((d.n + 1) * (1 - spec.alpha) - 1e-9)
+            x_aug = np.vstack([d.x, x0])
+            oracle = []
+            for t in grid:
+                y_aug = np.append(d.y, t)
+                m = fit_lasso(Dataset(x_aug, y_aug), lam=lam)
+                r = np.abs(y_aug - predict_many(m, x_aug))
+                oracle.append(1 + int((r[: d.n] < r[d.n]).sum()) <= k)
+            assert accepted.any() and not accepted.all()
+            np.testing.assert_array_equal(accepted, np.array(oracle))
 
 
 class TestJackknife:
@@ -218,15 +220,54 @@ class TestJackknife:
         assert iv.length == pytest.approx(0.0, abs=1e-8)
         assert iv.point == pytest.approx(2.5, abs=1e-8)
 
-    def test_lasso_loo_equals_per_row_refits(self):
-        rng = np.random.default_rng(9)
-        d = make_dataset(rng, 15, 3)
-        lam = 0.08
+    @staticmethod
+    def assert_lasso_loo_equals_refits(d, lam):
         loo = jackknife_residuals(d, "lasso", lam=lam)
-        for i in (0, 7, 14):
-            rest = np.delete(np.arange(d.n), i)
-            m = fit_lasso(d.subset(rest), lam=lam)
-            assert loo[i] == pytest.approx(d.y[i] - predict(m, d.x[i]), abs=1e-12)
+        for i in range(d.n):
+            m = fit_lasso(d.subset(np.delete(np.arange(d.n), i)), lam=lam)
+            assert loo[i] == pytest.approx(d.y[i] - predict(m, d.x[i]), rel=0, abs=1e-12)
+
+    def test_lasso_loo_equals_per_row_refits(self):
+        for p in (2, 12):
+            d = make_dataset(np.random.default_rng(9), 20, p)
+            self.assert_lasso_loo_equals_refits(d, lam=0.08)
+
+    @pytest.mark.parametrize("case", ["outlier_row", "column_constant_without_one_row"])
+    def test_lasso_loo_stress_cases_equal_per_row_refits(self, case):
+        rng = np.random.default_rng(9)
+        d = make_dataset(rng, 20, 12)
+        x, y = d.x.copy(), d.y
+        if case == "outlier_row":
+            # Column 1 carries a strong effect, and row 4 then moves so far
+            # out in it that it holds all but 1e-8 of the column's centred
+            # sum of squares: downdating by row 4 cancels. Its residual, an
+            # extrapolation, is of order 1e5.
+            y = y + 2.0 * x[:, 1]
+            x[4, 1] = 1e5
+            c = x[:, 1] - x[:, 1].mean()
+            rest = np.delete(x[:, 1], 4) - np.delete(x[:, 1], 4).mean()
+            assert c @ c >= 1e8 * (rest @ rest)
+        else:
+            x[:, 1] = 0.0
+            x[11, 1] = 1.5
+        self.assert_lasso_loo_equals_refits(Dataset(x, y), lam=0.08)
+
+    def test_lasso_loo_column_constant_at_rounding_level(self):
+        # Column 1 differs from 0.1 by one ulp in row 11 only, too little
+        # for the cancellation guard to notice. Without row 11 the column is
+        # constant, so that refit must leave it out. (With row 11 kept, the
+        # column is standardized from rounding noise, which no two
+        # summation orders reproduce; those rows are not compared.)
+        rng = np.random.default_rng(9)
+        d = make_dataset(rng, 20, 2)
+        x = d.x.copy()
+        x[:, 1] = 0.1
+        x[11, 1] = np.nextafter(0.1, 1.0)
+        d = Dataset(x, d.y)
+        loo = jackknife_residuals(d, "lasso", lam=0.01)
+        m = fit_lasso(d.subset(np.delete(np.arange(d.n), 11)), lam=0.01)
+        assert m.coefficients[1] == 0.0
+        assert loo[11] == pytest.approx(d.y[11] - predict(m, d.x[11]), rel=0, abs=1e-12)
 
     def test_kernel_loo_against_explicit_loop(self):
         rng = np.random.default_rng(10)

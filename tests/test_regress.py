@@ -46,7 +46,7 @@ def reference_sweeps(xs, yc, lam, beta, active):
 
 
 def reference_fit(x, y, lam):
-    xs, m, s = _internal_scale(x)
+    xs, m, s, _ = _internal_scale(x)
     ybar = y.mean()
     beta = reference_sweeps(
         xs, y - ybar, lam, np.zeros(x.shape[1]), np.any(xs != 0.0, axis=0)
@@ -57,7 +57,7 @@ def reference_fit(x, y, lam):
 
 def reference_cv_lambda(x, y, folds, seed):
     n = x.shape[0]
-    xs, _, _ = _internal_scale(x)
+    xs, _, _, _ = _internal_scale(x)
     lam_max = float(np.max(np.abs(xs.T @ (y - y.mean()))) / n)
     grid = np.geomspace(
         lam_max, lam_max * regress.LASSO_GRID_RATIO, regress.LASSO_GRID_SIZE
@@ -68,7 +68,7 @@ def reference_cv_lambda(x, y, folds, seed):
         mask = np.ones(n, dtype=bool)
         mask[held] = False
         xt, yt = x[mask], y[mask]
-        xs, m, s = _internal_scale(xt)
+        xs, m, s, _ = _internal_scale(xt)
         active = np.any(xs != 0.0, axis=0)
         yc = yt - yt.mean()
         beta = np.zeros(x.shape[1])
@@ -173,7 +173,7 @@ class TestLasso:
         x = rng.normal(size=(40, 6))
         y = x @ rng.normal(size=6) + rng.normal(size=40)
         gram, xty, active, _, _, _ = _gram_problem(x, y)
-        xs, _, _ = _internal_scale(x)
+        xs, _, _, _ = _internal_scale(x)
         yc = y - y.mean()
         total = _cd_path(gram, xty, [0.1], active)[1]
         trace = []
@@ -266,6 +266,65 @@ class TestLasso:
         assert m.converged is False
         assert m.sweeps == 1
         assert fit_lasso(d, lam=m.lam).converged is True
+
+    def test_constant_column_stays_inactive(self):
+        # The float column mean of 30 copies of 0.1 is off by 4.2e-17, so
+        # the column's root mean square deviation is 4.2e-17, not 0. It must
+        # not be scaled up into a feature: the column is constant, so it
+        # takes no coefficient and the unpenalized fit is the OLS fit.
+        rng = np.random.default_rng(0)
+        x = np.column_stack([rng.normal(size=30), np.full(30, 0.1)])
+        y = 1.0 + 2.0 * x[:, 0] + rng.normal(size=30)
+        d = Dataset(x, y)
+        unpenalized = fit_lasso(d, lam=0.0)
+        assert unpenalized.coefficients[1] == 0.0
+        assert fit_lasso(d, seed=0).coefficients[1] == 0.0
+        np.testing.assert_allclose(
+            predict_many(unpenalized, x), predict_many(fit_ols(d), x), rtol=0, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("p", [1, 2, 12])
+    @pytest.mark.parametrize("shared_gram", [False, True])
+    def test_batch_equals_path_per_problem(self, monkeypatch, p, shared_gram):
+        # Each problem of a batch must follow _cd_path bit for bit: the same
+        # coefficients, sweep count and convergence flag. The problems differ
+        # in their heads, in conditioning (so they converge at different
+        # sweeps) and in which columns are active; under a cap just below the
+        # median sweep count some of them converge and the others hit it.
+        rng = np.random.default_rng(p + 100 * shared_gram)
+        n, batch, lam = 20, 9, 0.03
+        base = rng.normal(size=(n, p))
+        grams, xtys = [], []
+        for b in range(batch):
+            x = base if shared_gram else rng.normal(size=(n, p))
+            if p > 1 and not shared_gram:
+                x[:, 1] = x[:, 0] + 0.1 * b * rng.normal(size=n)
+            y = x @ rng.normal(size=p) + rng.normal(size=n)
+            gram, xty, _, _, _, _ = _gram_problem(x, y)
+            grams.append(gram)
+            xtys.append(xty)
+        gram = grams[0] if shared_gram else np.array(grams)
+        xty = np.array(xtys)
+        active = rng.random((batch, p)) < 0.8
+        active[0] = True
+        active[1] = False
+
+        def per_problem():
+            return [
+                _cd_path(grams[b], xty[b], [lam], active[b]) for b in range(batch)
+            ]
+
+        uncapped = sorted(sweeps for _, sweeps, _ in per_problem())
+        cap = uncapped[batch // 2] - 1
+        monkeypatch.setattr(regress, "LASSO_MAX_SWEEPS", cap)
+        beta, sweeps, converged = regress._cd_batch(gram, xty, lam, active)
+        assert beta.shape == (batch, p)
+        reference = per_problem()
+        for b, (path, ref_sweeps, ref_converged) in enumerate(reference):
+            assert beta[b].tobytes() == path[0].tobytes()
+            assert sweeps[b] == ref_sweeps
+            assert converged[b] == ref_converged
+        assert converged.any() and not converged.all()
 
     def test_cv_is_seed_deterministic(self):
         d = make_dataset(np.random.default_rng(9), 40, 5)
