@@ -5,69 +5,53 @@ Subcommands:
 * ``gen``      write a synthetic suite to CSV (train.csv, queries.csv, labels.csv)
 * ``run``      execute the full interval grid and emit result tables
 * ``score``    recompute summary tables from an existing plotdata.csv
-* ``selftest`` run a small built-in oracle suite, printing PASS/FAIL lines
+* ``selftest`` run the oracle checks of ``relconf.oracles``, printing PASS/FAIL lines
 
 Exit codes: 0 success, 1 configuration error, 2 data error.
 
 ``run`` reads an optional flat ``key=value`` config file; command-line
-flags override file values, which override built-in defaults. Unknown
-config keys are rejected by name.
+flags override file values, which override built-in defaults. The keys
+and flags are the ``RunManifest`` fields; unknown config keys are
+rejected by name.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import conformal, regress
-from .core import (
-    ARTIFACT_VERSION,
-    ConfigError,
-    ConformalMethod,
-    DataError,
-    Dataset,
-    PredictionInterval,
-    Regressor,
-    save_csv,
-)
-from .dgp import SUITES, gen_setting
-from .evaluate import Cell, score as score_interval
+from . import oracles
+from .core import ARTIFACT_VERSION, ConfigError, DataError, Dataset, save_csv
+from .dgp import SUITES
 from .individualize import ControlMode
-from .runner import RunManifest, run_grid, write_summary_csv
+from .runner import SUITE_NAMES, RunManifest, run_grid, score_plot_rows, write_summary_csv
 
 __all__ = ["main", "parse_config_file"]
 
 
-def _csv_tuple(text: str) -> tuple[str, ...]:
+def comma_list(text: str) -> tuple[str, ...]:
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
     if not parts:
         raise ConfigError(f"empty list value: {text!r}")
     return parts
 
 
-# every accepted config-file key, with its parser; keys mirror RunManifest fields
-_CONFIG_KEYS = {
-    "suite": str,
-    "train_csv": str,
-    "queries_csv": str,
-    "output_dir": str,
-    "alpha": float,
-    "gamma": float,
-    "rho": float,
-    "noise_scale": float,
-    "grid_expansion": float,
-    "min_relevant": int,
-    "seed": int,
-    "grid_points": int,
-    "regressors": _csv_tuple,
-    "methods": _csv_tuple,
-    "similarities": _csv_tuple,
-    "control_mode": str,
-}
+# the run knobs, config-file keys and run flags alike: every RunManifest
+# field with a plain default (``created`` is a timestamp made by a factory)
+_DEFAULTS = {f.name: f.default for f in fields(RunManifest) if f.default is not MISSING}
+
+
+def _parser(default):
+    """Text to value for a knob with this default; a tuple takes a comma list."""
+    if isinstance(default, tuple):
+        return comma_list
+    if isinstance(default, (int, float)):
+        return type(default)
+    return str
 
 
 def parse_config_file(path) -> dict:
@@ -84,10 +68,10 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            settings[key] = _CONFIG_KEYS[key](value)
+            settings[key] = _parser(_DEFAULTS[key])(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return settings
@@ -113,33 +97,32 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="execute the interval grid")
     run.add_argument("--config", help="flat key=value config file")
-    run.add_argument("--suite", choices=("small", "long", "external-csv"))
-    run.add_argument("--train", help="training CSV (external-csv suite)")
-    run.add_argument("--queries", help="query CSV with a y0 column (external-csv suite)")
-    run.add_argument("--alpha", type=float, help="miscoverage level (default 0.1)")
-    run.add_argument("--gamma", type=float, help="cosine threshold (default 0.9)")
-    run.add_argument("--rho", type=float, help="split training fraction (default 0.5)")
-    run.add_argument("--noise-scale", type=float, help="control jitter scale (default 0.1)")
-    run.add_argument("--min-relevant", type=int, help="selection floor (default 30)")
-    run.add_argument("--seed", type=int, help="master seed (default 0)")
-    run.add_argument("--grid-points", type=int, help="full-conformal grid size (default 100)")
-    run.add_argument(
-        "--grid-expansion", type=float, help="full-conformal range padding (default 0.25)"
-    )
-    run.add_argument(
-        "--regressor", help="comma list from {ols,lasso,kernel} (default all)"
-    )
-    run.add_argument(
-        "--method", help="comma list from {full,split,jackknife} (default all)"
-    )
-    run.add_argument(
-        "--similarity", help="comma list from {percentile,cosine} (default both)"
-    )
-    run.add_argument(
-        "--control-mode", choices=[m.value for m in ControlMode],
-        help="synthetic control style (default perturb)",
-    )
-    run.add_argument("--out", help="output directory (default out)")
+
+    def knob(flag, field, text, **kw):
+        default = _DEFAULTS[field]
+        if isinstance(default, tuple):
+            text += f" (default {','.join(v.value for v in default)})"
+        elif default is not None:
+            text += f" (default {getattr(default, 'value', default)})"
+        run.add_argument(flag, dest=field, type=_parser(default), help=text, **kw)
+
+    knob("--suite", "suite", "data source", choices=SUITE_NAMES)
+    knob("--train", "train_csv", "training CSV (external-csv suite)")
+    knob("--queries", "queries_csv", "query CSV with a y0 column (external-csv suite)")
+    knob("--alpha", "alpha", "miscoverage level")
+    knob("--gamma", "gamma", "cosine threshold")
+    knob("--rho", "rho", "split training fraction")
+    knob("--noise-scale", "noise_scale", "control jitter scale")
+    knob("--min-relevant", "min_relevant", "selection floor")
+    knob("--seed", "seed", "master seed")
+    knob("--grid-points", "grid_points", "full-conformal grid size")
+    knob("--grid-expansion", "grid_expansion", "full-conformal range padding")
+    knob("--regressor", "regressors", "comma list of engines")
+    knob("--method", "methods", "comma list of conformal methods")
+    knob("--similarity", "similarities", "comma list of similarity rules")
+    knob("--control-mode", "control_mode", "synthetic control style",
+         choices=[m.value for m in ControlMode])
+    knob("--out", "output_dir", "output directory")
     run.set_defaults(func=_cmd_run)
 
     score = sub.add_parser("score", help="recompute summaries from plotdata.csv")
@@ -148,7 +131,7 @@ def _build_parser() -> _Parser:
     score.add_argument("--out", help="output directory (default: same as --in)")
     score.set_defaults(func=_cmd_score)
 
-    selftest = sub.add_parser("selftest", help="run the built-in oracle suite")
+    selftest = sub.add_parser("selftest", help="run the oracle checks")
     selftest.set_defaults(func=_cmd_selftest)
     return parser
 
@@ -192,40 +175,12 @@ def _cmd_gen(args) -> int:
 # run
 # ---------------------------------------------------------------------------
 
-_FLAG_TO_FIELD = {
-    "suite": "suite",
-    "train": "train_csv",
-    "queries": "queries_csv",
-    "alpha": "alpha",
-    "gamma": "gamma",
-    "rho": "rho",
-    "noise_scale": "noise_scale",
-    "min_relevant": "min_relevant",
-    "seed": "seed",
-    "grid_points": "grid_points",
-    "grid_expansion": "grid_expansion",
-    "control_mode": "control_mode",
-    "out": "output_dir",
-}
-_LIST_FLAG_TO_FIELD = {
-    "regressor": "regressors",
-    "method": "methods",
-    "similarity": "similarities",
-}
-
-
 def _cmd_run(args) -> int:
     settings = parse_config_file(args.config) if args.config else {}
-    for flag, field in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag)
-        if value is not None:
-            settings[field] = value
-    for flag, field in _LIST_FLAG_TO_FIELD.items():
-        value = getattr(args, flag)
-        if value is not None:
-            settings[field] = _csv_tuple(value)
-    manifest = RunManifest(**settings)
-    written = run_grid(manifest)
+    for name in _DEFAULTS:
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
+    written = run_grid(RunManifest(**settings))
     for name in sorted(written):
         print(f"wrote {written[name]}")
     return 0
@@ -254,28 +209,7 @@ def _cmd_score(args) -> int:
     if header is None or not rows:
         raise DataError(f"no usable rows in {plot_path}")
 
-    by_similarity: dict[str, list] = {}
-    for row in rows:
-        if row["y0"] == "":
-            continue
-        iv = PredictionInterval(
-            point=float(row["point"]),
-            lo=float(row["lo"]),
-            up=float(row["up"]),
-            path=row["path"],
-            conformal_method=row["method"],
-            regressor=row["regressor"],
-        )
-        cell = Cell(
-            path=row["path"],
-            method=row["method"],
-            regressor=row["regressor"],
-            similarity=row["similarity"],
-            query_id=row["query"],
-        )
-        by_similarity.setdefault(row["similarity"], []).append(
-            score_interval(iv, float(row["y0"]), cell)
-        )
+    by_similarity = score_plot_rows(rows)
     if not by_similarity:
         raise DataError(f"no scored rows (every y0 empty) in {plot_path}")
     for sim, metric_rows in by_similarity.items():
@@ -289,94 +223,19 @@ def _cmd_score(args) -> int:
 # selftest
 # ---------------------------------------------------------------------------
 
-def _check_metric_arithmetic():
-    row = score_interval(PredictionInterval(point=2.59, lo=1.36, up=3.8), y0=2.05)
-    assert abs(row.a_dist - 0.54) < 1e-10
-    assert abs(row.c_len - 2.44) < 1e-10
-    assert abs(row.d_norm - 0.54 / 2.44) < 1e-10
-    assert row.covered
-
-
-def _check_ols_exact():
-    x = np.linspace(0.0, 4.0, 9).reshape(-1, 1)
-    d = Dataset(x, 2.0 * x[:, 0] + 1.0)
-    m = regress.fit_ols(d)
-    assert abs(m.intercept - 1.0) < 1e-10
-    assert abs(m.coefficients[0] - 2.0) < 1e-10
-    assert abs(regress.predict(m, [10.0]) - 21.0) < 1e-9
-
-
-def _check_lasso_lambda0_is_ols():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(40, 3))
-    d = Dataset(x, x @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=40))
-    ols = regress.fit_ols(d)
-    lasso = regress.fit_lasso(d, lam=0.0)
-    assert np.max(np.abs(lasso.coefficients - ols.coefficients)) < 1e-6
-    assert abs(lasso.intercept - ols.intercept) < 1e-6
-
-
-def _check_jackknife_press_identity():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(20, 2))
-    d = Dataset(x, x @ np.array([1.0, 1.0]) + rng.normal(size=20))
-    fast = conformal.jackknife_residuals(d, Regressor.OLS)
-    for i in range(d.n):
-        rest = d.subset(np.delete(np.arange(d.n), i))
-        m = regress.fit_ols(rest)
-        naive = d.y[i] - regress.predict(m, d.x[i])
-        assert abs(fast[i] - naive) < 1e-8
-
-
-def _check_full_conformal_brute_force():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(8, 1))
-    d = Dataset(x, 1.3 * x[:, 0] + rng.normal(scale=0.5, size=8))
-    spec = conformal.ConformalSpec(
-        method=ConformalMethod.FULL, alpha=0.2, grid_points=15
-    )
-    grid, accepted, _ = conformal.full_conformal_accepted(d, Regressor.OLS, [0.4], spec)
-    k = math.ceil((d.n + 1) * 0.8 - 1e-9)
-    for t, got in zip(grid, accepted):
-        y_aug = np.concatenate([d.y, [t]])
-        x_aug = np.vstack([d.x, [[0.4]]])
-        m = regress.fit_ols(Dataset(x_aug, y_aug))
-        r = np.abs(y_aug - regress.predict_many(m, x_aug))
-        rank = 1 + int(np.sum(r[:-1] < r[-1]))
-        assert got == (rank <= k)
-
-
-def _check_split_coverage():
-    spec = conformal.ConformalSpec(method=ConformalMethod.SPLIT, alpha=0.1)
-    hits = 0
-    for seed in range(60):
-        d, q = gen_setting("A", seed=seed)
-        iv = conformal.split_conformal(d, Regressor.OLS, q.x0, spec, seed=seed)
-        hits += iv.lo <= q.y0 <= iv.up
-    assert hits >= 45, f"coverage {hits}/60 too low"
-
-
-_SELFTEST = [
-    ("metric-arithmetic", _check_metric_arithmetic),
-    ("ols-exact-fit", _check_ols_exact),
-    ("lasso-lambda0-matches-ols", _check_lasso_lambda0_is_ols),
-    ("jackknife-leave-one-out-identity", _check_jackknife_press_identity),
-    ("full-conformal-brute-force", _check_full_conformal_brute_force),
-    ("split-coverage-smoke", _check_split_coverage),
-]
-
-
 def _cmd_selftest(args) -> int:
     failures = 0
-    for name, check in _SELFTEST:
+    for name, check in oracles.CHECKS.items():
         try:
-            check()
+            ok, detail = check()
         except Exception as exc:  # report and keep going
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        if ok:
             print(f"PASS {name}")
-    print(f"selftest: {len(_SELFTEST) - failures}/{len(_SELFTEST)} passed")
+        else:
+            failures += 1
+            print(f"FAIL {name}: {detail}")
+    print(f"selftest: {len(oracles.CHECKS) - failures}/{len(oracles.CHECKS)} passed")
     return 1 if failures else 0
 
 

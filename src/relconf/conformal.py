@@ -21,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigError,
     ConformalMethod,
     DataError,
     Dataset,
     PredictionInterval,
     Regressor,
     _sq_dists,
+    check_knobs,
 )
 from .regress import (
     LASSO_CV_FOLDS,
@@ -79,17 +79,7 @@ class ConformalSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "method", ConformalMethod(self.method))
-        for name in ("alpha", "rho"):
-            v = float(getattr(self, name))
-            if not (0.0 < v < 1.0):
-                raise ConfigError(f"{name} must lie in (0, 1), got {v}")
-            object.__setattr__(self, name, v)
-        if int(self.grid_points) < 10:
-            raise ConfigError(f"grid_points must be >= 10, got {self.grid_points}")
-        if float(self.grid_expansion) < 0.0:
-            raise ConfigError("grid_expansion must be >= 0")
-        object.__setattr__(self, "grid_points", int(self.grid_points))
-        object.__setattr__(self, "grid_expansion", float(self.grid_expansion))
+        check_knobs(self)
 
 
 def _kth_smallest(values: np.ndarray, k: int) -> float:
@@ -161,11 +151,11 @@ def full_conformal_accepted(
     Each candidate head is appended to the data and the model refit on the
     n+1 rows; the candidate survives when its absolute residual ranks
     within the lowest ceil((n+1)(1-alpha)) of all n+1. OLS refits once per
-    candidate. LASSO refits reuse the penalty of the base fit (re-running
-    cross-validation per candidate is pointless and slow) and are solved
-    as one batch. The kernel refit is computed once because its weights
-    depend only on the tails, which all candidates share, so its residuals
-    are affine in the candidate head.
+    candidate, on plain arrays. LASSO refits reuse the penalty of the base
+    fit (re-running cross-validation per candidate is pointless and slow)
+    and are solved as one batch. The kernel refit is computed once because
+    its weights depend only on the tails, which all candidates share, so
+    its residuals are affine in the candidate head.
     """
     reg = Regressor(reg)
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -177,11 +167,14 @@ def full_conformal_accepted(
     k_accept = min(max(ceil_guarded((n + 1) * (1.0 - spec.alpha)), 1), n + 1)
 
     if reg is Regressor.OLS:
+        # fit_ols's solve and predict_many's residuals, without a Dataset per
+        # candidate: the grid is finite because its knobs were checked
+        design = np.column_stack([np.ones(n + 1), x_aug])
         accepted = np.zeros(grid.size, dtype=bool)
         for g, trial in enumerate(grid):
             y_aug = np.append(d.y, trial)
-            m = fit_ols(Dataset(x_aug, y_aug))
-            resid = np.abs(y_aug - predict_many(m, x_aug))
+            coef, *_ = np.linalg.lstsq(design, y_aug, rcond=None)
+            resid = np.abs(y_aug - (float(coef[0]) + x_aug @ coef[1:]))
             rank = 1 + int((resid[:n] < resid[n]).sum())
             accepted[g] = rank <= k_accept
         return grid, accepted, point

@@ -13,7 +13,7 @@ import csv
 import enum
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "Query",
     "PredictionInterval",
     "ExperimentConfig",
+    "check_knobs",
     "load_csv",
     "save_csv",
     "standardize",
@@ -201,11 +202,36 @@ class PredictionInterval:
         return self.up - self.lo
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not (0.0 < value < 1.0) or not math.isfinite(value):
-        raise ConfigError(f"{name} must lie strictly inside (0, 1), got {value}")
-    return value
+_UNIT = (float, "lie strictly inside (0, 1)", lambda v: 0.0 < v < 1.0)
+
+# every numeric knob: its type and the rule it must meet (comparisons with
+# NaN are false, so NaN fails every rule; so does infinity)
+_KNOB_RULES = {
+    "alpha": _UNIT,
+    "gamma": _UNIT,
+    "rho": _UNIT,
+    "noise_scale": (float, "be finite and > 0", lambda v: 0.0 < v < math.inf),
+    "min_relevant": (int, "be >= 2", lambda v: v >= 2),
+    "seed": (int, "be a 64-bit unsigned integer", lambda v: 0 <= v < 2**64),
+    "grid_points": (int, "be >= 10", lambda v: v >= 10),
+    "grid_expansion": (float, "be finite and >= 0", lambda v: 0.0 <= v < math.inf),
+}
+
+
+def check_knobs(obj) -> None:
+    """Coerce and check every numeric knob field of the frozen dataclass ``obj``.
+
+    ``ExperimentConfig``, ``ConformalSpec`` and ``RunManifest`` all call
+    this, so each knob is checked by one rule wherever it is set.
+    """
+    for f in fields(obj):
+        if f.name not in _KNOB_RULES:
+            continue
+        kind, rule, holds = _KNOB_RULES[f.name]
+        value = kind(getattr(obj, f.name))
+        if not holds(value):
+            raise ConfigError(f"{f.name} must {rule}, got {value}")
+        object.__setattr__(obj, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -231,29 +257,12 @@ class ExperimentConfig:
     grid_expansion: float = 0.25
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _check_unit_interval("alpha", self.alpha))
-        object.__setattr__(self, "gamma", _check_unit_interval("gamma", self.gamma))
-        object.__setattr__(self, "rho", _check_unit_interval("rho", self.rho))
         object.__setattr__(self, "regressor", Regressor(self.regressor))
         object.__setattr__(self, "similarity", Similarity(self.similarity))
         object.__setattr__(
             self, "conformal_method", ConformalMethod(self.conformal_method)
         )
-        if not (float(self.noise_scale) > 0.0):
-            raise ConfigError(f"noise_scale must be > 0, got {self.noise_scale}")
-        if int(self.min_relevant) < 2:
-            raise ConfigError(f"min_relevant must be >= 2, got {self.min_relevant}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ConfigError("seed must be a 64-bit unsigned integer")
-        if int(self.grid_points) < 10:
-            raise ConfigError(f"grid_points must be >= 10, got {self.grid_points}")
-        if float(self.grid_expansion) < 0.0:
-            raise ConfigError("grid_expansion must be >= 0")
-        object.__setattr__(self, "noise_scale", float(self.noise_scale))
-        object.__setattr__(self, "min_relevant", int(self.min_relevant))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "grid_points", int(self.grid_points))
-        object.__setattr__(self, "grid_expansion", float(self.grid_expansion))
+        check_knobs(self)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ through the data they see.
 computing a query's standard interval once per (regressor, method) and
 its neighbourhood once per (similarity, selection floor). It writes
 deterministic CSV outputs: per-query raw tables, aggregated summary
-tables, and a flat plot-data file. Every CSV carries version, seed, and
+tables scored from the rows of a flat plot-data file (as ``relconf
+score`` scores a saved one), and that file. Every CSV carries version, seed, and
 config hash in ``#`` comment lines; no timestamps, so re-runs are
 byte-identical.
 """
@@ -22,7 +23,8 @@ byte-identical.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import product
 from pathlib import Path
@@ -42,17 +44,19 @@ from .core import (
     Query,
     Regressor,
     Similarity,
+    check_knobs,
     load_csv,
     subseed,
 )
 from .dgp import SUITES
-from .evaluate import METHOD_LABELS, Cell, score, summary_table, variant_code
+from .evaluate import METHOD_LABELS, Cell, MetricRow, score, summary_table, variant_code
 from .individualize import ControlMode, select, simulate_controls
 
 __all__ = [
     "RunManifest",
     "run_algorithm1",
     "run_grid",
+    "score_plot_rows",
     "write_summary_csv",
     "SUITE_NAMES",
 ]
@@ -69,6 +73,9 @@ _RAW_VARIANTS = tuple(
 )
 
 
+_SPEC_KNOBS = tuple(f.name for f in fields(ConformalSpec) if f.name != "method")
+
+
 def _setup(d: Dataset, q: Query, cfg: ExperimentConfig):
     """Check one cell's inputs; return (x0, conformal spec, selection floor).
 
@@ -79,7 +86,7 @@ def _setup(d: Dataset, q: Query, cfg: ExperimentConfig):
     if x0.size != d.p:
         raise DataError(f"query has {x0.size} features, dataset has {d.p}")
     spec = ConformalSpec(
-        cfg.conformal_method, cfg.alpha, cfg.rho, cfg.grid_points, cfg.grid_expansion
+        cfg.conformal_method, **{name: getattr(cfg, name) for name in _SPEC_KNOBS}
     )
     needed = _min_rows(spec, cfg.regressor)
     if d.n < needed:
@@ -184,26 +191,14 @@ class RunManifest:
             raise ConfigError(str(exc)) from None
         if not self.regressors or not self.methods or not self.similarities:
             raise ConfigError("regressors, methods, and similarities must be non-empty")
-        # the numeric knobs are checked by the config every grid cell builds
-        self.base_config(self.regressors[0], self.similarities[0], self.methods[0])
+        check_knobs(self)
 
     def _semantic_items(self) -> list[tuple[str, str]]:
+        """(field, text) for every field a run's outputs depend on."""
         return [
-            ("suite", self.suite),
-            ("train_csv", self.train_csv or ""),
-            ("queries_csv", self.queries_csv or ""),
-            ("alpha", repr(float(self.alpha))),
-            ("gamma", repr(float(self.gamma))),
-            ("rho", repr(float(self.rho))),
-            ("noise_scale", repr(float(self.noise_scale))),
-            ("min_relevant", str(int(self.min_relevant))),
-            ("seed", str(int(self.seed))),
-            ("grid_points", str(int(self.grid_points))),
-            ("grid_expansion", repr(float(self.grid_expansion))),
-            ("regressors", "+".join(r.value for r in self.regressors)),
-            ("methods", "+".join(m.value for m in self.methods)),
-            ("similarities", "+".join(s.value for s in self.similarities)),
-            ("control_mode", self.control_mode.value),
+            (f.name, _text(getattr(self, f.name)))
+            for f in fields(self)
+            if f.name not in _UNHASHED
         ]
 
     def config_hash(self) -> str:
@@ -211,19 +206,26 @@ class RunManifest:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def base_config(self, regressor, similarity, method) -> ExperimentConfig:
+        """One grid cell's config: the given choices plus this run's knobs."""
+        shared = {
+            f.name: getattr(self, f.name)
+            for f in fields(ExperimentConfig)
+            if hasattr(self, f.name)
+        }
         return ExperimentConfig(
-            alpha=self.alpha,
-            gamma=self.gamma,
-            rho=self.rho,
-            regressor=regressor,
-            similarity=similarity,
-            conformal_method=method,
-            noise_scale=self.noise_scale,
-            min_relevant=self.min_relevant,
-            seed=self.seed,
-            grid_points=self.grid_points,
-            grid_expansion=self.grid_expansion,
+            regressor=regressor, similarity=similarity, conformal_method=method, **shared
         )
+
+
+# where the outputs go and when the run started change no output byte
+_UNHASHED = ("output_dir", "created")
+
+
+def _text(value) -> str:
+    """A manifest value as written into manifest.txt and the config hash."""
+    if isinstance(value, tuple):
+        return "+".join(v.value for v in value)
+    return "" if value is None else str(getattr(value, "value", value))
 
 
 def _load_grid_data(manifest: RunManifest):
@@ -262,7 +264,7 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None:
+def _write_csv(path: Path, comments: list[str], header: Sequence[str], rows) -> None:
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
     lines.extend(",".join(r) for r in rows)
@@ -297,6 +299,30 @@ def write_summary_csv(path: Path, comments: list[str], metric_rows: list) -> Non
     _write_csv(path, comments, header, rows)
 
 
+_PLOT_HEADER = (
+    "similarity", "query", "query_label", "path", "method", "regressor",
+    "y0", "point", "lo", "up", "residual", "covered", "degenerate",
+)
+
+
+def score_plot_rows(rows: Iterable[Mapping[str, str]]) -> dict[str, list[MetricRow]]:
+    """Each similarity's metric rows from plotdata rows (column -> text).
+
+    Rows without a realized head are skipped. ``run_grid`` and ``relconf
+    score`` both summarise through this, so their summaries agree.
+    """
+    by_similarity: dict[str, list[MetricRow]] = {}
+    for row in rows:
+        if row["y0"] == "":
+            continue
+        iv = PredictionInterval(float(row["point"]), float(row["lo"]), float(row["up"]))
+        cell = Cell(row["path"], row["method"], row["regressor"], row["similarity"], row["query"])
+        by_similarity.setdefault(row["similarity"], []).append(
+            score(iv, float(row["y0"]), cell)
+        )
+    return by_similarity
+
+
 def run_grid(manifest: RunManifest) -> dict[str, str]:
     """Execute the full grid and write output files; returns name -> path."""
     out_dir = Path(manifest.output_dir)
@@ -304,7 +330,6 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
     datasets, queries, qlabels = _load_grid_data(manifest)
 
     results: dict[tuple, PredictionInterval] = {}
-    metric_rows: dict[str, list] = {s.value: [] for s in manifest.similarities}
     for qidx, (d, q) in enumerate(zip(datasets, queries)):
         # work shared by this query's cells; the manifest fixes every other
         # input, so these keys are complete
@@ -330,40 +355,8 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
                         _interval(simulated, x0, cfg, spec, qidx, IntervalPath.RELEVANT_SIMULATED),
                     )
                     for iv in triple:
-                        key = (sim.value, qidx, reg.value, method.value, iv.path.value)
-                        results[key] = iv
-                        if q.y0 is not None:
-                            cell = Cell(
-                                path=iv.path.value,
-                                method=method.value,
-                                regressor=reg.value,
-                                similarity=sim.value,
-                                query_id=str(qidx + 1),
-                            )
-                            metric_rows[sim.value].append(score(iv, q.y0, cell))
+                        results[sim.value, qidx, reg.value, method.value, iv.path.value] = iv
 
-    comments = [
-        f"version={ARTIFACT_VERSION}",
-        f"seed={manifest.seed}",
-        f"config_hash={manifest.config_hash()}",
-    ]
-    written: dict[str, str] = {}
-    y0s = [q.y0 for q in queries]
-    for sim in manifest.similarities:
-        raw_path = out_dir / f"raw_{sim.value}.csv"
-        header, rows = _raw_table(results, sim, y0s, len(queries))
-        _write_csv(raw_path, comments, header, rows)
-        written[f"raw_{sim.value}"] = str(raw_path)
-
-        summary_path = out_dir / f"summary_{sim.value}.csv"
-        write_summary_csv(summary_path, comments, metric_rows[sim.value])
-        written[f"summary_{sim.value}"] = str(summary_path)
-
-    plot_path = out_dir / "plotdata.csv"
-    plot_header = [
-        "similarity", "query", "query_label", "path", "method", "regressor",
-        "y0", "point", "lo", "up", "residual", "covered", "degenerate",
-    ]
     plot_rows = []
     for sim in manifest.similarities:
         for qidx, (q, qlabel) in enumerate(zip(queries, qlabels)):
@@ -389,7 +382,27 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
                             str(int(iv.lo <= q.y0 <= iv.up)) if has_y0 else "",
                             str(int(iv.degenerate)),
                         ])
-    _write_csv(plot_path, comments, plot_header, plot_rows)
+    metric_rows = score_plot_rows(dict(zip(_PLOT_HEADER, row)) for row in plot_rows)
+
+    comments = [
+        f"version={ARTIFACT_VERSION}",
+        f"seed={manifest.seed}",
+        f"config_hash={manifest.config_hash()}",
+    ]
+    written: dict[str, str] = {}
+    y0s = [q.y0 for q in queries]
+    for sim in manifest.similarities:
+        raw_path = out_dir / f"raw_{sim.value}.csv"
+        header, rows = _raw_table(results, sim, y0s, len(queries))
+        _write_csv(raw_path, comments, header, rows)
+        written[f"raw_{sim.value}"] = str(raw_path)
+
+        summary_path = out_dir / f"summary_{sim.value}.csv"
+        write_summary_csv(summary_path, comments, metric_rows.get(sim.value, []))
+        written[f"summary_{sim.value}"] = str(summary_path)
+
+    plot_path = out_dir / "plotdata.csv"
+    _write_csv(plot_path, comments, _PLOT_HEADER, plot_rows)
     written["plotdata"] = str(plot_path)
 
     manifest_path = out_dir / "manifest.txt"

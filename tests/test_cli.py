@@ -3,14 +3,17 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from relconf import cli, oracles
 from relconf.cli import main, parse_config_file
-from relconf.core import ConfigError, Dataset, load_csv, save_csv
+from relconf.core import ConfigError, Dataset, Regressor, load_csv, save_csv
 from relconf.dgp import gen_small
+from relconf.runner import RunManifest
 
 
 def make_external(tmp_path, n=60, n_queries=2, seed=21):
@@ -162,6 +165,32 @@ class TestRun:
         assert code == 1
         assert "ridge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--grid-expansion", "nan"), ("--grid-expansion", "inf"), ("--noise-scale", "inf")],
+    )
+    def test_non_finite_knob_is_config_error(self, tmp_path, capsys, flag, value):
+        train, queries = make_external(tmp_path)
+        code = main([
+            "run", "--suite", "external-csv",
+            "--train", str(train), "--queries", str(queries),
+            "--method", "full", "--regressor", "ols", "--similarity", "percentile",
+            "--min-relevant", "20", flag, value, "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_flags_land_in_manifest_fields(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_grid", lambda m: seen.append(m) or {})
+        assert main([
+            "run", "--suite", "external-csv", "--train", "t.csv", "--queries", "q.csv",
+            "--out", "o", "--regressor", "ols,kernel",
+        ]) == 0
+        (m,) = seen
+        assert (m.train_csv, m.queries_csv, m.output_dir) == ("t.csv", "q.csv", "o")
+        assert m.regressors == (Regressor.OLS, Regressor.KERNEL)
+
 
 class TestScore:
     def test_reproduces_run_summaries(self, tmp_path):
@@ -190,6 +219,20 @@ class TestParseConfigFile:
         parsed = parse_config_file(cfg)
         assert parsed == {"seed": 3, "regressors": ("ols", "lasso")}
 
+    def test_every_manifest_field_but_created_is_a_key(self, tmp_path):
+        values = {
+            f.name: ",".join(v.value for v in f.default) if isinstance(f.default, tuple)
+            else getattr(f.default, "value", f.default)
+            for f in fields(RunManifest)
+            if f.name != "created"
+        }
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert set(parse_config_file(cfg)) == set(values)
+        cfg.write_text("created = 2000-01-01\n")
+        with pytest.raises(ConfigError, match="created"):
+            parse_config_file(cfg)
+
     def test_line_without_equals(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("seed\n")
@@ -210,6 +253,15 @@ class TestTopLevel:
         out = capsys.readouterr().out
         assert out.count("PASS") == 6
         assert "FAIL" not in out
+
+    def test_selftest_reports_a_failing_check(self, capsys, monkeypatch):
+        monkeypatch.setitem(oracles.CHECKS, "ols-exact-fit", lambda: (False, "forced"))
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
+            "FAIL ols-exact-fit: forced"
+        ]
+        assert "5/6 passed" in out
 
     def test_module_entry_point(self):
         # the child imports relconf from this process's path, installed or not

@@ -16,6 +16,7 @@ from relconf.regress import (
     predict_many,
 )
 from relconf import regress
+from relconf.oracles import orthonormal_design
 from relconf.regress import _cd_path, _gram_problem, _internal_scale, _lambda_grid
 
 
@@ -78,14 +79,6 @@ def reference_cv_lambda(x, y, folds, seed):
             pred = (yt.mean() - coef @ m) + x[held] @ coef
             sse[g] += float(((y[held] - pred) ** 2).sum())
     return float(grid[np.argmin(sse)])
-
-
-def orthonormal_design(rng, n, p):
-    """Zero-mean columns with (1/n) X'X = I exactly (up to float error)."""
-    a = rng.normal(size=(n, p))
-    a -= a.mean(axis=0)
-    q, _ = np.linalg.qr(a)
-    return q * np.sqrt(n)
 
 
 class TestOls:

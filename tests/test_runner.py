@@ -1,7 +1,7 @@
 """Three-path pipeline behavior and grid-runner output structure."""
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -298,11 +298,33 @@ class TestRunGrid:
         labels = {line.split(",")[2] for line in plot[4:]}
         assert labels == {"DGP_1", "DGP_2", "DGP_3"}
 
-    def test_config_hash_ignores_timestamp_and_output_dir(self, tmp_path):
-        m = external_manifest(tmp_path)
-        same = replace(m, created="2000-01-01T00:00:00+00:00", output_dir="elsewhere")
-        assert m.config_hash() == same.config_hash()
-        assert m.config_hash() != replace(m, seed=m.seed + 1).config_hash()
+    def test_config_hash_ignores_timestamp_and_output_dir(self):
+        # every CSV header carries the hash, and the golden file pins this one
+        assert RunManifest(suite="small", seed=0).config_hash() == "f8189c1128c5"
+        base = RunManifest(suite="external-csv", train_csv="t.csv", queries_csv="q.csv")
+        changed = {
+            "suite": "small",
+            "train_csv": "t2.csv",
+            "queries_csv": "q2.csv",
+            "alpha": 0.2,
+            "gamma": 0.8,
+            "rho": 0.6,
+            "noise_scale": 0.2,
+            "min_relevant": 31,
+            "seed": 1,
+            "grid_points": 101,
+            "grid_expansion": 0.5,
+            "regressors": ("ols",),
+            "methods": ("split",),
+            "similarities": ("cosine",),
+            "control_mode": "gaussian_mimic",
+        }
+        unhashed = {"output_dir": "elsewhere", "created": "2000-01-01T00:00:00+00:00"}
+        assert set(changed) | set(unhashed) == {f.name for f in fields(RunManifest)}
+        for name, value in changed.items():
+            assert replace(base, **{name: value}).config_hash() != base.config_hash(), name
+        for name, value in unhashed.items():
+            assert replace(base, **{name: value}).config_hash() == base.config_hash(), name
 
     def test_manifest_validation(self, tmp_path):
         with pytest.raises(ConfigError, match="suite"):
