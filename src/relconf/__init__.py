@@ -36,6 +36,7 @@ from .regress import (
     kernel_weights,
     lasso_kkt_residual,
     lasso_objective,
+    loo_residuals,
     predict,
     predict_many,
     soft_threshold,
@@ -47,7 +48,6 @@ from .conformal import (
     full_conformal,
     full_conformal_accepted,
     jackknife_conformal,
-    jackknife_residuals,
     loo_quantile,
     split_conformal,
     split_quantile,
@@ -94,6 +94,7 @@ __all__ = [
     "kernel_weights",
     "lasso_kkt_residual",
     "lasso_objective",
+    "loo_residuals",
     "predict",
     "predict_many",
     "soft_threshold",
@@ -103,7 +104,6 @@ __all__ = [
     "full_conformal",
     "full_conformal_accepted",
     "jackknife_conformal",
-    "jackknife_residuals",
     "loo_quantile",
     "split_conformal",
     "split_quantile",

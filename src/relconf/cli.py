@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .core import ARTIFACT_VERSION, ConfigError, DataError, Dataset, save_csv
+from .core import ARTIFACT_VERSION, ConfigError, DataError, Dataset, save_csv, write_csv
 from .dgp import SUITES
 from .individualize import ControlMode
 from .runner import SUITE_NAMES, RunManifest, run_grid, score_plot_rows, write_summary_csv
@@ -157,15 +157,9 @@ def _cmd_gen(args) -> int:
         out / "queries.csv",
         comments,
     )
-    label_lines = [f"# {c}" for c in comments]
-    label_lines.append("kind,index,label")
-    label_lines += [
-        f"train,{i},{lab}" for i, lab in enumerate(suite.setting_labels)
-    ]
-    label_lines += [
-        f"query,{i},{lab}" for i, lab in enumerate(suite.query_labels)
-    ]
-    (out / "labels.csv").write_text("\n".join(label_lines) + "\n")
+    labels = [("train", i, lab) for i, lab in enumerate(suite.setting_labels)]
+    labels += [("query", i, lab) for i, lab in enumerate(suite.query_labels)]
+    write_csv(out / "labels.csv", ["kind", "index", "label"], labels, comments)
     for name in ("train.csv", "queries.csv", "labels.csv"):
         print(f"wrote {out / name}")
     return 0

@@ -26,18 +26,13 @@ from .core import (
     Dataset,
     PredictionInterval,
     Regressor,
-    _sq_dists,
     check_knobs,
 )
 from .regress import (
-    LASSO_CV_FOLDS,
+    candidate_residuals,
     fit,
-    fit_kernel,
-    fit_lasso,
-    fit_ols,
-    kernel_weights,
-    lasso_candidate_residuals,
-    lasso_loo_residuals,
+    loo_residuals,
+    min_fit_rows,
     predict,
     predict_many,
 )
@@ -49,7 +44,6 @@ __all__ = [
     "full_conformal",
     "full_conformal_accepted",
     "jackknife_conformal",
-    "jackknife_residuals",
     "ceil_guarded",
     "split_quantile",
     "loo_quantile",
@@ -149,47 +143,17 @@ def full_conformal_accepted(
     """Candidate grid, per-candidate acceptance mask, and the base forecast.
 
     Each candidate head is appended to the data and the model refit on the
-    n+1 rows; the candidate survives when its absolute residual ranks
-    within the lowest ceil((n+1)(1-alpha)) of all n+1. OLS refits once per
-    candidate, on plain arrays. LASSO refits reuse the penalty of the base
-    fit (re-running cross-validation per candidate is pointless and slow)
-    and are solved as one batch. The kernel refit is computed once because
-    its weights depend only on the tails, which all candidates share, so
-    its residuals are affine in the candidate head.
+    n+1 rows (``regress.candidate_residuals``); the candidate survives when
+    its absolute residual ranks within the lowest ceil((n+1)(1-alpha)) of
+    all n+1.
     """
-    reg = Regressor(reg)
     x0 = np.asarray(x0, dtype=float).ravel()
     base = fit(d, reg, seed=seed)
     point = predict(base, x0)
     grid = _candidate_grid(d.y, spec)
     n = d.n
-    x_aug = np.vstack([d.x, x0])
+    resid = candidate_residuals(np.vstack([d.x, x0]), d.y, grid, base)
     k_accept = min(max(ceil_guarded((n + 1) * (1.0 - spec.alpha)), 1), n + 1)
-
-    if reg is Regressor.OLS:
-        # fit_ols's solve and predict_many's residuals, without a Dataset per
-        # candidate: the grid is finite because its knobs were checked
-        design = np.column_stack([np.ones(n + 1), x_aug])
-        accepted = np.zeros(grid.size, dtype=bool)
-        for g, trial in enumerate(grid):
-            y_aug = np.append(d.y, trial)
-            coef, *_ = np.linalg.lstsq(design, y_aug, rcond=None)
-            resid = np.abs(y_aug - (float(coef[0]) + x_aug @ coef[1:]))
-            rank = 1 + int((resid[:n] < resid[n]).sum())
-            accepted[g] = rank <= k_accept
-        return grid, accepted, point
-
-    if reg is Regressor.KERNEL:
-        km = fit_kernel(Dataset(x_aug, np.zeros(n + 1)))
-        w = kernel_weights(km, x_aug)
-        y_pad = np.append(d.y, 0.0)
-        a = y_pad - w @ y_pad
-        e_last = np.zeros(n + 1)
-        e_last[n] = 1.0
-        b = e_last - w[:, n]
-        resid = np.abs(a[:, None] + b[:, None] * grid[None, :])  # (n+1, grid)
-    else:
-        resid = lasso_candidate_residuals(x_aug, d.y, grid, base.lam)
     ranks = 1 + (resid[:n, :] < resid[n, :][None, :]).sum(axis=0)
     return grid, ranks <= k_accept, point
 
@@ -220,51 +184,6 @@ def full_conformal(
 # Jackknife conformal
 # ---------------------------------------------------------------------------
 
-def jackknife_residuals(
-    d: Dataset,
-    reg,
-    seed: int = 0,
-    lam: float | None = None,
-    bandwidth: float | None = None,
-) -> np.ndarray:
-    """Signed leave-one-out residuals y_i - f_{-i}(x_i).
-
-    OLS uses the exact leave-one-out identity e_i / (1 - h_ii) (equal to
-    literal per-row refits for full-rank designs) and falls back to the
-    naive loop when the design is rank-deficient or a leverage reaches 1.
-    LASSO solves all n leave-one-out problems as one batch at a fixed
-    penalty (the base fit's CV choice unless ``lam`` is given). The kernel
-    engine keeps the full-data standardization and bandwidth and drops row
-    i's own weight, the LOO analogue of its fixed-tail refit in full
-    conformal.
-    """
-    reg = Regressor(reg)
-    n = d.n
-    if reg is Regressor.KERNEL:
-        km = fit_kernel(d, bandwidth=bandwidth)
-        d2 = _sq_dists(km.train_z, km.train_z)
-        np.fill_diagonal(d2, np.inf)
-        d2 -= d2.min(axis=1, keepdims=True)
-        w = np.exp(-d2 / (2.0 * km.bandwidth**2))
-        return d.y - (w @ d.y) / w.sum(axis=1)
-    if reg is Regressor.LASSO:
-        if lam is None:
-            lam = fit_lasso(d, seed=seed).lam
-        return lasso_loo_residuals(d.x, d.y, lam)
-    a = np.column_stack([np.ones(n), d.x])
-    coef, _, rank, _ = np.linalg.lstsq(a, d.y, rcond=None)
-    e = d.y - a @ coef
-    if rank == a.shape[1]:
-        h = np.einsum("ij,ji->i", a, np.linalg.pinv(a))
-        if np.max(h) < 1.0 - 1e-8:
-            return e / (1.0 - h)
-    out = np.empty(n)
-    for i in range(n):
-        m = fit_ols(d.subset(np.delete(np.arange(n), i)))
-        out[i] = d.y[i] - predict(m, d.x[i])
-    return out
-
-
 def jackknife_conformal(
     d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0
 ) -> PredictionInterval:
@@ -274,10 +193,7 @@ def jackknife_conformal(
     reg = Regressor(reg)
     base = fit(d, reg, seed=seed)
     point = predict(base, x0)
-    loo = np.abs(
-        jackknife_residuals(d, reg, seed=seed, lam=base.lam, bandwidth=base.bandwidth)
-    )
-    dstar = loo_quantile(loo, spec.alpha)
+    dstar = loo_quantile(np.abs(loo_residuals(d.x, d.y, base)), spec.alpha)
     return PredictionInterval(
         point, point - dstar, point + dstar,
         conformal_method=ConformalMethod.JACKKNIFE, regressor=reg,
@@ -287,10 +203,10 @@ def jackknife_conformal(
 def _min_rows(spec: ConformalSpec, reg) -> int:
     """Smallest dataset ``conformal_interval`` can run on with ``spec`` and ``reg``.
 
-    A fit needs 2 rows, or LASSO_CV_FOLDS for LASSO's cross-validated
-    penalty; split fits on floor(rho*n) rows; jackknife needs 3.
+    A fit needs ``regress.min_fit_rows(reg)``; split fits on floor(rho*n)
+    rows; jackknife needs 3.
     """
-    fit_rows = LASSO_CV_FOLDS if Regressor(reg) is Regressor.LASSO else 2
+    fit_rows = min_fit_rows(reg)
     if spec.method is ConformalMethod.SPLIT:
         n = fit_rows + 2
         while _split_train_rows(n, spec.rho, fit_rows) is None:

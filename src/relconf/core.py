@@ -34,6 +34,7 @@ __all__ = [
     "check_knobs",
     "load_csv",
     "save_csv",
+    "write_csv",
     "standardize",
     "transform_features",
     "subseed",
@@ -228,7 +229,11 @@ def check_knobs(obj) -> None:
         if f.name not in _KNOB_RULES:
             continue
         kind, rule, holds = _KNOB_RULES[f.name]
-        value = kind(getattr(obj, f.name))
+        raw = getattr(obj, f.name)
+        value = kind(raw)
+        # refuse what the conversion would change (30.9, "31"); NaN fails its rule
+        if value != raw and value == value:
+            raise ConfigError(f"{f.name} must be of type {kind.__name__}, got {raw!r}")
         if not holds(value):
             raise ConfigError(f"{f.name} must {rule}, got {value}")
         object.__setattr__(obj, f.name, value)
@@ -326,6 +331,24 @@ def load_csv(path, head_column: str) -> Dataset:
     return Dataset(x, y, tuple(feature_names), head_column)
 
 
+def write_csv(path, header, rows, comments=None) -> None:
+    """Write ``# comment`` lines, then ``header`` and ``rows``, as UTF-8 CSV
+    with bare newline line ends; only fields with a comma, quote or newline
+    are quoted."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for line in comments or ():
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _dataset_rows(d: Dataset):
+    """Each row of ``d`` as text, head first, floats by ``repr``."""
+    for i in range(d.n):
+        yield [repr(float(d.y[i])), *(repr(float(v)) for v in d.x[i])]
+
+
 def save_csv(d: Dataset, path, comments: list[str] | None = None) -> None:
     """Write a Dataset as CSV (head column first), exactly round-trippable.
 
@@ -333,25 +356,32 @@ def save_csv(d: Dataset, path, comments: list[str] | None = None) -> None:
     bit for bit. ``comments`` lines, if given, are emitted first with a
     leading ``#``.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([d.head_name, *d.feature_names])
-        for i in range(d.n):
-            writer.writerow([repr(float(d.y[i])), *(repr(float(v)) for v in d.x[i])])
+    write_csv(path, [d.head_name, *d.feature_names], _dataset_rows(d), comments)
 
 
 # ---------------------------------------------------------------------------
 # Standardization
 # ---------------------------------------------------------------------------
 
+def _standardize_columns(x: np.ndarray, ddof: int = 1):
+    """(z, centers, scales, active): columns centered and scaled to std 1
+    with denominator n - ddof. Only active columns, whose max exceeds their
+    min, are scaled; constant ones get scale 1 and standardize to exact
+    zeros, so the rounding dust of a float mean or std (thirty copies of
+    0.1 have a sample std of 4e-17) never scales up into a feature."""
+    centers = x.mean(axis=0)
+    active = x.max(axis=0) > x.min(axis=0)
+    dev = x - centers
+    scales = np.where(active, np.sqrt((dev**2).sum(axis=0) / (x.shape[0] - ddof)), 1.0)
+    return np.where(active, dev / scales, 0.0), centers, scales, active
+
+
 def standardize(d: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
     """Center and scale each feature column to mean 0 and sample std 1.
 
-    Uses the n-1 denominator. Zero-variance columns are centered only
-    (scale fixed at 1) so degenerate columns cannot poison downstream
-    distance computations. ``y`` is untouched.
+    Uses the n-1 denominator. Constant columns standardize to zeros (scale
+    fixed at 1) so degenerate columns cannot poison downstream distance
+    computations. ``y`` is untouched.
 
     Returns
     -------
@@ -361,10 +391,7 @@ def standardize(d: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
     """
     if d.n < 2:
         raise DataError(f"standardize needs n >= 2, got n={d.n}")
-    centers = d.x.mean(axis=0)
-    scales = d.x.std(axis=0, ddof=1)
-    scales = np.where(scales > 0.0, scales, 1.0)
-    z = (d.x - centers) / scales
+    z, centers, scales, _ = _standardize_columns(d.x)
     return Dataset(z, d.y, d.feature_names, d.head_name), centers, scales
 
 

@@ -10,7 +10,6 @@ residual diversity near the query.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
@@ -21,10 +20,12 @@ from .core import (
     DataError,
     Dataset,
     Similarity,
+    _dataset_rows,
     _readonly,
     _sq_dists,
     standardize,
     transform_features,
+    write_csv,
 )
 
 __all__ = [
@@ -248,12 +249,5 @@ def simulate_controls(
 def save_controls_csv(cs: ControlSet, path, comments: list[str] | None = None) -> None:
     """Dataset CSV layout plus a trailing ``origin`` column."""
     d = cs.dataset
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([d.head_name, *d.feature_names, "origin"])
-        for i in range(d.n):
-            writer.writerow(
-                [repr(float(d.y[i])), *(repr(float(v)) for v in d.x[i]), cs.origin[i].value]
-            )
+    rows = ([*row, origin.value] for row, origin in zip(_dataset_rows(d), cs.origin))
+    write_csv(path, [d.head_name, *d.feature_names, "origin"], rows, comments)

@@ -17,13 +17,12 @@ import numpy as np
 from .conformal import (
     ConformalSpec,
     full_conformal_accepted,
-    jackknife_residuals,
     split_conformal,
 )
 from .core import ConformalMethod, Dataset, PredictionInterval, Regressor
 from .dgp import gen_setting
 from .evaluate import score
-from .regress import fit_lasso, fit_ols, lasso_kkt_residual, predict, predict_many
+from .regress import fit_lasso, fit_ols, lasso_kkt_residual, loo_residuals, predict, predict_many
 
 __all__ = [
     "CHECKS",
@@ -102,7 +101,7 @@ def jackknife_leave_one_out() -> tuple[bool, str]:
         x = rng.normal(0.0, 1.0, size=(n, p))
         y = x @ rng.normal(0.0, 1.0, size=p) + rng.normal(0.0, 1.0, size=n)
         d = Dataset(x, y)
-        fast = jackknife_residuals(d, Regressor.OLS)
+        fast = loo_residuals(d.x, d.y, fit_ols(d))
         for i in range(n):
             rest = d.subset(np.delete(np.arange(n), i))
             naive = y[i] - predict(fit_ols(rest), x[i])

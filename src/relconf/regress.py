@@ -2,8 +2,10 @@
 
 Each engine exposes the same surface: a ``fit_*`` constructor returning an
 immutable :class:`FittedModel`, plus :func:`predict` / :func:`predict_many`
-for evaluation at new tails. ``fit`` dispatches on the engine enum so
-interval constructors stay engine-agnostic.
+for evaluation at new tails. ``fit`` dispatches on the engine enum, and
+:func:`loo_residuals` (jackknife) and :func:`candidate_residuals` (full
+conformal) on the fitted model's engine, so every engine's refit algebra
+lives here and the interval constructors stay engine-agnostic.
 
 LASSO runs covariance-update coordinate descent (Friedman, Hastie &
 Tibshirani 2010) on the p x p Gram matrix of the standardized problem,
@@ -26,12 +28,14 @@ from .core import (
     Regressor,
     _readonly,
     _sq_dists,
+    _standardize_columns,
     standardize,
     transform_features,
 )
 
 __all__ = [
     "FittedModel",
+    "candidate_residuals",
     "fit",
     "fit_ols",
     "fit_lasso",
@@ -43,6 +47,8 @@ __all__ = [
     "lasso_kkt_residual",
     "lasso_loo_residuals",
     "lasso_objective",
+    "loo_residuals",
+    "min_fit_rows",
     "soft_threshold",
 ]
 
@@ -59,6 +65,11 @@ LASSO_MAX_SWEEPS = 10_000
 # column's centred sum of squares.
 _LOO_DOWNDATE_RATIO = 1e4
 KERNEL_MIN_BANDWIDTH = 1e-6
+
+
+def min_fit_rows(kind) -> int:
+    """Fewest rows an engine's default fit runs on (LASSO cross-validates)."""
+    return LASSO_CV_FOLDS if Regressor(kind) is Regressor.LASSO else 2
 
 
 @dataclass(frozen=True)
@@ -121,22 +132,6 @@ def soft_threshold(z: float, lam: float) -> float:
     if z < -lam:
         return z + lam
     return 0.0
-
-
-def _internal_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Center columns and scale by the root mean square deviation.
-
-    The 1/n denominator makes every active standardized column satisfy
-    (1/n)||col||^2 = 1, which reduces each coordinate update to a pure
-    soft-threshold step. A column is active when its max exceeds its min;
-    the rest are constant, get scale 1 and standardize to exact zeros, so
-    the rounding dust of a float mean never scales up into a feature.
-    Returns (xs, centers, scales, active).
-    """
-    m = x.mean(axis=0)
-    active = x.max(axis=0) > x.min(axis=0)
-    s = np.where(active, np.sqrt(((x - m) ** 2).mean(axis=0)), 1.0)
-    return np.where(active, (x - m) / s, 0.0), m, s, active
 
 
 def lasso_objective(x, y, intercept: float, coef, lam: float) -> float:
@@ -252,8 +247,11 @@ def _gram_problem(x, y):
 
     Returns (gram, xty, active, centers, scales, ybar): gram = xs'xs/n and
     xty = xs'(y - ybar)/n, with ``active`` marking non-constant columns.
+    Columns are scaled by their root mean square deviation: the 1/n makes
+    every active column of xs satisfy (1/n)||col||^2 = 1, which reduces
+    each coordinate update to a pure soft-threshold step.
     """
-    xs, m, s, active = _internal_scale(x)
+    xs, m, s, active = _standardize_columns(x, ddof=0)
     n = x.shape[0]
     ybar = y.mean()
     gram = xs.T @ xs / n
@@ -392,7 +390,7 @@ def lasso_candidate_residuals(x_aug, y, candidates, lam: float) -> np.ndarray:
     problems are solved together by ``_cd_batch``, so every column equals
     that of a literal ``fit_lasso`` refit.
     """
-    xs, m, s, active = _internal_scale(x_aug)
+    xs, m, s, active = _standardize_columns(x_aug, ddof=0)
     n1 = x_aug.shape[0]
     y_aug = [np.append(y, t) for t in candidates]
     ybar = [ya.mean() for ya in y_aug]
@@ -413,7 +411,7 @@ def lasso_kkt_residual(d: Dataset, m: FittedModel) -> float:
     active coordinates need gradient = lam * sign, inactive ones need
     |gradient| <= lam. Zero means exact optimality.
     """
-    xs, centers, scales, active_cols = _internal_scale(d.x)
+    xs, centers, scales, active_cols = _standardize_columns(d.x, ddof=0)
     beta = m.coefficients * scales
     r = (d.y - d.y.mean()) - xs @ beta
     grad = xs.T @ r / d.n
@@ -432,10 +430,18 @@ def lasso_kkt_residual(d: Dataset, m: FittedModel) -> float:
 # Kernel smoothing (Nadaraya-Watson, Gaussian kernel)
 # ---------------------------------------------------------------------------
 
-def _median_pairwise_distance(z: np.ndarray) -> float:
-    d2 = _sq_dists(z, z)
-    iu = np.triu_indices(z.shape[0], k=1)
+def _median_distance(d2: np.ndarray) -> float:
+    """Median pairwise distance, from the square matrix ``d2`` of squared ones."""
+    iu = np.triu_indices(d2.shape[0], k=1)
     return float(np.sqrt(np.median(d2[iu])))
+
+
+def _shifted_gaussian(d2: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Gaussian weights of squared distances ``d2``, each row shifted in
+    place by its minimum: the common factor cancels once the weights are
+    normalized, so they are exact but never all underflow."""
+    d2 -= d2.min(axis=1, keepdims=True)
+    return np.exp(-d2 / (2.0 * bandwidth**2))
 
 
 def fit_kernel(d: Dataset, bandwidth: float | None = None) -> FittedModel:
@@ -449,7 +455,7 @@ def fit_kernel(d: Dataset, bandwidth: float | None = None) -> FittedModel:
         raise DataError(f"kernel fit needs n >= 2, got n={d.n}")
     z, centers, scales = standardize(d)
     if bandwidth is None:
-        bandwidth = _median_pairwise_distance(z.x)
+        bandwidth = _median_distance(_sq_dists(z.x, z.x))
     bandwidth = max(float(bandwidth), KERNEL_MIN_BANDWIDTH)
     return FittedModel(
         kind=Regressor.KERNEL,
@@ -503,3 +509,65 @@ def fit(d: Dataset, kind, seed: int = 0) -> FittedModel:
     if kind is Regressor.LASSO:
         return fit_lasso(d, seed=seed)
     return fit_kernel(d)
+
+
+def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
+    """Signed leave-one-out residuals y_i - f_{-i}(x_i) of ``model``'s engine.
+
+    ``model`` is the engine's fit on all of (x, y). OLS uses the exact
+    identity e_i / (1 - h_ii) and refits row by row when the design is
+    rank-deficient or a leverage reaches 1. LASSO solves every problem at
+    the model's penalty as one batch. The kernel keeps the model's
+    standardization and bandwidth and drops row i's own weight.
+    """
+    if model.kind is Regressor.LASSO:
+        return lasso_loo_residuals(x, y, model.lam)
+    if model.kind is Regressor.KERNEL:
+        d2 = _sq_dists(model.train_z, model.train_z)
+        np.fill_diagonal(d2, np.inf)
+        w = _shifted_gaussian(d2, model.bandwidth)
+        return y - (w @ y) / w.sum(axis=1)
+    n = len(y)
+    a = np.column_stack([np.ones(n), x])
+    coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+    if rank == a.shape[1]:
+        h = np.einsum("ij,ji->i", a, np.linalg.pinv(a))
+        if np.max(h) < 1.0 - 1e-8:
+            return (y - a @ coef) / (1.0 - h)
+    out = np.empty(n)
+    for i in range(n):
+        coef, *_ = np.linalg.lstsq(np.delete(a, i, axis=0), np.delete(y, i), rcond=None)
+        out[i] = y[i] - (float(coef[0]) + x[i : i + 1] @ coef[1:])[0]
+    return out
+
+
+def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
+    """Absolute residuals of full conformal's refits, shape (n+1, G).
+
+    Column g holds |y_aug - f(x_aug)| for ``model``'s engine refit on the
+    n+1 rows of ``x_aug`` with heads y_aug = (y, candidates[g]). OLS calls
+    ``lstsq`` per candidate. LASSO solves every candidate as one batch at
+    the base fit ``model``'s penalty; re-running cross-validation per
+    candidate is pointless and slow. The kernel's weights depend only on
+    the shared tails, so one (n+1)^2 distance matrix gives its bandwidth
+    and weights, and its residuals are affine in the candidate head.
+    """
+    if model.kind is Regressor.LASSO:
+        return lasso_candidate_residuals(x_aug, y, candidates, model.lam)
+    n = len(y)
+    if model.kind is Regressor.KERNEL:
+        z = _standardize_columns(x_aug)[0]
+        d2 = _sq_dists(z, z)
+        w = _shifted_gaussian(d2, max(_median_distance(d2), KERNEL_MIN_BANDWIDTH))
+        w /= w.sum(axis=1, keepdims=True)
+        y_pad = np.append(y, 0.0)
+        b = -w[:, n]
+        b[n] += 1.0
+        return np.abs((y_pad - w @ y_pad)[:, None] + b[:, None] * candidates[None, :])
+    design = np.column_stack([np.ones(n + 1), x_aug])
+    resid = np.empty((n + 1, len(candidates)))
+    for g, trial in enumerate(candidates):
+        y_aug = np.append(y, trial)
+        coef, *_ = np.linalg.lstsq(design, y_aug, rcond=None)
+        resid[:, g] = np.abs(y_aug - (float(coef[0]) + x_aug @ coef[1:]))
+    return resid

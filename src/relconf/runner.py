@@ -23,7 +23,7 @@ byte-identical.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import product
@@ -47,6 +47,7 @@ from .core import (
     check_knobs,
     load_csv,
     subseed,
+    write_csv,
 )
 from .dgp import SUITES
 from .evaluate import METHOD_LABELS, Cell, MetricRow, score, summary_table, variant_code
@@ -264,13 +265,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, comments: list[str], header: Sequence[str], rows) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join(r) for r in rows)
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _raw_table(results: dict, sim: Similarity, y0s: list, n_queries: int):
     header = ["variable"] + [
         f"{METHOD_LABELS[m]}_q{k + 1}" for m in _METHOD_ORDER for k in range(n_queries)
@@ -296,7 +290,7 @@ def write_summary_csv(path: Path, comments: list[str], metric_rows: list) -> Non
         [label] + [_fmt(columns[c]) for c in header[1:]]
         for label, columns in summary_table(metric_rows)
     ]
-    _write_csv(path, comments, header, rows)
+    write_csv(path, header, rows, comments)
 
 
 _PLOT_HEADER = (
@@ -394,7 +388,7 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
     for sim in manifest.similarities:
         raw_path = out_dir / f"raw_{sim.value}.csv"
         header, rows = _raw_table(results, sim, y0s, len(queries))
-        _write_csv(raw_path, comments, header, rows)
+        write_csv(raw_path, header, rows, comments)
         written[f"raw_{sim.value}"] = str(raw_path)
 
         summary_path = out_dir / f"summary_{sim.value}.csv"
@@ -402,7 +396,7 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
         written[f"summary_{sim.value}"] = str(summary_path)
 
     plot_path = out_dir / "plotdata.csv"
-    _write_csv(plot_path, comments, _PLOT_HEADER, plot_rows)
+    write_csv(plot_path, _PLOT_HEADER, plot_rows, comments)
     written["plotdata"] = str(plot_path)
 
     manifest_path = out_dir / "manifest.txt"

@@ -13,12 +13,18 @@ from relconf.conformal import (
     full_conformal,
     full_conformal_accepted,
     jackknife_conformal,
-    jackknife_residuals,
     loo_quantile,
     split_conformal,
     split_quantile,
 )
-from relconf.regress import fit_kernel, fit_lasso, fit_ols, predict, predict_many
+from relconf.regress import (
+    fit_kernel,
+    fit_lasso,
+    fit_ols,
+    loo_residuals,
+    predict,
+    predict_many,
+)
 
 
 def make_dataset(rng, n, p, noise=1.0):
@@ -159,20 +165,22 @@ class TestFull:
         assert iv.lo == iv.up == iv.point == pytest.approx(0.5)
 
     def test_kernel_shortcut_matches_literal_refits(self):
+        # the second query is isolated: its unshifted Gaussian weights to
+        # every other row underflow to 0
         rng = np.random.default_rng(7)
         d = make_dataset(rng, 8, 2)
-        x0 = rng.normal(size=2)
         spec = ConformalSpec(method="full", alpha=0.2, grid_points=15)
-        grid, accepted, _ = full_conformal_accepted(d, "kernel", x0, spec)
         k = math.ceil((d.n + 1) * (1 - spec.alpha) - 1e-9)
-        x_aug = np.vstack([d.x, x0])
-        oracle = []
-        for t in grid:
-            y_aug = np.append(d.y, t)
-            m = fit_kernel(Dataset(x_aug, y_aug))
-            r = np.abs(y_aug - predict_many(m, x_aug))
-            oracle.append(1 + int((r[: d.n] < r[d.n]).sum()) <= k)
-        np.testing.assert_array_equal(accepted, np.array(oracle))
+        for x0 in (rng.normal(size=2), np.array([1e3, -1e3])):
+            grid, accepted, _ = full_conformal_accepted(d, "kernel", x0, spec)
+            x_aug = np.vstack([d.x, x0])
+            oracle = []
+            for t in grid:
+                y_aug = np.append(d.y, t)
+                m = fit_kernel(Dataset(x_aug, y_aug))
+                r = np.abs(y_aug - predict_many(m, x_aug))
+                oracle.append(1 + int((r[: d.n] < r[d.n]).sum()) <= k)
+            np.testing.assert_array_equal(accepted, np.array(oracle))
 
     def test_lasso_penalty_reused_from_base_fit(self):
         # every candidate refit uses the cross-validated penalty of the
@@ -205,7 +213,7 @@ class TestJackknife:
             rng = np.random.default_rng(300 + trial)
             n = int(rng.integers(8, 31))
             d = make_dataset(rng, n, 2)
-            loo = jackknife_residuals(d, "ols")
+            loo = loo_residuals(d.x, d.y, fit_ols(d))
             naive = np.empty(n)
             for i in range(n):
                 rest = np.delete(np.arange(n), i)
@@ -222,7 +230,7 @@ class TestJackknife:
 
     @staticmethod
     def assert_lasso_loo_equals_refits(d, lam):
-        loo = jackknife_residuals(d, "lasso", lam=lam)
+        loo = loo_residuals(d.x, d.y, fit_lasso(d, lam=lam))
         for i in range(d.n):
             m = fit_lasso(d.subset(np.delete(np.arange(d.n), i)), lam=lam)
             assert loo[i] == pytest.approx(d.y[i] - predict(m, d.x[i]), rel=0, abs=1e-12)
@@ -264,30 +272,36 @@ class TestJackknife:
         x[:, 1] = 0.1
         x[11, 1] = np.nextafter(0.1, 1.0)
         d = Dataset(x, d.y)
-        loo = jackknife_residuals(d, "lasso", lam=0.01)
+        loo = loo_residuals(d.x, d.y, fit_lasso(d, lam=0.01))
         m = fit_lasso(d.subset(np.delete(np.arange(d.n), 11)), lam=0.01)
         assert m.coefficients[1] == 0.0
         assert loo[11] == pytest.approx(d.y[11] - predict(m, d.x[11]), rel=0, abs=1e-12)
 
     def test_kernel_loo_against_explicit_loop(self):
-        rng = np.random.default_rng(10)
-        d = make_dataset(rng, 12, 2)
-        km = fit_kernel(d)
-        loo = jackknife_residuals(d, "kernel", bandwidth=km.bandwidth)
-        z = km.train_z
-        for i in range(d.n):
-            d2 = ((z[i] - z) ** 2).sum(axis=1)
-            w = np.exp(-d2 / (2 * km.bandwidth**2))
-            w[i] = 0.0
-            expected = d.y[i] - w @ d.y / w.sum()
-            assert loo[i] == pytest.approx(expected, rel=1e-9)
+        # in the second dataset row 5 is isolated: its unshifted Gaussian
+        # weights to every other row underflow to 0, so the loop subtracts
+        # the smallest squared distance before exponentiating
+        near = make_dataset(np.random.default_rng(10), 12, 2)
+        x = near.x.copy()
+        x[5] = [1e3, -1e3]
+        for d in (near, Dataset(x, near.y)):
+            km = fit_kernel(d)
+            loo = loo_residuals(d.x, d.y, km)
+            z = km.train_z
+            for i in range(d.n):
+                d2 = np.delete(((z[i] - z) ** 2).sum(axis=1), i)
+                w = np.exp(-(d2 - d2.min()) / (2 * km.bandwidth**2))
+                expected = d.y[i] - w @ np.delete(d.y, i) / w.sum()
+                assert loo[i] == pytest.approx(expected, rel=1e-9)
+        d2 = np.delete(((z[5] - z) ** 2).sum(axis=1), 5)
+        assert np.all(np.exp(-d2 / (2 * km.bandwidth**2)) == 0.0)  # isolated
 
     def test_rank_deficient_design_falls_back(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(6, 2))
         x = np.column_stack([x, x[:, 0] + x[:, 1]])  # exactly collinear
         d = Dataset(x, rng.normal(size=6))
-        loo = jackknife_residuals(d, "ols")
+        loo = loo_residuals(d.x, d.y, fit_ols(d))
         assert np.all(np.isfinite(loo))
         for i in (0, 3):
             rest = np.delete(np.arange(6), i)

@@ -1,8 +1,11 @@
 """Container validation, CSV round-trips, and standardization behavior."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from relconf.conformal import ConformalSpec
 from relconf.core import (
     ConfigError,
     ConformalMethod,
@@ -17,6 +20,16 @@ from relconf.core import (
     subseed,
     transform_features,
 )
+from relconf.individualize import select_percentile
+from relconf.regress import fit_kernel, predict
+from relconf.runner import RunManifest
+
+# every dataclass whose integer knobs ``check_knobs`` converts
+KNOB_OWNERS = {
+    "ExperimentConfig": ExperimentConfig,
+    "RunManifest": RunManifest,
+    "ConformalSpec": partial(ConformalSpec, "full"),
+}
 
 
 class TestDataset:
@@ -105,6 +118,19 @@ class TestExperimentConfig:
             ExperimentConfig(regressor="ridge")
 
 
+@pytest.mark.parametrize("owner", sorted(KNOB_OWNERS))
+@pytest.mark.parametrize("value", [100.7, "100"])
+def test_integer_knob_refuses_value_it_would_change(owner, value):
+    build = KNOB_OWNERS[owner]
+    with pytest.raises(ConfigError, match="grid_points"):
+        build(grid_points=value)
+    if owner != "ConformalSpec":
+        with pytest.raises(ConfigError, match="min_relevant"):
+            build(min_relevant=30.9 if isinstance(value, float) else "31")
+    integral = build(grid_points=100.0)
+    assert integral.grid_points == 100 and type(integral.grid_points) is int
+
+
 class TestCsv:
     def test_load_basic(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -185,6 +211,23 @@ class TestStandardize:
         z, centers, scales = standardize(Dataset(x, np.zeros(5)))
         np.testing.assert_array_equal(z.x[:, 0], np.zeros(5))
         assert scales[0] == 1.0
+
+    def test_constant_column_with_rounding_dust_stays_inactive(self):
+        # thirty copies of 0.1 have a sample std of about 4e-17, not 0; a
+        # scale that small would blow the query's 1e-7 offset in that
+        # column up into the dominant feature
+        rng = np.random.default_rng(0)
+        x = np.column_stack([rng.normal(size=30), np.full(30, 0.1)])
+        d = Dataset(x, rng.normal(size=30))
+        assert 0.0 < x[:, 1].std(ddof=1) < 1e-15
+        _, _, scales = standardize(d)
+        assert scales[1] == 1.0
+        x0 = np.array([1.5, 0.1000001])
+        sel = select_percentile(d, x0, 0.1, min_relevant=5)
+        nearest = np.argsort(np.abs(x[:, 0] - 1.5))[:5]
+        assert sorted(sel.indices) == sorted(nearest)
+        dropped = predict(fit_kernel(Dataset(x[:, :1], d.y)), x0[:1])
+        assert predict(fit_kernel(d), x0) == pytest.approx(dropped, rel=1e-12)
 
     def test_idempotent_within_tolerance(self):
         rng = np.random.default_rng(3)

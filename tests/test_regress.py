@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relconf.core import DataError, Dataset, Regressor
+from relconf.core import DataError, Dataset, Regressor, _standardize_columns
 from relconf.regress import (
     FittedModel,
     fit,
@@ -17,7 +17,7 @@ from relconf.regress import (
 )
 from relconf import regress
 from relconf.oracles import orthonormal_design
-from relconf.regress import _cd_path, _gram_problem, _internal_scale, _lambda_grid
+from relconf.regress import _cd_path, _gram_problem, _lambda_grid
 
 
 def make_dataset(rng, n, p, noise=1.0):
@@ -47,7 +47,7 @@ def reference_sweeps(xs, yc, lam, beta, active):
 
 
 def reference_fit(x, y, lam):
-    xs, m, s, _ = _internal_scale(x)
+    xs, m, s, _ = _standardize_columns(x, ddof=0)
     ybar = y.mean()
     beta = reference_sweeps(
         xs, y - ybar, lam, np.zeros(x.shape[1]), np.any(xs != 0.0, axis=0)
@@ -58,7 +58,7 @@ def reference_fit(x, y, lam):
 
 def reference_cv_lambda(x, y, folds, seed):
     n = x.shape[0]
-    xs, _, _, _ = _internal_scale(x)
+    xs, _, _, _ = _standardize_columns(x, ddof=0)
     lam_max = float(np.max(np.abs(xs.T @ (y - y.mean()))) / n)
     grid = np.geomspace(
         lam_max, lam_max * regress.LASSO_GRID_RATIO, regress.LASSO_GRID_SIZE
@@ -69,7 +69,7 @@ def reference_cv_lambda(x, y, folds, seed):
         mask = np.ones(n, dtype=bool)
         mask[held] = False
         xt, yt = x[mask], y[mask]
-        xs, m, s, _ = _internal_scale(xt)
+        xs, m, s, _ = _standardize_columns(xt, ddof=0)
         active = np.any(xs != 0.0, axis=0)
         yc = yt - yt.mean()
         beta = np.zeros(x.shape[1])
@@ -166,7 +166,7 @@ class TestLasso:
         x = rng.normal(size=(40, 6))
         y = x @ rng.normal(size=6) + rng.normal(size=40)
         gram, xty, active, _, _, _ = _gram_problem(x, y)
-        xs, _, _, _ = _internal_scale(x)
+        xs, _, _, _ = _standardize_columns(x, ddof=0)
         yc = y - y.mean()
         total = _cd_path(gram, xty, [0.1], active)[1]
         trace = []
