@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .core import ARTIFACT_VERSION, ConfigError, DataError, Dataset, save_csv, write_csv
+from .core import ARTIFACT_VERSION, ConfigError, DataError, Dataset, read_csv, save_csv, write_csv
 from .dgp import SUITES
 from .individualize import ControlMode
 from .runner import SUITE_NAMES, RunManifest, run_grid, score_plot_rows, write_summary_csv
@@ -192,18 +192,10 @@ def _cmd_score(args) -> int:
     out = Path(args.out) if args.out else plot_path.parent
     out.mkdir(parents=True, exist_ok=True)
 
-    comments, header, rows = [], None, []
-    for raw in plot_path.read_text().splitlines():
-        if raw.startswith("#"):
-            comments.append(raw[1:].strip())
-        elif header is None:
-            header = raw.split(",")
-        elif raw:
-            rows.append(dict(zip(header, raw.split(","))))
-    if header is None or not rows:
+    comments, rows = read_csv(plot_path)
+    if len(rows) < 2:
         raise DataError(f"no usable rows in {plot_path}")
-
-    by_similarity = score_plot_rows(rows)
+    by_similarity = score_plot_rows(dict(zip(rows[0], row)) for row in rows[1:])
     if not by_similarity:
         raise DataError(f"no scored rows (every y0 empty) in {plot_path}")
     for sim, metric_rows in by_similarity.items():

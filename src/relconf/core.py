@@ -1,4 +1,4 @@
-"""Shared domain types, feature standardization, and CSV ingestion.
+"""Shared domain types, feature standardization, and CSV input and output.
 
 Everything downstream (regressors, interval constructors, relevance
 selection, the experiment runner) works with the immutable containers
@@ -31,8 +31,10 @@ __all__ = [
     "Query",
     "PredictionInterval",
     "ExperimentConfig",
+    "check_knob",
     "check_knobs",
     "load_csv",
+    "read_csv",
     "save_csv",
     "write_csv",
     "standardize",
@@ -219,6 +221,19 @@ _KNOB_RULES = {
 }
 
 
+def check_knob(name: str, raw):
+    """``raw`` as knob ``name``'s type; ConfigError if the conversion would
+    change it or it breaks the knob's rule (selection and controls call this)."""
+    kind, rule, holds = _KNOB_RULES[name]
+    value = kind(raw)
+    # refuse what the conversion would change (30.9, "31"); NaN fails its rule
+    if value != raw and value == value:
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {raw!r}")
+    if not holds(value):
+        raise ConfigError(f"{name} must {rule}, got {value}")
+    return value
+
+
 def check_knobs(obj) -> None:
     """Coerce and check every numeric knob field of the frozen dataclass ``obj``.
 
@@ -226,17 +241,8 @@ def check_knobs(obj) -> None:
     this, so each knob is checked by one rule wherever it is set.
     """
     for f in fields(obj):
-        if f.name not in _KNOB_RULES:
-            continue
-        kind, rule, holds = _KNOB_RULES[f.name]
-        raw = getattr(obj, f.name)
-        value = kind(raw)
-        # refuse what the conversion would change (30.9, "31"); NaN fails its rule
-        if value != raw and value == value:
-            raise ConfigError(f"{f.name} must be of type {kind.__name__}, got {raw!r}")
-        if not holds(value):
-            raise ConfigError(f"{f.name} must {rule}, got {value}")
-        object.__setattr__(obj, f.name, value)
+        if f.name in _KNOB_RULES:
+            object.__setattr__(obj, f.name, check_knob(f.name, getattr(obj, f.name)))
 
 
 @dataclass(frozen=True)
@@ -286,20 +292,29 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     return value
 
 
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """(comments, rows) of a UTF-8 CSV file: lines starting with ``#`` are
+    comments, kept without the marker and outer blanks; blank lines are
+    skipped; the first row is the header."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(fh)
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from None
+    comments = [line[1:].strip() for line in lines if line.startswith("#")]
+    rows = csv.reader(line for line in lines if not line.startswith("#"))
+    return comments, [r for r in rows if r]
+
+
 def load_csv(path, head_column: str) -> Dataset:
     """Read a UTF-8 comma-separated file into a :class:`Dataset`.
 
-    The file must have one header row; leading lines starting with ``#``
-    are treated as comments and skipped. ``head_column`` becomes ``y``;
-    all remaining columns become ``x`` in header order. Every cell must
-    parse as a finite real; missing values are a hard error.
+    The file must have one header row; lines starting with ``#`` are
+    comments and skipped. ``head_column`` becomes ``y``; all remaining
+    columns become ``x`` in header order. Every cell must parse as a
+    finite real; missing values are a hard error.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from None
-    with fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    rows = read_csv(path)[1]
     if not rows:
         raise DataError(f"{path}: no header row")
     header = [h.strip() for h in rows[0]]
@@ -363,14 +378,21 @@ def save_csv(d: Dataset, path, comments: list[str] | None = None) -> None:
 # Standardization
 # ---------------------------------------------------------------------------
 
+def _active_columns(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Which of n-row columns with these minima and maxima vary beyond
+    rounding: max - min > n * eps * max(|max|, |min|), the bound on the
+    rounding error of the column's float mean."""
+    return hi - lo > n * np.finfo(np.float64).eps * np.maximum(np.abs(hi), np.abs(lo))
+
+
 def _standardize_columns(x: np.ndarray, ddof: int = 1):
     """(z, centers, scales, active): columns centered and scaled to std 1
-    with denominator n - ddof. Only active columns, whose max exceeds their
-    min, are scaled; constant ones get scale 1 and standardize to exact
-    zeros, so the rounding dust of a float mean or std (thirty copies of
-    0.1 have a sample std of 4e-17) never scales up into a feature."""
+    with denominator n - ddof. Only active columns (``_active_columns``)
+    are scaled; constant ones get scale 1 and standardize to exact zeros,
+    so the rounding dust of a float mean or std (thirty copies of 0.1
+    have a sample std of 4e-17) never scales up into a feature."""
     centers = x.mean(axis=0)
-    active = x.max(axis=0) > x.min(axis=0)
+    active = _active_columns(x.min(axis=0), x.max(axis=0), x.shape[0])
     dev = x - centers
     scales = np.where(active, np.sqrt((dev**2).sum(axis=0) / (x.shape[0] - ddof)), 1.0)
     return np.where(active, dev / scales, 0.0), centers, scales, active

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigError,
     DataError,
     Dataset,
     Similarity,
     _dataset_rows,
     _readonly,
     _sq_dists,
+    check_knob,
     standardize,
     transform_features,
     write_csv,
@@ -126,9 +126,8 @@ def select_percentile(
     quantile admits fewer than ``min_relevant`` rows, the threshold grows
     to the min_relevant-th smallest distance and the fallback is flagged.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    min_relevant = int(min_relevant)
+    alpha = check_knob("alpha", alpha)
+    min_relevant = check_knob("min_relevant", min_relevant)
     if d.n < min_relevant:
         raise DataError(f"need n >= min_relevant, got n={d.n}, min_relevant={min_relevant}")
     z, centers, scales = standardize(d)
@@ -152,9 +151,8 @@ def select_cosine(
     clear gamma, the selection is exactly the top-min_relevant rows by
     score, flagged as a fallback.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ConfigError(f"gamma must lie in (0, 1), got {gamma}")
-    min_relevant = int(min_relevant)
+    gamma = check_knob("gamma", gamma)
+    min_relevant = check_knob("min_relevant", min_relevant)
     if d.n < min_relevant:
         raise DataError(f"need n >= min_relevant, got n={d.n}, min_relevant={min_relevant}")
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -207,8 +205,7 @@ def simulate_controls(
     per-feature Gaussian fitted to the relevant tails and give each the
     head of its nearest relevant neighbor in standardized distance.
     """
-    if not (float(noise_scale) > 0.0):
-        raise ConfigError(f"noise_scale must be > 0, got {noise_scale}")
+    noise_scale = check_knob("noise_scale", noise_scale)
     mode = ControlMode(mode)
     idx = rel.indices
     n_r = idx.size
@@ -243,7 +240,7 @@ def simulate_controls(
         d.head_name,
     )
     origin = (Origin.RELEVANT_ORIGINAL,) * n_r + (tag,) * n_r
-    return ControlSet(stacked, origin, float(noise_scale))
+    return ControlSet(stacked, origin, noise_scale)
 
 
 def save_controls_csv(cs: ControlSet, path, comments: list[str] | None = None) -> None:

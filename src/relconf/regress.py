@@ -26,10 +26,10 @@ from .core import (
     DataError,
     Dataset,
     Regressor,
+    _active_columns,
     _readonly,
     _sq_dists,
     _standardize_columns,
-    standardize,
     transform_features,
 )
 
@@ -341,7 +341,8 @@ def lasso_loo_residuals(x, y, lam: float) -> np.ndarray:
     are built in O(n p^2) by downdating the full data's centred
     cross-products by row i, whose removal moves the mean to
     mu + (mu - x_i)/(n-1), and solved together by ``_cd_batch``. Column j
-    is active without row i when its leave-one-out min and max differ.
+    is active without row i when its leave-one-out min and max pass
+    ``core._active_columns`` for n - 1 rows.
     Downdating cancels when row i carries nearly all of a column's centred
     sum of squares, and the column's leave-one-out scale loses its digits;
     such a row is an outlier whose residual is an extrapolation, so it is
@@ -363,7 +364,7 @@ def lasso_loo_residuals(x, y, lam: float) -> np.ndarray:
     own = np.arange(n)[:, None]
     lo = np.where(own == order[0], x[order[1], cols], x[order[0], cols])
     hi = np.where(own == order[-1], x[order[-2], cols], x[order[-1], cols])
-    active = (hi > lo) & ~refit[:, None]  # refit rows are solved below
+    active = _active_columns(lo, hi, n - 1) & ~refit[:, None]  # refit rows are solved below
     s = np.sqrt(np.where(active, ss_x / (n - 1), 1.0))
     gram = cxx / (n - 1) / (s[:, :, None] * s[:, None, :])
     xty = cxy / (n - 1) / s
@@ -430,10 +431,11 @@ def lasso_kkt_residual(d: Dataset, m: FittedModel) -> float:
 # Kernel smoothing (Nadaraya-Watson, Gaussian kernel)
 # ---------------------------------------------------------------------------
 
-def _median_distance(d2: np.ndarray) -> float:
-    """Median pairwise distance, from the square matrix ``d2`` of squared ones."""
+def _median_bandwidth(d2: np.ndarray) -> float:
+    """The default bandwidth: the median pairwise distance, from the square
+    matrix ``d2`` of squared ones, floored at KERNEL_MIN_BANDWIDTH."""
     iu = np.triu_indices(d2.shape[0], k=1)
-    return float(np.sqrt(np.median(d2[iu])))
+    return max(float(np.sqrt(np.median(d2[iu]))), KERNEL_MIN_BANDWIDTH)
 
 
 def _shifted_gaussian(d2: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -453,14 +455,13 @@ def fit_kernel(d: Dataset, bandwidth: float | None = None) -> FittedModel:
     """
     if d.n < 2:
         raise DataError(f"kernel fit needs n >= 2, got n={d.n}")
-    z, centers, scales = standardize(d)
+    z, centers, scales, _ = _standardize_columns(d.x)
     if bandwidth is None:
-        bandwidth = _median_distance(_sq_dists(z.x, z.x))
-    bandwidth = max(float(bandwidth), KERNEL_MIN_BANDWIDTH)
+        bandwidth = _median_bandwidth(_sq_dists(z, z))
     return FittedModel(
         kind=Regressor.KERNEL,
-        bandwidth=bandwidth,
-        train_z=z.x,
+        bandwidth=max(float(bandwidth), KERNEL_MIN_BANDWIDTH),
+        train_z=_readonly(z),
         train_y=d.y,
         centers=_readonly(centers),
         scales=_readonly(scales),
@@ -468,16 +469,11 @@ def fit_kernel(d: Dataset, bandwidth: float | None = None) -> FittedModel:
 
 
 def kernel_weights(m: FittedModel, x_new: np.ndarray) -> np.ndarray:
-    """Normalized kernel weights of each training row for each query row.
-
-    The smallest squared distance is subtracted before exponentiation;
-    the common factor cancels in the ratio, so the weights are exact but
-    never all underflow.
-    """
+    """Normalized kernel weights of each training row for each query row,
+    shifted by ``_shifted_gaussian`` so that they never all underflow."""
     z0 = transform_features(np.atleast_2d(x_new), m.centers, m.scales)
-    d2 = _sq_dists(z0, m.train_z)
-    d2 -= d2.min(axis=1, keepdims=True)
-    w = np.exp(-d2 / (2.0 * m.bandwidth**2))
+    d2 = _sq_dists(z0, m.train_z)  # as a temporary, it raised kernel_pooled peak RSS 9 MB
+    w = _shifted_gaussian(d2, m.bandwidth)
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -558,7 +554,7 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
     if model.kind is Regressor.KERNEL:
         z = _standardize_columns(x_aug)[0]
         d2 = _sq_dists(z, z)
-        w = _shifted_gaussian(d2, max(_median_distance(d2), KERNEL_MIN_BANDWIDTH))
+        w = _shifted_gaussian(d2, _median_bandwidth(d2))
         w /= w.sum(axis=1, keepdims=True)
         y_pad = np.append(y, 0.0)
         b = -w[:, n]

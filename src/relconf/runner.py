@@ -8,16 +8,17 @@ relevant on the selected rows, relevant+simulated on the controls. All
 three paths share one conformal seed per query, so they differ only
 through the data they see.
 
-``run_algorithm1`` composes the stages for one configuration.
-``run_grid`` sweeps {full, split, jackknife} x {ols, lasso, kernel} x
-{percentile, cosine} x all queries of a suite through the same stages,
-computing a query's standard interval once per (regressor, method) and
-its neighbourhood once per (similarity, selection floor). It writes
-deterministic CSV outputs: per-query raw tables, aggregated summary
-tables scored from the rows of a flat plot-data file (as ``relconf
-score`` scores a saved one), and that file. Every CSV carries version, seed, and
-config hash in ``#`` comment lines; no timestamps, so re-runs are
-byte-identical.
+One per-query loop composes the stages for a query's configurations,
+computing its standard interval once per (regressor, method) and its
+neighbourhood once per (similarity, selection floor).
+``run_algorithm1`` runs it on one configuration; ``run_grid`` runs it
+on {full, split, jackknife} x {ols, lasso, kernel} x {percentile,
+cosine} for every query of a suite and turns each interval into its
+plot-data row as it comes. From those rows it writes deterministic CSV
+outputs: per-query raw tables, summary tables scored from the rows (as
+``relconf score`` scores a saved file), and the plot-data file. Every
+CSV carries version, seed, and config hash in ``#`` comment lines; no
+timestamps, so re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ _METHOD_ORDER = (ConformalMethod.FULL, ConformalMethod.SPLIT, ConformalMethod.JA
 # raw-table rows cover the linear engines only; kernel cells appear in the
 # summary tables and plot data
 _RAW_VARIANTS = tuple(
-    (variant_code(reg, path), reg, path)
+    (reg.value, path.value)
     for reg, path in product((Regressor.OLS, Regressor.LASSO), IntervalPath)
 )
 
@@ -98,20 +99,38 @@ def _setup(d: Dataset, q: Query, cfg: ExperimentConfig):
     return x0, spec, min(max(int(cfg.min_relevant), needed), d.n)
 
 
-def _neighbourhood(d, x0, cfg, floor: int, query_index: int, control_mode):
-    """The query's relevant rows and the synthetic controls cloned from them."""
-    selection = select(d, x0, cfg.similarity, cfg.alpha, cfg.gamma, min_relevant=floor)
-    seed = subseed(cfg.seed, "controls", query_index)
-    controls = simulate_controls(d, selection, cfg.noise_scale, mode=control_mode, seed=seed)
-    return d.subset(selection.indices), controls.simulated
-
-
 def _interval(d, x0, cfg, spec, query_index: int, path) -> PredictionInterval:
     """One path's interval, on the query's shared conformal seed."""
     iv = conformal_interval(
         d, cfg.regressor, x0, spec, seed=subseed(cfg.seed, "conformal", query_index)
     )
     return replace(iv, path=path)
+
+
+def _query_intervals(d, q, configs, query_index: int, control_mode):
+    """Yield (cfg, (standard, relevant, relevant_simulated)) for each config.
+
+    The configs differ only in regressor, similarity and method, so the
+    keys that share the standard interval and the neighbourhood are complete.
+    """
+    standard, neighbourhoods = {}, {}
+    for cfg in configs:
+        x0, spec, floor = _setup(d, q, cfg)
+        cell = (cfg.regressor, cfg.conformal_method)
+        if cell not in standard:
+            standard[cell] = _interval(d, x0, cfg, spec, query_index, IntervalPath.STANDARD)
+        if (cfg.similarity, floor) not in neighbourhoods:
+            # the relevant rows and the synthetic controls cloned from them
+            rel = select(d, x0, cfg.similarity, cfg.alpha, cfg.gamma, min_relevant=floor)
+            seed = subseed(cfg.seed, "controls", query_index)
+            controls = simulate_controls(d, rel, cfg.noise_scale, mode=control_mode, seed=seed)
+            neighbourhoods[cfg.similarity, floor] = d.subset(rel.indices), controls.simulated
+        relevant, simulated = neighbourhoods[cfg.similarity, floor]
+        yield cfg, (
+            standard[cell],
+            _interval(relevant, x0, cfg, spec, query_index, IntervalPath.RELEVANT),
+            _interval(simulated, x0, cfg, spec, query_index, IntervalPath.RELEVANT_SIMULATED),
+        )
 
 
 def run_algorithm1(
@@ -134,12 +153,8 @@ def run_algorithm1(
     raised to that minimum; only a dataset below the minimum is a hard
     error.
     """
-    x0, spec, floor = _setup(d, q, cfg)
-    neighbourhood = _neighbourhood(d, x0, cfg, floor, query_index, control_mode)
-    return tuple(
-        _interval(rows, x0, cfg, spec, query_index, path)
-        for rows, path in zip((d, *neighbourhood), IntervalPath)
-    )
+    ((_, triple),) = _query_intervals(d, q, (cfg,), query_index, control_mode)
+    return triple
 
 
 @dataclass(frozen=True)
@@ -265,22 +280,28 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _raw_table(results: dict, sim: Similarity, y0s: list, n_queries: int):
+def _raw_table(rows: list[dict], y0s: list):
+    """One similarity's raw table, pivoted from its plotdata rows; a cell
+    that no row fills (a method or linear engine left out) stays blank."""
+    n_queries = len(y0s)
     header = ["variable"] + [
         f"{METHOD_LABELS[m]}_q{k + 1}" for m in _METHOD_ORDER for k in range(n_queries)
     ]
-    rows = [
-        ["y0"] + [_fmt(y0s[k]) for _ in _METHOD_ORDER for k in range(n_queries)]
+    table = [["y0"] + [_fmt(y0) for _ in _METHOD_ORDER for y0 in y0s]]
+    table += [
+        [prefix + variant_code(*variant)] + [""] * (len(_METHOD_ORDER) * n_queries)
+        for prefix in ("pred", "lo", "up")
+        for variant in _RAW_VARIANTS
     ]
-    for attr, prefix in (("point", "pred"), ("lo", "lo"), ("up", "up")):
-        for code, reg, path in _RAW_VARIANTS:
-            cells = []
-            for m in _METHOD_ORDER:
-                for k in range(n_queries):
-                    iv = results.get((sim.value, k, reg.value, m.value, path.value))
-                    cells.append(_fmt(getattr(iv, attr)) if iv is not None else "")
-            rows.append([prefix + code] + cells)
-    return header, rows
+    for row in rows:
+        variant = (row["regressor"], row["path"])
+        if variant not in _RAW_VARIANTS:
+            continue
+        method = _METHOD_ORDER.index(ConformalMethod(row["method"]))
+        column = 1 + method * n_queries + int(row["query"]) - 1
+        for i, attr in enumerate(("point", "lo", "up")):
+            table[1 + i * len(_RAW_VARIANTS) + _RAW_VARIANTS.index(variant)][column] = row[attr]
+    return header, table
 
 
 def write_summary_csv(path: Path, comments: list[str], metric_rows: list) -> None:
@@ -297,6 +318,20 @@ _PLOT_HEADER = (
     "similarity", "query", "query_label", "path", "method", "regressor",
     "y0", "point", "lo", "up", "residual", "covered", "degenerate",
 )
+
+
+def _plot_row(cfg, query_index: int, label: str, q: Query, iv) -> dict[str, str]:
+    """One plotdata row (column -> text); the scoring columns are blank
+    when the query has no realized head."""
+    has_y0 = q.y0 is not None
+    return dict(zip(_PLOT_HEADER, (
+        cfg.similarity.value, str(query_index + 1), label, iv.path.value,
+        cfg.conformal_method.value, cfg.regressor.value,
+        _fmt(q.y0), _fmt(iv.point), _fmt(iv.lo), _fmt(iv.up),
+        _fmt(q.y0 - iv.point) if has_y0 else "",
+        str(int(iv.lo <= q.y0 <= iv.up)) if has_y0 else "",
+        str(int(iv.degenerate)),
+    )))
 
 
 def score_plot_rows(rows: Iterable[Mapping[str, str]]) -> dict[str, list[MetricRow]]:
@@ -322,61 +357,17 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     datasets, queries, qlabels = _load_grid_data(manifest)
-
-    results: dict[tuple, PredictionInterval] = {}
-    for qidx, (d, q) in enumerate(zip(datasets, queries)):
-        # work shared by this query's cells; the manifest fixes every other
-        # input, so these keys are complete
-        standard = {}  # (regressor, method) -> standard interval
-        neighbourhoods = {}  # (similarity, floor) -> (relevant, simulated) rows
-        for sim in manifest.similarities:
-            for reg in manifest.regressors:
-                for method in manifest.methods:
-                    cfg = manifest.base_config(reg, sim, method)
-                    x0, spec, floor = _setup(d, q, cfg)
-                    if (reg, method) not in standard:
-                        standard[reg, method] = _interval(
-                            d, x0, cfg, spec, qidx, IntervalPath.STANDARD
-                        )
-                    if (sim, floor) not in neighbourhoods:
-                        neighbourhoods[sim, floor] = _neighbourhood(
-                            d, x0, cfg, floor, qidx, manifest.control_mode
-                        )
-                    relevant, simulated = neighbourhoods[sim, floor]
-                    triple = (
-                        standard[reg, method],
-                        _interval(relevant, x0, cfg, spec, qidx, IntervalPath.RELEVANT),
-                        _interval(simulated, x0, cfg, spec, qidx, IntervalPath.RELEVANT_SIMULATED),
-                    )
-                    for iv in triple:
-                        results[sim.value, qidx, reg.value, method.value, iv.path.value] = iv
-
-    plot_rows = []
-    for sim in manifest.similarities:
-        for qidx, (q, qlabel) in enumerate(zip(queries, qlabels)):
-            for reg in manifest.regressors:
-                for method in manifest.methods:
-                    for path_tag in IntervalPath:
-                        iv = results[
-                            (sim.value, qidx, reg.value, method.value, path_tag.value)
-                        ]
-                        has_y0 = q.y0 is not None
-                        plot_rows.append([
-                            sim.value,
-                            str(qidx + 1),
-                            qlabel,
-                            path_tag.value,
-                            method.value,
-                            reg.value,
-                            _fmt(q.y0) if has_y0 else "",
-                            _fmt(iv.point),
-                            _fmt(iv.lo),
-                            _fmt(iv.up),
-                            _fmt(q.y0 - iv.point) if has_y0 else "",
-                            str(int(iv.lo <= q.y0 <= iv.up)) if has_y0 else "",
-                            str(int(iv.degenerate)),
-                        ])
-    metric_rows = score_plot_rows(dict(zip(_PLOT_HEADER, row)) for row in plot_rows)
+    cells = product(manifest.similarities, manifest.regressors, manifest.methods)
+    configs = [manifest.base_config(reg, sim, method) for sim, reg, method in cells]
+    # plotdata runs similarity -> query -> regressor -> method -> path
+    rows_by_similarity = {sim: [] for sim in manifest.similarities}
+    for qidx, (d, q, qlabel) in enumerate(zip(datasets, queries, qlabels)):
+        for cfg, triple in _query_intervals(d, q, configs, qidx, manifest.control_mode):
+            rows_by_similarity[cfg.similarity] += (
+                _plot_row(cfg, qidx, qlabel, q, iv) for iv in triple
+            )
+    plot_rows = [row for rows in rows_by_similarity.values() for row in rows]
+    metric_rows = score_plot_rows(plot_rows)
 
     comments = [
         f"version={ARTIFACT_VERSION}",
@@ -385,10 +376,9 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
     ]
     written: dict[str, str] = {}
     y0s = [q.y0 for q in queries]
-    for sim in manifest.similarities:
+    for sim, rows in rows_by_similarity.items():
         raw_path = out_dir / f"raw_{sim.value}.csv"
-        header, rows = _raw_table(results, sim, y0s, len(queries))
-        write_csv(raw_path, header, rows, comments)
+        write_csv(raw_path, *_raw_table(rows, y0s), comments)
         written[f"raw_{sim.value}"] = str(raw_path)
 
         summary_path = out_dir / f"summary_{sim.value}.csv"
@@ -396,7 +386,7 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
         written[f"summary_{sim.value}"] = str(summary_path)
 
     plot_path = out_dir / "plotdata.csv"
-    write_csv(plot_path, _PLOT_HEADER, plot_rows, comments)
+    write_csv(plot_path, _PLOT_HEADER, (row.values() for row in plot_rows), comments)
     written["plotdata"] = str(plot_path)
 
     manifest_path = out_dir / "manifest.txt"

@@ -215,19 +215,25 @@ class TestStandardize:
     def test_constant_column_with_rounding_dust_stays_inactive(self):
         # thirty copies of 0.1 have a sample std of about 4e-17, not 0; a
         # scale that small would blow the query's 1e-7 offset in that
-        # column up into the dominant feature
+        # column up into the dominant feature. One entry one ulp above 0.1
+        # spreads the column by less than the rounding error of its mean,
+        # so that column is constant too.
         rng = np.random.default_rng(0)
-        x = np.column_stack([rng.normal(size=30), np.full(30, 0.1)])
-        d = Dataset(x, rng.normal(size=30))
-        assert 0.0 < x[:, 1].std(ddof=1) < 1e-15
-        _, _, scales = standardize(d)
-        assert scales[1] == 1.0
-        x0 = np.array([1.5, 0.1000001])
-        sel = select_percentile(d, x0, 0.1, min_relevant=5)
-        nearest = np.argsort(np.abs(x[:, 0] - 1.5))[:5]
-        assert sorted(sel.indices) == sorted(nearest)
-        dropped = predict(fit_kernel(Dataset(x[:, :1], d.y)), x0[:1])
-        assert predict(fit_kernel(d), x0) == pytest.approx(dropped, rel=1e-12)
+        constant = np.column_stack([rng.normal(size=30), np.full(30, 0.1)])
+        y = rng.normal(size=30)
+        one_ulp = constant.copy()
+        one_ulp[11, 1] = np.nextafter(0.1, 1.0)
+        for x in (constant, one_ulp):
+            d = Dataset(x, y)
+            assert 0.0 < x[:, 1].std(ddof=1) < 1e-15
+            _, _, scales = standardize(d)
+            assert scales[1] == 1.0
+            x0 = np.array([1.5, 0.1000001])
+            sel = select_percentile(d, x0, 0.1, min_relevant=5)
+            nearest = np.argsort(np.abs(x[:, 0] - 1.5))[:5]
+            assert sorted(sel.indices) == sorted(nearest)
+            dropped = predict(fit_kernel(Dataset(x[:, :1], d.y)), x0[:1])
+            assert predict(fit_kernel(d), x0) == pytest.approx(dropped, rel=1e-12)
 
     def test_idempotent_within_tolerance(self):
         rng = np.random.default_rng(3)

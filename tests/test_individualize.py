@@ -146,6 +146,21 @@ class TestCosine:
         assert select(d, x0, "percentile", 0.2, 0.9, 2).method is Similarity.PERCENTILE
         assert select(d, x0, "cosine", 0.2, 0.5, 2).method is Similarity.COSINE
 
+    def test_knobs_checked_by_their_config_rule(self):
+        # each knob meets its config rule: 30.9 rows is refused, not cut to 30
+        rng = np.random.default_rng(5)
+        d = Dataset(rng.normal(size=(40, 2)), np.zeros(40))
+        x0 = rng.normal(size=2)
+        for rule, knobs, name in [
+            (select_percentile, dict(alpha=0.2, min_relevant=30.9), "min_relevant"),
+            (select_cosine, dict(gamma=0.5, min_relevant=30.9), "min_relevant"),
+            (select_cosine, dict(gamma=0.5, min_relevant=1), "min_relevant"),
+            (select_percentile, dict(alpha=1.0), "alpha"),
+            (select_cosine, dict(gamma=np.nan), "gamma"),
+        ]:
+            with pytest.raises(ConfigError, match=name):
+                rule(d, x0, **knobs)
+
 
 class TestSimulateControls:
     @staticmethod
@@ -213,9 +228,11 @@ class TestSimulateControls:
         assert all(o is Origin.GAUSSIAN_MIMIC for o in cs.origin[10:])
 
     def test_nonpositive_noise_rejected(self):
+        # refused here, not later as a non-finite feature matrix
         d = Dataset(np.ones((5, 2)) + np.eye(5, 2), np.zeros(5))
-        with pytest.raises(ConfigError):
-            simulate_controls(d, self.selection(d, 5), noise_scale=0.0)
+        for noise_scale in (0.0, np.inf):
+            with pytest.raises(ConfigError, match="noise_scale"):
+                simulate_controls(d, self.selection(d, 5), noise_scale=noise_scale)
 
     def test_csv_export_carries_origin_column(self, tmp_path):
         rng = np.random.default_rng(13)

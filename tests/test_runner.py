@@ -21,10 +21,10 @@ from relconf.core import (
     save_csv,
     subseed,
 )
-from relconf import runner
+from relconf import cli, runner
 from relconf.individualize import select, simulate_controls
 from relconf.runner import RunManifest, _load_grid_data, _setup, run_algorithm1, run_grid
-from relconf.evaluate import METRIC_FAMILIES, VARIANT_ORDER
+from relconf.evaluate import METRIC_FAMILIES, VARIANT_ORDER, variant_code
 
 
 def make_data(n=60, seed=5, spread=1.0):
@@ -270,6 +270,49 @@ class TestRunGrid:
             a = Path(first[name]).read_bytes()
             b = Path(second[name]).read_bytes()
             assert a == b, f"{name} differs across re-runs"
+
+    def test_restricted_reordered_grid(self, tmp_path):
+        # manifest order, not the default order, sets the plotdata rows; the
+        # raw tables keep all 19 rows and leave the cells the run skipped
+        # blank; and `relconf score` reproduces the summaries from plotdata
+        sims, regs, methods = ("cosine", "percentile"), ("kernel", "ols"), ("jackknife", "full")
+        manifest = external_manifest(
+            tmp_path, similarities=sims, regressors=regs, methods=methods
+        )
+        written = run_grid(manifest)
+        lines = read_lines(written["plotdata"])
+        header = lines[3].split(",")
+        keys = ("similarity", "query", "regressor", "method", "path")
+        rows = [dict(zip(header, line.split(","))) for line in lines[4:]]
+        assert [tuple(row[k] for k in keys) for row in rows] == [
+            (sim, str(k + 1), reg, method, path.value)
+            for sim in sims
+            for k in range(2)
+            for reg in regs
+            for method in methods
+            for path in IntervalPath
+        ]
+
+        lasso = {
+            prefix + variant_code(Regressor.LASSO, path)
+            for prefix in ("pred", "lo", "up")
+            for path in IntervalPath
+        }
+        for sim in sims:
+            raw = read_lines(written[f"raw_{sim}"])
+            columns = raw[3].split(",")[1:]
+            assert len(raw) == 3 + 1 + 19
+            for line in raw[4:]:
+                label, *cells = line.split(",")
+                for column, cell in zip(columns, cells):
+                    blank = label != "y0" and (label in lasso or column.startswith("Split_"))
+                    assert (cell == "") == blank, (sim, label, column)
+
+        rescored = tmp_path / "rescored"
+        assert cli.main(["score", "--in", written["plotdata"], "--out", str(rescored)]) == 0
+        for sim in sims:
+            summary = Path(written[f"summary_{sim}"])
+            assert (rescored / summary.name).read_bytes() == summary.read_bytes()
 
     def test_plotdata_consistent_with_intervals(self, tmp_path):
         written = run_grid(external_manifest(tmp_path))
