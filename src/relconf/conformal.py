@@ -25,7 +25,6 @@ from .core import (
     DataError,
     Dataset,
     PredictionInterval,
-    Regressor,
     check_knobs,
 )
 from .regress import (
@@ -109,7 +108,6 @@ def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> Pred
     The interval is the base forecast plus/minus the calibration
     residual quantile. Both partition cells must get at least 2 rows.
     """
-    reg = Regressor(reg)
     n_train = _split_train_rows(d.n, spec.rho)
     if n_train is None:
         raise DataError(
@@ -121,10 +119,7 @@ def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> Pred
     cal = perm[n_train:]
     resid = np.abs(d.y[cal] - predict_many(model, d.x[cal]))
     dstar = split_quantile(resid, spec.alpha)
-    return PredictionInterval(
-        point, point - dstar, point + dstar,
-        conformal_method=ConformalMethod.SPLIT, regressor=reg,
-    )
+    return PredictionInterval(point, point - dstar, point + dstar)
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +162,10 @@ def full_conformal(
     base forecast, flagged ``degenerate`` so downstream metrics can see it.
     """
     grid, accepted, point = full_conformal_accepted(d, reg, x0, spec, seed=seed)
-    reg = Regressor(reg)
     if not accepted.any():
-        return PredictionInterval(
-            point, point, point,
-            conformal_method=ConformalMethod.FULL, regressor=reg, degenerate=True,
-        )
+        return PredictionInterval(point, point, point, degenerate=True)
     kept = grid[accepted]
-    return PredictionInterval(
-        point, float(kept.min()), float(kept.max()),
-        conformal_method=ConformalMethod.FULL, regressor=reg,
-    )
+    return PredictionInterval(point, float(kept.min()), float(kept.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +178,10 @@ def jackknife_conformal(
     """Base forecast plus/minus the leave-one-out residual quantile."""
     if d.n < 3:
         raise DataError(f"jackknife needs n >= 3, got n={d.n}")
-    reg = Regressor(reg)
     base = fit(d, reg, seed=seed)
     point = predict(base, x0)
     dstar = loo_quantile(np.abs(loo_residuals(d.x, d.y, base)), spec.alpha)
-    return PredictionInterval(
-        point, point - dstar, point + dstar,
-        conformal_method=ConformalMethod.JACKKNIFE, regressor=reg,
-    )
+    return PredictionInterval(point, point - dstar, point + dstar)
 
 
 def _min_rows(spec: ConformalSpec, reg) -> int:

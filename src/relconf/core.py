@@ -181,14 +181,12 @@ class Query:
 
 @dataclass(frozen=True)
 class PredictionInterval:
-    """A point forecast with lower/upper bounds and its provenance tags."""
+    """A point forecast with lower/upper bounds; the cell and path that made
+    it are its caller's to record."""
 
     point: float
     lo: float
     up: float
-    path: IntervalPath = IntervalPath.STANDARD
-    conformal_method: ConformalMethod = ConformalMethod.SPLIT
-    regressor: Regressor = Regressor.OLS
     degenerate: bool = False  # full conformal only: empty acceptance region
 
     def __post_init__(self):

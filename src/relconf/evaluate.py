@@ -89,7 +89,8 @@ class MetricRow:
 
 
 def score(interval: PredictionInterval, y0: float, cell: Cell | None = None) -> MetricRow:
-    """Metrics of one interval against the realized head."""
+    """Metrics of one interval against the realized head; ``cell`` (default
+    ``Cell()``) records where the interval came from."""
     y0 = float(y0)
     if not np.isfinite(y0):
         raise DataError("cannot score against a non-finite head")
@@ -98,13 +99,7 @@ def score(interval: PredictionInterval, y0: float, cell: Cell | None = None) -> 
     c = interval.up - interval.lo
     d = a / c if c > 0.0 else None
     covered = interval.lo <= y0 <= interval.up
-    if cell is None:
-        cell = Cell(
-            path=interval.path.value,
-            method=interval.conformal_method.value,
-            regressor=interval.regressor.value,
-        )
-    return MetricRow(a, b, c, d, covered, cell)
+    return MetricRow(a, b, c, d, covered, Cell() if cell is None else cell)
 
 
 def _mean(values: list[float | None]) -> float | None:

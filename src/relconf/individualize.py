@@ -22,8 +22,8 @@ from .core import (
     _dataset_rows,
     _readonly,
     _sq_dists,
+    _standardize_columns,
     check_knob,
-    standardize,
     transform_features,
     write_csv,
 )
@@ -130,9 +130,10 @@ def select_percentile(
     min_relevant = check_knob("min_relevant", min_relevant)
     if d.n < min_relevant:
         raise DataError(f"need n >= min_relevant, got n={d.n}, min_relevant={min_relevant}")
-    z, centers, scales = standardize(d)
+    # d's rows were checked when it was built: no second Dataset to re-check
+    z, centers, scales, _ = _standardize_columns(d.x)
     z0 = transform_features(np.asarray(x0, dtype=float).ravel(), centers, scales)
-    dist = np.sqrt(((z.x - z0) ** 2).sum(axis=1))
+    dist = np.sqrt(((z - z0) ** 2).sum(axis=1))
     k = max(int(np.ceil(alpha * d.n - 1e-9)), 1)
     fallback = k < min_relevant
     k = max(k, min_relevant)
@@ -233,6 +234,7 @@ def simulate_controls(
         y_syn = y_rel[np.argmin(_sq_dists(z_syn, z_rel), axis=1)]
         tag = Origin.GAUSSIAN_MIMIC
 
+    # checked on purpose: the jitter of a huge-valued design can overflow
     stacked = Dataset(
         np.vstack([x_rel, x_syn]),
         np.concatenate([y_rel, y_syn]),

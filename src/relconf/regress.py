@@ -189,10 +189,10 @@ def _cd_path(gram, xty, lams, active):
 def _cd_batch(gram, xty, lam, active):
     """Cyclic coordinate descent on B problems at one penalty, all at once.
 
-    ``xty`` and ``active`` are (B, p); ``gram`` is (B, p, p), or one (p, p)
-    matrix that every problem shares. Each step moves coordinate j of every
-    live problem together, with the soft threshold written as the exact
-    z - clip(z, -lam, lam). A problem is frozen, and dropped from the
+    ``xty`` and ``active`` are (B, p); ``gram`` is (B, p, p), or one shared
+    (p, p) matrix read as a (B, p, p) view. Each step moves coordinate j of
+    every live problem together, with the soft threshold written as the
+    exact z - clip(z, -lam, lam). A problem is frozen, and dropped from the
     working arrays, once its own sweep moves no coefficient by LASSO_TOL or
     it reaches LASSO_MAX_SWEEPS. Frozen problems take no step, so problem b
     gets the iterates, sweep count and convergence of
@@ -207,7 +207,7 @@ def _cd_batch(gram, xty, lam, active):
     lam = float(lam)
     grad = np.array(xty, dtype=np.float64)
     n_problems, p = grad.shape
-    shared = gram.ndim == 2
+    gram = np.broadcast_to(gram, (n_problems, p, p))
     beta = np.zeros((n_problems, p))
     sweeps = np.full(n_problems, LASSO_MAX_SWEEPS)
     converged = np.zeros(n_problems, dtype=bool)
@@ -225,17 +225,14 @@ def _cd_batch(gram, xty, lam, active):
                 continue
             step = new - old
             b[move, j] = new[move]
-            row = gram[j] if shared else gram[:, j, :]
-            np.subtract(grad, row * step[:, None], out=grad, where=move[:, None])
+            np.subtract(grad, gram[:, j, :] * step[:, None], out=grad, where=move[:, None])
             np.maximum(delta, np.abs(step), out=delta, where=move)
         done = delta < LASSO_TOL
         if done.any():
             frozen = live[done]
             beta[frozen], sweeps[frozen], converged[frozen] = b[done], sweep, True
             keep = ~done
-            live, b, grad, act = live[keep], b[keep], grad[keep], act[keep]
-            if not shared:
-                gram = gram[keep]
+            live, b, grad, act, gram = live[keep], b[keep], grad[keep], act[keep], gram[keep]
             if not live.size:
                 break
     beta[live] = b

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import product
 from pathlib import Path
@@ -99,12 +99,11 @@ def _setup(d: Dataset, q: Query, cfg: ExperimentConfig):
     return x0, spec, min(max(int(cfg.min_relevant), needed), d.n)
 
 
-def _interval(d, x0, cfg, spec, query_index: int, path) -> PredictionInterval:
+def _interval(d, x0, cfg, spec, query_index: int) -> PredictionInterval:
     """One path's interval, on the query's shared conformal seed."""
-    iv = conformal_interval(
+    return conformal_interval(
         d, cfg.regressor, x0, spec, seed=subseed(cfg.seed, "conformal", query_index)
     )
-    return replace(iv, path=path)
 
 
 def _query_intervals(d, q, configs, query_index: int, control_mode):
@@ -118,7 +117,7 @@ def _query_intervals(d, q, configs, query_index: int, control_mode):
         x0, spec, floor = _setup(d, q, cfg)
         cell = (cfg.regressor, cfg.conformal_method)
         if cell not in standard:
-            standard[cell] = _interval(d, x0, cfg, spec, query_index, IntervalPath.STANDARD)
+            standard[cell] = _interval(d, x0, cfg, spec, query_index)
         if (cfg.similarity, floor) not in neighbourhoods:
             # the relevant rows and the synthetic controls cloned from them
             rel = select(d, x0, cfg.similarity, cfg.alpha, cfg.gamma, min_relevant=floor)
@@ -128,8 +127,8 @@ def _query_intervals(d, q, configs, query_index: int, control_mode):
         relevant, simulated = neighbourhoods[cfg.similarity, floor]
         yield cfg, (
             standard[cell],
-            _interval(relevant, x0, cfg, spec, query_index, IntervalPath.RELEVANT),
-            _interval(simulated, x0, cfg, spec, query_index, IntervalPath.RELEVANT_SIMULATED),
+            _interval(relevant, x0, cfg, spec, query_index),
+            _interval(simulated, x0, cfg, spec, query_index),
         )
 
 
@@ -155,6 +154,10 @@ def run_algorithm1(
     """
     ((_, triple),) = _query_intervals(d, q, (cfg,), query_index, control_mode)
     return triple
+
+
+# the grid's choice lists and the enum of their entries
+_CHOICE_FIELDS = {"regressors": Regressor, "methods": ConformalMethod, "similarities": Similarity}
 
 
 @dataclass(frozen=True)
@@ -193,20 +196,19 @@ class RunManifest:
         if self.suite == "external-csv" and not (self.train_csv and self.queries_csv):
             raise ConfigError("external-csv suite needs train_csv and queries_csv paths")
         try:
-            object.__setattr__(
-                self, "regressors", tuple(Regressor(r) for r in self.regressors)
-            )
-            object.__setattr__(
-                self, "methods", tuple(ConformalMethod(m) for m in self.methods)
-            )
-            object.__setattr__(
-                self, "similarities", tuple(Similarity(s) for s in self.similarities)
-            )
+            for name, kind in _CHOICE_FIELDS.items():
+                object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
             object.__setattr__(self, "control_mode", ControlMode(self.control_mode))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not self.regressors or not self.methods or not self.similarities:
-            raise ConfigError("regressors, methods, and similarities must be non-empty")
+        for name in _CHOICE_FIELDS:
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} must be non-empty")
+            # a repeated choice would run, write and average its cells twice
+            repeated = [v.value for v in values if values.count(v) > 1]
+            if repeated:
+                raise ConfigError(f"{name} lists {repeated[0]!r} more than once")
         check_knobs(self)
 
     def _semantic_items(self) -> list[tuple[str, str]]:
@@ -320,12 +322,12 @@ _PLOT_HEADER = (
 )
 
 
-def _plot_row(cfg, query_index: int, label: str, q: Query, iv) -> dict[str, str]:
+def _plot_row(cfg, query_index: int, label: str, q: Query, path, iv) -> dict[str, str]:
     """One plotdata row (column -> text); the scoring columns are blank
     when the query has no realized head."""
     has_y0 = q.y0 is not None
     return dict(zip(_PLOT_HEADER, (
-        cfg.similarity.value, str(query_index + 1), label, iv.path.value,
+        cfg.similarity.value, str(query_index + 1), label, path.value,
         cfg.conformal_method.value, cfg.regressor.value,
         _fmt(q.y0), _fmt(iv.point), _fmt(iv.lo), _fmt(iv.up),
         _fmt(q.y0 - iv.point) if has_y0 else "",
@@ -363,8 +365,10 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
     rows_by_similarity = {sim: [] for sim in manifest.similarities}
     for qidx, (d, q, qlabel) in enumerate(zip(datasets, queries, qlabels)):
         for cfg, triple in _query_intervals(d, q, configs, qidx, manifest.control_mode):
+            # a triple runs in IntervalPath order, so its position names the path
             rows_by_similarity[cfg.similarity] += (
-                _plot_row(cfg, qidx, qlabel, q, iv) for iv in triple
+                _plot_row(cfg, qidx, qlabel, q, path, iv)
+                for path, iv in zip(IntervalPath, triple)
             )
     plot_rows = [row for rows in rows_by_similarity.values() for row in rows]
     metric_rows = score_plot_rows(plot_rows)

@@ -165,6 +165,13 @@ class TestRun:
         assert code == 1
         assert "ridge" in capsys.readouterr().err
 
+    def test_repeated_similarity_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--similarity", "cosine,cosine", "--out", str(out)])
+        assert code == 1
+        assert "similarities" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--grid-expansion", "nan"), ("--grid-expansion", "inf"), ("--noise-scale", "inf")],

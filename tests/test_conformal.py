@@ -1,11 +1,12 @@
 """Interval constructors against hand ranks and brute-force refit oracles."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from relconf.core import ConformalMethod, DataError, Dataset, Regressor
+from relconf.core import DataError, Dataset, PredictionInterval
 from relconf.conformal import (
     ConformalSpec,
     ceil_guarded,
@@ -117,7 +118,6 @@ class TestSplit:
         for reg in ("ols", "lasso", "kernel"):
             iv = split_conformal(d, reg, [0.1, 0.1], self.SPEC, seed=2)
             assert np.isfinite([iv.lo, iv.point, iv.up]).all()
-            assert iv.regressor is Regressor(reg)
 
 
 class TestFull:
@@ -325,10 +325,17 @@ class TestJackknife:
 
 
 class TestDispatch:
-    def test_routes_by_method_and_tags_provenance(self):
+    def test_routes_by_method(self):
         d = make_dataset(np.random.default_rng(13), 30, 2)
-        for method in ("split", "full", "jackknife"):
+        constructors = {
+            "split": split_conformal,
+            "full": full_conformal,
+            "jackknife": jackknife_conformal,
+        }
+        for method, construct in constructors.items():
             spec = ConformalSpec(method=method, alpha=0.2, grid_points=25)
             iv = conformal_interval(d, "ols", [0.0, 0.0], spec, seed=4)
-            assert iv.conformal_method is ConformalMethod(method)
+            own = construct(d, "ols", [0.0, 0.0], spec, seed=4)
+            for f in fields(PredictionInterval):
+                assert getattr(iv, f.name) == getattr(own, f.name), (method, f.name)
             assert iv.lo <= iv.up

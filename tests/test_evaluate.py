@@ -23,8 +23,8 @@ from relconf.evaluate import (
 )
 
 
-def interval(point, lo, up, **tags):
-    return PredictionInterval(point=point, lo=lo, up=up, **tags)
+def interval(point, lo, up):
+    return PredictionInterval(point=point, lo=lo, up=up)
 
 
 class TestScore:
@@ -68,21 +68,8 @@ class TestScore:
         with pytest.raises(DataError):
             score(interval(1.0, 0.0, 2.0), y0=float("nan"))
 
-    def test_cell_defaults_from_interval_tags(self):
-        iv = interval(
-            1.0,
-            0.0,
-            2.0,
-            path=IntervalPath.RELEVANT,
-            conformal_method=ConformalMethod.JACKKNIFE,
-            regressor=Regressor.KERNEL,
-        )
-        cell = score(iv, y0=1.5).cell
-        assert (cell.path, cell.method, cell.regressor) == (
-            "relevant",
-            "jackknife",
-            "kernel",
-        )
+    def test_cell_defaults_to_empty_cell(self):
+        assert score(interval(1.0, 0.0, 2.0), y0=1.5).cell == Cell()
 
     def test_explicit_cell_wins(self):
         cell = Cell(query_id="q7", similarity="cosine")
@@ -157,15 +144,9 @@ def synthetic_rows():
                 a = 1.0 + i + 10.0 * j + 100.0 * k
                 y0 = 2.0
                 # point chosen so |y0 - point| == a, interval length 2a
-                iv = interval(
-                    y0 + a,
-                    y0 - a / 2,
-                    y0 + 3 * a / 2,
-                    path=path,
-                    conformal_method=method,
-                    regressor=reg,
-                )
-                rows.append(score(iv, y0=y0))
+                iv = interval(y0 + a, y0 - a / 2, y0 + 3 * a / 2)
+                cell = Cell(path=path.value, method=method.value, regressor=reg.value)
+                rows.append(score(iv, y0=y0, cell=cell))
                 values[(reg, path, method)] = a
     return rows, values
 

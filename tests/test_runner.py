@@ -15,6 +15,7 @@ from relconf.core import (
     Dataset,
     ExperimentConfig,
     IntervalPath,
+    PredictionInterval,
     Query,
     Regressor,
     Similarity,
@@ -46,19 +47,36 @@ BASE = ExperimentConfig(min_relevant=20, seed=3)
 
 
 class TestRunAlgorithm1:
-    def test_three_paths_tagged_and_ordered(self):
+    def test_three_paths_ordered(self):
+        # standard, relevant, relevant + simulated: each path's interval is
+        # its data's conformal interval at the runner's seeds and floor
         d = make_data()
         q = Query(np.array([0.5, -0.2]))
-        triple = run_algorithm1(d, q, BASE)
-        assert [iv.path for iv in triple] == [
-            IntervalPath.STANDARD,
-            IntervalPath.RELEVANT,
-            IntervalPath.RELEVANT_SIMULATED,
-        ]
+        triple = run_algorithm1(d, q, BASE, query_index=4)
+        x0, spec, floor = _setup(d, q, BASE)
+        rel = select(d, x0, BASE.similarity, BASE.alpha, BASE.gamma, min_relevant=floor)
+        controls = simulate_controls(
+            d, rel, BASE.noise_scale, seed=subseed(BASE.seed, "controls", 4)
+        )
+        seed = subseed(BASE.seed, "conformal", 4)
+        assert triple == tuple(
+            conformal_interval(data, BASE.regressor, x0, spec, seed=seed)
+            for data in (d, d.subset(rel.indices), controls.simulated)
+        )
         for iv in triple:
-            assert iv.lo <= iv.point <= iv.up or iv.lo <= iv.up
-            assert iv.conformal_method is ConformalMethod.SPLIT
-            assert iv.regressor is Regressor.OLS
+            assert iv.lo <= iv.up
+
+    def test_each_interval_checked_once(self, monkeypatch):
+        checked = []
+        check = PredictionInterval.__post_init__
+
+        def counting_check(iv):
+            checked.append(iv)
+            check(iv)
+
+        monkeypatch.setattr(PredictionInterval, "__post_init__", counting_check)
+        run_algorithm1(make_data(), Query(np.array([0.5, -0.2])), BASE)
+        assert len(checked) == 3
 
     @pytest.mark.parametrize("method", list(ConformalMethod))
     @pytest.mark.parametrize("reg", list(Regressor))
@@ -384,6 +402,12 @@ class TestRunGrid:
             RunManifest(min_relevant=1)
         with pytest.raises(ConfigError, match="noise_scale"):
             RunManifest(noise_scale=0.0)
+        with pytest.raises(ConfigError, match="regressors lists 'ols' more than once"):
+            RunManifest(regressors=("ols", "lasso", Regressor.OLS))
+        with pytest.raises(ConfigError, match="methods lists 'split' more than once"):
+            RunManifest(methods=("split", "split"))
+        with pytest.raises(ConfigError, match="similarities lists 'cosine' more than once"):
+            RunManifest(similarities=("cosine", "percentile", "cosine"))
 
 
     @pytest.mark.parametrize(
@@ -404,10 +428,10 @@ class TestRunGrid:
             key = (qidx, row["similarity"], row["regressor"], row["method"])
             if key not in alone:
                 cfg = manifest.base_config(row["regressor"], row["similarity"], row["method"])
-                alone[key] = run_algorithm1(
+                alone[key] = dict(zip(IntervalPath, run_algorithm1(
                     datasets[qidx], queries[qidx], cfg, qidx, manifest.control_mode
-                )
-            (iv,) = [iv for iv in alone[key] if iv.path.value == row["path"]]
+                )))
+            iv = alone[key][IntervalPath(row["path"])]
             for k in ("point", "lo", "up"):
                 assert row[k] == repr(getattr(iv, k))
             assert row["degenerate"] == str(int(iv.degenerate))
