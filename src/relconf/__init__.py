@@ -23,7 +23,6 @@ from .core import (
     Similarity,
     load_csv,
     save_csv,
-    standardize,
     subseed,
     transform_features,
 )
@@ -57,7 +56,6 @@ from .individualize import (
     ControlSet,
     Origin,
     RelevanceSelection,
-    save_controls_csv,
     select,
     select_cosine,
     select_percentile,
@@ -83,7 +81,6 @@ __all__ = [
     "Similarity",
     "load_csv",
     "save_csv",
-    "standardize",
     "subseed",
     "transform_features",
     "FittedModel",
@@ -111,7 +108,6 @@ __all__ = [
     "ControlSet",
     "Origin",
     "RelevanceSelection",
-    "save_controls_csv",
     "select",
     "select_cosine",
     "select_percentile",

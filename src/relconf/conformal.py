@@ -25,6 +25,7 @@ from .core import (
     DataError,
     Dataset,
     PredictionInterval,
+    Regressor,
     check_knobs,
 )
 from .regress import (
@@ -95,7 +96,7 @@ def loo_quantile(abs_residuals: np.ndarray, alpha: float) -> float:
 # Split conformal
 # ---------------------------------------------------------------------------
 
-def _split_train_rows(n: int, rho: float, fit_rows: int = 2) -> int | None:
+def _split_train_rows(n: int, rho: float, fit_rows: int) -> int | None:
     """Rows split conformal fits on, floor(rho*n), or None when that leaves
     fewer than ``fit_rows`` to fit or fewer than 2 to calibrate."""
     n_train = int(math.floor(rho * n + _CEIL_GUARD))
@@ -106,12 +107,15 @@ def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> Pred
     """Fit on a seeded ``rho`` fraction, calibrate on the held-out rest.
 
     The interval is the base forecast plus/minus the calibration
-    residual quantile. Both partition cells must get at least 2 rows.
+    residual quantile. The fit needs ``regress.min_fit_rows(reg)`` rows
+    and calibration at least 2.
     """
-    n_train = _split_train_rows(d.n, spec.rho)
+    fit_rows = min_fit_rows(reg)
+    n_train = _split_train_rows(d.n, spec.rho, fit_rows)
     if n_train is None:
         raise DataError(
-            f"split needs 2 <= floor(rho*n) <= n-2; rho={spec.rho}, n={d.n}"
+            f"split with {Regressor(reg).value} needs {fit_rows} <= floor(rho*n) <= n-2;"
+            f" rho={spec.rho}, n={d.n}"
         )
     perm = np.random.default_rng(seed).permutation(d.n)
     model = fit(d.subset(perm[:n_train]), reg, seed=seed)

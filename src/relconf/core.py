@@ -37,7 +37,6 @@ __all__ = [
     "read_csv",
     "save_csv",
     "write_csv",
-    "standardize",
     "transform_features",
     "subseed",
 ]
@@ -356,12 +355,6 @@ def write_csv(path, header, rows, comments=None) -> None:
         writer.writerows(rows)
 
 
-def _dataset_rows(d: Dataset):
-    """Each row of ``d`` as text, head first, floats by ``repr``."""
-    for i in range(d.n):
-        yield [repr(float(d.y[i])), *(repr(float(v)) for v in d.x[i])]
-
-
 def save_csv(d: Dataset, path, comments: list[str] | None = None) -> None:
     """Write a Dataset as CSV (head column first), exactly round-trippable.
 
@@ -369,7 +362,8 @@ def save_csv(d: Dataset, path, comments: list[str] | None = None) -> None:
     bit for bit. ``comments`` lines, if given, are emitted first with a
     leading ``#``.
     """
-    write_csv(path, [d.head_name, *d.feature_names], _dataset_rows(d), comments)
+    rows = ([repr(float(y)), *(repr(float(v)) for v in x)] for y, x in zip(d.y, d.x))
+    write_csv(path, [d.head_name, *d.feature_names], rows, comments)
 
 
 # ---------------------------------------------------------------------------
@@ -388,31 +382,21 @@ def _standardize_columns(x: np.ndarray, ddof: int = 1):
     with denominator n - ddof. Only active columns (``_active_columns``)
     are scaled; constant ones get scale 1 and standardize to exact zeros,
     so the rounding dust of a float mean or std (thirty copies of 0.1
-    have a sample std of 4e-17) never scales up into a feature."""
-    centers = x.mean(axis=0)
-    active = _active_columns(x.min(axis=0), x.max(axis=0), x.shape[0])
-    dev = x - centers
-    scales = np.where(active, np.sqrt((dev**2).sum(axis=0) / (x.shape[0] - ddof)), 1.0)
+    have a sample std of 4e-17) never scales up into a feature. A finite
+    column whose mean or spread overflows (or whose spread underflows to
+    0) is a DataError naming it, not a column of NaN or zeros."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = x.mean(axis=0)
+        active = _active_columns(x.min(axis=0), x.max(axis=0), x.shape[0])
+        dev = x - centers
+        scales = np.where(active, np.sqrt((dev**2).sum(axis=0) / (x.shape[0] - ddof)), 1.0)
+    bad = np.flatnonzero(~(np.isfinite(centers) & np.isfinite(scales) & (scales > 0.0)))
+    if bad.size:
+        raise DataError(
+            f"feature column {bad[0] + 1} cannot be standardized: "
+            f"center {centers[bad[0]]!r}, scale {scales[bad[0]]!r}"
+        )
     return np.where(active, dev / scales, 0.0), centers, scales, active
-
-
-def standardize(d: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
-    """Center and scale each feature column to mean 0 and sample std 1.
-
-    Uses the n-1 denominator. Constant columns standardize to zeros (scale
-    fixed at 1) so degenerate columns cannot poison downstream distance
-    computations. ``y`` is untouched.
-
-    Returns
-    -------
-    (Dataset, centers, scales)
-        The transformed dataset plus the per-column centers and scales,
-        for applying the same transform to query tails.
-    """
-    if d.n < 2:
-        raise DataError(f"standardize needs n >= 2, got n={d.n}")
-    z, centers, scales, _ = _standardize_columns(d.x)
-    return Dataset(z, d.y, d.feature_names, d.head_name), centers, scales
 
 
 def transform_features(x, centers: np.ndarray, scales: np.ndarray) -> np.ndarray:

@@ -38,8 +38,6 @@ class SuiteOutput:
     queries: tuple[Query, ...]
     setting_labels: tuple[str, ...]
     query_labels: tuple[str, ...]
-    suite: str
-    seed: int
 
     def __post_init__(self):
         if len(self.setting_labels) != self.dataset.n:
@@ -118,8 +116,6 @@ def gen_small(seed: int) -> SuiteOutput:
         queries=tuple(queries),
         setting_labels=tuple(labels),
         query_labels=("A", "B", "C"),
-        suite="small",
-        seed=int(seed),
     )
 
 
@@ -162,8 +158,6 @@ def gen_long(seed: int) -> SuiteOutput:
         queries=tuple(queries),
         setting_labels=tuple(labels),
         query_labels=tuple(qlabels),
-        suite="long",
-        seed=int(seed),
     )
 
 

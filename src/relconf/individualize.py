@@ -15,17 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conformal import ceil_guarded
 from .core import (
     DataError,
     Dataset,
     Similarity,
-    _dataset_rows,
     _readonly,
     _sq_dists,
     _standardize_columns,
     check_knob,
     transform_features,
-    write_csv,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "select_cosine",
     "select",
     "simulate_controls",
-    "save_controls_csv",
 ]
 
 SIGMA_FLOOR = 1e-8
@@ -94,7 +92,6 @@ class ControlSet:
 
     dataset: Dataset
     origin: tuple[Origin, ...]
-    noise_scale_used: float
 
     def __post_init__(self):
         if len(self.origin) != self.dataset.n:
@@ -134,7 +131,7 @@ def select_percentile(
     z, centers, scales, _ = _standardize_columns(d.x)
     z0 = transform_features(np.asarray(x0, dtype=float).ravel(), centers, scales)
     dist = np.sqrt(((z - z0) ** 2).sum(axis=1))
-    k = max(int(np.ceil(alpha * d.n - 1e-9)), 1)
+    k = max(ceil_guarded(alpha * d.n), 1)
     fallback = k < min_relevant
     k = max(k, min_relevant)
     threshold = float(np.partition(dist, k - 1)[k - 1])
@@ -242,11 +239,4 @@ def simulate_controls(
         d.head_name,
     )
     origin = (Origin.RELEVANT_ORIGINAL,) * n_r + (tag,) * n_r
-    return ControlSet(stacked, origin, noise_scale)
-
-
-def save_controls_csv(cs: ControlSet, path, comments: list[str] | None = None) -> None:
-    """Dataset CSV layout plus a trailing ``origin`` column."""
-    d = cs.dataset
-    rows = ([*row, origin.value] for row, origin in zip(_dataset_rows(d), cs.origin))
-    write_csv(path, [d.head_name, *d.feature_names, "origin"], rows, comments)
+    return ControlSet(stacked, origin)

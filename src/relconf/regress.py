@@ -274,8 +274,8 @@ def _lasso_solve(x, y, lam) -> tuple[float, np.ndarray, int, bool]:
     return float(ybar - coef @ m), coef, sweeps, converged
 
 
-def _cv_lambda(x, y, folds: int, seed: int) -> tuple[float, bool]:
-    """Pick the penalty by K-fold cross-validation on mean squared error.
+def _cv_lambda(x, y, seed: int) -> tuple[float, bool]:
+    """Pick the penalty by LASSO_CV_FOLDS-fold cross-validation on mean squared error.
 
     The grid comes from the full data; each fold fits the whole path with
     warm starts. Ties resolve to the largest (most parsimonious) penalty.
@@ -284,7 +284,7 @@ def _cv_lambda(x, y, folds: int, seed: int) -> tuple[float, bool]:
     n = x.shape[0]
     grid = _lambda_grid(_gram_problem(x, y)[1])
     rng = np.random.default_rng(seed)
-    fold_ids = np.array_split(rng.permutation(n), folds)
+    fold_ids = np.array_split(rng.permutation(n), LASSO_CV_FOLDS)
     sse = np.zeros(grid.size)
     converged = True
     for held in fold_ids:
@@ -300,25 +300,24 @@ def _cv_lambda(x, y, folds: int, seed: int) -> tuple[float, bool]:
     return best, converged
 
 
-def fit_lasso(
-    d: Dataset, folds: int = LASSO_CV_FOLDS, lam: float | None = None, seed: int = 0
-) -> FittedModel:
+def fit_lasso(d: Dataset, *, lam: float | None = None, seed: int = 0) -> FittedModel:
     """L1-penalized least squares, objective (1/2n)||y - b0 - X b||^2 + lam*||b||_1.
 
     Coordinate descent runs on internally rescaled features; reported
     coefficients are on the original scale. When ``lam`` is None it is
-    chosen by ``folds``-fold cross-validation with fold assignment drawn
-    from ``seed``. ``sweeps`` on the result counts the final fit at the
-    chosen penalty; ``converged`` also covers the cross-validation paths.
+    chosen by LASSO_CV_FOLDS-fold cross-validation with fold assignment
+    drawn from ``seed``. ``sweeps`` on the result counts the final fit at
+    the chosen penalty; ``converged`` also covers the cross-validation paths.
     """
     cv_converged = True
     if lam is None:
-        folds = int(folds)
-        if not (2 <= folds <= d.n):
-            raise DataError(f"need n >= folds >= 2, got n={d.n}, folds={folds}")
-        lam, cv_converged = _cv_lambda(d.x, d.y, folds, seed)
+        if d.n < LASSO_CV_FOLDS:
+            raise DataError(
+                f"LASSO cross-validation needs n >= {LASSO_CV_FOLDS}, got n={d.n}"
+            )
+        lam, cv_converged = _cv_lambda(d.x, d.y, seed)
     lam = float(lam)
-    if lam < 0.0:
+    if not lam >= 0.0:  # NaN fails too
         raise DataError(f"penalty must be >= 0, got {lam}")
     intercept, coef, sweeps, converged = _lasso_solve(d.x, d.y, lam)
     return FittedModel(
@@ -443,21 +442,19 @@ def _shifted_gaussian(d2: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(-d2 / (2.0 * bandwidth**2))
 
 
-def fit_kernel(d: Dataset, bandwidth: float | None = None) -> FittedModel:
+def fit_kernel(d: Dataset) -> FittedModel:
     """Gaussian-kernel local averaging on standardized features.
 
-    The default bandwidth is the median pairwise distance among the
-    standardized training tails (floored at 1e-6), a dimension-robust
-    parameter-free heuristic. Pass ``bandwidth`` to override.
+    The bandwidth is the median pairwise distance among the standardized
+    training tails (floored at 1e-6), a dimension-robust parameter-free
+    heuristic.
     """
     if d.n < 2:
         raise DataError(f"kernel fit needs n >= 2, got n={d.n}")
     z, centers, scales, _ = _standardize_columns(d.x)
-    if bandwidth is None:
-        bandwidth = _median_bandwidth(_sq_dists(z, z))
     return FittedModel(
         kind=Regressor.KERNEL,
-        bandwidth=max(float(bandwidth), KERNEL_MIN_BANDWIDTH),
+        bandwidth=_median_bandwidth(_sq_dists(z, z)),
         train_z=_readonly(z),
         train_y=d.y,
         centers=_readonly(centers),

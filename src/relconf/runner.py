@@ -65,7 +65,7 @@ __all__ = [
 
 SUITE_NAMES = ("small", "long", "external-csv")
 
-_METHOD_ORDER = (ConformalMethod.FULL, ConformalMethod.SPLIT, ConformalMethod.JACKKNIFE)
+_METHOD_ORDER = tuple(METHOD_LABELS)
 
 # raw-table rows cover the linear engines only; kernel cells appear in the
 # summary tables and plot data

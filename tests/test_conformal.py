@@ -113,6 +113,14 @@ class TestSplit:
         with pytest.raises(DataError, match="split"):
             split_conformal(d, "ols", [0.0], self.SPEC, seed=0)
 
+    def test_lasso_split_needs_rows_for_cross_validation(self):
+        # 8 rows at rho 0.5 fit on 4, fewer than LASSO's 5 CV folds; split
+        # refuses by its own rule, which ``conformal._min_rows`` shares
+        d = make_dataset(np.random.default_rng(4), 8, 1)
+        with pytest.raises(DataError, match="split with lasso needs 5 <= floor"):
+            split_conformal(d, "lasso", [0.0], self.SPEC, seed=0)
+        assert np.isfinite(split_conformal(d, "ols", [0.0], self.SPEC, seed=0).length)
+
     def test_all_engines_produce_finite_intervals(self):
         d = make_dataset(np.random.default_rng(5), 40, 2)
         for reg in ("ols", "lasso", "kernel"):

@@ -16,12 +16,12 @@ from relconf.core import (
     Query,
     load_csv,
     save_csv,
-    standardize,
     subseed,
     transform_features,
+    _standardize_columns,
 )
 from relconf.individualize import select_percentile
-from relconf.regress import fit_kernel, predict
+from relconf.regress import fit_kernel, fit_lasso, predict
 from relconf.runner import RunManifest
 
 # every dataclass whose integer knobs ``check_knobs`` converts
@@ -200,16 +200,15 @@ class TestCsv:
 
 class TestStandardize:
     def test_known_column(self):
-        d = Dataset(np.array([[1.0], [2.0], [3.0]]), np.zeros(3))
-        z, centers, scales = standardize(d)
-        np.testing.assert_allclose(z.x.ravel(), [-1.0, 0.0, 1.0])
+        z, centers, scales, _ = _standardize_columns(np.array([[1.0], [2.0], [3.0]]))
+        np.testing.assert_allclose(z.ravel(), [-1.0, 0.0, 1.0])
         assert centers[0] == 2.0
         assert scales[0] == 1.0  # sample std with n-1 denominator
 
     def test_constant_column_scale_one(self):
         x = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
-        z, centers, scales = standardize(Dataset(x, np.zeros(5)))
-        np.testing.assert_array_equal(z.x[:, 0], np.zeros(5))
+        z, centers, scales, _ = _standardize_columns(x)
+        np.testing.assert_array_equal(z[:, 0], np.zeros(5))
         assert scales[0] == 1.0
 
     def test_constant_column_with_rounding_dust_stays_inactive(self):
@@ -226,7 +225,7 @@ class TestStandardize:
         for x in (constant, one_ulp):
             d = Dataset(x, y)
             assert 0.0 < x[:, 1].std(ddof=1) < 1e-15
-            _, _, scales = standardize(d)
+            _, _, scales, _ = _standardize_columns(d.x)
             assert scales[1] == 1.0
             x0 = np.array([1.5, 0.1000001])
             sel = select_percentile(d, x0, 0.1, min_relevant=5)
@@ -238,23 +237,48 @@ class TestStandardize:
     def test_idempotent_within_tolerance(self):
         rng = np.random.default_rng(3)
         d = Dataset(rng.normal(5.0, 2.0, size=(40, 3)), np.zeros(40))
-        z1, _, _ = standardize(d)
-        z2, _, _ = standardize(z1)
-        np.testing.assert_allclose(z2.x, z1.x, atol=1e-12)
+        z1 = _standardize_columns(d.x)[0]
+        z2 = _standardize_columns(z1)[0]
+        np.testing.assert_allclose(z2, z1, atol=1e-12)
 
     def test_transform_matches_training_rows(self):
         rng = np.random.default_rng(4)
         d = Dataset(rng.normal(size=(10, 2)), np.zeros(10))
-        z, centers, scales = standardize(d)
+        z, centers, scales, _ = _standardize_columns(d.x)
         np.testing.assert_allclose(
-            transform_features(d.x, centers, scales), z.x, atol=1e-12
+            transform_features(d.x, centers, scales), z, atol=1e-12
         )
 
     def test_inverse_recovers_original(self):
         rng = np.random.default_rng(5)
         d = Dataset(rng.normal(3.0, 7.0, size=(30, 4)), np.zeros(30))
-        z, centers, scales = standardize(d)
-        np.testing.assert_allclose(z.x * scales + centers, d.x, atol=1e-10)
+        z, centers, scales, _ = _standardize_columns(d.x)
+        np.testing.assert_allclose(z * scales + centers, d.x, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "make_x",
+        [
+            # finite entries whose float mean overflows
+            lambda rng: np.where(rng.random((40, 2)) < 0.5, 1e308, 1.7e308),
+            # a finite mean whose sum of squared deviations overflows
+            lambda rng: np.column_stack([rng.normal(size=40) * 1e200, rng.normal(size=40)]),
+            # a varying column whose squared deviations underflow to 0
+            lambda rng: np.column_stack([rng.normal(size=40) * 1e-170, rng.normal(size=40)]),
+        ],
+        ids=["mean_overflows", "spread_overflows", "spread_underflows"],
+    )
+    def test_unstandardizable_column_is_named(self, make_x):
+        # a column that cannot be standardized is refused by name, not
+        # turned into NaN (an empty selection) or zeros (a dropped feature)
+        x = make_x(np.random.default_rng(6))
+        d = Dataset(x, np.arange(40.0))
+        for call in (
+            lambda: select_percentile(d, x[0], 0.1, min_relevant=5),
+            lambda: fit_kernel(d),
+            lambda: fit_lasso(d, lam=0.01),
+        ):
+            with pytest.raises(DataError, match="feature column 1 cannot be standardized"):
+                call()
 
 
 class TestSubseed:

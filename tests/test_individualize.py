@@ -10,7 +10,6 @@ from relconf.individualize import (
     ControlSet,
     Origin,
     RelevanceSelection,
-    save_controls_csv,
     select,
     select_cosine,
     select_percentile,
@@ -233,19 +232,6 @@ class TestSimulateControls:
         for noise_scale in (0.0, np.inf):
             with pytest.raises(ConfigError, match="noise_scale"):
                 simulate_controls(d, self.selection(d, 5), noise_scale=noise_scale)
-
-    def test_csv_export_carries_origin_column(self, tmp_path):
-        rng = np.random.default_rng(13)
-        d = Dataset(rng.normal(size=(6, 2)), rng.normal(size=6))
-        cs = simulate_controls(d, self.selection(d, 6), 0.1, seed=9)
-        f = tmp_path / "controls.csv"
-        save_controls_csv(cs, f, comments=["seed=9"])
-        lines = f.read_text().splitlines()
-        assert lines[0] == "# seed=9"
-        assert lines[1].split(",") == ["y", "x1", "x2", "origin"]
-        assert len(lines) == 2 + 12
-        assert lines[2].endswith("relevant_original")
-        assert lines[-1].endswith("perturbed_clone")
 
 
 class TestRelevanceSelectionValidation:

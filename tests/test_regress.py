@@ -1,5 +1,7 @@
 """Regression engines against closed-form and brute-force oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,7 @@ class TestLasso:
         rng = np.random.default_rng(7)
         for trial in range(5):
             d = make_dataset(np.random.default_rng(100 + trial), 50, 8)
-            m = fit_lasso(d, folds=5, seed=trial)
+            m = fit_lasso(d, seed=trial)
             assert lasso_kkt_residual(d, m) <= 1e-6
 
     def test_objective_non_increasing_across_sweeps(self, monkeypatch):
@@ -336,7 +338,7 @@ class TestLasso:
             x = rng.normal(size=(100, 12))
             beta = np.concatenate([rng.normal(size=2), np.zeros(10)])
             y = x @ beta + rng.normal(size=100)
-            m = fit_lasso(Dataset(x, y), folds=5, seed=rep)
+            m = fit_lasso(Dataset(x, y), seed=rep)
             if np.sum(m.coefficients[2:] == 0.0) >= 5:
                 hits += 1
         assert hits >= 80
@@ -344,7 +346,19 @@ class TestLasso:
     def test_too_few_rows_for_folds(self):
         d = make_dataset(np.random.default_rng(10), 4, 2)
         with pytest.raises(DataError):
-            fit_lasso(d, folds=5)
+            fit_lasso(d)
+
+    def test_nan_penalty_rejected(self):
+        # NaN < 0 is False, so only a test that NaN fails lets it through
+        d = make_dataset(np.random.default_rng(10), 20, 2)
+        with pytest.raises(DataError, match="penalty"):
+            fit_lasso(d, lam=float("nan"))
+
+    def test_penalty_and_seed_are_keyword_only(self):
+        # a positional number must not silently become a penalty or a fold count
+        d = make_dataset(np.random.default_rng(10), 20, 2)
+        with pytest.raises(TypeError):
+            fit_lasso(d, 5)
 
     def test_objective_helper_matches_definition(self):
         rng = np.random.default_rng(11)
@@ -365,7 +379,7 @@ class TestKernel:
     def test_interpolation_limit_at_training_tail(self):
         rng = np.random.default_rng(13)
         d = make_dataset(rng, 12, 2)
-        m = fit_kernel(d, bandwidth=1e-6)
+        m = dataclasses.replace(fit_kernel(d), bandwidth=1e-6)
         for i in (0, 5, 11):
             assert predict(m, d.x[i]) == pytest.approx(d.y[i], abs=1e-6)
 
