@@ -81,8 +81,22 @@ def _readonly(a, dtype=np.float64) -> np.ndarray:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from each row of ``a`` to each row of ``b``."""
-    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+    """Squared Euclidean distance from each row of ``a`` to each row of ``b``.
+
+    Sums one column at a time into the (n, m) result, so no (n, m, p)
+    difference cube is built. Columns are added left to right, which is
+    numpy's own order for p < 8; from p = 8 on numpy sums pairwise, so an
+    entry may differ from ``((a[:, None] - b[None]) ** 2).sum(-1)`` by a few
+    ulp.
+    """
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out *= out
+    tmp = np.empty_like(out) if a.shape[1] > 1 else None
+    for j in range(1, a.shape[1]):
+        np.subtract.outer(a[:, j], b[:, j], out=tmp)
+        tmp *= tmp
+        out += tmp
+    return out
 
 
 @dataclass(frozen=True)

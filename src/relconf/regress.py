@@ -65,6 +65,8 @@ LASSO_MAX_SWEEPS = 10_000
 # column's centred sum of squares.
 _LOO_DOWNDATE_RATIO = 1e4
 KERNEL_MIN_BANDWIDTH = 1e-6
+# Rows of the distance triangle the median bandwidth computes per block.
+_TRIANGLE_ROWS = 32
 
 
 def min_fit_rows(kind) -> int:
@@ -427,19 +429,37 @@ def lasso_kkt_residual(d: Dataset, m: FittedModel) -> float:
 # Kernel smoothing (Nadaraya-Watson, Gaussian kernel)
 # ---------------------------------------------------------------------------
 
-def _median_bandwidth(d2: np.ndarray) -> float:
-    """The default bandwidth: the median pairwise distance, from the square
-    matrix ``d2`` of squared ones, floored at KERNEL_MIN_BANDWIDTH."""
-    iu = np.triu_indices(d2.shape[0], k=1)
-    return max(float(np.sqrt(np.median(d2[iu]))), KERNEL_MIN_BANDWIDTH)
+def _median_bandwidth(z: np.ndarray) -> float:
+    """The default bandwidth: the median pairwise distance among the rows of
+    ``z``, floored at KERNEL_MIN_BANDWIDTH.
+
+    The n(n-1)/2 squared distances of the strict upper triangle are written
+    straight into one vector, a block of _TRIANGLE_ROWS rows at a time, and
+    the median is selected in place; no n x n matrix is formed.
+    """
+    n = z.shape[0]
+    pairs = np.empty(n * (n - 1) // 2)
+    k = 0
+    for lo in range(0, n - 1, _TRIANGLE_ROWS):
+        block = _sq_dists(z[lo : lo + _TRIANGLE_ROWS], z[lo + 1 :])
+        for r, row in enumerate(block):
+            tail = row[r:]
+            pairs[k : k + len(tail)] = tail
+            k += len(tail)
+    return max(float(np.sqrt(np.median(pairs, overwrite_input=True))), KERNEL_MIN_BANDWIDTH)
 
 
 def _shifted_gaussian(d2: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Gaussian weights of squared distances ``d2``, each row shifted in
-    place by its minimum: the common factor cancels once the weights are
-    normalized, so they are exact but never all underflow."""
+    """Gaussian weights of squared distances ``d2``, each row shifted by its
+    minimum: the common factor cancels once the weights are normalized, so
+    they are exact but never all underflow.
+
+    Works in ``d2``'s buffer, which it overwrites and returns as the weights.
+    """
     d2 -= d2.min(axis=1, keepdims=True)
-    return np.exp(-d2 / (2.0 * bandwidth**2))
+    np.negative(d2, out=d2)
+    d2 /= 2.0 * bandwidth**2
+    return np.exp(d2, out=d2)
 
 
 def fit_kernel(d: Dataset) -> FittedModel:
@@ -454,7 +474,7 @@ def fit_kernel(d: Dataset) -> FittedModel:
     z, centers, scales, _ = _standardize_columns(d.x)
     return FittedModel(
         kind=Regressor.KERNEL,
-        bandwidth=_median_bandwidth(_sq_dists(z, z)),
+        bandwidth=_median_bandwidth(z),
         train_z=_readonly(z),
         train_y=d.y,
         centers=_readonly(centers),
@@ -466,9 +486,9 @@ def kernel_weights(m: FittedModel, x_new: np.ndarray) -> np.ndarray:
     """Normalized kernel weights of each training row for each query row,
     shifted by ``_shifted_gaussian`` so that they never all underflow."""
     z0 = transform_features(np.atleast_2d(x_new), m.centers, m.scales)
-    d2 = _sq_dists(z0, m.train_z)  # as a temporary, it raised kernel_pooled peak RSS 9 MB
-    w = _shifted_gaussian(d2, m.bandwidth)
-    return w / w.sum(axis=1, keepdims=True)
+    w = _shifted_gaussian(_sq_dists(z0, m.train_z), m.bandwidth)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def predict_many(m: FittedModel, x_new) -> np.ndarray:
@@ -539,16 +559,15 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
     ``lstsq`` per candidate. LASSO solves every candidate as one batch at
     the base fit ``model``'s penalty; re-running cross-validation per
     candidate is pointless and slow. The kernel's weights depend only on
-    the shared tails, so one (n+1)^2 distance matrix gives its bandwidth
-    and weights, and its residuals are affine in the candidate head.
+    the shared tails, so one bandwidth and one (n+1)^2 weight matrix serve
+    every candidate, and its residuals are affine in the candidate head.
     """
     if model.kind is Regressor.LASSO:
         return lasso_candidate_residuals(x_aug, y, candidates, model.lam)
     n = len(y)
     if model.kind is Regressor.KERNEL:
         z = _standardize_columns(x_aug)[0]
-        d2 = _sq_dists(z, z)
-        w = _shifted_gaussian(d2, _median_bandwidth(d2))
+        w = _shifted_gaussian(_sq_dists(z, z), _median_bandwidth(z))
         w /= w.sum(axis=1, keepdims=True)
         y_pad = np.append(y, 0.0)
         b = -w[:, n]

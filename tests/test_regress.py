@@ -1,11 +1,12 @@
 """Regression engines against closed-form and brute-force oracles."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from relconf.core import DataError, Dataset, Regressor, _standardize_columns
+from relconf.core import DataError, Dataset, Regressor, _sq_dists, _standardize_columns
 from relconf.regress import (
     FittedModel,
     fit,
@@ -19,7 +20,7 @@ from relconf.regress import (
 )
 from relconf import regress
 from relconf.oracles import orthonormal_design
-from relconf.regress import _cd_path, _gram_problem, _lambda_grid
+from relconf.regress import _cd_path, _gram_problem, _lambda_grid, _median_bandwidth
 
 
 def make_dataset(rng, n, p, noise=1.0):
@@ -419,6 +420,47 @@ class TestKernel:
         m = fit_kernel(Dataset(x, np.arange(6.0)))
         assert m.bandwidth >= 1e-6
         assert np.isfinite(predict(m, [1.0, 2.0]))
+
+    def test_all_duplicate_design_floors_bandwidth(self):
+        x = np.repeat([[1.0, 2.0]], 40, axis=0)
+        assert _median_bandwidth(np.zeros((40, 2))) == regress.KERNEL_MIN_BANDWIDTH
+        assert fit_kernel(Dataset(x, np.arange(40.0))).bandwidth == regress.KERNEL_MIN_BANDWIDTH
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_sq_dists_bit_equal_to_difference_cube_below_8_columns(self, p):
+        # numpy sums an axis shorter than 8 left to right, as _sq_dists does
+        rng = np.random.default_rng(p)
+        a, b = rng.normal(size=(37, p)), rng.normal(size=(23, p))
+        np.testing.assert_array_equal(_sq_dists(a, b), ((a[:, None] - b[None]) ** 2).sum(-1))
+
+    @pytest.mark.parametrize("p", [8, 12])
+    def test_sq_dists_near_difference_cube_from_8_columns(self, p):
+        # from 8 columns numpy sums pairwise, a different order of additions
+        rng = np.random.default_rng(p)
+        a, b = rng.normal(size=(37, p)), rng.normal(size=(23, p))
+        ref = ((a[:, None] - b[None]) ** 2).sum(-1)
+        np.testing.assert_allclose(_sq_dists(a, b), ref, rtol=1e-12, atol=0)
+
+    # pair counts n(n-1)/2: 1 (n=2), odd (n=3, 70), even (n=4, 65); n=65 and
+    # n=70 span several row blocks of the triangle and end on a partial one
+    @pytest.mark.parametrize("n", [2, 3, 4, 65, 70])
+    def test_median_bandwidth_equals_upper_triangle_median(self, n):
+        z = np.random.default_rng(n).normal(size=(n, 3))
+        d2 = ((z[:, None] - z[None]) ** 2).sum(-1)
+        assert _median_bandwidth(z) == np.sqrt(np.median(d2[np.triu_indices(n, 1)]))
+
+    def test_fit_kernel_memory_stays_below_one_and_a_half_triangles(self):
+        # the n(n-1)/2 pair vector is the only large buffer: no (n, n, p)
+        # difference cube, no triu_indices pair and no n x n matrix
+        n = 2000
+        d = Dataset(np.random.default_rng(16).normal(size=(n, 2)), np.zeros(n))
+        tracemalloc.start()
+        try:
+            fit_kernel(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (n * (n - 1) // 2) * 8
 
 
 class TestPredict:
