@@ -26,6 +26,7 @@ from .core import (
     check_knob,
     transform_features,
 )
+from .regress import _row_blocks
 
 __all__ = [
     "Origin",
@@ -228,7 +229,12 @@ def simulate_controls(
             x_syn[row] = mu + _row_rng(seed, row).normal(size=d.p) * sigma
         z_rel = (x_rel - mu) / sigma
         z_syn = (x_syn - mu) / sigma
-        y_syn = y_rel[np.argmin(_sq_dists(z_syn, z_rel), axis=1)]
+        # nearest relevant row of each synthetic row, a block of rows at a
+        # time so that no n_r x n_r distance matrix is held
+        nearest = np.empty(n_r, dtype=np.intp)
+        for rows in _row_blocks(n_r):
+            nearest[rows] = np.argmin(_sq_dists(z_syn[rows], z_rel), axis=1)
+        y_syn = y_rel[nearest]
         tag = Origin.GAUSSIAN_MIMIC
 
     # checked on purpose: the jitter of a huge-valued design can overflow

@@ -67,6 +67,11 @@ _LOO_DOWNDATE_RATIO = 1e4
 KERNEL_MIN_BANDWIDTH = 1e-6
 # Rows of the distance triangle the median bandwidth computes per block.
 _TRIANGLE_ROWS = 32
+# Rows of kernel weights the smoother forms per block, so that no n x n
+# weight matrix is held. A multiple of 4: the BLAS matrix-vector kernel
+# takes rows in groups of four, and with 254 or 258 rows per block some rows
+# of a blocked product differ in the last bit from the whole product.
+_SMOOTH_ROWS = 256
 
 
 def min_fit_rows(kind) -> int:
@@ -435,7 +440,9 @@ def _median_bandwidth(z: np.ndarray) -> float:
 
     The n(n-1)/2 squared distances of the strict upper triangle are written
     straight into one vector, a block of _TRIANGLE_ROWS rows at a time, and
-    the median is selected in place; no n x n matrix is formed.
+    one in-place partition selects the median; no n x n matrix is formed.
+    An even count averages the two middle values as ``np.median`` does, so
+    the result equals it exactly (the distances are finite).
     """
     n = z.shape[0]
     pairs = np.empty(n * (n - 1) // 2)
@@ -446,7 +453,10 @@ def _median_bandwidth(z: np.ndarray) -> float:
             tail = row[r:]
             pairs[k : k + len(tail)] = tail
             k += len(tail)
-    return max(float(np.sqrt(np.median(pairs, overwrite_input=True))), KERNEL_MIN_BANDWIDTH)
+    mid = pairs.size // 2
+    pairs.partition(mid)
+    median = pairs[mid] if pairs.size % 2 else (pairs[:mid].max() + pairs[mid]) / 2.0
+    return max(float(np.sqrt(median)), KERNEL_MIN_BANDWIDTH)
 
 
 def _shifted_gaussian(d2: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -460,6 +470,34 @@ def _shifted_gaussian(d2: np.ndarray, bandwidth: float) -> np.ndarray:
     np.negative(d2, out=d2)
     d2 /= 2.0 * bandwidth**2
     return np.exp(d2, out=d2)
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of _SMOOTH_ROWS rows that cover ``range(n)``.
+
+    A last block of one row joins the block before it: numpy computes a
+    one-row matrix-vector product as a dot product, whose order of
+    additions differs from that of a row of a larger product. So every row
+    of a blocked product equals the same row of the whole product.
+    """
+    starts = list(range(0, n, _SMOOTH_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def _gaussian_blocks(z: np.ndarray, bandwidth: float, drop_self: bool):
+    """Yield ``(rows, w)`` for each of ``_row_blocks`` over the rows of
+    ``z``: ``w`` holds the unnormalized ``_shifted_gaussian`` weights of
+    ``z[rows]`` against every row of ``z``. With ``drop_self`` each row's
+    weight on itself is zero. Only one block of weights is alive at a time.
+    """
+    for rows in _row_blocks(z.shape[0]):
+        d2 = _sq_dists(z[rows], z)
+        if drop_self:
+            r = np.arange(d2.shape[0])
+            d2[r, rows.start + r] = np.inf
+        yield rows, _shifted_gaussian(d2, bandwidth)
 
 
 def fit_kernel(d: Dataset) -> FittedModel:
@@ -492,12 +530,19 @@ def kernel_weights(m: FittedModel, x_new: np.ndarray) -> np.ndarray:
 
 
 def predict_many(m: FittedModel, x_new) -> np.ndarray:
-    """Forecast at each row of ``x_new``."""
+    """Forecast at each row of ``x_new``.
+
+    The kernel forms the weights of one ``_row_blocks`` block of query rows
+    at a time, so no (rows x n) weight matrix is held for a long ``x_new``.
+    """
     x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
     if x_new.shape[1] != m.p:
         raise DataError(f"query has {x_new.shape[1]} features, model expects {m.p}")
     if m.kind is Regressor.KERNEL:
-        return kernel_weights(m, x_new) @ m.train_y
+        out = np.empty(x_new.shape[0])
+        for rows in _row_blocks(x_new.shape[0]):
+            out[rows] = kernel_weights(m, x_new[rows]) @ m.train_y
+        return out
     return m.intercept + x_new @ m.coefficients
 
 
@@ -528,15 +573,16 @@ def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
     identity e_i / (1 - h_ii) and refits row by row when the design is
     rank-deficient or a leverage reaches 1. LASSO solves every problem at
     the model's penalty as one batch. The kernel keeps the model's
-    standardization and bandwidth and drops row i's own weight.
+    standardization and bandwidth, drops row i's own weight and forms the
+    weights one block of rows at a time, never an n x n matrix.
     """
     if model.kind is Regressor.LASSO:
         return lasso_loo_residuals(x, y, model.lam)
     if model.kind is Regressor.KERNEL:
-        d2 = _sq_dists(model.train_z, model.train_z)
-        np.fill_diagonal(d2, np.inf)
-        w = _shifted_gaussian(d2, model.bandwidth)
-        return y - (w @ y) / w.sum(axis=1)
+        out = np.empty(len(y))
+        for rows, w in _gaussian_blocks(model.train_z, model.bandwidth, drop_self=True):
+            out[rows] = y[rows] - (w @ y) / w.sum(axis=1)
+        return out
     n = len(y)
     a = np.column_stack([np.ones(n), x])
     coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
@@ -559,20 +605,24 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
     ``lstsq`` per candidate. LASSO solves every candidate as one batch at
     the base fit ``model``'s penalty; re-running cross-validation per
     candidate is pointless and slow. The kernel's weights depend only on
-    the shared tails, so one bandwidth and one (n+1)^2 weight matrix serve
-    every candidate, and its residuals are affine in the candidate head.
+    the shared tails, so one bandwidth serves every candidate and each
+    residual is affine in the candidate head, A + B * candidate; A and B
+    are read off the weights one block of rows at a time, so no
+    (n+1) x (n+1) matrix is formed.
     """
     if model.kind is Regressor.LASSO:
         return lasso_candidate_residuals(x_aug, y, candidates, model.lam)
     n = len(y)
     if model.kind is Regressor.KERNEL:
         z = _standardize_columns(x_aug)[0]
-        w = _shifted_gaussian(_sq_dists(z, z), _median_bandwidth(z))
-        w /= w.sum(axis=1, keepdims=True)
         y_pad = np.append(y, 0.0)
-        b = -w[:, n]
+        a, b = np.empty(n + 1), np.empty(n + 1)
+        for rows, w in _gaussian_blocks(z, _median_bandwidth(z), drop_self=False):
+            w /= w.sum(axis=1, keepdims=True)
+            a[rows] = y_pad[rows] - w @ y_pad
+            b[rows] = -w[:, n]
         b[n] += 1.0
-        return np.abs((y_pad - w @ y_pad)[:, None] + b[:, None] * candidates[None, :])
+        return np.abs(a[:, None] + b[:, None] * candidates[None, :])
     design = np.column_stack([np.ones(n + 1), x_aug])
     resid = np.empty((n + 1, len(candidates)))
     for g, trial in enumerate(candidates):

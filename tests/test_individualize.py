@@ -4,8 +4,10 @@ invariances, and the 2 n_r containment contract."""
 import numpy as np
 import pytest
 
+from relconf import regress
 from relconf.core import ConfigError, DataError, Dataset, Similarity
 from relconf.individualize import (
+    SIGMA_FLOOR,
     ControlMode,
     ControlSet,
     Origin,
@@ -225,6 +227,22 @@ class TestSimulateControls:
         assert cs.dataset.n == 20
         assert set(cs.simulated.y) <= set(d.y[:10])
         assert all(o is Origin.GAUSSIAN_MIMIC for o in cs.origin[10:])
+
+    def test_gaussian_mimic_heads_equal_dense_nearest_neighbour(self):
+        # the relevant set spans several row blocks, and its integer lattice
+        # repeats rows: a tie must still go to the first relevant index
+        rng = np.random.default_rng(13)
+        n_r = 2 * regress._SMOOTH_ROWS + 1
+        x = rng.integers(0, 4, size=(n_r + 5, 2)).astype(float)
+        d = Dataset(x, np.arange(n_r + 5.0))
+        sel = self.selection(d, n_r)
+        cs = simulate_controls(d, sel, 0.5, mode="gaussian_mimic", seed=9)
+        x_rel = d.x[:n_r]
+        assert len(np.unique(x_rel, axis=0)) < n_r
+        mu, sigma = x_rel.mean(axis=0), np.maximum(x_rel.std(axis=0, ddof=1), SIGMA_FLOOR)
+        z_rel, z_syn = (x_rel - mu) / sigma, (cs.simulated.x - mu) / sigma
+        nearest = np.argmin(((z_syn[:, None] - z_rel[None]) ** 2).sum(-1), axis=1)
+        np.testing.assert_array_equal(cs.simulated.y, d.y[nearest])
 
     def test_nonpositive_noise_rejected(self):
         # refused here, not later as a non-finite feature matrix

@@ -9,18 +9,30 @@ import pytest
 from relconf.core import DataError, Dataset, Regressor, _sq_dists, _standardize_columns
 from relconf.regress import (
     FittedModel,
+    candidate_residuals,
     fit,
     fit_kernel,
     fit_lasso,
     fit_ols,
+    kernel_weights,
     lasso_kkt_residual,
     lasso_objective,
+    loo_residuals,
     predict,
     predict_many,
 )
 from relconf import regress
 from relconf.oracles import orthonormal_design
-from relconf.regress import _cd_path, _gram_problem, _lambda_grid, _median_bandwidth
+from relconf.regress import (
+    _cd_path,
+    _gram_problem,
+    _lambda_grid,
+    _median_bandwidth,
+    _shifted_gaussian,
+)
+
+# rows of kernel weights formed per block
+B = regress._SMOOTH_ROWS
 
 
 def make_dataset(rng, n, p, noise=1.0):
@@ -442,12 +454,65 @@ class TestKernel:
         np.testing.assert_allclose(_sq_dists(a, b), ref, rtol=1e-12, atol=0)
 
     # pair counts n(n-1)/2: 1 (n=2), odd (n=3, 70), even (n=4, 65); n=65 and
-    # n=70 span several row blocks of the triangle and end on a partial one
-    @pytest.mark.parametrize("n", [2, 3, 4, 65, 70])
-    def test_median_bandwidth_equals_upper_triangle_median(self, n):
-        z = np.random.default_rng(n).normal(size=(n, 3))
+    # n=70 span several row blocks of the triangle and end on a partial one.
+    # On an integer lattice many distances tie with the middle ones.
+    @pytest.mark.parametrize(
+        "n, lattice",
+        [(2, False), (3, False), (4, False), (65, False), (70, False), (65, True), (70, True)],
+        ids=["2", "3", "4", "65", "70", "lattice-65", "lattice-70"],
+    )
+    def test_median_bandwidth_equals_upper_triangle_median(self, n, lattice):
+        rng = np.random.default_rng(n)
+        z = rng.integers(-2, 3, size=(n, 3)).astype(float) if lattice else rng.normal(size=(n, 3))
         d2 = ((z[:, None] - z[None]) ** 2).sum(-1)
         assert _median_bandwidth(z) == np.sqrt(np.median(d2[np.triu_indices(n, 1)]))
+
+    # the unblocked formulas, with one n x n weight matrix; every row of the
+    # blocked smoother must equal them bit for bit, on either side of a block
+    # boundary and where a one-row tail joins the block before it (2B + 1)
+    @staticmethod
+    def dense_loo_residuals(m, y):
+        d2 = _sq_dists(m.train_z, m.train_z)
+        np.fill_diagonal(d2, np.inf)
+        w = _shifted_gaussian(d2, m.bandwidth)
+        return y - (w @ y) / w.sum(axis=1)
+
+    @staticmethod
+    def dense_candidate_residuals(x_aug, y, candidates):
+        n = len(y)
+        z = _standardize_columns(x_aug)[0]
+        w = _shifted_gaussian(_sq_dists(z, z), _median_bandwidth(z))
+        w /= w.sum(axis=1, keepdims=True)
+        y_pad = np.append(y, 0.0)
+        b = -w[:, n]
+        b[n] += 1.0
+        return np.abs((y_pad - w @ y_pad)[:, None] + b[:, None] * candidates[None, :])
+
+    # n is the number of rows of the smoother's weight matrix
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    def test_blocked_loo_residuals_equal_dense(self, n, p):
+        d = make_dataset(np.random.default_rng(n + p), n, p)
+        m = fit_kernel(d)
+        np.testing.assert_array_equal(loo_residuals(d.x, d.y, m), self.dense_loo_residuals(m, d.y))
+
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    def test_blocked_candidate_residuals_equal_dense(self, n, p):
+        d = make_dataset(np.random.default_rng(n + p), n, p)
+        y, candidates = d.y[:-1], np.linspace(-4.0, 4.0, 9)
+        np.testing.assert_array_equal(
+            candidate_residuals(d.x, y, candidates, fit_kernel(Dataset(d.x[:-1], y))),
+            self.dense_candidate_residuals(d.x, y, candidates),
+        )
+
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_blocked_predict_many_equals_dense(self, rows, p):
+        rng = np.random.default_rng(rows + p)
+        m = fit_kernel(make_dataset(rng, 300, p))
+        x_new = rng.normal(size=(rows, p))
+        np.testing.assert_array_equal(predict_many(m, x_new), kernel_weights(m, x_new) @ m.train_y)
 
     def test_fit_kernel_memory_stays_below_one_and_a_half_triangles(self):
         # the n(n-1)/2 pair vector is the only large buffer: no (n, n, p)
@@ -457,6 +522,29 @@ class TestKernel:
         tracemalloc.start()
         try:
             fit_kernel(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (n * (n - 1) // 2) * 8
+
+    # the smoother holds one block of weights at a time, never an n x n
+    # matrix (32 MB here, and a second one inside the distance sum)
+    @pytest.mark.parametrize("smoother", ["loo_residuals", "candidate_residuals", "predict_many"])
+    def test_smoother_memory_stays_below_one_and_a_half_triangles(self, smoother):
+        n = 2000
+        rng = np.random.default_rng(17)
+        x, y = rng.normal(size=(n, 2)), rng.normal(size=n)
+        m = fit_kernel(Dataset(x, y))
+        calls = {
+            "loo_residuals": lambda: loo_residuals(x, y, m),
+            "candidate_residuals": lambda: candidate_residuals(
+                x, y[:-1], np.linspace(-3.0, 3.0, 100), m
+            ),
+            "predict_many": lambda: predict_many(m, x),
+        }
+        tracemalloc.start()
+        try:
+            calls[smoother]()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
