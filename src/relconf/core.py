@@ -408,7 +408,7 @@ def _standardize_columns(x: np.ndarray, ddof: int = 1):
     if bad.size:
         raise DataError(
             f"feature column {bad[0] + 1} cannot be standardized: "
-            f"center {centers[bad[0]]!r}, scale {scales[bad[0]]!r}"
+            f"center {float(centers[bad[0]])}, scale {float(scales[bad[0]])}"
         )
     return np.where(active, dev / scales, 0.0), centers, scales, active
 

@@ -7,12 +7,13 @@ for evaluation at new tails. ``fit`` dispatches on the engine enum, and
 conformal) on the fitted model's engine, so every engine's refit algebra
 lives here and the interval constructors stay engine-agnostic.
 
-LASSO runs covariance-update coordinate descent (Friedman, Hastie &
-Tibshirani 2010) on the p x p Gram matrix of the standardized problem,
-along a warm-started penalty path; cross-validation solves each fold's
-whole path in one call. The fixed-penalty refits of interval constructors
+LASSO works on the p x p Gram matrix of the standardized problem.
+Cross-validation reads each fold's whole penalty grid off the exact
+homotopy path (Osborne, Presnell & Turlach 2000; Efron et al. 2004). A fit
+at one penalty runs covariance-update coordinate descent (Friedman, Hastie
+& Tibshirani 2010), and the fixed-penalty refits of interval constructors
 (every leave-one-out problem, every full-conformal candidate head) are
-solved together, as one vectorised batch.
+solved together by it, as one vectorised batch.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ LASSO_GRID_SIZE = 50
 LASSO_GRID_RATIO = 1e-4
 LASSO_TOL = 1e-8
 LASSO_MAX_SWEEPS = 10_000
+# A cross-validation path stops after LASSO_MAX_KNOTS homotopy knots, and
+# treats an active Gram block as singular when its smallest eigenvalue is
+# at most _SINGULAR_EIGENVALUE (its diagonal is 1).
+LASSO_MAX_KNOTS = 1_000
+_SINGULAR_EIGENVALUE = 1e-10
 # A leave-one-out LASSO problem is refit from its rows instead of
 # downdated when its left-out row holds all but 1/_LOO_DOWNDATE_RATIO of a
 # column's centred sum of squares.
@@ -87,8 +93,10 @@ class FittedModel:
     engine instead retains its standardized training tails, heads, the
     standardization parameters, and the bandwidth. LASSO fits also carry
     the coordinate-descent ``sweeps`` at their penalty and whether the fit
-    ``converged``: False when the final solve or, for a cross-validated
-    penalty, any fold's path hit LASSO_MAX_SWEEPS before LASSO_TOL.
+    ``converged``: False when the final solve hit LASSO_MAX_SWEEPS before
+    LASSO_TOL or, for a cross-validated penalty, any fold's homotopy path
+    stopped at LASSO_MAX_KNOTS or, after falling back to coordinate descent
+    on a singular active block, hit LASSO_MAX_SWEEPS.
     """
 
     kind: Regressor
@@ -129,7 +137,7 @@ def fit_ols(d: Dataset) -> FittedModel:
 
 
 # ---------------------------------------------------------------------------
-# LASSO via covariance-update coordinate descent
+# LASSO via covariance-update coordinate descent and the homotopy path
 # ---------------------------------------------------------------------------
 
 def soft_threshold(z: float, lam: float) -> float:
@@ -147,25 +155,30 @@ def lasso_objective(x, y, intercept: float, coef, lam: float) -> float:
     return float((r @ r) / (2 * len(y)) + lam * np.abs(coef).sum())
 
 
-def _cd_path(gram, xty, lams, active):
+def _cd_path(gram, xty, lams, active, start=None):
     """Cyclic coordinate descent along a penalty path, on the Gram matrix.
 
     Solves (1/2) b'Gb - c'b + lam*||b||_1 with ``gram`` G = xs'xs/n and
     ``xty`` c = xs'yc/n of the standardized problem, for each penalty in
-    ``lams`` in turn, each warm-started from the previous solution. Only
-    ``active`` coordinates move; every active column has G[j, j] = 1 up to
-    rounding, so a coordinate update is one soft-threshold step. The
-    gradient c - Gb is kept current as coordinates change, so a sweep costs
-    O(p) per changed coordinate and never touches the n data rows. Per
-    penalty, sweeps stop when no coefficient moves by LASSO_TOL or more, or
-    after LASSO_MAX_SWEEPS.
+    ``lams`` in turn, each warm-started from the previous solution and the
+    first from ``start`` (zeros when None). Only ``active`` coordinates
+    move; every active column has G[j, j] = 1 up to rounding, so a
+    coordinate update is one soft-threshold step. The gradient c - Gb is
+    kept current as coordinates change, so a sweep costs O(p) per changed
+    coordinate and never touches the n data rows. Per penalty, sweeps stop
+    when no coefficient moves by LASSO_TOL or more, or after
+    LASSO_MAX_SWEEPS.
 
     Returns (path, sweeps, converged): one coefficient row per penalty, the
     total number of sweeps, and whether every penalty met the tolerance.
     """
     rows = gram.tolist()
-    grad = xty.tolist()
-    beta = [0.0] * len(grad)
+    beta = [0.0] * len(xty)
+    grad = xty
+    if start is not None:
+        beta = start.tolist()
+        grad = xty - gram @ start
+    grad = grad.tolist()
     cols = np.flatnonzero(active).tolist()
     path = []
     sweeps = 0
@@ -193,6 +206,96 @@ def _cd_path(gram, xty, lams, active):
     return np.array(path), sweeps, converged
 
 
+def _homotopy_path(gram, xty, lams, active):
+    """Exact LASSO solutions of ``_cd_path``'s problem at the decreasing
+    penalties ``lams``, by the homotopy (Osborne, Presnell & Turlach 2000;
+    Efron et al. 2004, LARS with the lasso modification).
+
+    The solution is piecewise linear in lam. It is 0 from lam_max, the
+    largest |c_j| of an active column, and between two knots, with active
+    set E and signs s, it is b_E(lam) = u - lam v for u = G_EE^-1 c_E and
+    v = G_EE^-1 s. The next knot is the largest lam below the current one
+    at which an inactive gradient c_j - G_jE b_E(lam) reaches +-lam (a
+    join) or a coefficient of E reaches 0 (a drop); every grid penalty
+    between two knots is read off the piece. A drop goes first when it
+    ties with a join, and the lowest column goes first among ties of one
+    kind. An event counts only where its column moves the right way as lam
+    falls, so the root that a column which moved at a knot has at that
+    knot, where rounding puts it on either side, never undoes the move;
+    a root that rounding puts above the current knot, as it may for a
+    column tied with that knot's event, is taken at the knot.
+
+    A singular G_EE (duplicate or collinear columns, or an active set past
+    the rank of the rows) has no such piece: the remaining penalties are
+    finished by ``_cd_path`` warm-started from the exact solution at the
+    last knot, and its flag becomes ``converged``. After LASSO_MAX_KNOTS
+    knots the remaining penalties keep the last knot's solution and
+    ``converged`` is False.
+
+    Returns (path, knots, converged): one coefficient row per penalty, the
+    number of knots passed, and whether the path was finished.
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    p = xty.shape[0]
+    path = np.zeros((lams.size, p))
+    score = np.where(active, np.abs(xty), 0.0)
+    lam = float(score.max(initial=0.0))
+    if lam <= 0.0:
+        return path, 0, True
+    in_e = np.zeros(p, dtype=bool)
+    in_e[np.argmax(score)] = True
+    cs = np.column_stack([xty, np.sign(xty)])  # c and, on E, the signs s
+    beta = np.zeros(p)
+    g = int(np.count_nonzero(lams >= lam))  # these rows stay 0
+    knots, joined = 0, False
+    while g < lams.size:
+        if knots == LASSO_MAX_KNOTS:
+            path[g:] = beta
+            return path, knots, False
+        e = np.flatnonzero(in_e)
+        block = gram[e[:, None], e]
+        # a drop leaves a principal block of a nonsingular block, and its
+        # eigenvalues interlace, so only a join can make the block singular
+        if joined and np.linalg.eigvalsh(block)[0] <= _SINGULAR_EIGENVALUE:
+            path[g:], _, converged = _cd_path(gram, xty, lams[g:], active, start=beta)
+            return path, knots, converged
+        rhs = cs[e]
+        uv = np.linalg.solve(block, rhs)
+        u, v = uv.T
+        gu, gv = (gram[:, e] @ uv).T
+        a0 = xty - gu
+        free = active & ~in_e
+        # b_j(t) = u_j - t v_j leaves its sign s_j as t falls only if s_j v_j < 0
+        t_drop = np.divide(u, v, out=np.zeros(e.size), where=rhs[:, 1] * v < 0.0)
+        # with a_j(t) = a0_j + t gv_j, s a_j(t) - t rises as t falls only if
+        # s gv_j < 1, and then reaches 0 at t = s a0_j / (1 - s gv_j)
+        t_up = np.divide(a0, 1.0 - gv, out=np.zeros(p), where=free & (gv < 1.0))
+        t_down = np.divide(-a0, 1.0 + gv, out=np.zeros(p), where=free & (gv > -1.0))
+        # a root above lam means the column already crossed: by rounding,
+        # when it tied with the event at the current knot
+        t_drop = np.minimum(t_drop, lam)
+        t_join = np.minimum(np.maximum(t_up, t_down), lam)
+        drop, join = int(np.argmax(t_drop)), int(np.argmax(t_join))
+        t = max(t_drop[drop], t_join[join], 0.0)
+        k = g + int(np.count_nonzero(lams[g:] >= t))
+        path[g:k, e] = u - lams[g:k, None] * v
+        g = k
+        if t <= 0.0:
+            break
+        beta[:] = 0.0
+        beta[e] = u - t * v
+        joined = t_join[join] > t_drop[drop]
+        if joined:
+            in_e[join] = True
+            cs[join, 1] = 1.0 if t_up[join] >= t_down[join] else -1.0
+        else:
+            in_e[e[drop]] = False
+            beta[e[drop]] = 0.0
+        lam = t
+        knots += 1
+    return path, knots, True
+
+
 def _cd_batch(gram, xty, lam, active):
     """Cyclic coordinate descent on B problems at one penalty, all at once.
 
@@ -207,9 +310,9 @@ def _cd_batch(gram, xty, lam, active):
 
     Returns (beta, sweeps, converged) of shapes (B, p), (B,) and (B,).
 
-    Penalty paths stay with ``_cd_path``: cross-validation solves at most
-    LASSO_CV_FOLDS paths, and on so few problems numpy's per-call overhead
-    costs more than the Python float loop it would replace.
+    Penalty paths are not batched: cross-validation reads them off
+    ``_homotopy_path``, which hands a path to ``_cd_path`` only from a
+    singular active block.
     """
     lam = float(lam)
     grad = np.array(xty, dtype=np.float64)
@@ -284,12 +387,14 @@ def _lasso_solve(x, y, lam) -> tuple[float, np.ndarray, int, bool]:
 def _cv_lambda(x, y, seed: int) -> tuple[float, bool]:
     """Pick the penalty by LASSO_CV_FOLDS-fold cross-validation on mean squared error.
 
-    The grid comes from the full data; each fold fits the whole path with
-    warm starts. Ties resolve to the largest (most parsimonious) penalty.
-    Returns (penalty, whether every fold's path converged).
+    The grid comes from the full data's cross-products; each fold reads the
+    whole grid off its exact homotopy path. Ties resolve to the largest
+    (most parsimonious) penalty. Returns (penalty, whether every fold's
+    path was finished).
     """
     n = x.shape[0]
-    grid = _lambda_grid(_gram_problem(x, y)[1])
+    xs = _standardize_columns(x, ddof=0)[0]
+    grid = _lambda_grid(xs.T @ (y - y.mean()) / n)
     rng = np.random.default_rng(seed)
     fold_ids = np.array_split(rng.permutation(n), LASSO_CV_FOLDS)
     sse = np.zeros(grid.size)
@@ -298,7 +403,7 @@ def _cv_lambda(x, y, seed: int) -> tuple[float, bool]:
         mask = np.ones(n, dtype=bool)
         mask[held] = False
         gram, xty, active, m, s, ybar = _gram_problem(x[mask], y[mask])
-        path, _, fold_converged = _cd_path(gram, xty, grid, active)
+        path, _, fold_converged = _homotopy_path(gram, xty, grid, active)
         converged = converged and fold_converged
         coefs = path / s
         pred = (ybar - coefs @ m)[:, None] + coefs @ x[held].T
@@ -312,9 +417,10 @@ def fit_lasso(d: Dataset, *, lam: float | None = None, seed: int = 0) -> FittedM
 
     Coordinate descent runs on internally rescaled features; reported
     coefficients are on the original scale. When ``lam`` is None it is
-    chosen by LASSO_CV_FOLDS-fold cross-validation with fold assignment
-    drawn from ``seed``. ``sweeps`` on the result counts the final fit at
-    the chosen penalty; ``converged`` also covers the cross-validation paths.
+    chosen by LASSO_CV_FOLDS-fold cross-validation on exact homotopy paths,
+    with fold assignment drawn from ``seed``. ``sweeps`` on the result
+    counts the final fit at the chosen penalty; ``converged`` also covers
+    the cross-validation paths.
     """
     cv_converged = True
     if lam is None:

@@ -1,5 +1,6 @@
 """Container validation, CSV round-trips, and standardization behavior."""
 
+import re
 from functools import partial
 
 import numpy as np
@@ -256,20 +257,30 @@ class TestStandardize:
         np.testing.assert_allclose(z * scales + centers, d.x, atol=1e-10)
 
     @pytest.mark.parametrize(
-        "make_x",
+        "make_x, detail",
         [
             # finite entries whose float mean overflows
-            lambda rng: np.where(rng.random((40, 2)) < 0.5, 1e308, 1.7e308),
+            (
+                lambda rng: np.where(rng.random((40, 2)) < 0.5, 1e308, 1.7e308),
+                r"center inf, scale inf",
+            ),
             # a finite mean whose sum of squared deviations overflows
-            lambda rng: np.column_stack([rng.normal(size=40) * 1e200, rng.normal(size=40)]),
+            (
+                lambda rng: np.column_stack([rng.normal(size=40) * 1e200, rng.normal(size=40)]),
+                r"center -?\d\.\d+e\+199, scale inf",
+            ),
             # a varying column whose squared deviations underflow to 0
-            lambda rng: np.column_stack([rng.normal(size=40) * 1e-170, rng.normal(size=40)]),
+            (
+                lambda rng: np.column_stack([rng.normal(size=40) * 1e-170, rng.normal(size=40)]),
+                r"center -?\d\.\d+e-171, scale 0\.0",
+            ),
         ],
         ids=["mean_overflows", "spread_overflows", "spread_underflows"],
     )
-    def test_unstandardizable_column_is_named(self, make_x):
+    def test_unstandardizable_column_is_named(self, make_x, detail):
         # a column that cannot be standardized is refused by name, not
-        # turned into NaN (an empty selection) or zeros (a dropped feature)
+        # turned into NaN (an empty selection) or zeros (a dropped feature),
+        # and its center and scale read as plain numbers
         x = make_x(np.random.default_rng(6))
         d = Dataset(x, np.arange(40.0))
         for call in (
@@ -277,8 +288,11 @@ class TestStandardize:
             lambda: fit_kernel(d),
             lambda: fit_lasso(d, lam=0.01),
         ):
-            with pytest.raises(DataError, match="feature column 1 cannot be standardized"):
+            with pytest.raises(DataError) as err:
                 call()
+            assert re.fullmatch(
+                r"feature column 1 cannot be standardized: " + detail, str(err.value)
+            ), str(err.value)
 
 
 class TestSubseed:

@@ -1,11 +1,13 @@
-"""Behaviour oracle: `relconf run --suite small --seed 0` against a recorded plotdata.csv.
+"""Behaviour oracle: `relconf run --suite small|long --seed 0` against a recorded plotdata.csv.
 
-The golden file was written by the program before LASSO jackknife refits
-were batched. Labels, heads, coverage and degeneracy flags must match
-exactly; forecasts and bounds may drift by float rounding only. A
-full-conformal bound snaps to its candidate grid, so a rounding drift in
-the model can move it by one step of the widest grid, the one spread over
-the training heads.
+The `small` golden file was written by the program before LASSO jackknife
+refits were batched, the `long` one by the program that still chose each
+LASSO penalty by coordinate descent on the cross-validation folds; `long`
+is the oracle of LASSO cross-validation at p = 12. Labels, heads, coverage
+and degeneracy flags must match exactly; forecasts and bounds may drift by
+float rounding only. A full-conformal bound snaps to its candidate grid,
+so a rounding drift in the model can move it by one step of the widest
+grid, the one spread over the training heads.
 """
 
 import csv
@@ -14,10 +16,10 @@ from pathlib import Path
 import pytest
 
 from relconf.cli import main
-from relconf.dgp import gen_small
+from relconf.dgp import SUITES
 from relconf.runner import RunManifest
 
-GOLDEN = Path(__file__).parent / "golden" / "plotdata_small_seed0.csv"
+GOLDEN = Path(__file__).parent / "golden"
 EXACT = ("similarity", "query", "query_label", "path", "method", "regressor", "y0",
          "covered", "degenerate")
 NUMERIC = ("point", "lo", "up", "residual")
@@ -30,19 +32,19 @@ def read_plotdata(path):
     return [dict(zip(rows[0], r)) for r in rows[1:]], rows[0]
 
 
-def full_grid_step(seed: int) -> float:
-    m = RunManifest(suite="small", seed=seed)
-    y = gen_small(seed).dataset.y
+def full_grid_step(suite: str, seed: int) -> float:
+    m = RunManifest(suite=suite, seed=seed)
+    y = SUITES[suite](seed).dataset.y
     return (1.0 + 2.0 * m.grid_expansion) * float(y.max() - y.min()) / (m.grid_points - 1)
 
 
-def test_small_seed0_plotdata_matches_golden(tmp_path):
-    assert main(["run", "--suite", "small", "--seed", "0", "--out", str(tmp_path)]) == 0
+def check_against_golden(tmp_path, suite: str, rows: int):
+    assert main(["run", "--suite", suite, "--seed", "0", "--out", str(tmp_path)]) == 0
     got, got_header = read_plotdata(tmp_path / "plotdata.csv")
-    want, want_header = read_plotdata(GOLDEN)
+    want, want_header = read_plotdata(GOLDEN / f"plotdata_{suite}_seed0.csv")
     assert got_header == want_header
-    assert len(got) == len(want) == 162
-    step = full_grid_step(0)
+    assert len(got) == len(want) == rows
+    step = full_grid_step(suite, 0)
     for g, w in zip(got, want):
         cell = "|".join(w[c] for c in EXACT[:6])
         for column in EXACT:
@@ -54,3 +56,11 @@ def test_small_seed0_plotdata_matches_golden(tmp_path):
             assert float(g[column]) == pytest.approx(float(w[column]), rel=0, abs=tol), (
                 cell, column,
             )
+
+
+def test_small_seed0_plotdata_matches_golden(tmp_path):
+    check_against_golden(tmp_path, "small", 162)
+
+
+def test_long_seed0_plotdata_matches_golden(tmp_path):
+    check_against_golden(tmp_path, "long", 810)

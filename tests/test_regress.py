@@ -1,6 +1,7 @@
 """Regression engines against closed-form and brute-force oracles."""
 
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from relconf.oracles import orthonormal_design
 from relconf.regress import (
     _cd_path,
     _gram_problem,
+    _homotopy_path,
     _lambda_grid,
     _median_bandwidth,
     _shifted_gaussian,
@@ -138,6 +140,59 @@ class TestOls:
             np.concatenate([[m.intercept], m.coefficients]), oracle, atol=1e-8
         )
         np.testing.assert_allclose(predict_many(m, d.x), d.y, atol=1e-8)
+
+
+def near_collinear_dataset():
+    """Twelve near-copies of one column and a pure-noise head."""
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(30, 1))
+    x = z + 0.05 * rng.normal(size=(30, 12))
+    return Dataset(x, rng.normal(size=30))
+
+
+def gram_kkt_residual(gram, xty, lam, beta, active):
+    """Largest violation of the stationarity conditions of
+    (1/2) b'Gb - c'b + lam*||b||_1 at ``beta``, over the active columns."""
+    grad = xty - gram @ beta
+    violation = np.where(beta != 0.0, np.abs(grad - lam * np.sign(beta)), np.abs(grad) - lam)
+    return float(np.max(violation[active], initial=0.0))
+
+
+def spy_fallbacks(monkeypatch):
+    """Record the warm start of every ``_cd_path`` call the homotopy makes."""
+    starts = []
+    cd_path = regress._cd_path
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs["start"].copy())
+        return cd_path(*args, **kwargs)
+
+    monkeypatch.setattr(regress, "_cd_path", spy)
+    return starts
+
+
+def assert_exact_or_fallback(starts, gram, xty, active, grid, tol):
+    """The homotopy path either meets the KKT conditions within ``tol`` at
+    every grid penalty or was finished by the coordinate-descent fallback."""
+    starts.clear()
+    path, _, converged = _homotopy_path(gram, xty, grid, active)
+    if starts:
+        return
+    assert converged
+    for lam, beta in zip(grid, path):
+        assert gram_kkt_residual(gram, xty, lam, beta, active) <= tol
+
+
+def path_problem(seed, n, p, collinear=True):
+    """A standardized LASSO problem and a grid whose top lies above its
+    lam_max, as a fold's does under the full data's grid."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    if collinear and p > 1:
+        x[:, -1] = x[:, 0] + 0.1 * rng.normal(size=n)
+    y = x @ rng.normal(size=p) + rng.normal(size=n)
+    gram, xty, active, _, _, _ = _gram_problem(x, y)
+    return gram, xty, active, _lambda_grid(1.2 * xty)
 
 
 class TestLasso:
@@ -262,18 +317,128 @@ class TestLasso:
         assert fit_ols(d).sweeps is None and fit_ols(d).converged is None
 
     def test_unconverged_cv_path_reported(self, monkeypatch):
-        # Twelve near-copies of one column and a pure-noise head: under a
-        # 50-sweep cap every fold's path stalls, while the final fit at the
-        # chosen penalty converges in one sweep.
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=(30, 1))
-        x = z + 0.05 * rng.normal(size=(30, 12))
-        d = Dataset(x, rng.normal(size=30))
+        # Twelve near-copies of one column and a pure-noise head. Any two
+        # copies form an active block whose smallest eigenvalue is about
+        # 0.0025; counted as singular, every fold's path falls back to
+        # coordinate descent after its first join, and under a 50-sweep cap
+        # that stalls. The final fit at the chosen penalty converges in one
+        # sweep.
+        d = near_collinear_dataset()
+        monkeypatch.setattr(regress, "_SINGULAR_EIGENVALUE", 0.01)
         monkeypatch.setattr(regress, "LASSO_MAX_SWEEPS", 50)
         m = fit_lasso(d, seed=0)
         assert m.converged is False
         assert m.sweeps == 1
         assert fit_lasso(d, lam=m.lam).converged is True
+
+    def test_near_collinear_cv_takes_milliseconds(self):
+        # Coordinate descent spent about 35 s in this design's fold paths,
+        # many of whose penalties stopped at LASSO_MAX_SWEEPS.
+        d = near_collinear_dataset()
+        start = time.perf_counter()
+        m = fit_lasso(d, seed=0)
+        assert time.perf_counter() - start < 1.0
+        assert m.converged is True
+
+    @pytest.mark.parametrize("n, p", [(24, 2), (24, 12), (40, 5), (60, 12)])
+    def test_homotopy_path_meets_kkt_at_every_grid_penalty(self, n, p):
+        # full-rank problems; a near-copy of the first column makes
+        # coefficients leave the active set along some of the paths
+        for seed in range(20):
+            gram, xty, active, grid = path_problem(1000 * n + 10 * p + seed, n, p)
+            path, knots, converged = _homotopy_path(gram, xty, grid, active)
+            assert converged and knots >= p - 1
+            for lam, beta in zip(grid, path):
+                assert gram_kkt_residual(gram, xty, lam, beta, active) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 5, 8])
+    def test_homotopy_path_equals_coordinate_descent(self, p):
+        for seed in range(10):
+            gram, xty, active, grid = path_problem(seed, 60, p, collinear=False)
+            exact = _homotopy_path(gram, xty, grid, active)[0]
+            np.testing.assert_allclose(
+                exact, _cd_path(gram, xty, grid, active)[0], rtol=0, atol=1e-6
+            )
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_rank_deficient_path_meets_kkt_or_falls_back(self, monkeypatch, n):
+        # p = 12 on 10 or 12 rows, as in the split-conformal folds of the
+        # long suite: the centred columns span at most n - 1 dimensions, so
+        # the active set can reach the rank of the rows
+        starts = spy_fallbacks(monkeypatch)
+        for seed in range(50):
+            problem = path_problem(seed, n, 12, collinear=seed % 2 == 0)
+            assert_exact_or_fallback(starts, *problem, tol=1e-9)
+
+    def test_tied_events_on_binary_designs_meet_kkt_or_fall_back(self, monkeypatch):
+        # 0/1 columns and integer heads on a few rows tie often: two
+        # gradients reach the penalty at the same knot, and rounding can put
+        # the root of the second just above it. It must still join there.
+        starts = spy_fallbacks(monkeypatch)
+        rng = np.random.default_rng(42)
+        for _ in range(300):
+            n, p = rng.integers(6, 16), rng.integers(2, 8)
+            x = rng.integers(0, 2, size=(n, p)).astype(float)
+            y = np.round(x @ rng.normal(size=p) + rng.normal(size=n))
+            gram, xty, active, _, _, _ = _gram_problem(x, y)
+            assert_exact_or_fallback(starts, gram, xty, active, _lambda_grid(1.1 * xty), 1e-9)
+
+    def test_singular_block_finishes_by_coordinate_descent(self, monkeypatch):
+        # Columns 0 and 2 have correlation about 0.995, so an active block
+        # holding both has smallest eigenvalue about 0.005; counted as
+        # singular, the path finishes by coordinate descent from the exact
+        # solution at the knot where the second of them joins.
+        gram, xty, active, grid = path_problem(3, 40, 3)
+        exact, _, _ = _homotopy_path(gram, xty, grid, active)
+        starts = spy_fallbacks(monkeypatch)
+        monkeypatch.setattr(regress, "_SINGULAR_EIGENVALUE", 0.01)
+        path, knots, converged = _homotopy_path(gram, xty, grid, active)
+        assert len(starts) == 1 and knots >= 1 and converged
+        # the start is exact at its knot, where |gradient| = lam on E
+        start = starts[0]
+        knot = np.max(np.abs(xty - gram @ start)[start != 0.0])
+        assert gram_kkt_residual(gram, xty, knot, start, active) <= 1e-12
+        reached = np.flatnonzero(np.all(path == exact, axis=1))
+        assert reached.size and reached[-1] + 1 < grid.size
+        for lam, beta in zip(grid, path):
+            assert gram_kkt_residual(gram, xty, lam, beta, active) <= 1e-6
+
+    def test_knot_cap_stops_the_path_unconverged(self, monkeypatch):
+        gram, xty, active, grid = path_problem(4, 40, 5)
+        full, knots, _ = _homotopy_path(gram, xty, grid, active)
+        assert knots >= 3
+        monkeypatch.setattr(regress, "LASSO_MAX_KNOTS", 2)
+        path, knots, converged = _homotopy_path(gram, xty, grid, active)
+        assert knots == 2 and converged is False
+        # the penalties reached before the cap are exact; the rest keep the
+        # solution at the second knot
+        k = int(np.argmin(np.all(path == full, axis=1)))
+        assert 0 < k < grid.size
+        assert np.all(path[k:] == path[-1]) and np.count_nonzero(path[-1]) >= 1
+        assert fit_lasso(near_collinear_dataset(), seed=0).converged is False
+
+    def test_constant_response_gives_all_zero_path(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(20, 3))
+        y = np.full(20, 2.5)
+        gram, xty, active, _, _, _ = _gram_problem(x, y)
+        assert not xty.any()
+        path, knots, converged = _homotopy_path(gram, xty, _lambda_grid(xty), active)
+        assert path.shape == (regress.LASSO_GRID_SIZE, 3)
+        assert not path.any() and knots == 0 and converged
+        m = fit_lasso(Dataset(x, y), seed=0)
+        assert not m.coefficients.any() and m.intercept == 2.5
+
+    def test_tied_joins_give_the_soft_threshold_path(self):
+        # On an orthonormal problem (G = I) the path is the soft threshold
+        # of c. Columns 0 and 1 tie at lam_max: column 0 starts the path
+        # and column 1 joins at the same penalty, a knot of zero length.
+        xty = np.array([1.0, -1.0, 0.5])
+        lams = np.geomspace(2.0, 1e-3, 30)
+        path, knots, converged = _homotopy_path(np.eye(3), xty, lams, np.ones(3, dtype=bool))
+        expected = np.sign(xty) * np.maximum(np.abs(xty) - lams[:, None], 0.0)
+        np.testing.assert_allclose(path, expected, rtol=0, atol=1e-15)
+        assert knots == 2 and converged
 
     def test_constant_column_stays_inactive(self):
         # The float column mean of 30 copies of 0.1 is off by 4.2e-17, so
