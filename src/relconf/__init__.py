@@ -53,8 +53,6 @@ from .conformal import (
 )
 from .individualize import (
     ControlMode,
-    ControlSet,
-    Origin,
     RelevanceSelection,
     select,
     select_cosine,
@@ -105,8 +103,6 @@ __all__ = [
     "split_conformal",
     "split_quantile",
     "ControlMode",
-    "ControlSet",
-    "Origin",
     "RelevanceSelection",
     "select",
     "select_cosine",

@@ -152,12 +152,19 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """Dataset restricted to the given row indices (order preserved).
 
-        The rows were checked when this Dataset was built, so the copy
-        skips ``__post_init__``.
+        Each index must lie in [0, n): a boolean mask, a negative index
+        and one past the end are refused, not read as 0/1, wrapped or
+        left to numpy. The rows were checked when this Dataset was built,
+        so the copy skips ``__post_init__``.
         """
-        idx = np.asarray(indices, dtype=int)
+        idx = np.asarray(indices)
+        if idx.dtype == bool:
+            raise DataError("subset takes row indices, not a boolean mask")
+        idx = idx.astype(int, copy=False)
         if idx.size == 0:
             raise DataError("subset selects no rows")
+        if idx.min() < 0 or idx.max() >= self.n:
+            raise DataError(f"row index out of range for {self.n} rows")
         out = object.__new__(Dataset)
         object.__setattr__(out, "x", _readonly(self.x[idx]))
         object.__setattr__(out, "y", _readonly(self.y[idx]))

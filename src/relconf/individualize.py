@@ -1,11 +1,11 @@
-"""Relevance selection and simulated-control augmentation.
+"""Relevance selection and simulated controls.
 
 Two selection rules identify the observations that matter for a query:
 ``select_percentile`` keeps the closest alpha-fraction in standardized
 Euclidean distance, ``select_cosine`` keeps rows whose raw-tail cosine
-with the query clears a threshold. ``simulate_controls`` then enlarges
-the selection with synthetic rows so the conformal stage sees more
-residual diversity near the query.
+with the query clears a threshold. ``simulate_controls`` then builds one
+synthetic row per selected row, a ``Dataset`` of its own, on which the
+relevant + simulated interval is calibrated.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from .core import (
 from .regress import _row_blocks
 
 __all__ = [
-    "Origin",
     "ControlMode",
     "RelevanceSelection",
-    "ControlSet",
     "select_percentile",
     "select_cosine",
     "select",
@@ -42,12 +40,6 @@ __all__ = [
 SIGMA_FLOOR = 1e-8
 
 
-class Origin(str, enum.Enum):
-    RELEVANT_ORIGINAL = "relevant_original"
-    PERTURBED_CLONE = "perturbed_clone"
-    GAUSSIAN_MIMIC = "gaussian_mimic"
-
-
 class ControlMode(str, enum.Enum):
     PERTURB = "perturb"
     GAUSSIAN_MIMIC = "gaussian_mimic"
@@ -55,16 +47,16 @@ class ControlMode(str, enum.Enum):
 
 @dataclass(frozen=True)
 class RelevanceSelection:
-    """Row indices judged relevant to one query, with their evidence.
+    """Row indices judged relevant to one query.
 
-    ``scores`` has one entry per source row: distances (>= 0) for the
-    percentile rule, cosines (in [-1, 1], or -inf for zero-norm rows)
-    for the cosine rule. ``fallback`` records that the rule alone gave
-    fewer than ``min_relevant`` rows and the floor took over.
+    ``threshold_used`` is the cut the rule applied: a distance for the
+    percentile rule, a cosine for the cosine rule; ``fallback`` records that
+    the rule alone gave fewer than ``min_relevant`` rows and the floor
+    took over. Whether the indices fit a dataset is checked where they
+    are used, by ``Dataset.subset``.
     """
 
     indices: np.ndarray
-    scores: np.ndarray
     method: Similarity
     threshold_used: float
     fallback: bool = False
@@ -75,39 +67,12 @@ class RelevanceSelection:
             raise DataError("relevance selection is empty")
         if len(np.unique(idx)) != idx.size:
             raise DataError("relevance selection has duplicate indices")
-        if idx.min() < 0 or idx.max() >= len(self.scores):
-            raise DataError("relevance index out of range")
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "scores", _readonly(self.scores))
         object.__setattr__(self, "method", Similarity(self.method))
 
     @property
     def n_relevant(self) -> int:
         return self.indices.size
-
-
-@dataclass(frozen=True)
-class ControlSet:
-    """The augmented neighborhood: every relevant original plus one
-    synthetic row per original, origin-tagged."""
-
-    dataset: Dataset
-    origin: tuple[Origin, ...]
-
-    def __post_init__(self):
-        if len(self.origin) != self.dataset.n:
-            raise DataError("one origin tag required per control row")
-        object.__setattr__(self, "origin", tuple(Origin(o) for o in self.origin))
-
-    @property
-    def originals(self) -> Dataset:
-        keep = [i for i, o in enumerate(self.origin) if o is Origin.RELEVANT_ORIGINAL]
-        return self.dataset.subset(keep)
-
-    @property
-    def simulated(self) -> Dataset:
-        keep = [i for i, o in enumerate(self.origin) if o is not Origin.RELEVANT_ORIGINAL]
-        return self.dataset.subset(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +102,7 @@ def select_percentile(
     k = max(k, min_relevant)
     threshold = float(np.partition(dist, k - 1)[k - 1])
     indices = np.flatnonzero(dist <= threshold)
-    return RelevanceSelection(indices, dist, Similarity.PERCENTILE, threshold, fallback)
+    return RelevanceSelection(indices, Similarity.PERCENTILE, threshold, fallback)
 
 
 def select_cosine(
@@ -163,11 +128,11 @@ def select_cosine(
         scores = np.where(row_norms > 0.0, d.x @ x0 / (row_norms * q_norm), -np.inf)
     indices = np.flatnonzero(scores >= gamma)
     if indices.size >= min_relevant:
-        return RelevanceSelection(indices, scores, Similarity.COSINE, float(gamma))
+        return RelevanceSelection(indices, Similarity.COSINE, float(gamma))
     order = np.argsort(-scores, kind="stable")[:min_relevant]
     indices = np.sort(order)
     threshold = float(scores[order[-1]])
-    return RelevanceSelection(indices, scores, Similarity.COSINE, threshold, fallback=True)
+    return RelevanceSelection(indices, Similarity.COSINE, threshold, fallback=True)
 
 
 def select(d: Dataset, x0, method, alpha: float, gamma: float, min_relevant: int = 30):
@@ -194,8 +159,8 @@ def simulate_controls(
     noise_scale: float,
     mode=ControlMode.PERTURB,
     seed: int = 0,
-) -> ControlSet:
-    """Augment the relevant rows with one synthetic control each (2 n_r total).
+) -> Dataset:
+    """One synthetic control per relevant row: n_r rows, in selection order.
 
     perturb (default): clone each relevant row, jittering feature j by
     Normal(0, (noise_scale * sigma_j)^2) where sigma_j is the sample std
@@ -206,27 +171,26 @@ def simulate_controls(
     """
     noise_scale = check_knob("noise_scale", noise_scale)
     mode = ControlMode(mode)
-    idx = rel.indices
-    n_r = idx.size
-    x_rel, y_rel = d.x[idx], d.y[idx]
+    relevant = d.subset(rel.indices)
+    x_rel, y_rel = relevant.x, relevant.y
+    n_r, p = x_rel.shape
     if n_r >= 2:
         sigma = x_rel.std(axis=0, ddof=1)
     else:
-        sigma = np.zeros(d.p)
+        sigma = np.zeros(p)
     sigma = np.maximum(sigma, SIGMA_FLOOR)
 
     if mode is ControlMode.PERTURB:
-        eps = np.empty((n_r, d.p))
-        for row, source in enumerate(idx):
-            eps[row] = _row_rng(seed, int(source)).normal(size=d.p)
+        eps = np.empty((n_r, p))
+        for row, source in enumerate(rel.indices):
+            eps[row] = _row_rng(seed, int(source)).normal(size=p)
         x_syn = x_rel + eps * (noise_scale * sigma)
-        y_syn = y_rel.copy()
-        tag = Origin.PERTURBED_CLONE
+        y_syn = y_rel
     else:
         mu = x_rel.mean(axis=0)
-        x_syn = np.empty((n_r, d.p))
+        x_syn = np.empty((n_r, p))
         for row in range(n_r):
-            x_syn[row] = mu + _row_rng(seed, row).normal(size=d.p) * sigma
+            x_syn[row] = mu + _row_rng(seed, row).normal(size=p) * sigma
         z_rel = (x_rel - mu) / sigma
         z_syn = (x_syn - mu) / sigma
         # nearest relevant row of each synthetic row, a block of rows at a
@@ -235,14 +199,6 @@ def simulate_controls(
         for rows in _row_blocks(n_r):
             nearest[rows] = np.argmin(_sq_dists(z_syn[rows], z_rel), axis=1)
         y_syn = y_rel[nearest]
-        tag = Origin.GAUSSIAN_MIMIC
 
     # checked on purpose: the jitter of a huge-valued design can overflow
-    stacked = Dataset(
-        np.vstack([x_rel, x_syn]),
-        np.concatenate([y_rel, y_syn]),
-        d.feature_names,
-        d.head_name,
-    )
-    origin = (Origin.RELEVANT_ORIGINAL,) * n_r + (tag,) * n_r
-    return ControlSet(stacked, origin)
+    return Dataset(x_syn, y_syn, d.feature_names, d.head_name)

@@ -122,8 +122,10 @@ def _query_intervals(d, q, configs, query_index: int, control_mode):
             # the relevant rows and the synthetic controls cloned from them
             rel = select(d, x0, cfg.similarity, cfg.alpha, cfg.gamma, min_relevant=floor)
             seed = subseed(cfg.seed, "controls", query_index)
-            controls = simulate_controls(d, rel, cfg.noise_scale, mode=control_mode, seed=seed)
-            neighbourhoods[cfg.similarity, floor] = d.subset(rel.indices), controls.simulated
+            neighbourhoods[cfg.similarity, floor] = (
+                d.subset(rel.indices),
+                simulate_controls(d, rel, cfg.noise_scale, mode=control_mode, seed=seed),
+            )
         relevant, simulated = neighbourhoods[cfg.similarity, floor]
         yield cfg, (
             standard[cell],
@@ -143,9 +145,10 @@ def run_algorithm1(
 
     Returns (standard, relevant, relevant_simulated) intervals. The
     relevance selection is computed once and shared by paths 2 and 3;
-    path 3 calibrates on the synthetic control rows cloned from it. The
-    conformal stage of every path uses the same derived seed, so with a
-    degenerate selection and vanishing noise the paths coincide.
+    path 3 calibrates on the n_r synthetic controls built from it alone,
+    without the relevant rows themselves. The conformal stage of every
+    path uses the same derived seed, so with a degenerate selection and
+    vanishing noise the paths coincide.
 
     If the selection would be smaller than the conformal method's
     minimum sample size for the regressor, the ``min_relevant`` floor is

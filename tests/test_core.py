@@ -66,8 +66,27 @@ class TestDataset:
         np.testing.assert_array_equal(s.x[0], d.x[2])
         assert not s.x.flags.writeable and not s.y.flags.writeable
         assert (s.feature_names, s.head_name) == (("a", "b"), "h")
+        # integer lists and arrays of any integer dtype, repeats allowed
+        for rows in ([3, 1, 1], np.array([3, 1, 1]), np.array([3, 1, 1], dtype=np.uint8)):
+            np.testing.assert_array_equal(d.subset(rows).y, [3.0, 1.0, 1.0])
         with pytest.raises(DataError):
             d.subset([])
+
+    def test_subset_refuses_a_boolean_mask(self):
+        # read as indices, [True, False, True] would be rows 1, 0, 1
+        d = Dataset(np.arange(6.0).reshape(3, 2), np.arange(3.0))
+        for mask in ([True, False, True], np.array([True, False, True])):
+            with pytest.raises(DataError, match="boolean mask"):
+                d.subset(mask)
+
+    @pytest.mark.parametrize("row", [-1, 3])
+    def test_subset_refuses_rows_out_of_range(self, row):
+        # -1 would wrap to the last row; 3 is one past the end
+        d = Dataset(np.arange(6.0).reshape(3, 2), np.arange(3.0))
+        with pytest.raises(DataError, match="out of range"):
+            d.subset([0, row])
+        with pytest.raises(DataError, match="out of range"):
+            d.subset(np.array([row]))
 
 
 class TestQuery:

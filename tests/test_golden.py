@@ -1,5 +1,11 @@
 """Behaviour oracle: `relconf run --suite small|long --seed 0` against a recorded plotdata.csv.
 
+`small` is also checked with `--control-mode gaussian_mimic`, whose
+relevant + simulated path calibrates on controls drawn from a Gaussian
+fitted to the relevant rows instead of jittered clones of them; that file
+was written by the program that still stacked the controls under their
+relevant rows.
+
 The `small` golden file was written by the program before LASSO jackknife
 refits were batched, the `long` one by the program that still chose each
 LASSO penalty by coordinate descent on the cross-validation folds; `long`
@@ -38,10 +44,15 @@ def full_grid_step(suite: str, seed: int) -> float:
     return (1.0 + 2.0 * m.grid_expansion) * float(y.max() - y.min()) / (m.grid_points - 1)
 
 
-def check_against_golden(tmp_path, suite: str, rows: int):
-    assert main(["run", "--suite", suite, "--seed", "0", "--out", str(tmp_path)]) == 0
+def check_against_golden(tmp_path, suite: str, rows: int, control_mode: str = "perturb"):
+    args = ["run", "--suite", suite, "--seed", "0", "--out", str(tmp_path)]
+    name = f"plotdata_{suite}_seed0.csv"
+    if control_mode != "perturb":
+        args += ["--control-mode", control_mode]
+        name = f"plotdata_{suite}_{control_mode}_seed0.csv"
+    assert main(args) == 0
     got, got_header = read_plotdata(tmp_path / "plotdata.csv")
-    want, want_header = read_plotdata(GOLDEN / f"plotdata_{suite}_seed0.csv")
+    want, want_header = read_plotdata(GOLDEN / name)
     assert got_header == want_header
     assert len(got) == len(want) == rows
     step = full_grid_step(suite, 0)
@@ -60,6 +71,10 @@ def check_against_golden(tmp_path, suite: str, rows: int):
 
 def test_small_seed0_plotdata_matches_golden(tmp_path):
     check_against_golden(tmp_path, "small", 162)
+
+
+def test_small_gaussian_mimic_seed0_plotdata_matches_golden(tmp_path):
+    check_against_golden(tmp_path, "small", 162, control_mode="gaussian_mimic")
 
 
 def test_long_seed0_plotdata_matches_golden(tmp_path):

@@ -1,5 +1,5 @@
-"""Selection rules and control augmentation: quantile arithmetic, fallbacks,
-invariances, and the 2 n_r containment contract."""
+"""Selection rules and simulated controls: quantile arithmetic, fallbacks,
+invariances, and one synthetic row per relevant row."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,18 @@ from relconf.core import ConfigError, DataError, Dataset, Similarity
 from relconf.individualize import (
     SIGMA_FLOOR,
     ControlMode,
-    ControlSet,
-    Origin,
     RelevanceSelection,
     select,
     select_cosine,
     select_percentile,
     simulate_controls,
 )
+
+
+def cosines(d, x0):
+    """Each row's cosine with the query tail, computed here from the definition."""
+    x0 = np.asarray(x0, dtype=float)
+    return np.array([row @ x0 / (np.linalg.norm(row) * np.linalg.norm(x0)) for row in d.x])
 
 
 def line_dataset():
@@ -83,15 +87,16 @@ class TestCosine:
     def test_orthogonal_row_excluded(self):
         x = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 0.9]])
         d = Dataset(x, np.zeros(4))
+        assert cosines(d, [1.0, 0.0])[0] == pytest.approx(0.0)
         sel = select_cosine(d, [1.0, 0.0], gamma=0.5, min_relevant=2)
         assert 0 not in sel.indices
-        assert sel.scores[0] == pytest.approx(0.0)
 
     def test_dot_product_arithmetic(self):
         x = np.array([[1.0, 0.0], [1.0, 1.0], [0.9, 1.1], [1.0, 0.8]])
         d = Dataset(x, np.zeros(4))
+        # row 0's cosine with the query is 1/sqrt(2) ~ 0.7071
+        assert cosines(d, [1.0, 1.0])[0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         sel = select_cosine(d, [1.0, 1.0], gamma=0.70, min_relevant=2)
-        assert sel.scores[0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         assert 0 in sel.indices
         sel = select_cosine(d, [1.0, 1.0], gamma=0.71, min_relevant=2)
         assert 0 not in sel.indices
@@ -103,8 +108,13 @@ class TestCosine:
         x0 = rng.normal(size=4)
         a = select_cosine(d, x0, 0.5, 2)
         b = select_cosine(d, 17.0 * x0, 0.5, 2)
-        np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
         np.testing.assert_array_equal(a.indices, b.indices)
+        # on a fallback the threshold is a row's cosine, equal up to rounding
+        a = select_cosine(d, x0, 0.999, 25)
+        b = select_cosine(d, 17.0 * x0, 0.999, 25)
+        assert a.fallback and b.fallback
+        np.testing.assert_array_equal(a.indices, b.indices)
+        assert a.threshold_used == pytest.approx(b.threshold_used, abs=1e-12)
 
     def test_monotone_shrinkage_in_gamma(self):
         rng = np.random.default_rng(3)
@@ -122,7 +132,10 @@ class TestCosine:
         d = Dataset(x, np.zeros(4))
         sel = select_cosine(d, [1.0, 1.0], gamma=0.5, min_relevant=2)
         assert 0 not in sel.indices
-        assert sel.scores[0] == -np.inf
+        # not even as the last pick of a fallback's top rows
+        sel = select_cosine(d, [1.0, 1.0], gamma=0.9999, min_relevant=3)
+        assert sel.fallback
+        np.testing.assert_array_equal(sel.indices, [1, 2, 3])
 
     def test_zero_norm_query_rejected(self):
         d = Dataset(np.ones((5, 2)), np.zeros(5))
@@ -133,12 +146,15 @@ class TestCosine:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 3))
         d = Dataset(x, np.zeros(20))
-        sel = select_cosine(d, rng.normal(size=3), gamma=0.999, min_relevant=6)
+        x0 = rng.normal(size=3)
+        sel = select_cosine(d, x0, gamma=0.999, min_relevant=6)
         assert sel.fallback
         assert sel.n_relevant == 6
-        worst_kept = sel.scores[sel.indices].min()
+        scores = cosines(d, x0)
+        worst_kept = scores[sel.indices].min()
+        assert sel.threshold_used == pytest.approx(worst_kept, abs=1e-12)
         dropped = np.setdiff1d(np.arange(20), sel.indices)
-        assert sel.scores[dropped].max() <= worst_kept
+        assert scores[dropped].max() <= worst_kept
 
     def test_dispatch_helper(self):
         rng = np.random.default_rng(5)
@@ -166,44 +182,45 @@ class TestCosine:
 class TestSimulateControls:
     @staticmethod
     def selection(d, k):
-        return RelevanceSelection(
-            np.arange(k), np.zeros(d.n), Similarity.PERCENTILE, 1.0
-        )
+        return RelevanceSelection(np.arange(k), Similarity.PERCENTILE, 1.0)
 
-    def test_row_count_doubles(self):
+    def test_one_control_per_relevant_row(self):
         rng = np.random.default_rng(6)
-        d = Dataset(rng.normal(size=(30, 2)), rng.normal(size=30))
-        cs = simulate_controls(d, self.selection(d, 7), noise_scale=0.1, seed=1)
-        assert cs.dataset.n == 14
-        assert sum(o is Origin.RELEVANT_ORIGINAL for o in cs.origin) == 7
-        assert cs.origin[:7] == (Origin.RELEVANT_ORIGINAL,) * 7
+        d = Dataset(rng.normal(size=(30, 2)), rng.normal(size=30), ("a", "b"), "h")
+        for mode in ControlMode:
+            cs = simulate_controls(d, self.selection(d, 7), noise_scale=0.1, mode=mode, seed=1)
+            assert isinstance(cs, Dataset)
+            assert (cs.n, cs.p) == (7, 2)
+            assert (cs.feature_names, cs.head_name) == (("a", "b"), "h")
 
-    def test_originals_preserved_exactly(self):
+    def test_clones_follow_selection_order(self):
+        # each clone is its source row jittered, in the order of the selection
         rng = np.random.default_rng(7)
         d = Dataset(rng.normal(size=(20, 3)), rng.normal(size=20))
-        sel = self.selection(d, 9)
-        cs = simulate_controls(d, sel, noise_scale=0.2, seed=2)
-        np.testing.assert_array_equal(cs.originals.x, d.x[sel.indices])
-        np.testing.assert_array_equal(cs.originals.y, d.y[sel.indices])
+        sel = RelevanceSelection(np.array([12, 3, 17, 5]), Similarity.COSINE, 0.5)
+        cs = simulate_controls(d, sel, noise_scale=1e-12, seed=2)
+        np.testing.assert_array_equal(cs.y, d.y[sel.indices])
+        np.testing.assert_allclose(cs.x, d.x[sel.indices], atol=1e-10)
+        assert not np.array_equal(cs.x, d.x[sel.indices])
 
     def test_clones_keep_source_heads(self):
         rng = np.random.default_rng(8)
         d = Dataset(rng.normal(size=(12, 2)), rng.normal(size=12))
         cs = simulate_controls(d, self.selection(d, 12), noise_scale=0.1, seed=3)
-        np.testing.assert_array_equal(cs.simulated.y, d.y[:12])
+        np.testing.assert_array_equal(cs.y, d.y[:12])
 
     def test_degenerate_noise_reproduces_tails(self):
         rng = np.random.default_rng(9)
         d = Dataset(rng.normal(size=(25, 2)), rng.normal(size=25))
         cs = simulate_controls(d, self.selection(d, 25), noise_scale=1e-12, seed=4)
-        np.testing.assert_allclose(cs.simulated.x, d.x, atol=1e-10)
+        np.testing.assert_allclose(cs.x, d.x, atol=1e-10)
 
     def test_noise_moments_monte_carlo(self):
         rng = np.random.default_rng(10)
         d = Dataset(rng.normal(0, 3.0, size=(1000, 2)), rng.normal(size=1000))
         sel = self.selection(d, 1000)
         cs = simulate_controls(d, sel, noise_scale=0.1, seed=5)
-        deltas = cs.simulated.x - d.x
+        deltas = cs.x - d.x
         sigma = d.x.std(axis=0, ddof=1)
         np.testing.assert_allclose(
             deltas.std(axis=0, ddof=1), 0.1 * sigma, rtol=0.10
@@ -216,17 +233,16 @@ class TestSimulateControls:
         a = simulate_controls(d, sel, 0.1, seed=6)
         b = simulate_controls(d, sel, 0.1, seed=6)
         c = simulate_controls(d, sel, 0.1, seed=7)
-        np.testing.assert_array_equal(a.dataset.x, b.dataset.x)
-        assert not np.array_equal(a.dataset.x, c.dataset.x)
+        np.testing.assert_array_equal(a.x, b.x)
+        assert not np.array_equal(a.x, c.x)
 
     def test_gaussian_mimic_heads_come_from_relevant_rows(self):
         rng = np.random.default_rng(12)
         d = Dataset(rng.normal(size=(40, 3)), rng.normal(size=40))
         sel = self.selection(d, 10)
         cs = simulate_controls(d, sel, 0.5, mode="gaussian_mimic", seed=8)
-        assert cs.dataset.n == 20
-        assert set(cs.simulated.y) <= set(d.y[:10])
-        assert all(o is Origin.GAUSSIAN_MIMIC for o in cs.origin[10:])
+        assert cs.n == 10
+        assert set(cs.y) <= set(d.y[:10])
 
     def test_gaussian_mimic_heads_equal_dense_nearest_neighbour(self):
         # the relevant set spans several row blocks, and its integer lattice
@@ -240,9 +256,9 @@ class TestSimulateControls:
         x_rel = d.x[:n_r]
         assert len(np.unique(x_rel, axis=0)) < n_r
         mu, sigma = x_rel.mean(axis=0), np.maximum(x_rel.std(axis=0, ddof=1), SIGMA_FLOOR)
-        z_rel, z_syn = (x_rel - mu) / sigma, (cs.simulated.x - mu) / sigma
+        z_rel, z_syn = (x_rel - mu) / sigma, (cs.x - mu) / sigma
         nearest = np.argmin(((z_syn[:, None] - z_rel[None]) ** 2).sum(-1), axis=1)
-        np.testing.assert_array_equal(cs.simulated.y, d.y[nearest])
+        np.testing.assert_array_equal(cs.y, d.y[nearest])
 
     def test_nonpositive_noise_rejected(self):
         # refused here, not later as a non-finite feature matrix
@@ -251,20 +267,27 @@ class TestSimulateControls:
             with pytest.raises(ConfigError, match="noise_scale"):
                 simulate_controls(d, self.selection(d, 5), noise_scale=noise_scale)
 
+    def test_overflowing_jitter_rejected(self):
+        # the controls are new rows, checked where they are built
+        rng = np.random.default_rng(14)
+        d = Dataset(rng.normal(size=(40, 2)) * 1e200, rng.normal(size=40))
+        with np.errstate(all="ignore"), pytest.raises(DataError, match="non-finite"):
+            simulate_controls(d, self.selection(d, 40), noise_scale=0.1, seed=10)
+
+    def test_out_of_range_selection_rejected(self):
+        # a selection made on a larger dataset fails where it is first used
+        d = Dataset(np.ones((5, 2)) + np.eye(5, 2), np.zeros(5))
+        sel = RelevanceSelection(np.array([9]), Similarity.COSINE, 1.0)
+        for mode in ControlMode:
+            with pytest.raises(DataError, match="range"):
+                simulate_controls(d, sel, noise_scale=0.1, mode=mode)
+
 
 class TestRelevanceSelectionValidation:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
-            RelevanceSelection(
-                np.array([0, 0]), np.zeros(5), Similarity.PERCENTILE, 1.0
-            )
+            RelevanceSelection(np.array([0, 0]), Similarity.PERCENTILE, 1.0)
 
     def test_empty_selection_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            RelevanceSelection(
-                np.array([], dtype=int), np.zeros(5), Similarity.PERCENTILE, 1.0
-            )
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DataError, match="range"):
-            RelevanceSelection(np.array([9]), np.zeros(5), Similarity.COSINE, 1.0)
+            RelevanceSelection(np.array([], dtype=int), Similarity.PERCENTILE, 1.0)

@@ -61,7 +61,7 @@ class TestRunAlgorithm1:
         seed = subseed(BASE.seed, "conformal", 4)
         assert triple == tuple(
             conformal_interval(data, BASE.regressor, x0, spec, seed=seed)
-            for data in (d, d.subset(rel.indices), controls.simulated)
+            for data in (d, d.subset(rel.indices), controls)
         )
         for iv in triple:
             assert iv.lo <= iv.up
