@@ -29,6 +29,7 @@ from .core import (
     check_knobs,
 )
 from .regress import (
+    FittedModel,
     candidate_residuals,
     fit,
     loo_residuals,
@@ -137,17 +138,20 @@ def _candidate_grid(y: np.ndarray, spec: ConformalSpec) -> np.ndarray:
 
 
 def full_conformal_accepted(
-    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0
+    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0, base: FittedModel | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Candidate grid, per-candidate acceptance mask, and the base forecast.
 
     Each candidate head is appended to the data and the model refit on the
     n+1 rows (``regress.candidate_residuals``); the candidate survives when
     its absolute residual ranks within the lowest ceil((n+1)(1-alpha)) of
-    all n+1.
+    all n+1. ``base`` is the base fit ``regress.fit(d, reg, seed)``, made
+    here when not given; a caller that also runs the jackknife on ``d``
+    fits it once for both.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
-    base = fit(d, reg, seed=seed)
+    if base is None:
+        base = fit(d, reg, seed=seed)
     point = predict(base, x0)
     grid = _candidate_grid(d.y, spec)
     n = d.n
@@ -158,14 +162,15 @@ def full_conformal_accepted(
 
 
 def full_conformal(
-    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0
+    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0, base: FittedModel | None = None
 ) -> PredictionInterval:
     """[min accepted, max accepted] over the candidate grid.
 
     An empty acceptance region degrades to a zero-length interval at the
     base forecast, flagged ``degenerate`` so downstream metrics can see it.
+    ``base`` is as for ``full_conformal_accepted``.
     """
-    grid, accepted, point = full_conformal_accepted(d, reg, x0, spec, seed=seed)
+    grid, accepted, point = full_conformal_accepted(d, reg, x0, spec, seed=seed, base=base)
     if not accepted.any():
         return PredictionInterval(point, point, point, degenerate=True)
     kept = grid[accepted]
@@ -177,12 +182,17 @@ def full_conformal(
 # ---------------------------------------------------------------------------
 
 def jackknife_conformal(
-    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0
+    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0, base: FittedModel | None = None
 ) -> PredictionInterval:
-    """Base forecast plus/minus the leave-one-out residual quantile."""
+    """Base forecast plus/minus the leave-one-out residual quantile.
+
+    ``base`` is the base fit ``regress.fit(d, reg, seed)``, made here when
+    not given; full conformal on ``d`` starts from the same fit.
+    """
     if d.n < 3:
         raise DataError(f"jackknife needs n >= 3, got n={d.n}")
-    base = fit(d, reg, seed=seed)
+    if base is None:
+        base = fit(d, reg, seed=seed)
     point = predict(base, x0)
     dstar = loo_quantile(np.abs(loo_residuals(d.x, d.y, base)), spec.alpha)
     return PredictionInterval(point, point - dstar, point + dstar)
@@ -206,11 +216,16 @@ def _min_rows(spec: ConformalSpec, reg) -> int:
 
 
 def conformal_interval(
-    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0
+    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0, base: FittedModel | None = None
 ) -> PredictionInterval:
-    """Dispatch on ``spec.method``."""
+    """Dispatch on ``spec.method``.
+
+    ``base``, the fit ``regress.fit(d, reg, seed)`` when the caller has it,
+    goes to full conformal and the jackknife; split fits on part of ``d``
+    and takes none.
+    """
     if spec.method is ConformalMethod.SPLIT:
         return split_conformal(d, reg, x0, spec, seed)
     if spec.method is ConformalMethod.FULL:
-        return full_conformal(d, reg, x0, spec, seed=seed)
-    return jackknife_conformal(d, reg, x0, spec, seed=seed)
+        return full_conformal(d, reg, x0, spec, seed=seed, base=base)
+    return jackknife_conformal(d, reg, x0, spec, seed=seed, base=base)

@@ -154,13 +154,18 @@ def _row_rng(seed: int, counter: int) -> np.random.Generator:
 
 
 def simulate_controls(
-    d: Dataset,
-    rel: RelevanceSelection,
+    relevant: Dataset,
+    sources,
     noise_scale: float,
     mode=ControlMode.PERTURB,
     seed: int = 0,
 ) -> Dataset:
     """One synthetic control per relevant row: n_r rows, in selection order.
+
+    ``relevant`` holds the selected rows, ``d.subset(rel.indices)``, and
+    ``sources`` their row indices in the full dataset, ``rel.indices``: a
+    perturb stream is keyed on its source row, so a control does not
+    depend on which other rows were selected.
 
     perturb (default): clone each relevant row, jittering feature j by
     Normal(0, (noise_scale * sigma_j)^2) where sigma_j is the sample std
@@ -171,7 +176,9 @@ def simulate_controls(
     """
     noise_scale = check_knob("noise_scale", noise_scale)
     mode = ControlMode(mode)
-    relevant = d.subset(rel.indices)
+    sources = np.asarray(sources)
+    if sources.shape != (relevant.n,):
+        raise DataError(f"source indices of shape {sources.shape} for {relevant.n} relevant rows")
     x_rel, y_rel = relevant.x, relevant.y
     n_r, p = x_rel.shape
     if n_r >= 2:
@@ -182,7 +189,7 @@ def simulate_controls(
 
     if mode is ControlMode.PERTURB:
         eps = np.empty((n_r, p))
-        for row, source in enumerate(rel.indices):
+        for row, source in enumerate(sources):
             eps[row] = _row_rng(seed, int(source)).normal(size=p)
         x_syn = x_rel + eps * (noise_scale * sigma)
         y_syn = y_rel
@@ -201,4 +208,4 @@ def simulate_controls(
         y_syn = y_rel[nearest]
 
     # checked on purpose: the jitter of a huge-valued design can overflow
-    return Dataset(x_syn, y_syn, d.feature_names, d.head_name)
+    return Dataset(x_syn, y_syn, relevant.feature_names, relevant.head_name)

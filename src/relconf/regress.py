@@ -540,28 +540,113 @@ def lasso_kkt_residual(d: Dataset, m: FittedModel) -> float:
 # Kernel smoothing (Nadaraya-Watson, Gaussian kernel)
 # ---------------------------------------------------------------------------
 
+def _median_sample_size(pairs: int) -> int:
+    """Pairs sampled to bracket the median of ``pairs`` distances: about
+    pairs^(2/3), so the bracket keeps about 6 pairs^(2/3) of them."""
+    return min(pairs, math.ceil(pairs ** (2.0 / 3.0)))
+
+
+def _median_bracket(z: np.ndarray, pairs: int) -> tuple[float, float]:
+    """Squared distances lo <= hi that likely bracket the median of the
+    ``pairs`` upper-triangle distances of ``z``: the order statistics at
+    m/2 -+ 3 sqrt(m) of m pairs i != j drawn from a fixed-seed generator.
+    Each is summed column by column like ``_sq_dists``, so it is the same
+    float as that pair's entry in the triangle.
+    """
+    n = z.shape[0]
+    m = _median_sample_size(pairs)
+    rng = np.random.default_rng(0)
+    i = rng.integers(0, n, size=m)
+    j = rng.integers(0, n - 1, size=m)
+    j += j >= i
+    d2 = np.square(z[i, 0] - z[j, 0])
+    for c in range(1, z.shape[1]):
+        d2 += np.square(z[i, c] - z[j, c])
+    spread = 3.0 * math.sqrt(m)
+    ranks = max(int(m / 2 - spread), 0), min(math.ceil(m / 2 + spread), m - 1)
+    d2.partition(ranks)
+    return float(d2[ranks[0]]), float(d2[ranks[1]])
+
+
+def _triangle_between(z: np.ndarray, lo: float, hi: float):
+    """One pass over the upper-triangle squared distances of ``z``.
+
+    Returns (below, at_lo, inside, at_hi): how many distances are below
+    ``lo`` and equal to it, those strictly between ``lo`` and ``hi``, and how
+    many equal ``hi`` (0 when ``hi`` is ``lo``). Ties at the ends are counted,
+    not kept, so a design whose distances mostly tie keeps few of them.
+
+    The triangle comes in blocks of _TRIANGLE_ROWS rows against the rows
+    after the block's first, so each entry is the float ``_sq_dists`` gives
+    that pair. A block's entries on and below the diagonal are set to +inf:
+    never below ``lo``, and within the bracket only when ``hi`` is +inf,
+    where they are counted at ``hi``, after every distance. The kept
+    distances go into one buffer with room for 8 m of them, m the sample
+    size (the bracket holds about 6 m), grown only when a bracket holds
+    more; an array per block, each of another length, would fragment the
+    heap and raise the peak memory of a process that fits many kernels.
+    """
+    n = z.shape[0]
+    lower = np.tri(_TRIANGLE_ROWS, _TRIANGLE_ROWS, -1, dtype=bool)
+    upto_lo, at_lo, at_hi, size = 0, 0, 0, 0
+    inside = np.empty(8 * _median_sample_size(n * (n - 1) // 2))
+    for start in range(0, n - 1, _TRIANGLE_ROWS):
+        block = _sq_dists(z[start : start + _TRIANGLE_ROWS], z[start + 1 :])
+        rows, cols = block.shape
+        square = min(rows, cols)
+        block[:, :square][lower[:rows, :square]] = np.inf
+        keep = block > lo
+        upto_lo += keep.size - np.count_nonzero(keep)
+        at_lo += np.count_nonzero(block == lo)
+        if hi > lo:
+            at_hi += np.count_nonzero(block == hi)
+            keep &= block < hi
+            count = np.count_nonzero(keep)
+            if size + count > inside.size:
+                inside = np.concatenate([inside[:size], np.empty(size + count)])
+            np.compress(keep.ravel(), block, out=inside[size : size + count])
+            size += count
+    return upto_lo - at_lo, at_lo, inside[:size], at_hi
+
+
 def _median_bandwidth(z: np.ndarray) -> float:
     """The default bandwidth: the median pairwise distance among the rows of
     ``z``, floored at KERNEL_MIN_BANDWIDTH.
 
-    The n(n-1)/2 squared distances of the strict upper triangle are written
-    straight into one vector, a block of _TRIANGLE_ROWS rows at a time, and
-    one in-place partition selects the median; no n x n matrix is formed.
-    An even count averages the two middle values as ``np.median`` does, so
-    the result equals it exactly (the distances are finite).
+    Exact, by Floyd & Rivest's selection (1975, CACM 18(3)). A sample of
+    pairs brackets the median (``_median_bracket``); one pass over the
+    triangle counts the distances below the bracket and at its ends and
+    keeps those inside it (``_triangle_between``); a partition of the kept
+    ones selects the middle rank. When a middle rank falls outside the
+    bracket, the side that missed opens to -+inf and the triangle is
+    streamed again. The sample decides only what is kept, never the
+    result, and three passes always suffice. An even count averages the
+    two middle values as ``np.median`` does, so the result equals the
+    median of the upper triangle exactly. No vector of the n(n-1)/2
+    distances is formed: one block of _TRIANGLE_ROWS rows and the kept
+    distances, about 6 (n(n-1)/2)^(2/3) of them, are held.
     """
     n = z.shape[0]
-    pairs = np.empty(n * (n - 1) // 2)
-    k = 0
-    for lo in range(0, n - 1, _TRIANGLE_ROWS):
-        block = _sq_dists(z[lo : lo + _TRIANGLE_ROWS], z[lo + 1 :])
-        for r, row in enumerate(block):
-            tail = row[r:]
-            pairs[k : k + len(tail)] = tail
-            k += len(tail)
-    mid = pairs.size // 2
-    pairs.partition(mid)
-    median = pairs[mid] if pairs.size % 2 else (pairs[:mid].max() + pairs[mid]) / 2.0
+    pairs = n * (n - 1) // 2
+    mid = pairs // 2
+    first = mid if pairs % 2 else mid - 1  # lower middle rank, 0-based
+    lo, hi = _median_bracket(z, pairs)
+    while True:
+        below, at_lo, inside, at_hi = _triangle_between(z, lo, hi)
+        missed_low = first < below
+        missed_high = mid >= below + at_lo + inside.size + at_hi
+        if not (missed_low or missed_high):
+            break
+        lo = -np.inf if missed_low else lo
+        hi = np.inf if missed_high else hi
+    # from rank `below` on, the sorted distances run: at_lo copies of lo,
+    # the inside ones, at_hi copies of hi
+    offsets = [rank - below - at_lo for rank in (first, mid)]
+    kth = [k for k in offsets if 0 <= k < inside.size]
+    if kth:
+        inside.partition(kth)
+    low, high = (lo if k < 0 else hi if k >= inside.size else inside[k] for k in offsets)
+    median = (low + high) / 2.0 if pairs % 2 == 0 else high
     return max(float(np.sqrt(median)), KERNEL_MIN_BANDWIDTH)
 
 
@@ -571,10 +656,11 @@ def _shifted_gaussian(d2: np.ndarray, bandwidth: float) -> np.ndarray:
     they are exact but never all underflow.
 
     Works in ``d2``'s buffer, which it overwrites and returns as the weights.
+    Dividing by -2h^2 equals negating and then dividing by 2h^2 bit for bit:
+    IEEE division is symmetric in sign.
     """
     d2 -= d2.min(axis=1, keepdims=True)
-    np.negative(d2, out=d2)
-    d2 /= 2.0 * bandwidth**2
+    np.divide(d2, -2.0 * bandwidth**2, out=d2)
     return np.exp(d2, out=d2)
 
 
@@ -611,7 +697,9 @@ def fit_kernel(d: Dataset) -> FittedModel:
 
     The bandwidth is the median pairwise distance among the standardized
     training tails (floored at 1e-6), a dimension-robust parameter-free
-    heuristic.
+    heuristic. It is selected exactly without holding the n(n-1)/2
+    distances (``_median_bandwidth``), so the fit's memory grows with
+    n^(4/3), not n^2.
     """
     if d.n < 2:
         raise DataError(f"kernel fit needs n >= 2, got n={d.n}")

@@ -53,6 +53,7 @@ from .core import (
 from .dgp import SUITES
 from .evaluate import METHOD_LABELS, Cell, MetricRow, score, summary_table, variant_code
 from .individualize import ControlMode, select, simulate_controls
+from .regress import fit
 
 __all__ = [
     "RunManifest",
@@ -99,38 +100,49 @@ def _setup(d: Dataset, q: Query, cfg: ExperimentConfig):
     return x0, spec, min(max(int(cfg.min_relevant), needed), d.n)
 
 
-def _interval(d, x0, cfg, spec, query_index: int) -> PredictionInterval:
-    """One path's interval, on the query's shared conformal seed."""
-    return conformal_interval(
-        d, cfg.regressor, x0, spec, seed=subseed(cfg.seed, "conformal", query_index)
-    )
-
-
 def _query_intervals(d, q, configs, query_index: int, control_mode):
     """Yield (cfg, (standard, relevant, relevant_simulated)) for each config.
 
     The configs differ only in regressor, similarity and method, so the
-    keys that share the standard interval and the neighbourhood are complete.
+    keys that share the standard interval, the neighbourhood and the base
+    fit are complete. Every path runs on the query's one conformal seed, so
+    full conformal and the jackknife on the same rows and regressor start
+    from one base fit.
     """
-    standard, neighbourhoods = {}, {}
+    standard, neighbourhoods, bases = {}, {}, {}
+
+    def interval(rows, path, cfg, x0, spec) -> PredictionInterval:
+        seed = subseed(cfg.seed, "conformal", query_index)
+        base = None
+        if spec.method is not ConformalMethod.SPLIT:
+            key = (path, cfg.regressor)
+            if key not in bases:
+                bases[key] = fit(rows, cfg.regressor, seed=seed)
+            base = bases[key]
+        return conformal_interval(rows, cfg.regressor, x0, spec, seed=seed, base=base)
+
     for cfg in configs:
         x0, spec, floor = _setup(d, q, cfg)
         cell = (cfg.regressor, cfg.conformal_method)
         if cell not in standard:
-            standard[cell] = _interval(d, x0, cfg, spec, query_index)
-        if (cfg.similarity, floor) not in neighbourhoods:
+            standard[cell] = interval(d, IntervalPath.STANDARD, cfg, x0, spec)
+        hood = (cfg.similarity, floor)
+        if hood not in neighbourhoods:
             # the relevant rows and the synthetic controls cloned from them
             rel = select(d, x0, cfg.similarity, cfg.alpha, cfg.gamma, min_relevant=floor)
-            seed = subseed(cfg.seed, "controls", query_index)
-            neighbourhoods[cfg.similarity, floor] = (
-                d.subset(rel.indices),
-                simulate_controls(d, rel, cfg.noise_scale, mode=control_mode, seed=seed),
+            relevant = d.subset(rel.indices)
+            controls_seed = subseed(cfg.seed, "controls", query_index)
+            neighbourhoods[hood] = (
+                relevant,
+                simulate_controls(
+                    relevant, rel.indices, cfg.noise_scale, mode=control_mode, seed=controls_seed
+                ),
             )
-        relevant, simulated = neighbourhoods[cfg.similarity, floor]
+        relevant, simulated = neighbourhoods[hood]
         yield cfg, (
             standard[cell],
-            _interval(relevant, x0, cfg, spec, query_index),
-            _interval(simulated, x0, cfg, spec, query_index),
+            interval(relevant, (IntervalPath.RELEVANT, hood), cfg, x0, spec),
+            interval(simulated, (IntervalPath.RELEVANT_SIMULATED, hood), cfg, x0, spec),
         )
 
 

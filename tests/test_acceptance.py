@@ -116,7 +116,9 @@ def test_criterion_06_containment_and_monotonicity():
         x0 = rng.normal(0.0, 1.0, size=2)
 
         selection = select_percentile(d, x0, alpha=0.2, min_relevant=10)
-        controls = simulate_controls(d, selection, noise_scale=0.1, seed=trial)
+        controls = simulate_controls(
+            d.subset(selection.indices), selection.indices, noise_scale=0.1, seed=trial
+        )
         n_r = selection.n_relevant
         heads_ok = controls.n == n_r and np.array_equal(controls.y, d.y[selection.indices])
         violations += int(not heads_ok)

@@ -18,7 +18,9 @@ from relconf.conformal import (
     split_conformal,
     split_quantile,
 )
+from relconf import conformal
 from relconf.regress import (
+    fit,
     fit_kernel,
     fit_lasso,
     fit_ols,
@@ -347,3 +349,20 @@ class TestDispatch:
             for f in fields(PredictionInterval):
                 assert getattr(iv, f.name) == getattr(own, f.name), (method, f.name)
             assert iv.lo <= iv.up
+
+    @pytest.mark.parametrize("reg", ["ols", "lasso", "kernel"])
+    def test_given_base_fit_is_used_and_changes_nothing(self, reg, monkeypatch):
+        # full conformal and the jackknife take a caller's base fit in place
+        # of their own, with the same interval
+        d = make_dataset(np.random.default_rng(14), 30, 2)
+        base = fit(d, reg, seed=4)
+        alone = {
+            method: conformal_interval(
+                d, reg, [0.1, -0.2], ConformalSpec(method=method, grid_points=25), seed=4
+            )
+            for method in ("full", "jackknife")
+        }
+        monkeypatch.setattr(conformal, "fit", None)  # a fit here would fail
+        for method, iv in alone.items():
+            spec = ConformalSpec(method=method, grid_points=25)
+            assert conformal_interval(d, reg, [0.1, -0.2], spec, seed=4, base=base) == iv

@@ -184,11 +184,16 @@ class TestSimulateControls:
     def selection(d, k):
         return RelevanceSelection(np.arange(k), Similarity.PERCENTILE, 1.0)
 
+    @staticmethod
+    def controls(d, sel, *args, **kwargs):
+        """The controls of a selection made on ``d``, built as the runner does."""
+        return simulate_controls(d.subset(sel.indices), sel.indices, *args, **kwargs)
+
     def test_one_control_per_relevant_row(self):
         rng = np.random.default_rng(6)
         d = Dataset(rng.normal(size=(30, 2)), rng.normal(size=30), ("a", "b"), "h")
         for mode in ControlMode:
-            cs = simulate_controls(d, self.selection(d, 7), noise_scale=0.1, mode=mode, seed=1)
+            cs = self.controls(d, self.selection(d, 7), noise_scale=0.1, mode=mode, seed=1)
             assert isinstance(cs, Dataset)
             assert (cs.n, cs.p) == (7, 2)
             assert (cs.feature_names, cs.head_name) == (("a", "b"), "h")
@@ -198,7 +203,7 @@ class TestSimulateControls:
         rng = np.random.default_rng(7)
         d = Dataset(rng.normal(size=(20, 3)), rng.normal(size=20))
         sel = RelevanceSelection(np.array([12, 3, 17, 5]), Similarity.COSINE, 0.5)
-        cs = simulate_controls(d, sel, noise_scale=1e-12, seed=2)
+        cs = self.controls(d, sel, noise_scale=1e-12, seed=2)
         np.testing.assert_array_equal(cs.y, d.y[sel.indices])
         np.testing.assert_allclose(cs.x, d.x[sel.indices], atol=1e-10)
         assert not np.array_equal(cs.x, d.x[sel.indices])
@@ -206,20 +211,20 @@ class TestSimulateControls:
     def test_clones_keep_source_heads(self):
         rng = np.random.default_rng(8)
         d = Dataset(rng.normal(size=(12, 2)), rng.normal(size=12))
-        cs = simulate_controls(d, self.selection(d, 12), noise_scale=0.1, seed=3)
+        cs = self.controls(d, self.selection(d, 12), noise_scale=0.1, seed=3)
         np.testing.assert_array_equal(cs.y, d.y[:12])
 
     def test_degenerate_noise_reproduces_tails(self):
         rng = np.random.default_rng(9)
         d = Dataset(rng.normal(size=(25, 2)), rng.normal(size=25))
-        cs = simulate_controls(d, self.selection(d, 25), noise_scale=1e-12, seed=4)
+        cs = self.controls(d, self.selection(d, 25), noise_scale=1e-12, seed=4)
         np.testing.assert_allclose(cs.x, d.x, atol=1e-10)
 
     def test_noise_moments_monte_carlo(self):
         rng = np.random.default_rng(10)
         d = Dataset(rng.normal(0, 3.0, size=(1000, 2)), rng.normal(size=1000))
         sel = self.selection(d, 1000)
-        cs = simulate_controls(d, sel, noise_scale=0.1, seed=5)
+        cs = self.controls(d, sel, noise_scale=0.1, seed=5)
         deltas = cs.x - d.x
         sigma = d.x.std(axis=0, ddof=1)
         np.testing.assert_allclose(
@@ -230,9 +235,9 @@ class TestSimulateControls:
         rng = np.random.default_rng(11)
         d = Dataset(rng.normal(size=(15, 2)), rng.normal(size=15))
         sel = self.selection(d, 15)
-        a = simulate_controls(d, sel, 0.1, seed=6)
-        b = simulate_controls(d, sel, 0.1, seed=6)
-        c = simulate_controls(d, sel, 0.1, seed=7)
+        a = self.controls(d, sel, 0.1, seed=6)
+        b = self.controls(d, sel, 0.1, seed=6)
+        c = self.controls(d, sel, 0.1, seed=7)
         np.testing.assert_array_equal(a.x, b.x)
         assert not np.array_equal(a.x, c.x)
 
@@ -240,7 +245,7 @@ class TestSimulateControls:
         rng = np.random.default_rng(12)
         d = Dataset(rng.normal(size=(40, 3)), rng.normal(size=40))
         sel = self.selection(d, 10)
-        cs = simulate_controls(d, sel, 0.5, mode="gaussian_mimic", seed=8)
+        cs = self.controls(d, sel, 0.5, mode="gaussian_mimic", seed=8)
         assert cs.n == 10
         assert set(cs.y) <= set(d.y[:10])
 
@@ -252,7 +257,7 @@ class TestSimulateControls:
         x = rng.integers(0, 4, size=(n_r + 5, 2)).astype(float)
         d = Dataset(x, np.arange(n_r + 5.0))
         sel = self.selection(d, n_r)
-        cs = simulate_controls(d, sel, 0.5, mode="gaussian_mimic", seed=9)
+        cs = self.controls(d, sel, 0.5, mode="gaussian_mimic", seed=9)
         x_rel = d.x[:n_r]
         assert len(np.unique(x_rel, axis=0)) < n_r
         mu, sigma = x_rel.mean(axis=0), np.maximum(x_rel.std(axis=0, ddof=1), SIGMA_FLOOR)
@@ -265,22 +270,30 @@ class TestSimulateControls:
         d = Dataset(np.ones((5, 2)) + np.eye(5, 2), np.zeros(5))
         for noise_scale in (0.0, np.inf):
             with pytest.raises(ConfigError, match="noise_scale"):
-                simulate_controls(d, self.selection(d, 5), noise_scale=noise_scale)
+                self.controls(d, self.selection(d, 5), noise_scale=noise_scale)
 
     def test_overflowing_jitter_rejected(self):
         # the controls are new rows, checked where they are built
         rng = np.random.default_rng(14)
         d = Dataset(rng.normal(size=(40, 2)) * 1e200, rng.normal(size=40))
         with np.errstate(all="ignore"), pytest.raises(DataError, match="non-finite"):
-            simulate_controls(d, self.selection(d, 40), noise_scale=0.1, seed=10)
+            self.controls(d, self.selection(d, 40), noise_scale=0.1, seed=10)
 
     def test_out_of_range_selection_rejected(self):
-        # a selection made on a larger dataset fails where it is first used
+        # a selection made on a larger dataset fails where its rows are taken
         d = Dataset(np.ones((5, 2)) + np.eye(5, 2), np.zeros(5))
         sel = RelevanceSelection(np.array([9]), Similarity.COSINE, 1.0)
         for mode in ControlMode:
             with pytest.raises(DataError, match="range"):
-                simulate_controls(d, sel, noise_scale=0.1, mode=mode)
+                self.controls(d, sel, noise_scale=0.1, mode=mode)
+
+    def test_sources_must_match_relevant_rows(self):
+        # one source index per relevant row keys its control's stream: any
+        # other shape is refused, not cut short or left with rows unset
+        d = Dataset(np.ones((5, 2)) + np.eye(5, 2), np.zeros(5))
+        for sources in (np.arange(4), np.arange(6), np.arange(5)[:, None]):
+            with pytest.raises(DataError, match="source indices"):
+                simulate_controls(d, sources, noise_scale=0.1)
 
 
 class TestRelevanceSelectionValidation:

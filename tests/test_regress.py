@@ -35,6 +35,8 @@ from relconf.regress import (
 
 # rows of kernel weights formed per block
 B = regress._SMOOTH_ROWS
+# designs whose median bandwidth is checked against the whole triangle
+_MEDIAN_SIZES = (2, 3, 4, 65, 70, 513, 514, 1000, 1002)
 
 
 def make_dataset(rng, n, p, noise=1.0):
@@ -618,19 +620,69 @@ class TestKernel:
         ref = ((a[:, None] - b[None]) ** 2).sum(-1)
         np.testing.assert_allclose(_sq_dists(a, b), ref, rtol=1e-12, atol=0)
 
-    # pair counts n(n-1)/2: 1 (n=2), odd (n=3, 70), even (n=4, 65); n=65 and
-    # n=70 span several row blocks of the triangle and end on a partial one.
-    # On an integer lattice many distances tie with the middle ones.
+    # pair counts n(n-1)/2: 1 (n=2), odd (n=3, 70, 514, 1002), even (n=4, 65,
+    # 513, 1000); from n=65 on the triangle spans several row blocks and ends
+    # on a partial one, and the bracket's ends are interior order statistics
+    # of the sample. At n=513 to 1002 the bracket keeps about 6/N^(1/3) of
+    # the N pairs, 12% to 8%. On an integer lattice many distances tie with
+    # the middle ones and with the bracket's ends.
     @pytest.mark.parametrize(
         "n, lattice",
-        [(2, False), (3, False), (4, False), (65, False), (70, False), (65, True), (70, True)],
-        ids=["2", "3", "4", "65", "70", "lattice-65", "lattice-70"],
+        [(n, False) for n in _MEDIAN_SIZES] + [(n, True) for n in _MEDIAN_SIZES[3:]],
+        ids=[str(n) for n in _MEDIAN_SIZES] + [f"lattice-{n}" for n in _MEDIAN_SIZES[3:]],
     )
     def test_median_bandwidth_equals_upper_triangle_median(self, n, lattice):
         rng = np.random.default_rng(n)
         z = rng.integers(-2, 3, size=(n, 3)).astype(float) if lattice else rng.normal(size=(n, 3))
         d2 = ((z[:, None] - z[None]) ** 2).sum(-1)
         assert _median_bandwidth(z) == np.sqrt(np.median(d2[np.triu_indices(n, 1)]))
+
+    def test_median_bandwidth_exact_when_the_bracket_misses(self, monkeypatch):
+        # two sampled pairs bracket the median only by chance: each side of
+        # the bracket must miss on some design, open and be streamed again
+        passes = []
+        stream = regress._triangle_between
+
+        def recording(z, lo, hi):
+            passes.append((lo, hi))
+            return stream(z, lo, hi)
+
+        monkeypatch.setattr(regress, "_median_sample_size", lambda pairs: min(pairs, 2))
+        monkeypatch.setattr(regress, "_triangle_between", recording)
+        rng = np.random.default_rng(18)
+        opened = set()
+        for n in range(2, 80, 3):
+            for z in (rng.normal(size=(n, 2)), rng.integers(-1, 2, size=(n, 2)).astype(float)):
+                passes.clear()
+                d2 = ((z[:, None] - z[None]) ** 2).sum(-1)
+                assert _median_bandwidth(z) == max(
+                    np.sqrt(np.median(d2[np.triu_indices(n, 1)])), regress.KERNEL_MIN_BANDWIDTH
+                )
+                # a miss opens only the side that missed, and one more pass ends it
+                assert len(passes) <= 2
+                if len(passes) == 2:
+                    (lo, hi), again = passes
+                    assert again in ((-np.inf, hi), (lo, np.inf))
+                    opened.add("low" if again[0] == -np.inf else "high")
+        assert opened == {"low", "high"}
+
+    @pytest.mark.parametrize("bandwidth", [1e-170, 1e-140, 1e-6, 0.3, 1.0, 1e3, 1e150])
+    def test_shifted_gaussian_bit_equal_to_negate_then_divide(self, bandwidth):
+        # reference: negate, then divide by 2h^2; the entries at +inf stand
+        # for a smoother's dropped self-weights
+        rng = np.random.default_rng(19)
+        d2 = _sq_dists(rng.normal(size=(40, 3)), rng.normal(size=(70, 3))) * rng.choice(
+            [1e-3, 1.0, 1e3], size=(40, 70)
+        )
+        d2[np.arange(40), np.arange(40)] = np.inf
+        # at h = 1e-170, 2h^2 rounds to 0: a row's minimum gives 0/0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = d2 - d2.min(axis=1, keepdims=True)
+            np.negative(ref, out=ref)
+            ref /= 2.0 * bandwidth**2
+            np.exp(ref, out=ref)
+            w = _shifted_gaussian(d2.copy(), bandwidth)
+        np.testing.assert_array_equal(w.view(np.uint64), ref.view(np.uint64))
 
     # the unblocked formulas, with one n x n weight matrix; every row of the
     # blocked smoother must equal them bit for bit, on either side of a block
@@ -679,9 +731,10 @@ class TestKernel:
         x_new = rng.normal(size=(rows, p))
         np.testing.assert_array_equal(predict_many(m, x_new), kernel_weights(m, x_new) @ m.train_y)
 
-    def test_fit_kernel_memory_stays_below_one_and_a_half_triangles(self):
-        # the n(n-1)/2 pair vector is the only large buffer: no (n, n, p)
-        # difference cube, no triu_indices pair and no n x n matrix
+    def test_fit_kernel_memory_stays_below_a_quarter_triangle(self):
+        # the median bandwidth keeps one block of the triangle and the
+        # distances inside its bracket, never the n(n-1)/2 pair vector, no
+        # (n, n, p) difference cube, no triu_indices pair and no n x n matrix
         n = 2000
         d = Dataset(np.random.default_rng(16).normal(size=(n, 2)), np.zeros(n))
         tracemalloc.start()
@@ -690,12 +743,13 @@ class TestKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * (n * (n - 1) // 2) * 8
+        assert peak < 0.25 * (n * (n - 1) // 2) * 8
 
     # the smoother holds one block of weights at a time, never an n x n
-    # matrix (32 MB here, and a second one inside the distance sum)
+    # matrix (32 MB here, and a second one inside the distance sum), and
+    # full conformal's bandwidth no n(n-1)/2 pair vector
     @pytest.mark.parametrize("smoother", ["loo_residuals", "candidate_residuals", "predict_many"])
-    def test_smoother_memory_stays_below_one_and_a_half_triangles(self, smoother):
+    def test_smoother_memory_stays_below_one_triangle(self, smoother):
         n = 2000
         rng = np.random.default_rng(17)
         x, y = rng.normal(size=(n, 2)), rng.normal(size=n)
@@ -713,7 +767,7 @@ class TestKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * (n * (n - 1) // 2) * 8
+        assert peak < (n * (n - 1) // 2) * 8
 
 
 class TestPredict:

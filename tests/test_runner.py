@@ -22,7 +22,7 @@ from relconf.core import (
     save_csv,
     subseed,
 )
-from relconf import cli, runner
+from relconf import cli, regress, runner
 from relconf.individualize import select, simulate_controls
 from relconf.runner import RunManifest, _load_grid_data, _setup, run_algorithm1, run_grid
 from relconf.evaluate import METRIC_FAMILIES, VARIANT_ORDER, variant_code
@@ -56,7 +56,8 @@ class TestRunAlgorithm1:
         x0, spec, floor = _setup(d, q, BASE)
         rel = select(d, x0, BASE.similarity, BASE.alpha, BASE.gamma, min_relevant=floor)
         controls = simulate_controls(
-            d, rel, BASE.noise_scale, seed=subseed(BASE.seed, "controls", 4)
+            d.subset(rel.indices), rel.indices, BASE.noise_scale,
+            seed=subseed(BASE.seed, "controls", 4),
         )
         seed = subseed(BASE.seed, "conformal", 4)
         assert triple == tuple(
@@ -446,21 +447,21 @@ class TestRunGrid:
         datasets, queries, labels = _load_grid_data(manifest)
         standard = Counter()
         selections = []  # (query tail, similarity, floor, selection) per select call
-        controlled = []  # the selection behind each simulate_controls call
+        controlled = []  # the selection's indices behind each simulate_controls call
 
-        def counting_interval(d, reg, x0, spec, seed=0):
+        def counting_interval(d, reg, x0, spec, seed=0, base=None):
             if any(d is full for full in datasets):
                 standard[seed, Regressor(reg), spec.method] += 1
-            return conformal_interval(d, reg, x0, spec, seed=seed)
+            return conformal_interval(d, reg, x0, spec, seed=seed, base=base)
 
         def counting_select(d, x0, method, alpha, gamma, min_relevant=30):
             rel = select(d, x0, method, alpha, gamma, min_relevant)
             selections.append((x0.tobytes(), Similarity(method), min_relevant, rel))
             return rel
 
-        def counting_controls(d, rel, noise_scale, mode, seed):
-            controlled.append(rel)
-            return simulate_controls(d, rel, noise_scale, mode=mode, seed=seed)
+        def counting_controls(relevant, sources, noise_scale, mode, seed):
+            controlled.append(sources)
+            return simulate_controls(relevant, sources, noise_scale, mode=mode, seed=seed)
 
         monkeypatch.setattr(runner, "_load_grid_data", lambda m: (datasets, queries, labels))
         monkeypatch.setattr(runner, "conformal_interval", counting_interval)
@@ -478,4 +479,31 @@ class TestRunGrid:
         }
         assert len(expected) == 2 * 2 * 4
         assert sorted(key[:3] for key in selections) == sorted(expected)
-        assert [id(rel) for rel in controlled] == [id(key[3]) for key in selections]
+        assert [id(sources) for sources in controlled] == [id(key[3].indices) for key in selections]
+
+    def test_grid_fits_each_path_once_for_full_and_jackknife(self, tmp_path, monkeypatch):
+        # full conformal and the jackknife on one path's rows start from one
+        # base fit, and split fits its own part of them: with one floor per
+        # similarity a query has 5 paths (standard, and relevant and
+        # simulated per similarity), each fit once for split and once for
+        # the other two methods, per regressor
+        manifest = external_manifest(tmp_path)
+        datasets, queries, labels = _load_grid_data(manifest)
+        fits = Counter()
+        for name in ("fit_ols", "fit_lasso", "fit_kernel"):
+            engine = getattr(regress, name)
+
+            def counting(d, *args, _engine=engine, _name=name, **kwargs):
+                fits[_name, d.x.tobytes(), d.y.tobytes()] += 1
+                return _engine(d, *args, **kwargs)
+
+            monkeypatch.setattr(regress, name, counting)
+        # one query, so that no two fits share their rows by pooling
+        monkeypatch.setattr(
+            runner, "_load_grid_data", lambda m: (datasets[:1], queries[:1], labels[:1])
+        )
+        run_grid(manifest)
+        assert set(fits.values()) == {1}
+        assert Counter(name for name, _, _ in fits) == {
+            name: 5 * 2 for name in ("fit_ols", "fit_lasso", "fit_kernel")
+        }
