@@ -5,8 +5,8 @@ same miscoverage level: one calibrated on all rows, one on the rows
 most similar to the query, and one on synthetic controls cloned from
 those rows. Three conformal constructions (split, full, jackknife) and
 three regression engines (OLS, LASSO, Nadaraya-Watson kernel) can be
-combined freely; a grid runner sweeps them over built-in simulation
-suites and writes deterministic CSV tables.
+combined freely; a grid runner runs every combination over built-in
+simulation suites and writes deterministic CSV tables.
 """
 
 from .core import (
@@ -34,11 +34,9 @@ from .regress import (
     fit_ols,
     kernel_weights,
     lasso_kkt_residual,
-    lasso_objective,
     loo_residuals,
     predict,
     predict_many,
-    soft_threshold,
 )
 from .conformal import (
     ConformalSpec,
@@ -88,11 +86,9 @@ __all__ = [
     "fit_ols",
     "kernel_weights",
     "lasso_kkt_residual",
-    "lasso_objective",
     "loo_residuals",
     "predict",
     "predict_many",
-    "soft_threshold",
     "ConformalSpec",
     "ceil_guarded",
     "conformal_interval",

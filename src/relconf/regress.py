@@ -7,13 +7,14 @@ for evaluation at new tails. ``fit`` dispatches on the engine enum, and
 conformal) on the fitted model's engine, so every engine's refit algebra
 lives here and the interval constructors stay engine-agnostic.
 
-LASSO works on the p x p Gram matrix of the standardized problem.
-Cross-validation reads each fold's whole penalty grid off the exact
-homotopy path (Osborne, Presnell & Turlach 2000; Efron et al. 2004). A fit
-at one penalty runs covariance-update coordinate descent (Friedman, Hastie
-& Tibshirani 2010), and the fixed-penalty refits of interval constructors
-(every leave-one-out problem, every full-conformal candidate head) are
-solved together by it, as one vectorised batch.
+LASSO works on the p x p Gram matrix of the standardized problem, and
+every LASSO problem is solved exactly by one solver, the homotopy path
+(Osborne, Presnell & Turlach 2000; Efron et al. 2004). Cross-validation
+reads each fold's whole penalty grid off its path; a fit at one penalty
+follows the path down to it. The fixed-penalty refits of interval
+constructors (every leave-one-out problem, every full-conformal candidate
+head) are batched by sign pattern: the support and signs of one problem's
+path solve every problem that shares them in one linear solve.
 """
 
 from __future__ import annotations
@@ -47,23 +48,19 @@ __all__ = [
     "lasso_candidate_residuals",
     "lasso_kkt_residual",
     "lasso_loo_residuals",
-    "lasso_objective",
     "loo_residuals",
     "min_fit_rows",
-    "soft_threshold",
 ]
 
 # LASSO path constants: 50-point log grid down to 1e-4 of the smallest
-# all-zero lambda, coordinate sweeps stop at max coefficient change 1e-8,
-# and a cross-validated penalty uses 5 folds, so needs at least 5 rows.
+# all-zero lambda, and a cross-validated penalty uses 5 folds, so needs at
+# least 5 rows.
 LASSO_CV_FOLDS = 5
 LASSO_GRID_SIZE = 50
 LASSO_GRID_RATIO = 1e-4
-LASSO_TOL = 1e-8
-LASSO_MAX_SWEEPS = 10_000
-# A cross-validation path stops after LASSO_MAX_KNOTS homotopy knots, and
-# treats an active Gram block as singular when its smallest eigenvalue is
-# at most _SINGULAR_EIGENVALUE (its diagonal is 1).
+# A homotopy path stops after LASSO_MAX_KNOTS knots, and treats an active
+# Gram block as singular when its smallest eigenvalue is at most
+# _SINGULAR_EIGENVALUE (its diagonal is 1).
 LASSO_MAX_KNOTS = 1_000
 _SINGULAR_EIGENVALUE = 1e-10
 # A leave-one-out LASSO problem is refit from its rows instead of
@@ -92,11 +89,9 @@ class FittedModel:
     ``coefficients``/``intercept`` describe linear engines; the kernel
     engine instead retains its standardized training tails, heads, the
     standardization parameters, and the bandwidth. LASSO fits also carry
-    the coordinate-descent ``sweeps`` at their penalty and whether the fit
-    ``converged``: False when the final solve hit LASSO_MAX_SWEEPS before
-    LASSO_TOL or, for a cross-validated penalty, any fold's homotopy path
-    stopped at LASSO_MAX_KNOTS or, after falling back to coordinate descent
-    on a singular active block, hit LASSO_MAX_SWEEPS.
+    whether the fit ``converged``: False when the homotopy path of the
+    final fit or, for a cross-validated penalty, of any fold stopped at
+    LASSO_MAX_KNOTS.
     """
 
     kind: Regressor
@@ -108,7 +103,6 @@ class FittedModel:
     train_y: np.ndarray | None = None
     centers: np.ndarray | None = None
     scales: np.ndarray | None = None
-    sweeps: int | None = None
     converged: bool | None = None
 
     @property
@@ -137,78 +131,14 @@ def fit_ols(d: Dataset) -> FittedModel:
 
 
 # ---------------------------------------------------------------------------
-# LASSO via covariance-update coordinate descent and the homotopy path
+# LASSO by the exact homotopy path
 # ---------------------------------------------------------------------------
 
-def soft_threshold(z: float, lam: float) -> float:
-    """Proximal map of lam*|.|: shrink z toward zero by lam, clipping at 0."""
-    if z > lam:
-        return z - lam
-    if z < -lam:
-        return z + lam
-    return 0.0
-
-
-def lasso_objective(x, y, intercept: float, coef, lam: float) -> float:
-    """(1/2n) sum of squared residuals plus lam times the l1 norm of coef."""
-    r = y - intercept - x @ np.asarray(coef)
-    return float((r @ r) / (2 * len(y)) + lam * np.abs(coef).sum())
-
-
-def _cd_path(gram, xty, lams, active, start=None):
-    """Cyclic coordinate descent along a penalty path, on the Gram matrix.
-
-    Solves (1/2) b'Gb - c'b + lam*||b||_1 with ``gram`` G = xs'xs/n and
-    ``xty`` c = xs'yc/n of the standardized problem, for each penalty in
-    ``lams`` in turn, each warm-started from the previous solution and the
-    first from ``start`` (zeros when None). Only ``active`` coordinates
-    move; every active column has G[j, j] = 1 up to rounding, so a
-    coordinate update is one soft-threshold step. The gradient c - Gb is
-    kept current as coordinates change, so a sweep costs O(p) per changed
-    coordinate and never touches the n data rows. Per penalty, sweeps stop
-    when no coefficient moves by LASSO_TOL or more, or after
-    LASSO_MAX_SWEEPS.
-
-    Returns (path, sweeps, converged): one coefficient row per penalty, the
-    total number of sweeps, and whether every penalty met the tolerance.
-    """
-    rows = gram.tolist()
-    beta = [0.0] * len(xty)
-    grad = xty
-    if start is not None:
-        beta = start.tolist()
-        grad = xty - gram @ start
-    grad = grad.tolist()
-    cols = np.flatnonzero(active).tolist()
-    path = []
-    sweeps = 0
-    converged = True
-    for lam in lams:
-        lam = float(lam)
-        for sweep in range(1, LASSO_MAX_SWEEPS + 1):
-            delta = 0.0
-            for j in cols:
-                old = beta[j]
-                new = soft_threshold(grad[j] + old, lam)
-                if new != old:
-                    step = new - old
-                    beta[j] = new
-                    grad = [g - gj * step for g, gj in zip(grad, rows[j])]
-                    change = abs(step)
-                    if change > delta:
-                        delta = change
-            if delta < LASSO_TOL:
-                break
-        else:
-            converged = False
-        sweeps += sweep
-        path.append(list(beta))
-    return np.array(path), sweeps, converged
-
-
 def _homotopy_path(gram, xty, lams, active):
-    """Exact LASSO solutions of ``_cd_path``'s problem at the decreasing
-    penalties ``lams``, by the homotopy (Osborne, Presnell & Turlach 2000;
+    """Exact LASSO solutions of (1/2) b'Gb - c'b + lam*||b||_1, with ``gram``
+    G = xs'xs/n and ``xty`` c = xs'yc/n of the standardized problem, at the
+    decreasing penalties ``lams``; only ``active`` coordinates may be
+    nonzero. Computed by the homotopy (Osborne, Presnell & Turlach 2000;
     Efron et al. 2004, LARS with the lasso modification).
 
     The solution is piecewise linear in lam. It is 0 from lam_max, the
@@ -225,12 +155,14 @@ def _homotopy_path(gram, xty, lams, active):
     a root that rounding puts above the current knot, as it may for a
     column tied with that knot's event, is taken at the knot.
 
-    A singular G_EE (duplicate or collinear columns, or an active set past
-    the rank of the rows) has no such piece: the remaining penalties are
-    finished by ``_cd_path`` warm-started from the exact solution at the
-    last knot, and its flag becomes ``converged``. After LASSO_MAX_KNOTS
-    knots the remaining penalties keep the last knot's solution and
-    ``converged`` is False.
+    A join that makes G_EE singular (a duplicated or collinear column, or
+    an active set past the rank of the rows) is undone: the column is in
+    the span of E, so its gradient is a fixed combination of E's gradients
+    and stays at +-lam while E's piece runs on. It is held out of the
+    joins until the next drop, and stays at zero with exact KKT. Fitted
+    values are unique even where coefficients are not (Tibshirani 2013,
+    EJS 7, Lemma 1). After LASSO_MAX_KNOTS knots the remaining penalties
+    keep the last knot's solution and ``converged`` is False.
 
     Returns (path, knots, converged): one coefficient row per penalty, the
     number of knots passed, and whether the path was finished.
@@ -244,10 +176,11 @@ def _homotopy_path(gram, xty, lams, active):
         return path, 0, True
     in_e = np.zeros(p, dtype=bool)
     in_e[np.argmax(score)] = True
+    held = np.zeros(p, dtype=bool)
     cs = np.column_stack([xty, np.sign(xty)])  # c and, on E, the signs s
     beta = np.zeros(p)
     g = int(np.count_nonzero(lams >= lam))  # these rows stay 0
-    knots, joined = 0, False
+    knots, joined = 0, None
     while g < lams.size:
         if knots == LASSO_MAX_KNOTS:
             path[g:] = beta
@@ -256,15 +189,15 @@ def _homotopy_path(gram, xty, lams, active):
         block = gram[e[:, None], e]
         # a drop leaves a principal block of a nonsingular block, and its
         # eigenvalues interlace, so only a join can make the block singular
-        if joined and np.linalg.eigvalsh(block)[0] <= _SINGULAR_EIGENVALUE:
-            path[g:], _, converged = _cd_path(gram, xty, lams[g:], active, start=beta)
-            return path, knots, converged
+        if joined is not None and np.linalg.eigvalsh(block)[0] <= _SINGULAR_EIGENVALUE:
+            in_e[joined], held[joined], joined = False, True, None
+            continue
         rhs = cs[e]
         uv = np.linalg.solve(block, rhs)
         u, v = uv.T
         gu, gv = (gram[:, e] @ uv).T
         a0 = xty - gu
-        free = active & ~in_e
+        free = active & ~in_e & ~held
         # b_j(t) = u_j - t v_j leaves its sign s_j as t falls only if s_j v_j < 0
         t_drop = np.divide(u, v, out=np.zeros(e.size), where=rhs[:, 1] * v < 0.0)
         # with a_j(t) = a0_j + t gv_j, s a_j(t) - t rises as t falls only if
@@ -284,69 +217,57 @@ def _homotopy_path(gram, xty, lams, active):
             break
         beta[:] = 0.0
         beta[e] = u - t * v
-        joined = t_join[join] > t_drop[drop]
-        if joined:
+        if t_join[join] > t_drop[drop]:
+            joined = join
             in_e[join] = True
             cs[join, 1] = 1.0 if t_up[join] >= t_down[join] else -1.0
         else:
             in_e[e[drop]] = False
             beta[e[drop]] = 0.0
+            held[:] = False
         lam = t
         knots += 1
     return path, knots, True
 
 
-def _cd_batch(gram, xty, lam, active):
-    """Cyclic coordinate descent on B problems at one penalty, all at once.
+def _lasso_batch(gram, xty, lam, active):
+    """Exact LASSO solutions of B problems at the one penalty ``lam``.
 
     ``xty`` and ``active`` are (B, p); ``gram`` is (B, p, p), or one shared
-    (p, p) matrix read as a (B, p, p) view. Each step moves coordinate j of
-    every live problem together, with the soft threshold written as the
-    exact z - clip(z, -lam, lam). A problem is frozen, and dropped from the
-    working arrays, once its own sweep moves no coefficient by LASSO_TOL or
-    it reaches LASSO_MAX_SWEEPS. Frozen problems take no step, so problem b
-    gets the iterates, sweep count and convergence of
-    ``_cd_path(gram[b], xty[b], [lam], active[b])`` bit for bit.
+    (p, p) matrix read as a (B, p, p) view. While problems are pending, the
+    first is solved by ``_homotopy_path``; its support E and signs s give
+    every other pending problem the trial b_E = G_EE^-1 (c_E - lam s), found
+    by one batched solve. The trial is the problem's solution when every
+    column of E is active for it, b_E has the signs s, and every other
+    active gradient is at most lam (1 + 1e-12) in size: the KKT conditions.
+    The problems it fails stay pending. The order is fixed by the input,
+    so the result is too.
 
-    Returns (beta, sweeps, converged) of shapes (B, p), (B,) and (B,).
-
-    Penalty paths are not batched: cross-validation reads them off
-    ``_homotopy_path``, which hands a path to ``_cd_path`` only from a
-    singular active block.
+    Returns the (B, p) coefficients.
     """
-    lam = float(lam)
-    grad = np.array(xty, dtype=np.float64)
-    n_problems, p = grad.shape
+    n_problems, p = xty.shape
     gram = np.broadcast_to(gram, (n_problems, p, p))
+    active = np.broadcast_to(active, (n_problems, p))
     beta = np.zeros((n_problems, p))
-    sweeps = np.full(n_problems, LASSO_MAX_SWEEPS)
-    converged = np.zeros(n_problems, dtype=bool)
-    live = np.arange(n_problems)
-    b = beta.copy()
-    act = np.broadcast_to(active, (n_problems, p))
-    for sweep in range(1, LASSO_MAX_SWEEPS + 1):
-        delta = np.zeros(live.size)
-        for j in range(p):
-            old = b[:, j]
-            z = grad[:, j] + old
-            new = z - np.clip(z, -lam, lam)
-            move = act[:, j] & (new != old)
-            if not move.any():
-                continue
-            step = new - old
-            b[move, j] = new[move]
-            np.subtract(grad, gram[:, j, :] * step[:, None], out=grad, where=move[:, None])
-            np.maximum(delta, np.abs(step), out=delta, where=move)
-        done = delta < LASSO_TOL
-        if done.any():
-            frozen = live[done]
-            beta[frozen], sweeps[frozen], converged[frozen] = b[done], sweep, True
-            keep = ~done
-            live, b, grad, act, gram = live[keep], b[keep], grad[keep], act[keep], gram[keep]
-            if not live.size:
-                break
-    beta[live] = b
-    return beta, sweeps, converged
+    pending = np.arange(n_problems)
+    while pending.size:
+        first, rest = pending[0], pending[1:]
+        beta[first] = _homotopy_path(gram[first], xty[first], [lam], active[first])[0][0]
+        in_e = beta[first] != 0.0
+        s = np.sign(beta[first, in_e])
+        rest = rest[active[rest][:, in_e].all(axis=1)]
+        rows = gram[rest[:, None], in_e]  # (B, |E|, p): E's rows, by symmetry its columns
+        rhs = xty[rest][:, in_e] - lam * s
+        try:
+            b_e = np.linalg.solve(rows[:, :, in_e], rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # an exactly singular block: no trial passes
+            b_e = np.full_like(rhs, np.nan)
+        grad = xty[rest] - np.einsum("bk,bkj->bj", b_e, rows)
+        off_e = np.where(active[rest] & ~in_e, np.abs(grad), 0.0)
+        kkt = np.all(np.sign(b_e) == s, axis=1) & np.all(off_e <= lam * (1.0 + 1e-12), axis=1)
+        beta[rest[kkt][:, None], in_e] = b_e[kkt]
+        pending = np.setdiff1d(pending[1:], rest[kkt], assume_unique=True)
+    return beta
 
 
 def _gram_problem(x, y):
@@ -355,8 +276,8 @@ def _gram_problem(x, y):
     Returns (gram, xty, active, centers, scales, ybar): gram = xs'xs/n and
     xty = xs'(y - ybar)/n, with ``active`` marking non-constant columns.
     Columns are scaled by their root mean square deviation: the 1/n makes
-    every active column of xs satisfy (1/n)||col||^2 = 1, which reduces
-    each coordinate update to a pure soft-threshold step.
+    every active column of xs satisfy (1/n)||col||^2 = 1, so the Gram
+    matrix has a unit diagonal on the active columns.
     """
     xs, m, s, active = _standardize_columns(x, ddof=0)
     n = x.shape[0]
@@ -373,15 +294,15 @@ def _lambda_grid(xty) -> np.ndarray:
     return np.geomspace(lam_max, lam_max * LASSO_GRID_RATIO, LASSO_GRID_SIZE)
 
 
-def _lasso_solve(x, y, lam) -> tuple[float, np.ndarray, int, bool]:
-    """One penalized fit: (intercept, coefficients, sweeps, converged).
+def _lasso_solve(x, y, lam) -> tuple[float, np.ndarray, bool]:
+    """One penalized fit: (intercept, coefficients, converged).
 
     The intercept and coefficients are on the input scale.
     """
     gram, xty, active, m, s, ybar = _gram_problem(x, y)
-    path, sweeps, converged = _cd_path(gram, xty, [lam], active)
+    path, _, converged = _homotopy_path(gram, xty, [lam], active)
     coef = path[0] / s
-    return float(ybar - coef @ m), coef, sweeps, converged
+    return float(ybar - coef @ m), coef, converged
 
 
 def _cv_lambda(x, y, seed: int) -> tuple[float, bool]:
@@ -415,12 +336,11 @@ def _cv_lambda(x, y, seed: int) -> tuple[float, bool]:
 def fit_lasso(d: Dataset, *, lam: float | None = None, seed: int = 0) -> FittedModel:
     """L1-penalized least squares, objective (1/2n)||y - b0 - X b||^2 + lam*||b||_1.
 
-    Coordinate descent runs on internally rescaled features; reported
+    The exact homotopy path runs on internally rescaled features; reported
     coefficients are on the original scale. When ``lam`` is None it is
-    chosen by LASSO_CV_FOLDS-fold cross-validation on exact homotopy paths,
-    with fold assignment drawn from ``seed``. ``sweeps`` on the result
-    counts the final fit at the chosen penalty; ``converged`` also covers
-    the cross-validation paths.
+    chosen by LASSO_CV_FOLDS-fold cross-validation on the same paths, with
+    fold assignment drawn from ``seed``. ``converged`` covers the final fit
+    and the cross-validation paths.
     """
     cv_converged = True
     if lam is None:
@@ -432,13 +352,12 @@ def fit_lasso(d: Dataset, *, lam: float | None = None, seed: int = 0) -> FittedM
     lam = float(lam)
     if not lam >= 0.0:  # NaN fails too
         raise DataError(f"penalty must be >= 0, got {lam}")
-    intercept, coef, sweeps, converged = _lasso_solve(d.x, d.y, lam)
+    intercept, coef, converged = _lasso_solve(d.x, d.y, lam)
     return FittedModel(
         kind=Regressor.LASSO,
         intercept=intercept,
         coefficients=_readonly(coef),
         lam=lam,
-        sweeps=sweeps,
         converged=converged and cv_converged,
     )
 
@@ -449,7 +368,7 @@ def lasso_loo_residuals(x, y, lam: float) -> np.ndarray:
     Problem i is the standardized problem of the rows other than i. All n
     are built in O(n p^2) by downdating the full data's centred
     cross-products by row i, whose removal moves the mean to
-    mu + (mu - x_i)/(n-1), and solved together by ``_cd_batch``. Column j
+    mu + (mu - x_i)/(n-1), and solved exactly by ``_lasso_batch``. Column j
     is active without row i when its leave-one-out min and max pass
     ``core._active_columns`` for n - 1 rows.
     Downdating cancels when row i carries nearly all of a column's centred
@@ -477,14 +396,13 @@ def lasso_loo_residuals(x, y, lam: float) -> np.ndarray:
     s = np.sqrt(np.where(active, ss_x / (n - 1), 1.0))
     gram = cxx / (n - 1) / (s[:, :, None] * s[:, None, :])
     xty = cxy / (n - 1) / s
-    beta, _, _ = _cd_batch(gram, xty, lam, active)
-    coef = beta / s
+    coef = _lasso_batch(gram, xty, lam, active) / s
     loo_mu = mu + (mu - x) / (n - 1)
     loo_ybar = ybar + (ybar - y) / (n - 1)
     intercept = loo_ybar - np.einsum("ij,ij->i", coef, loo_mu)
     resid = y - (intercept + np.einsum("ij,ij->i", x, coef))
     for i in np.flatnonzero(refit):
-        b0, b, _, _ = _lasso_solve(np.delete(x, i, axis=0), np.delete(y, i), lam)
+        b0, b, _ = _lasso_solve(np.delete(x, i, axis=0), np.delete(y, i), lam)
         resid[i] = y[i] - (b0 + x[i : i + 1] @ b)[0]
     return resid
 
@@ -497,15 +415,15 @@ def lasso_candidate_residuals(x_aug, y, candidates, lam: float) -> np.ndarray:
     are shared, so their standardization and Gram matrix are formed once;
     each candidate's cross-products, intercept and residuals use the same
     expressions as ``_gram_problem`` and ``predict_many``, and all G
-    problems are solved together by ``_cd_batch``, so every column equals
-    that of a literal ``fit_lasso`` refit.
+    problems are solved exactly by ``_lasso_batch``, so every column is
+    that of a literal ``fit_lasso`` refit up to rounding.
     """
     xs, m, s, active = _standardize_columns(x_aug, ddof=0)
     n1 = x_aug.shape[0]
     y_aug = [np.append(y, t) for t in candidates]
     ybar = [ya.mean() for ya in y_aug]
     xty = np.array([xs.T @ (ya - yb) / n1 for ya, yb in zip(y_aug, ybar)])
-    beta, _, _ = _cd_batch(xs.T @ xs / n1, xty, lam, active)
+    beta = _lasso_batch(xs.T @ xs / n1, xty, lam, active)
     resid = []
     for ya, yb, b in zip(y_aug, ybar, beta):
         coef = b / s
@@ -765,10 +683,11 @@ def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
 
     ``model`` is the engine's fit on all of (x, y). OLS uses the exact
     identity e_i / (1 - h_ii) and refits row by row when the design is
-    rank-deficient or a leverage reaches 1. LASSO solves every problem at
-    the model's penalty as one batch. The kernel keeps the model's
-    standardization and bandwidth, drops row i's own weight and forms the
-    weights one block of rows at a time, never an n x n matrix.
+    rank-deficient or a leverage reaches 1. LASSO solves every problem
+    exactly at the model's penalty, batched by sign pattern. The kernel
+    keeps the model's standardization and bandwidth, drops row i's own
+    weight and forms the weights one block of rows at a time, never an
+    n x n matrix.
     """
     if model.kind is Regressor.LASSO:
         return lasso_loo_residuals(x, y, model.lam)
@@ -796,13 +715,13 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
 
     Column g holds |y_aug - f(x_aug)| for ``model``'s engine refit on the
     n+1 rows of ``x_aug`` with heads y_aug = (y, candidates[g]). OLS calls
-    ``lstsq`` per candidate. LASSO solves every candidate as one batch at
-    the base fit ``model``'s penalty; re-running cross-validation per
-    candidate is pointless and slow. The kernel's weights depend only on
-    the shared tails, so one bandwidth serves every candidate and each
-    residual is affine in the candidate head, A + B * candidate; A and B
-    are read off the weights one block of rows at a time, so no
-    (n+1) x (n+1) matrix is formed.
+    ``lstsq`` per candidate. LASSO solves every candidate exactly at the
+    base fit ``model``'s penalty, batched by sign pattern; re-running
+    cross-validation per candidate is pointless and slow. The kernel's
+    weights depend only on the shared tails, so one bandwidth serves every
+    candidate and each residual is affine in the candidate head,
+    A + B * candidate; A and B are read off the weights one block of rows
+    at a time, so no (n+1) x (n+1) matrix is formed.
     """
     if model.kind is Regressor.LASSO:
         return lasso_candidate_residuals(x_aug, y, candidates, model.lam)

@@ -2,18 +2,15 @@
 
 `small` is also checked with `--control-mode gaussian_mimic`, whose
 relevant + simulated path calibrates on controls drawn from a Gaussian
-fitted to the relevant rows instead of jittered clones of them; that file
-was written by the program that still stacked the controls under their
-relevant rows.
+fitted to the relevant rows instead of jittered clones of them.
 
-The `small` golden file was written by the program before LASSO jackknife
-refits were batched, the `long` one by the program that still chose each
-LASSO penalty by coordinate descent on the cross-validation folds; `long`
-is the oracle of LASSO cross-validation at p = 12. Labels, heads, coverage
-and degeneracy flags must match exactly; forecasts and bounds may drift by
-float rounding only. A full-conformal bound snaps to its candidate grid,
-so a rounding drift in the model can move it by one step of the widest
-grid, the one spread over the training heads.
+All three files were written by the program that solves every LASSO
+problem exactly, on its homotopy path; `long` is the oracle of LASSO
+cross-validation at p = 12. Labels, heads, coverage and degeneracy flags
+must match exactly; forecasts and bounds may drift by float rounding only.
+A full-conformal bound snaps to its candidate grid, so a rounding drift in
+the model can move it by one step of the widest grid, the one spread over
+the training heads.
 """
 
 import csv

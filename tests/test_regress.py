@@ -17,7 +17,6 @@ from relconf.regress import (
     fit_ols,
     kernel_weights,
     lasso_kkt_residual,
-    lasso_objective,
     loo_residuals,
     predict,
     predict_many,
@@ -25,7 +24,6 @@ from relconf.regress import (
 from relconf import regress
 from relconf.oracles import orthonormal_design
 from relconf.regress import (
-    _cd_path,
     _gram_problem,
     _homotopy_path,
     _lambda_grid,
@@ -46,23 +44,68 @@ def make_dataset(rng, n, p, noise=1.0):
     return Dataset(x, y)
 
 
+# The coordinate-descent references stop once a sweep moves no coefficient
+# by REFERENCE_TOL, or after REFERENCE_MAX_SWEEPS sweeps, so they are exact
+# only to about REFERENCE_TOL.
+REFERENCE_TOL = 1e-8
+REFERENCE_MAX_SWEEPS = 10_000
+
+
+def soft_threshold(z, lam):
+    """Proximal map of lam*|.|: shrink z toward zero by lam, clipping at 0."""
+    if z > lam:
+        return z - lam
+    if z < -lam:
+        return z + lam
+    return 0.0
+
+
+def lasso_objective(x, y, intercept, coef, lam):
+    """(1/2n) sum of squared residuals plus lam times the l1 norm of coef."""
+    r = y - intercept - x @ coef
+    return float((r @ r) / (2 * len(y)) + lam * np.abs(coef).sum())
+
+
 def reference_sweeps(xs, yc, lam, beta, active):
-    """Residual-update coordinate descent on the n data rows: the loop the
-    Gram-matrix solver replaced, kept as the reference it must reproduce."""
+    """Residual-update coordinate descent on the n data rows (Friedman,
+    Hastie & Tibshirani 2010), a reference independent of the Gram matrix."""
     n = xs.shape[0]
     r = yc - xs @ beta
-    for _ in range(regress.LASSO_MAX_SWEEPS):
+    for _ in range(REFERENCE_MAX_SWEEPS):
         delta = 0.0
         for j in np.flatnonzero(active):
             old = beta[j]
-            new = regress.soft_threshold(xs[:, j] @ r / n + old, lam)
+            new = soft_threshold(xs[:, j] @ r / n + old, lam)
             if new != old:
                 r += xs[:, j] * (old - new)
                 beta[j] = new
                 delta = max(delta, abs(new - old))
-        if delta < regress.LASSO_TOL:
+        if delta < REFERENCE_TOL:
             break
     return beta
+
+
+def reference_gram_path(gram, xty, lams, active):
+    """Covariance-update coordinate descent on the Gram matrix along the
+    penalties ``lams``, each warm-started from the previous solution: one
+    coefficient row per penalty."""
+    beta = np.zeros(len(xty))
+    grad = np.array(xty, dtype=np.float64)
+    path = []
+    for lam in lams:
+        for _ in range(REFERENCE_MAX_SWEEPS):
+            delta = 0.0
+            for j in np.flatnonzero(active):
+                old = beta[j]
+                new = soft_threshold(grad[j] + old, lam)
+                if new != old:
+                    beta[j] = new
+                    grad -= gram[j] * (new - old)
+                    delta = max(delta, abs(new - old))
+            if delta < REFERENCE_TOL:
+                break
+        path.append(beta.copy())
+    return np.array(path)
 
 
 def reference_fit(x, y, lam):
@@ -160,29 +203,14 @@ def gram_kkt_residual(gram, xty, lam, beta, active):
     return float(np.max(violation[active], initial=0.0))
 
 
-def spy_fallbacks(monkeypatch):
-    """Record the warm start of every ``_cd_path`` call the homotopy makes."""
-    starts = []
-    cd_path = regress._cd_path
-
-    def spy(*args, **kwargs):
-        starts.append(kwargs["start"].copy())
-        return cd_path(*args, **kwargs)
-
-    monkeypatch.setattr(regress, "_cd_path", spy)
-    return starts
-
-
-def assert_exact_or_fallback(starts, gram, xty, active, grid, tol):
-    """The homotopy path either meets the KKT conditions within ``tol`` at
-    every grid penalty or was finished by the coordinate-descent fallback."""
-    starts.clear()
+def assert_exact_path(gram, xty, active, grid, tol):
+    """The homotopy path is finished and meets the KKT conditions within
+    ``tol`` at every grid penalty; returns it."""
     path, _, converged = _homotopy_path(gram, xty, grid, active)
-    if starts:
-        return
     assert converged
     for lam, beta in zip(grid, path):
         assert gram_kkt_residual(gram, xty, lam, beta, active) <= tol
+    return path
 
 
 def path_problem(seed, n, p, collinear=True):
@@ -231,34 +259,17 @@ class TestLasso:
             m = fit_lasso(d, seed=trial)
             assert lasso_kkt_residual(d, m) <= 1e-6
 
-    def test_objective_non_increasing_across_sweeps(self, monkeypatch):
-        # The solver is deterministic, so capping it at k sweeps yields the
-        # k-th iterate of an uncapped run.
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(40, 6))
-        y = x @ rng.normal(size=6) + rng.normal(size=40)
-        gram, xty, active, _, _, _ = _gram_problem(x, y)
-        xs, _, _, _ = _standardize_columns(x, ddof=0)
-        yc = y - y.mean()
-        total = _cd_path(gram, xty, [0.1], active)[1]
-        trace = []
-        for k in range(1, total + 1):
-            monkeypatch.setattr(regress, "LASSO_MAX_SWEEPS", k)
-            beta = _cd_path(gram, xty, [0.1], active)[0][0]
-            trace.append(lasso_objective(xs, yc, 0.0, beta, 0.1))
-        assert len(trace) >= 2
-        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
-
     def test_warm_started_path_meets_kkt_at_every_penalty(self):
+        # the homotopy carries each penalty's solution on to the next one
         rng = np.random.default_rng(18)
         x = rng.normal(size=(30, 6))
         x[:, 1] = x[:, 0] + 0.2 * rng.normal(size=30)
         d = Dataset(x, x @ rng.normal(size=6) + rng.normal(size=30))
         gram, xty, active, m, s, ybar = _gram_problem(d.x, d.y)
         grid = _lambda_grid(xty)
-        path, sweeps, converged = _cd_path(gram, xty, grid, active)
+        path, knots, converged = _homotopy_path(gram, xty, grid, active)
         assert path.shape == (regress.LASSO_GRID_SIZE, 6)
-        assert converged and sweeps >= grid.size
+        assert converged and knots >= 5
         for lam, beta in zip(grid, path):
             coef = beta / s
             row = FittedModel(
@@ -267,7 +278,7 @@ class TestLasso:
                 coefficients=coef,
                 lam=float(lam),
             )
-            assert lasso_kkt_residual(d, row) <= 1e-6
+            assert lasso_kkt_residual(d, row) <= 1e-12
 
     @pytest.mark.parametrize(
         "n, p, lam, constant_col",
@@ -288,54 +299,40 @@ class TestLasso:
             x[:, constant_col] = 2.5
         y = 1.0 + x @ rng.normal(size=p) + rng.normal(size=n)
         d = Dataset(x, y)
-        m = fit_lasso(d, lam=lam)
-        intercept, coef = reference_fit(x, y, lam)
-        np.testing.assert_allclose(m.coefficients, coef, rtol=0, atol=1e-12)
-        assert m.intercept == pytest.approx(intercept, rel=0, abs=1e-12)
         cv = fit_lasso(d, seed=p)
-        chosen = reference_cv_lambda(x, y, 5, p)
-        assert cv.lam == chosen
-        intercept, coef = reference_fit(x, y, chosen)
-        np.testing.assert_allclose(cv.coefficients, coef, rtol=0, atol=1e-12)
-        assert cv.intercept == pytest.approx(intercept, rel=0, abs=1e-12)
+        assert cv.lam == reference_cv_lambda(x, y, 5, p)
+        for m in (fit_lasso(d, lam=lam), cv):
+            # the fit is exact; the coordinate-descent reference stops at a
+            # coefficient change of REFERENCE_TOL, so it is the inexact side
+            assert lasso_kkt_residual(d, m) <= 1e-12
+            intercept, coef = reference_fit(x, y, m.lam)
+            if m.lam == 0.0 and n <= p:
+                # 11 active columns interpolate the 12 centred heads, and
+                # the Gram matrix's condition number is about 8 500: the
+                # reference stops at its step tolerance with coefficients
+                # 5e-3 away, so only its objective is a bound
+                assert lasso_objective(x, y, m.intercept, m.coefficients, 0.0) <= lasso_objective(
+                    x, y, intercept, coef, 0.0
+                )
+                continue
+            np.testing.assert_allclose(m.coefficients, coef, rtol=0, atol=1e-6)
+            assert m.intercept == pytest.approx(intercept, rel=0, abs=1e-6)
 
-    def test_sweep_count_and_convergence_reported(self, monkeypatch):
+    def test_convergence_reported(self, monkeypatch):
         rng = np.random.default_rng(19)
         x = rng.normal(size=(30, 4))
         x[:, 1] = x[:, 0] + 0.2 * rng.normal(size=30)
         d = Dataset(x, x @ np.array([1.0, -1.0, 0.5, 0.0]) + rng.normal(size=30))
-        m = fit_lasso(d, lam=0.01)
-        assert m.converged is True
-        assert m.sweeps > 1
+        assert fit_lasso(d, lam=0.01).converged is True
         assert fit_lasso(d, seed=0).converged is True
-        # A path counts the sweeps of every penalty: re-solving at the same
-        # penalty from its own solution takes exactly one more sweep.
-        gram, xty, active, _, _, _ = _gram_problem(d.x, d.y)
-        assert _cd_path(gram, xty, [0.01, 0.01], active)[1] == m.sweeps + 1
-        monkeypatch.setattr(regress, "LASSO_MAX_SWEEPS", 1)
-        capped = fit_lasso(d, lam=0.01)
-        assert capped.converged is False
-        assert capped.sweeps == 1
-        assert fit_ols(d).sweeps is None and fit_ols(d).converged is None
-
-    def test_unconverged_cv_path_reported(self, monkeypatch):
-        # Twelve near-copies of one column and a pure-noise head. Any two
-        # copies form an active block whose smallest eigenvalue is about
-        # 0.0025; counted as singular, every fold's path falls back to
-        # coordinate descent after its first join, and under a 50-sweep cap
-        # that stalls. The final fit at the chosen penalty converges in one
-        # sweep.
-        d = near_collinear_dataset()
-        monkeypatch.setattr(regress, "_SINGULAR_EIGENVALUE", 0.01)
-        monkeypatch.setattr(regress, "LASSO_MAX_SWEEPS", 50)
-        m = fit_lasso(d, seed=0)
-        assert m.converged is False
-        assert m.sweeps == 1
-        assert fit_lasso(d, lam=m.lam).converged is True
+        # the final fit follows the path from lam_max down to its penalty
+        monkeypatch.setattr(regress, "LASSO_MAX_KNOTS", 1)
+        assert fit_lasso(d, lam=0.01).converged is False
+        assert fit_ols(d).converged is None
 
     def test_near_collinear_cv_takes_milliseconds(self):
-        # Coordinate descent spent about 35 s in this design's fold paths,
-        # many of whose penalties stopped at LASSO_MAX_SWEEPS.
+        # Coordinate descent, the solver before the homotopy, spent about
+        # 35 s in this design's fold paths, many of which hit its sweep cap.
         d = near_collinear_dataset()
         start = time.perf_counter()
         m = fit_lasso(d, seed=0)
@@ -359,51 +356,44 @@ class TestLasso:
             gram, xty, active, grid = path_problem(seed, 60, p, collinear=False)
             exact = _homotopy_path(gram, xty, grid, active)[0]
             np.testing.assert_allclose(
-                exact, _cd_path(gram, xty, grid, active)[0], rtol=0, atol=1e-6
+                exact, reference_gram_path(gram, xty, grid, active), rtol=0, atol=1e-6
             )
 
     @pytest.mark.parametrize("n", [10, 12])
-    def test_rank_deficient_path_meets_kkt_or_falls_back(self, monkeypatch, n):
+    def test_rank_deficient_path_meets_kkt(self, n):
         # p = 12 on 10 or 12 rows, as in the split-conformal folds of the
         # long suite: the centred columns span at most n - 1 dimensions, so
-        # the active set can reach the rank of the rows
-        starts = spy_fallbacks(monkeypatch)
+        # the active set can reach the rank of the rows, and every later
+        # join is skipped
         for seed in range(50):
-            problem = path_problem(seed, n, 12, collinear=seed % 2 == 0)
-            assert_exact_or_fallback(starts, *problem, tol=1e-9)
+            assert_exact_path(*path_problem(seed, n, 12, collinear=seed % 2 == 0), tol=1e-9)
 
-    def test_tied_events_on_binary_designs_meet_kkt_or_fall_back(self, monkeypatch):
+    def test_tied_events_on_binary_designs_meet_kkt(self):
         # 0/1 columns and integer heads on a few rows tie often: two
         # gradients reach the penalty at the same knot, and rounding can put
         # the root of the second just above it. It must still join there.
-        starts = spy_fallbacks(monkeypatch)
         rng = np.random.default_rng(42)
         for _ in range(300):
             n, p = rng.integers(6, 16), rng.integers(2, 8)
             x = rng.integers(0, 2, size=(n, p)).astype(float)
             y = np.round(x @ rng.normal(size=p) + rng.normal(size=n))
             gram, xty, active, _, _, _ = _gram_problem(x, y)
-            assert_exact_or_fallback(starts, gram, xty, active, _lambda_grid(1.1 * xty), 1e-9)
+            assert_exact_path(gram, xty, active, _lambda_grid(1.1 * xty), 1e-9)
 
-    def test_singular_block_finishes_by_coordinate_descent(self, monkeypatch):
-        # Columns 0 and 2 have correlation about 0.995, so an active block
-        # holding both has smallest eigenvalue about 0.005; counted as
-        # singular, the path finishes by coordinate descent from the exact
-        # solution at the knot where the second of them joins.
-        gram, xty, active, grid = path_problem(3, 40, 3)
-        exact, _, _ = _homotopy_path(gram, xty, grid, active)
-        starts = spy_fallbacks(monkeypatch)
-        monkeypatch.setattr(regress, "_SINGULAR_EIGENVALUE", 0.01)
-        path, knots, converged = _homotopy_path(gram, xty, grid, active)
-        assert len(starts) == 1 and knots >= 1 and converged
-        # the start is exact at its knot, where |gradient| = lam on E
-        start = starts[0]
-        knot = np.max(np.abs(xty - gram @ start)[start != 0.0])
-        assert gram_kkt_residual(gram, xty, knot, start, active) <= 1e-12
-        reached = np.flatnonzero(np.all(path == exact, axis=1))
-        assert reached.size and reached[-1] + 1 < grid.size
-        for lam, beta in zip(grid, path):
-            assert gram_kkt_residual(gram, xty, lam, beta, active) <= 1e-6
+    @pytest.mark.parametrize("twin", [1.0, -1.0], ids=["duplicated", "negated"])
+    def test_singular_join_is_skipped(self, twin):
+        # The last column is column 0 or its negation, so an active block
+        # holding both is singular. On some draws rounding lets the twin's
+        # gradient reach the penalty at a knot; the join is undone, and the
+        # twin, whose gradient stays at +-lam, keeps a zero coefficient.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(20, 4))
+            x[:, -1] = twin * x[:, 0]
+            y = x @ rng.normal(size=4) + rng.normal(size=20)
+            gram, xty, active, _, _, _ = _gram_problem(x, y)
+            path = assert_exact_path(gram, xty, active, _lambda_grid(1.2 * xty), 1e-12)
+            assert not np.any((path[:, 0] != 0.0) & (path[:, -1] != 0.0))
 
     def test_knot_cap_stops_the_path_unconverged(self, monkeypatch):
         gram, xty, active, grid = path_problem(4, 40, 5)
@@ -417,6 +407,7 @@ class TestLasso:
         k = int(np.argmin(np.all(path == full, axis=1)))
         assert 0 < k < grid.size
         assert np.all(path[k:] == path[-1]) and np.count_nonzero(path[-1]) >= 1
+        # the cap ends cross-validation's fold paths too
         assert fit_lasso(near_collinear_dataset(), seed=0).converged is False
 
     def test_constant_response_gives_all_zero_path(self):
@@ -461,45 +452,64 @@ class TestLasso:
     @pytest.mark.parametrize("p", [1, 2, 12])
     @pytest.mark.parametrize("shared_gram", [False, True])
     def test_batch_equals_path_per_problem(self, monkeypatch, p, shared_gram):
-        # Each problem of a batch must follow _cd_path bit for bit: the same
-        # coefficients, sweep count and convergence flag. The problems differ
-        # in their heads, in conditioning (so they converge at different
-        # sweeps) and in which columns are active; under a cap just below the
-        # median sweep count some of them converge and the others hit it.
+        # Each problem of a batch must get its own homotopy path's exact
+        # solution. The problems perturb one problem's tails (unless the
+        # Gram matrix is shared) and head, as leave-one-out problems do, and
+        # some have inactive columns, so most but not all share a sign
+        # pattern: some are solved by the batched solve of another problem's
+        # pattern and some need a homotopy path of their own.
         rng = np.random.default_rng(p + 100 * shared_gram)
-        n, batch, lam = 20, 9, 0.03
+        n, batch, lam = 20, 12, 0.03
         base = rng.normal(size=(n, p))
+        head = base @ rng.normal(size=p) + rng.normal(size=n)
         grams, xtys = [], []
         for b in range(batch):
-            x = base if shared_gram else rng.normal(size=(n, p))
-            if p > 1 and not shared_gram:
-                x[:, 1] = x[:, 0] + 0.1 * b * rng.normal(size=n)
-            y = x @ rng.normal(size=p) + rng.normal(size=n)
-            gram, xty, _, _, _, _ = _gram_problem(x, y)
+            x = base if shared_gram else base + 0.05 * rng.normal(size=(n, p))
+            gram, xty, _, _, _, _ = _gram_problem(x, head + 0.3 * rng.normal(size=n))
             grams.append(gram)
             xtys.append(xty)
         gram = grams[0] if shared_gram else np.array(grams)
         xty = np.array(xtys)
-        active = rng.random((batch, p)) < 0.8
+        active = rng.random((batch, p)) < 0.9
         active[0] = True
         active[1] = False
+        reference = [_homotopy_path(grams[b], xty[b], [lam], active[b])[0][0] for b in range(batch)]
+        calls = []
+        homotopy = regress._homotopy_path
 
-        def per_problem():
-            return [
-                _cd_path(grams[b], xty[b], [lam], active[b]) for b in range(batch)
-            ]
+        def spy(*args):
+            calls.append(args)
+            return homotopy(*args)
 
-        uncapped = sorted(sweeps for _, sweeps, _ in per_problem())
-        cap = uncapped[batch // 2] - 1
-        monkeypatch.setattr(regress, "LASSO_MAX_SWEEPS", cap)
-        beta, sweeps, converged = regress._cd_batch(gram, xty, lam, active)
+        monkeypatch.setattr(regress, "_homotopy_path", spy)
+        beta = regress._lasso_batch(gram, xty, lam, active)
         assert beta.shape == (batch, p)
-        reference = per_problem()
-        for b, (path, ref_sweeps, ref_converged) in enumerate(reference):
-            assert beta[b].tobytes() == path[0].tobytes()
-            assert sweeps[b] == ref_sweeps
-            assert converged[b] == ref_converged
-        assert converged.any() and not converged.all()
+        # a second path ran, and the batched solve took at least one problem
+        assert 2 <= len(calls) < batch
+        for b in range(batch):
+            np.testing.assert_allclose(beta[b], reference[b], rtol=0, atol=1e-12)
+            assert gram_kkt_residual(grams[b], xty[b], lam, beta[b], active[b]) <= 1e-12
+            assert not beta[b, ~active[b]].any()
+
+    def test_batch_leaves_an_exactly_singular_block_to_its_own_path(self):
+        # Problem 1's two columns are equal, so the block of problem 0's
+        # support is exactly singular for it and the batched solve cannot
+        # run; every problem still gets its own path's exact solution.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(30, 2))
+        twin = np.column_stack([x[:, 0], x[:, 0]])
+        heads = [a.sum(axis=1) + 0.1 * rng.normal(size=30) for a in (x, twin, x)]
+        problems = [_gram_problem(a, y)[:2] for a, y in zip((x, twin, x), heads)]
+        grams, xty = map(np.array, zip(*problems))
+        active = np.ones((3, 2), dtype=bool)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(grams[1], xty[1])
+        beta = regress._lasso_batch(grams, xty, 0.01, active)
+        assert np.count_nonzero(beta[0]) == 2 and np.count_nonzero(beta[1]) == 1
+        for b in range(3):
+            path = _homotopy_path(grams[b], xty[b], [0.01], active[b])[0]
+            np.testing.assert_array_equal(beta[b], path[0])
+            assert gram_kkt_residual(grams[b], xty[b], 0.01, beta[b], active[b]) <= 1e-12
 
     def test_cv_is_seed_deterministic(self):
         d = make_dataset(np.random.default_rng(9), 40, 5)
@@ -539,14 +549,6 @@ class TestLasso:
         d = make_dataset(np.random.default_rng(10), 20, 2)
         with pytest.raises(TypeError):
             fit_lasso(d, 5)
-
-    def test_objective_helper_matches_definition(self):
-        rng = np.random.default_rng(11)
-        d = make_dataset(rng, 15, 3)
-        coef = rng.normal(size=3)
-        r = d.y - 0.7 - d.x @ coef
-        expected = (r @ r) / 30 + 0.3 * np.abs(coef).sum()
-        assert lasso_objective(d.x, d.y, 0.7, coef, 0.3) == pytest.approx(expected)
 
 
 class TestKernel:
