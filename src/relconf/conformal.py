@@ -15,6 +15,7 @@ Ceilings are evaluated with a 1e-9 guard so that quantities like 10 * 0.9
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,6 +105,17 @@ def _split_train_rows(n: int, rho: float, fit_rows: int) -> int | None:
     return n_train if fit_rows <= n_train <= n - 2 else None
 
 
+@functools.lru_cache(maxsize=64)
+def _split_order(seed: int, n: int) -> np.ndarray:
+    """The seeded row order split conformal cuts into fit and calibration
+    rows, read-only. Memoised: every path of a query runs on one seed and
+    the relevant and simulated rows share one n, so a (seed, n) recurs
+    across the query's paths and regressors."""
+    order = np.random.default_rng(seed).permutation(n)
+    order.flags.writeable = False
+    return order
+
+
 def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> PredictionInterval:
     """Fit on a seeded ``rho`` fraction, calibrate on the held-out rest.
 
@@ -118,7 +130,7 @@ def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> Pred
             f"split with {Regressor(reg).value} needs {fit_rows} <= floor(rho*n) <= n-2;"
             f" rho={spec.rho}, n={d.n}"
         )
-    perm = np.random.default_rng(seed).permutation(d.n)
+    perm = _split_order(int(seed), d.n)
     model = fit(d.subset(perm[:n_train]), reg, seed=seed)
     point = predict(model, x0)
     cal = perm[n_train:]

@@ -110,6 +110,26 @@ class TestSplit:
         b = split_conformal(d, "ols", [0.0, 0.0], self.SPEC, seed=11)
         assert (a.lo, a.point, a.up) == (b.lo, b.point, b.up)
 
+    def test_memoised_order_is_the_seeded_permutation(self):
+        # a memo hit returns the same draw as a fresh generator, read-only,
+        # and the interval is the one fitted on that draw's first half
+        d = make_dataset(np.random.default_rng(3), 30, 2)
+        perm = np.random.default_rng(11).permutation(30)
+        model = fit_ols(d.subset(perm[:15]))
+        dstar = split_quantile(np.abs(d.y[perm[15:]] - predict_many(model, d.x[perm[15:]])), 0.1)
+        conformal._split_order.cache_clear()
+        for _ in range(2):
+            order = conformal._split_order(11, 30)
+            np.testing.assert_array_equal(order, perm)
+            assert not order.flags.writeable
+            iv = split_conformal(d, "ols", [0.0, 0.0], self.SPEC, seed=11)
+            assert (iv.lo, iv.point, iv.up) == (
+                predict(model, [0.0, 0.0]) - dstar,
+                predict(model, [0.0, 0.0]),
+                predict(model, [0.0, 0.0]) + dstar,
+            )
+        assert conformal._split_order.cache_info().hits == 3
+
     def test_too_small_to_partition(self):
         d = make_dataset(np.random.default_rng(4), 3, 1)
         with pytest.raises(DataError, match="split"):
