@@ -80,6 +80,21 @@ def _readonly(a, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _row_indices(indices, what: str) -> np.ndarray:
+    """``indices`` as an int64 array for ``what`` to take rows by.
+
+    A boolean mask and a non-integer value are refused, not read as 0/1 or
+    truncated toward row 0. An empty input passes whatever its dtype
+    (``np.asarray([])`` is a float array), for the caller to refuse.
+    """
+    idx = np.asarray(indices)
+    if idx.dtype == bool:
+        raise DataError(f"{what} takes row indices, not a boolean mask")
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise DataError(f"{what} takes integer row indices, got {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from each row of ``a`` to each row of ``b``.
 
@@ -152,15 +167,13 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """Dataset restricted to the given row indices (order preserved).
 
-        Each index must lie in [0, n): a boolean mask, a negative index
-        and one past the end are refused, not read as 0/1, wrapped or
-        left to numpy. The rows were checked when this Dataset was built,
-        so the copy skips ``__post_init__``.
+        Each index must be an integer in [0, n): a boolean mask, a
+        fractional index, a negative index and one past the end are
+        refused, not read as 0/1, truncated, wrapped or left to numpy. The
+        rows were checked when this Dataset was built, so the copy skips
+        ``__post_init__``.
         """
-        idx = np.asarray(indices)
-        if idx.dtype == bool:
-            raise DataError("subset takes row indices, not a boolean mask")
-        idx = idx.astype(int, copy=False)
+        idx = _row_indices(indices, "subset")
         if idx.size == 0:
             raise DataError("subset selects no rows")
         if idx.min() < 0 or idx.max() >= self.n:

@@ -21,6 +21,7 @@ from .core import (
     Dataset,
     Similarity,
     _readonly,
+    _row_indices,
     _sq_dists,
     _standardize_columns,
     check_knob,
@@ -52,8 +53,8 @@ class RelevanceSelection:
     ``threshold_used`` is the cut the rule applied: a distance for the
     percentile rule, a cosine for the cosine rule; ``fallback`` records that
     the rule alone gave fewer than ``min_relevant`` rows and the floor
-    took over. Whether the indices fit a dataset is checked where they
-    are used, by ``Dataset.subset``.
+    took over. The indices must be integers; whether they fit a dataset
+    is checked where they are used, by ``Dataset.subset``.
     """
 
     indices: np.ndarray
@@ -62,7 +63,7 @@ class RelevanceSelection:
     fallback: bool = False
 
     def __post_init__(self):
-        idx = _readonly(self.indices, dtype=np.int64)
+        idx = _readonly(_row_indices(self.indices, "RelevanceSelection"), dtype=np.int64)
         if idx.size == 0:
             raise DataError("relevance selection is empty")
         if len(np.unique(idx)) != idx.size:
@@ -176,7 +177,7 @@ def simulate_controls(
     """
     noise_scale = check_knob("noise_scale", noise_scale)
     mode = ControlMode(mode)
-    sources = np.asarray(sources)
+    sources = _row_indices(sources, "simulate_controls")
     if sources.shape != (relevant.n,):
         raise DataError(f"source indices of shape {sources.shape} for {relevant.n} relevant rows")
     x_rel, y_rel = relevant.x, relevant.y
@@ -190,7 +191,7 @@ def simulate_controls(
     if mode is ControlMode.PERTURB:
         eps = np.empty((n_r, p))
         for row, source in enumerate(sources):
-            eps[row] = _row_rng(seed, int(source)).normal(size=p)
+            eps[row] = _row_rng(seed, source).normal(size=p)
         x_syn = x_rel + eps * (noise_scale * sigma)
         y_syn = y_rel
     else:

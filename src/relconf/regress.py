@@ -45,7 +45,6 @@ __all__ = [
     "predict",
     "predict_many",
     "kernel_weights",
-    "lasso_candidate_residuals",
     "lasso_kkt_residual",
     "lasso_loo_residuals",
     "loo_residuals",
@@ -273,15 +272,18 @@ def _lasso_batch(gram, xty, lam, active):
 def _gram_problem(x, y):
     """Standardize (x, y) and reduce it to the p x p data the solver needs.
 
+    ``y`` is one head vector, or an (n, G) matrix of G heads that share the
+    tails ``x``: one problem per column, all with the same Gram matrix.
     Returns (gram, xty, active, centers, scales, ybar): gram = xs'xs/n and
-    xty = xs'(y - ybar)/n, with ``active`` marking non-constant columns.
-    Columns are scaled by their root mean square deviation: the 1/n makes
-    every active column of xs satisfy (1/n)||col||^2 = 1, so the Gram
-    matrix has a unit diagonal on the active columns.
+    xty = xs'(y - ybar)/n, of shape (p,) or (p, G), with ``active`` marking
+    non-constant columns and ``ybar`` the mean of each head. Columns are
+    scaled by their root mean square deviation: the 1/n makes every active
+    column of xs satisfy (1/n)||col||^2 = 1, so the Gram matrix has a unit
+    diagonal on the active columns.
     """
     xs, m, s, active = _standardize_columns(x, ddof=0)
     n = x.shape[0]
-    ybar = y.mean()
+    ybar = y.mean(axis=0)
     gram = xs.T @ xs / n
     xty = xs.T @ (y - ybar) / n
     return gram, xty, active, m, s, ybar
@@ -294,28 +296,16 @@ def _lambda_grid(xty) -> np.ndarray:
     return np.geomspace(lam_max, lam_max * LASSO_GRID_RATIO, LASSO_GRID_SIZE)
 
 
-def _lasso_solve(x, y, lam) -> tuple[float, np.ndarray, bool]:
-    """One penalized fit: (intercept, coefficients, converged).
-
-    The intercept and coefficients are on the input scale.
-    """
-    gram, xty, active, m, s, ybar = _gram_problem(x, y)
-    path, _, converged = _homotopy_path(gram, xty, [lam], active)
-    coef = path[0] / s
-    return float(ybar - coef @ m), coef, converged
-
-
-def _cv_lambda(x, y, seed: int) -> tuple[float, bool]:
+def _cv_lambda(x, y, xty, seed: int) -> tuple[float, bool]:
     """Pick the penalty by LASSO_CV_FOLDS-fold cross-validation on mean squared error.
 
-    The grid comes from the full data's cross-products; each fold reads the
-    whole grid off its exact homotopy path. Ties resolve to the largest
-    (most parsimonious) penalty. Returns (penalty, whether every fold's
-    path was finished).
+    The grid comes from ``xty``, the full data's cross-products from
+    ``_gram_problem``; each fold reads the whole grid off its exact
+    homotopy path. Ties resolve to the largest (most parsimonious)
+    penalty. Returns (penalty, whether every fold's path was finished).
     """
     n = x.shape[0]
-    xs = _standardize_columns(x, ddof=0)[0]
-    grid = _lambda_grid(xs.T @ (y - y.mean()) / n)
+    grid = _lambda_grid(xty)
     rng = np.random.default_rng(seed)
     fold_ids = np.array_split(rng.permutation(n), LASSO_CV_FOLDS)
     sse = np.zeros(grid.size)
@@ -323,8 +313,8 @@ def _cv_lambda(x, y, seed: int) -> tuple[float, bool]:
     for held in fold_ids:
         mask = np.ones(n, dtype=bool)
         mask[held] = False
-        gram, xty, active, m, s, ybar = _gram_problem(x[mask], y[mask])
-        path, _, fold_converged = _homotopy_path(gram, xty, grid, active)
+        gram, fold_xty, active, m, s, ybar = _gram_problem(x[mask], y[mask])
+        path, _, fold_converged = _homotopy_path(gram, fold_xty, grid, active)
         converged = converged and fold_converged
         coefs = path / s
         pred = (ybar - coefs @ m)[:, None] + coefs @ x[held].T
@@ -336,26 +326,29 @@ def _cv_lambda(x, y, seed: int) -> tuple[float, bool]:
 def fit_lasso(d: Dataset, *, lam: float | None = None, seed: int = 0) -> FittedModel:
     """L1-penalized least squares, objective (1/2n)||y - b0 - X b||^2 + lam*||b||_1.
 
-    The exact homotopy path runs on internally rescaled features; reported
-    coefficients are on the original scale. When ``lam`` is None it is
-    chosen by LASSO_CV_FOLDS-fold cross-validation on the same paths, with
-    fold assignment drawn from ``seed``. ``converged`` covers the final fit
+    The problem is standardized once (``_gram_problem``) and the exact
+    homotopy path runs on it; reported coefficients are on the original
+    scale. When ``lam`` is None it is chosen by LASSO_CV_FOLDS-fold
+    cross-validation, with fold assignment drawn from ``seed`` and the
+    grid read off the same problem, so a cross-validated fit and a fit at
+    its penalty end on the same solve. ``converged`` covers the final fit
     and the cross-validation paths.
     """
+    if lam is not None:
+        lam = float(lam)
+        if not lam >= 0.0:  # NaN fails too
+            raise DataError(f"penalty must be >= 0, got {lam}")
+    elif d.n < LASSO_CV_FOLDS:
+        raise DataError(f"LASSO cross-validation needs n >= {LASSO_CV_FOLDS}, got n={d.n}")
+    gram, xty, active, m, s, ybar = _gram_problem(d.x, d.y)
     cv_converged = True
     if lam is None:
-        if d.n < LASSO_CV_FOLDS:
-            raise DataError(
-                f"LASSO cross-validation needs n >= {LASSO_CV_FOLDS}, got n={d.n}"
-            )
-        lam, cv_converged = _cv_lambda(d.x, d.y, seed)
-    lam = float(lam)
-    if not lam >= 0.0:  # NaN fails too
-        raise DataError(f"penalty must be >= 0, got {lam}")
-    intercept, coef, converged = _lasso_solve(d.x, d.y, lam)
+        lam, cv_converged = _cv_lambda(d.x, d.y, xty, seed)
+    path, _, converged = _homotopy_path(gram, xty, [lam], active)
+    coef = path[0] / s
     return FittedModel(
         kind=Regressor.LASSO,
-        intercept=intercept,
+        intercept=float(ybar - coef @ m),
         coefficients=_readonly(coef),
         lam=lam,
         converged=converged and cv_converged,
@@ -402,34 +395,9 @@ def lasso_loo_residuals(x, y, lam: float) -> np.ndarray:
     intercept = loo_ybar - np.einsum("ij,ij->i", coef, loo_mu)
     resid = y - (intercept + np.einsum("ij,ij->i", x, coef))
     for i in np.flatnonzero(refit):
-        b0, b, _ = _lasso_solve(np.delete(x, i, axis=0), np.delete(y, i), lam)
-        resid[i] = y[i] - (b0 + x[i : i + 1] @ b)[0]
+        rest = Dataset(np.delete(x, i, axis=0), np.delete(y, i))
+        resid[i] = y[i] - predict(fit_lasso(rest, lam=lam), x[i])
     return resid
-
-
-def lasso_candidate_residuals(x_aug, y, candidates, lam: float) -> np.ndarray:
-    """Absolute residuals of the LASSO refits of full conformal, (n+1, G).
-
-    Column g holds |y_aug - f(x_aug)| for the fit at penalty ``lam`` on the
-    n+1 rows of ``x_aug`` with heads y_aug = (y, candidates[g]). The tails
-    are shared, so their standardization and Gram matrix are formed once;
-    each candidate's cross-products, intercept and residuals use the same
-    expressions as ``_gram_problem`` and ``predict_many``, and all G
-    problems are solved exactly by ``_lasso_batch``, so every column is
-    that of a literal ``fit_lasso`` refit up to rounding.
-    """
-    xs, m, s, active = _standardize_columns(x_aug, ddof=0)
-    n1 = x_aug.shape[0]
-    y_aug = [np.append(y, t) for t in candidates]
-    ybar = [ya.mean() for ya in y_aug]
-    xty = np.array([xs.T @ (ya - yb) / n1 for ya, yb in zip(y_aug, ybar)])
-    beta = _lasso_batch(xs.T @ xs / n1, xty, lam, active)
-    resid = []
-    for ya, yb, b in zip(y_aug, ybar, beta):
-        coef = b / s
-        intercept = float(yb - coef @ m)
-        resid.append(np.abs(ya - (intercept + x_aug @ coef)))
-    return np.stack(resid, axis=1)
 
 
 def lasso_kkt_residual(d: Dataset, m: FittedModel) -> float:
@@ -715,17 +683,26 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
 
     Column g holds |y_aug - f(x_aug)| for ``model``'s engine refit on the
     n+1 rows of ``x_aug`` with heads y_aug = (y, candidates[g]). OLS calls
-    ``lstsq`` per candidate. LASSO solves every candidate exactly at the
-    base fit ``model``'s penalty, batched by sign pattern; re-running
-    cross-validation per candidate is pointless and slow. The kernel's
-    weights depend only on the shared tails, so one bandwidth serves every
-    candidate and each residual is affine in the candidate head,
-    A + B * candidate; A and B are read off the weights one block of rows
-    at a time, so no (n+1) x (n+1) matrix is formed.
+    ``lstsq`` per candidate. LASSO stacks the G heads as one (n+1, G)
+    matrix, so ``_gram_problem`` standardizes the shared tails once and
+    forms every candidate's cross-products in one product, and
+    ``_lasso_batch`` solves every candidate exactly at the base fit
+    ``model``'s penalty, batched by sign pattern; re-running
+    cross-validation per candidate is pointless and slow. Its matrix
+    products sum in another order than a literal ``fit_lasso`` refit and
+    ``predict_many`` per candidate, so a column equals that refit's
+    residuals up to rounding. The kernel's weights depend only on the
+    shared tails, so one bandwidth serves every candidate and each
+    residual is affine in the candidate head, A + B * candidate; A and B
+    are read off the weights one block of rows at a time, so no
+    (n+1) x (n+1) matrix is formed.
     """
-    if model.kind is Regressor.LASSO:
-        return lasso_candidate_residuals(x_aug, y, candidates, model.lam)
     n = len(y)
+    if model.kind is Regressor.LASSO:
+        y_aug = np.vstack([np.broadcast_to(y[:, None], (n, len(candidates))), candidates])
+        gram, xty, active, m, s, ybar = _gram_problem(x_aug, y_aug)
+        coef = _lasso_batch(gram, xty.T, model.lam, active) / s
+        return np.abs(y_aug - (ybar - coef @ m + x_aug @ coef.T))
     if model.kind is Regressor.KERNEL:
         z = _standardize_columns(x_aug)[0]
         y_pad = np.append(y, 0.0)

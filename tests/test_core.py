@@ -69,8 +69,10 @@ class TestDataset:
         # integer lists and arrays of any integer dtype, repeats allowed
         for rows in ([3, 1, 1], np.array([3, 1, 1]), np.array([3, 1, 1], dtype=np.uint8)):
             np.testing.assert_array_equal(d.subset(rows).y, [3.0, 1.0, 1.0])
-        with pytest.raises(DataError):
-            d.subset([])
+        # np.asarray([]) is a float array: "no rows", not "non-integer"
+        for rows in ([], np.array([], dtype=int)):
+            with pytest.raises(DataError, match="selects no rows"):
+                d.subset(rows)
 
     def test_subset_refuses_a_boolean_mask(self):
         # read as indices, [True, False, True] would be rows 1, 0, 1
@@ -78,6 +80,13 @@ class TestDataset:
         for mask in ([True, False, True], np.array([True, False, True])):
             with pytest.raises(DataError, match="boolean mask"):
                 d.subset(mask)
+
+    @pytest.mark.parametrize("rows", [[1.7], [-0.5], [0, 2.0], np.array([1.0])])
+    def test_subset_refuses_non_integer_rows(self, rows):
+        # truncated, 1.7 would be row 1 and -0.5 row 0
+        d = Dataset(np.arange(6.0).reshape(3, 2), np.arange(3.0))
+        with pytest.raises(DataError, match="integer row indices"):
+            d.subset(rows)
 
     @pytest.mark.parametrize("row", [-1, 3])
     def test_subset_refuses_rows_out_of_range(self, row):

@@ -295,12 +295,26 @@ class TestSimulateControls:
             with pytest.raises(DataError, match="source indices"):
                 simulate_controls(d, sources, noise_scale=0.1)
 
+    def test_non_integer_sources_rejected(self):
+        # int(1.7) would key the control of row 1's stream
+        d = Dataset(np.ones((2, 2)) + np.eye(2), np.zeros(2))
+        for sources in ([0.0, 1.7], np.array([0.5, 1.0])):
+            with pytest.raises(DataError, match="integer row indices"):
+                simulate_controls(d, sources, noise_scale=0.1)
+
 
 class TestRelevanceSelectionValidation:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
             RelevanceSelection(np.array([0, 0]), Similarity.PERCENTILE, 1.0)
 
+    def test_non_integer_indices_rejected(self):
+        # stored as int64, [1.7, 2.2] would become rows [1, 2]
+        for indices in ([1.7, 2.2], np.array([1.0, 2.0]), [True, False]):
+            with pytest.raises(DataError, match="row indices"):
+                RelevanceSelection(indices, Similarity.PERCENTILE, 1.0)
+
     def test_empty_selection_rejected(self):
-        with pytest.raises(DataError, match="empty"):
-            RelevanceSelection(np.array([], dtype=int), Similarity.PERCENTILE, 1.0)
+        for indices in (np.array([], dtype=int), []):
+            with pytest.raises(DataError, match="empty"):
+                RelevanceSelection(indices, Similarity.PERCENTILE, 1.0)

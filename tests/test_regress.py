@@ -511,6 +511,39 @@ class TestLasso:
             np.testing.assert_array_equal(beta[b], path[0])
             assert gram_kkt_residual(grams[b], xty[b], 0.01, beta[b], active[b]) <= 1e-12
 
+    @pytest.mark.parametrize("p", [3, 12])
+    def test_candidate_residuals_equal_literal_refits(self, p):
+        # The candidate heads are solved as one batch, whose matrix products
+        # sum in another order than a refit per candidate; every column must
+        # still be a literal fit_lasso refit's residuals up to rounding. One
+        # column is constant, and the candidates reach well past the heads.
+        rng = np.random.default_rng(40 + p)
+        n = 30
+        x_aug = rng.normal(size=(n + 1, p))
+        x_aug[:, 1] = 0.7
+        y = 1.0 + x_aug[:n] @ rng.normal(size=p) + rng.normal(size=n)
+        model = fit_lasso(Dataset(x_aug[:n], y), seed=0)
+        span = y.max() - y.min()
+        candidates = np.linspace(y.min() - 2.0 * span, y.max() + 2.0 * span, 15)
+        resid = candidate_residuals(x_aug, y, candidates, model)
+        assert resid.shape == (n + 1, candidates.size)
+        for g, trial in enumerate(candidates):
+            y_aug = np.append(y, trial)
+            refit = fit_lasso(Dataset(x_aug, y_aug), lam=model.lam)
+            assert refit.coefficients[1] == 0.0
+            literal = np.abs(y_aug - predict_many(refit, x_aug))
+            np.testing.assert_allclose(resid[:, g], literal, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 3, 12])
+    def test_cv_fit_equals_fit_at_its_penalty(self, p):
+        # the cross-validated fit and the fit at its penalty end on one solve
+        d = make_dataset(np.random.default_rng(50 + p), 25, p)
+        for seed in range(3):
+            cv = fit_lasso(d, seed=seed)
+            fixed = fit_lasso(d, lam=cv.lam)
+            assert cv.intercept == fixed.intercept
+            np.testing.assert_array_equal(cv.coefficients, fixed.coefficients)
+
     def test_cv_is_seed_deterministic(self):
         d = make_dataset(np.random.default_rng(9), 40, 5)
         m1 = fit_lasso(d, seed=3)
