@@ -187,17 +187,12 @@ def _cmd_run(args) -> int:
 def _cmd_score(args) -> int:
     source = Path(args.indir)
     plot_path = source if source.is_file() else source / "plotdata.csv"
-    if not plot_path.exists():
-        raise DataError(f"plotdata file not found: {plot_path}")
-    out = Path(args.out) if args.out else plot_path.parent
-    out.mkdir(parents=True, exist_ok=True)
-
     comments, rows = read_csv(plot_path)
-    if len(rows) < 2:
-        raise DataError(f"no usable rows in {plot_path}")
     by_similarity = score_plot_rows(dict(zip(rows[0], row)) for row in rows[1:])
     if not by_similarity:
-        raise DataError(f"no scored rows (every y0 empty) in {plot_path}")
+        raise DataError(f"no scored rows (no data row with a y0) in {plot_path}")
+    out = Path(args.out) if args.out else plot_path.parent
+    out.mkdir(parents=True, exist_ok=True)
     for sim, metric_rows in by_similarity.items():
         path = out / f"summary_{sim}.csv"
         write_summary_csv(path, comments, metric_rows)

@@ -150,20 +150,17 @@ def _candidate_grid(y: np.ndarray, spec: ConformalSpec) -> np.ndarray:
 
 
 def full_conformal_accepted(
-    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0, base: FittedModel | None = None
+    d: Dataset, base: FittedModel, x0, spec: ConformalSpec
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Candidate grid, per-candidate acceptance mask, and the base forecast.
 
-    Each candidate head is appended to the data and the model refit on the
-    n+1 rows (``regress.candidate_residuals``); the candidate survives when
-    its absolute residual ranks within the lowest ceil((n+1)(1-alpha)) of
-    all n+1. ``base`` is the base fit ``regress.fit(d, reg, seed)``, made
-    here when not given; a caller that also runs the jackknife on ``d``
-    fits it once for both.
+    ``base`` is the engine's fit on ``d``. Each candidate head is appended
+    to the data and the model refit on the n+1 rows
+    (``regress.candidate_residuals``); the candidate survives when its
+    absolute residual ranks within the lowest ceil((n+1)(1-alpha)) of all
+    n+1.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
-    if base is None:
-        base = fit(d, reg, seed=seed)
     point = predict(base, x0)
     grid = _candidate_grid(d.y, spec)
     n = d.n
@@ -173,16 +170,14 @@ def full_conformal_accepted(
     return grid, ranks <= k_accept, point
 
 
-def full_conformal(
-    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0, base: FittedModel | None = None
-) -> PredictionInterval:
+def full_conformal(d: Dataset, base: FittedModel, x0, spec: ConformalSpec) -> PredictionInterval:
     """[min accepted, max accepted] over the candidate grid.
 
     An empty acceptance region degrades to a zero-length interval at the
     base forecast, flagged ``degenerate`` so downstream metrics can see it.
     ``base`` is as for ``full_conformal_accepted``.
     """
-    grid, accepted, point = full_conformal_accepted(d, reg, x0, spec, seed=seed, base=base)
+    grid, accepted, point = full_conformal_accepted(d, base, x0, spec)
     if not accepted.any():
         return PredictionInterval(point, point, point, degenerate=True)
     kept = grid[accepted]
@@ -194,17 +189,12 @@ def full_conformal(
 # ---------------------------------------------------------------------------
 
 def jackknife_conformal(
-    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0, base: FittedModel | None = None
+    d: Dataset, base: FittedModel, x0, spec: ConformalSpec
 ) -> PredictionInterval:
-    """Base forecast plus/minus the leave-one-out residual quantile.
-
-    ``base`` is the base fit ``regress.fit(d, reg, seed)``, made here when
-    not given; full conformal on ``d`` starts from the same fit.
-    """
+    """Base forecast plus/minus the leave-one-out residual quantile;
+    ``base`` is the engine's fit on ``d``."""
     if d.n < 3:
         raise DataError(f"jackknife needs n >= 3, got n={d.n}")
-    if base is None:
-        base = fit(d, reg, seed=seed)
     point = predict(base, x0)
     dstar = loo_quantile(np.abs(loo_residuals(d.x, d.y, base)), spec.alpha)
     return PredictionInterval(point, point - dstar, point + dstar)
@@ -232,12 +222,17 @@ def conformal_interval(
 ) -> PredictionInterval:
     """Dispatch on ``spec.method``.
 
-    ``base``, the fit ``regress.fit(d, reg, seed)`` when the caller has it,
-    goes to full conformal and the jackknife; split fits on part of ``d``
+    Full conformal and the jackknife start from the base fit
+    ``regress.fit(d, reg, seed)``: ``base`` when the caller has it, which
+    must be of engine ``reg``, else made here. Split fits on part of ``d``
     and takes none.
     """
     if spec.method is ConformalMethod.SPLIT:
         return split_conformal(d, reg, x0, spec, seed)
+    if base is None:
+        base = fit(d, reg, seed=seed)
+    elif base.kind is not Regressor(reg):
+        raise DataError(f"base fit is {base.kind.value}, not {Regressor(reg).value}")
     if spec.method is ConformalMethod.FULL:
-        return full_conformal(d, reg, x0, spec, seed=seed, base=base)
-    return jackknife_conformal(d, reg, x0, spec, seed=seed, base=base)
+        return full_conformal(d, base, x0, spec)
+    return jackknife_conformal(d, base, x0, spec)

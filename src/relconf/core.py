@@ -324,17 +324,21 @@ def _parse_cell(text: str, row: int, column: str) -> float:
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """(comments, rows) of a UTF-8 CSV file: lines starting with ``#`` are
-    comments, kept without the marker and outer blanks; blank lines are
-    skipped; the first row is the header."""
+    """(comments, rows) of a UTF-8 CSV file, with or without a leading byte
+    order mark: lines starting with ``#`` are comments, kept without the
+    marker and outer blanks; blank lines are skipped; the first row is the
+    header, and every data row must have as many cells as it."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = list(fh)
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
     comments = [line[1:].strip() for line in lines if line.startswith("#")]
-    rows = csv.reader(line for line in lines if not line.startswith("#"))
-    return comments, [r for r in rows if r]
+    rows = [r for r in csv.reader(line for line in lines if not line.startswith("#")) if r]
+    for i, row in enumerate(rows[1:], 1):
+        if len(row) != len(rows[0]):
+            raise DataError(f"{path}: data row {i} has {len(row)} cells, expected {len(rows[0])}")
+    return comments, rows
 
 
 def load_csv(path, head_column: str) -> Dataset:
@@ -363,10 +367,6 @@ def load_csv(path, head_column: str) -> Dataset:
     y = np.empty(len(data))
     x = np.empty((len(data), len(feature_names)))
     for i, row in enumerate(data):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: data row {i + 1} has {len(row)} cells, expected {len(header)}"
-            )
         k = 0
         for j, cell in enumerate(row):
             if j == head_idx:

@@ -71,7 +71,7 @@ def full_conformal_brute_force() -> tuple[bool, str]:
         x0 = rng.normal(0.0, 1.0, size=p)
         alpha = alphas[i % len(alphas)]
         spec = ConformalSpec(method=ConformalMethod.FULL, alpha=alpha, grid_points=20)
-        grid, accepted, _ = full_conformal_accepted(d, Regressor.OLS, x0, spec)
+        grid, accepted, _ = full_conformal_accepted(d, fit_ols(d), x0, spec)
 
         # independent oracle: same pinned grid formula, literal refits
         spread = float(y.max() - y.min())

@@ -691,11 +691,11 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
     cross-validation per candidate is pointless and slow. Its matrix
     products sum in another order than a literal ``fit_lasso`` refit and
     ``predict_many`` per candidate, so a column equals that refit's
-    residuals up to rounding. The kernel's weights depend only on the
-    shared tails, so one bandwidth serves every candidate and each
-    residual is affine in the candidate head, A + B * candidate; A and B
-    are read off the weights one block of rows at a time, so no
-    (n+1) x (n+1) matrix is formed.
+    residuals up to rounding. The kernel refits once with ``fit_kernel``
+    on the n+1 rows, head padded with 0: its weights depend only on the
+    tails, so each residual is affine in the candidate head,
+    A + B * candidate; A and B are read off the weights one block of rows
+    at a time, so no (n+1) x (n+1) matrix is formed.
     """
     n = len(y)
     if model.kind is Regressor.LASSO:
@@ -704,10 +704,10 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
         coef = _lasso_batch(gram, xty.T, model.lam, active) / s
         return np.abs(y_aug - (ybar - coef @ m + x_aug @ coef.T))
     if model.kind is Regressor.KERNEL:
-        z = _standardize_columns(x_aug)[0]
-        y_pad = np.append(y, 0.0)
+        refit = fit_kernel(Dataset(x_aug, np.append(y, 0.0)))
+        y_pad = refit.train_y
         a, b = np.empty(n + 1), np.empty(n + 1)
-        for rows, w in _gaussian_blocks(z, _median_bandwidth(z), drop_self=False):
+        for rows, w in _gaussian_blocks(refit.train_z, refit.bandwidth, drop_self=False):
             w /= w.sum(axis=1, keepdims=True)
             a[rows] = y_pad[rows] - w @ y_pad
             b[rows] = -w[:, n]

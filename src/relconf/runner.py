@@ -45,6 +45,7 @@ from .core import (
     Query,
     Regressor,
     Similarity,
+    _parse_cell,
     check_knobs,
     load_csv,
     subseed,
@@ -351,20 +352,28 @@ def _plot_row(cfg, query_index: int, label: str, q: Query, path, iv) -> dict[str
     )))
 
 
+# the plotdata columns that scoring reads
+_SCORED_COLUMNS = ("similarity", "query", "path", "method", "regressor", "y0", "point", "lo", "up")
+
+
 def score_plot_rows(rows: Iterable[Mapping[str, str]]) -> dict[str, list[MetricRow]]:
     """Each similarity's metric rows from plotdata rows (column -> text).
 
-    Rows without a realized head are skipped. ``run_grid`` and ``relconf
-    score`` both summarise through this, so their summaries agree.
+    Rows without a realized head are skipped; a missing column or a number
+    that is not a finite real is a DataError naming it. ``run_grid`` and
+    ``relconf score`` both summarise through this, so their summaries agree.
     """
     by_similarity: dict[str, list[MetricRow]] = {}
-    for row in rows:
+    for i, row in enumerate(rows, 1):
+        missing = [c for c in _SCORED_COLUMNS if c not in row]
+        if missing:
+            raise DataError(f"plotdata has no column {', '.join(map(repr, missing))}")
         if row["y0"] == "":
             continue
-        iv = PredictionInterval(float(row["point"]), float(row["lo"]), float(row["up"]))
+        y0, point, lo, up = (_parse_cell(row[c], i, c) for c in ("y0", "point", "lo", "up"))
         cell = Cell(row["path"], row["method"], row["regressor"], row["similarity"], row["query"])
         by_similarity.setdefault(row["similarity"], []).append(
-            score(iv, float(row["y0"]), cell)
+            score(PredictionInterval(point, lo, up), y0, cell)
         )
     return by_similarity
 

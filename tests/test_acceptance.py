@@ -16,13 +16,7 @@ from statistics import median
 import numpy as np
 
 from relconf import oracles
-from relconf.conformal import (
-    ConformalSpec,
-    conformal_interval,
-    full_conformal,
-    jackknife_conformal,
-    split_conformal,
-)
+from relconf.conformal import ConformalSpec, conformal_interval
 from relconf.core import (
     ConformalMethod,
     Dataset,
@@ -123,12 +117,9 @@ def test_criterion_06_containment_and_monotonicity():
         heads_ok = controls.n == n_r and np.array_equal(controls.y, d.y[selection.indices])
         violations += int(not heads_ok)
 
-        for method, builder in (
-            (ConformalMethod.SPLIT, split_conformal),
-            (ConformalMethod.JACKKNIFE, jackknife_conformal),
-        ):
+        for method in (ConformalMethod.SPLIT, ConformalMethod.JACKKNIFE):
             lengths = [
-                builder(
+                conformal_interval(
                     d,
                     Regressor.OLS,
                     x0,
@@ -142,7 +133,7 @@ def test_criterion_06_containment_and_monotonicity():
             )
         if trial % 10 == 0:
             lengths = [
-                full_conformal(
+                conformal_interval(
                     d,
                     Regressor.OLS,
                     x0,

@@ -11,7 +11,15 @@ import pytest
 
 from relconf import cli, oracles
 from relconf.cli import main, parse_config_file
-from relconf.core import ConfigError, Dataset, Regressor, load_csv, save_csv
+from relconf.core import (
+    ConfigError,
+    Dataset,
+    Regressor,
+    load_csv,
+    read_csv,
+    save_csv,
+    write_csv,
+)
 from relconf.dgp import gen_small
 from relconf.runner import RunManifest
 
@@ -54,6 +62,27 @@ class TestGen:
         for i, q in enumerate(suite.queries):
             assert (qd.x[i] == np.asarray(q.x0)).all()
             assert qd.y[i] == q.y0
+
+    def test_external_csv_run_on_gen_files_matches_suite_run(self, tmp_path):
+        # the CSVs gen writes carry the suite exactly: an external-csv run
+        # on them writes the suite run's tables, bar their comment lines
+        # and plotdata's query labels, which only the suite knows
+        gen, ext, suite = tmp_path / "gen", tmp_path / "ext", tmp_path / "suite"
+        assert main(["gen", "--suite", "small", "--seed", "0", "--out", str(gen)]) == 0
+        assert main([
+            "run", "--suite", "external-csv", "--train", str(gen / "train.csv"),
+            "--queries", str(gen / "queries.csv"), "--seed", "0", "--out", str(ext),
+        ]) == 0
+        assert main(["run", "--suite", "small", "--seed", "0", "--out", str(suite)]) == 0
+        tables = sorted(p.name for p in suite.glob("*.csv"))
+        assert tables == sorted(p.name for p in ext.glob("*.csv"))
+        assert len(tables) == 5
+        for name in tables:
+            a, b = (read_csv(out / name)[1] for out in (suite, ext))
+            if name == "plotdata.csv":
+                label = a[0].index("query_label")
+                a, b = ([r[:label] + r[label + 1:] for r in rows] for rows in (a, b))
+            assert a == b, name
 
     def test_labels_sidecar(self, tmp_path):
         main(["gen", "--suite", "long", "--seed", "1", "--out", str(tmp_path)])
@@ -217,6 +246,32 @@ class TestScore:
     def test_missing_plotdata_is_data_error(self, tmp_path, capsys):
         assert main(["score", "--in", str(tmp_path)]) == 2
         assert "plotdata" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault, message", [
+        ("no up column", "no column 'up'"),
+        ("short row", "data row 2 has 12 cells, expected 13"),
+        ("non-numeric cell", "non-numeric cell 'abc' at data row 1, column 'lo'"),
+    ])
+    def test_malformed_plotdata_is_data_error(self, tmp_path, capsys, fault, message):
+        train, queries = make_external(tmp_path)
+        out = tmp_path / "out"
+        main([
+            "run", "--suite", "external-csv",
+            "--train", str(train), "--queries", str(queries),
+            "--out", str(out), *FAST_RUN,
+        ])
+        comments, (header, *data) = read_csv(out / "plotdata.csv")
+        if fault == "no up column":
+            j = header.index("up")
+            header, data = header[:j] + header[j + 1:], [r[:j] + r[j + 1:] for r in data]
+        elif fault == "short row":
+            data[1] = data[1][:-1]
+        else:
+            data[0][header.index("lo")] = "abc"
+        write_csv(out / "plotdata.csv", header, data, comments)
+        capsys.readouterr()
+        assert main(["score", "--in", str(out)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestParseConfigFile:

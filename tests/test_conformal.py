@@ -159,7 +159,7 @@ class TestFull:
             p = int(rng.integers(1, 3))
             d = make_dataset(rng, n, p)
             x0 = rng.normal(size=p)
-            grid, accepted, _ = full_conformal_accepted(d, "ols", x0, spec)
+            grid, accepted, _ = full_conformal_accepted(d, fit_ols(d), x0, spec)
             oracle = brute_force_full_ols(d, x0, spec.alpha, grid)
             np.testing.assert_array_equal(accepted, oracle)
 
@@ -170,17 +170,17 @@ class TestFull:
         x = np.linspace(0.0, 2.0, 12)[:, None]
         d = Dataset(x, 2.0 * x.ravel())
         on_grid = ConformalSpec(method="full", alpha=0.2, grid_points=13)
-        iv = full_conformal(d, "ols", [0.75], on_grid)  # grid step 0.5 hits 1.5
+        iv = full_conformal(d, fit_ols(d), [0.75], on_grid)  # grid step 0.5 hits 1.5
         assert not iv.degenerate
         assert iv.lo <= 1.5 <= iv.up
         tiny_alpha = ConformalSpec(method="full", alpha=0.05, grid_points=13)
-        iv = full_conformal(d, "ols", [0.75], tiny_alpha)  # k = n+1: accept all
+        iv = full_conformal(d, fit_ols(d), [0.75], tiny_alpha)  # k = n+1: accept all
         assert (iv.lo, iv.up) == (-1.0, 5.0)
 
     def test_nested_in_alpha(self):
         d = make_dataset(np.random.default_rng(6), 20, 2)
-        tight = full_conformal(d, "ols", [0.1, 0.1], ConformalSpec("full", alpha=0.5))
-        wide = full_conformal(d, "ols", [0.1, 0.1], ConformalSpec("full", alpha=0.1))
+        tight = full_conformal(d, fit_ols(d), [0.1, 0.1], ConformalSpec("full", alpha=0.5))
+        wide = full_conformal(d, fit_ols(d), [0.1, 0.1], ConformalSpec("full", alpha=0.1))
         assert wide.lo <= tight.lo and tight.up <= wide.up
 
     def test_empty_acceptance_flags_degenerate(self):
@@ -190,7 +190,7 @@ class TestFull:
         # 20-point grid over [-0.25, 1.25] never hits
         d = Dataset(np.array([[0.0], [1.0]]), [0.0, 1.0])
         spec = ConformalSpec(method="full", alpha=0.9, grid_points=20)
-        iv = full_conformal(d, "ols", [0.5], spec)
+        iv = full_conformal(d, fit_ols(d), [0.5], spec)
         assert iv.degenerate
         assert iv.lo == iv.up == iv.point == pytest.approx(0.5)
 
@@ -202,7 +202,7 @@ class TestFull:
         spec = ConformalSpec(method="full", alpha=0.2, grid_points=15)
         k = math.ceil((d.n + 1) * (1 - spec.alpha) - 1e-9)
         for x0 in (rng.normal(size=2), np.array([1e3, -1e3])):
-            grid, accepted, _ = full_conformal_accepted(d, "kernel", x0, spec)
+            grid, accepted, _ = full_conformal_accepted(d, fit_kernel(d), x0, spec)
             x_aug = np.vstack([d.x, x0])
             oracle = []
             for t in grid:
@@ -221,8 +221,9 @@ class TestFull:
             d = make_dataset(rng, 25, p)
             x0 = np.zeros(p)
             spec = ConformalSpec(method="full", alpha=0.2, grid_points=12)
-            grid, accepted, _ = full_conformal_accepted(d, "lasso", x0, spec, seed=0)
-            lam = fit_lasso(d, seed=0).lam
+            base = fit_lasso(d, seed=0)
+            grid, accepted, _ = full_conformal_accepted(d, base, x0, spec)
+            lam = base.lam
             k = math.ceil((d.n + 1) * (1 - spec.alpha) - 1e-9)
             x_aug = np.vstack([d.x, x0])
             oracle = []
@@ -254,7 +255,7 @@ class TestJackknife:
     def test_exact_linear_collapses(self):
         x = np.linspace(0, 1, 10)[:, None]
         d = Dataset(x, 3.0 * x.ravel() + 1.0)
-        iv = jackknife_conformal(d, "ols", [0.5], self.SPEC)
+        iv = jackknife_conformal(d, fit_ols(d), [0.5], self.SPEC)
         assert iv.length == pytest.approx(0.0, abs=1e-8)
         assert iv.point == pytest.approx(2.5, abs=1e-8)
 
@@ -342,7 +343,7 @@ class TestJackknife:
         d = make_dataset(np.random.default_rng(12), 30, 2)
         widths = [
             jackknife_conformal(
-                d, "ols", [0.0, 0.0], ConformalSpec("jackknife", alpha=a)
+                d, fit_ols(d), [0.0, 0.0], ConformalSpec("jackknife", alpha=a)
             ).length
             for a in (0.05, 0.1, 0.2, 0.5)
         ]
@@ -351,21 +352,22 @@ class TestJackknife:
     def test_needs_three_rows(self):
         d = Dataset([[0.0], [1.0]], [0.0, 1.0])
         with pytest.raises(DataError, match="jackknife"):
-            jackknife_conformal(d, "ols", [0.5], self.SPEC)
+            jackknife_conformal(d, fit_ols(d), [0.5], self.SPEC)
 
 
 class TestDispatch:
     def test_routes_by_method(self):
         d = make_dataset(np.random.default_rng(13), 30, 2)
+        base = fit(d, "ols", seed=4)
         constructors = {
-            "split": split_conformal,
-            "full": full_conformal,
-            "jackknife": jackknife_conformal,
+            "split": lambda spec: split_conformal(d, "ols", [0.0, 0.0], spec, seed=4),
+            "full": lambda spec: full_conformal(d, base, [0.0, 0.0], spec),
+            "jackknife": lambda spec: jackknife_conformal(d, base, [0.0, 0.0], spec),
         }
         for method, construct in constructors.items():
             spec = ConformalSpec(method=method, alpha=0.2, grid_points=25)
             iv = conformal_interval(d, "ols", [0.0, 0.0], spec, seed=4)
-            own = construct(d, "ols", [0.0, 0.0], spec, seed=4)
+            own = construct(spec)
             for f in fields(PredictionInterval):
                 assert getattr(iv, f.name) == getattr(own, f.name), (method, f.name)
             assert iv.lo <= iv.up
@@ -386,3 +388,10 @@ class TestDispatch:
         for method, iv in alone.items():
             spec = ConformalSpec(method=method, grid_points=25)
             assert conformal_interval(d, reg, [0.1, -0.2], spec, seed=4, base=base) == iv
+
+    @pytest.mark.parametrize("method", ["full", "jackknife"])
+    def test_base_fit_of_another_engine_is_refused(self, method):
+        d = make_dataset(np.random.default_rng(14), 30, 2)
+        spec = ConformalSpec(method=method, grid_points=25)
+        with pytest.raises(DataError, match="kernel"):
+            conformal_interval(d, "ols", [0.1, -0.2], spec, base=fit(d, "kernel"))

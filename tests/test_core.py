@@ -209,6 +209,22 @@ class TestCsv:
         with pytest.raises(DataError, match="cells"):
             load_csv(f, head_column="y")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet exports start with a UTF-8 byte order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("y,x1,x2\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_csv(plain, head_column="y"), load_csv(marked, head_column="y")
+        np.testing.assert_array_equal(b.x, a.x)
+        np.testing.assert_array_equal(b.y, a.y)
+        assert (b.feature_names, b.head_name) == (a.feature_names, a.head_name)
+
+    def test_undecodable_file_is_data_error(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"y,x1\n1.0,\xff\n")
+        with pytest.raises(DataError, match="cannot read"):
+            load_csv(f, head_column="y")
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)
         d = Dataset(rng.normal(size=(20, 3)) * 1e3, rng.normal(size=20) / 7.0)

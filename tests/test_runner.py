@@ -486,7 +486,9 @@ class TestRunGrid:
         # base fit, and split fits its own part of them: with one floor per
         # similarity a query has 5 paths (standard, and relevant and
         # simulated per similarity), each fit once for split and once for
-        # the other two methods, per regressor
+        # the other two methods, per regressor. The kernel's full conformal
+        # also refits once on the path's rows and the query tail, whose
+        # bandwidth serves every candidate head
         manifest = external_manifest(tmp_path)
         datasets, queries, labels = _load_grid_data(manifest)
         fits = Counter()
@@ -504,6 +506,8 @@ class TestRunGrid:
         )
         run_grid(manifest)
         assert set(fits.values()) == {1}
-        assert Counter(name for name, _, _ in fits) == {
+        refits = {key for key in fits if key[1].endswith(queries[0].x0.tobytes())}
+        assert Counter(name for name, _, _ in refits) == {"fit_kernel": 5}
+        assert Counter(name for name, _, _ in fits.keys() - refits) == {
             name: 5 * 2 for name in ("fit_ols", "fit_lasso", "fit_kernel")
         }
