@@ -25,7 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .core import ARTIFACT_VERSION, ConfigError, DataError, Dataset, read_csv, save_csv, write_csv
+from .core import (
+    ARTIFACT_VERSION,
+    ConfigError,
+    DataError,
+    Dataset,
+    check_knob,
+    read_csv,
+    save_csv,
+    write_csv,
+)
 from .dgp import SUITES
 from .individualize import ControlMode
 from .runner import SUITE_NAMES, RunManifest, run_grid, score_plot_rows, write_summary_csv
@@ -141,13 +150,14 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    suite = SUITES[args.suite](args.seed)
+    seed = check_knob("seed", args.seed)
+    suite = SUITES[args.suite](seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     comments = [
         f"version={ARTIFACT_VERSION}",
         f"suite={args.suite}",
-        f"seed={args.seed}",
+        f"seed={seed}",
     ]
     save_csv(suite.dataset, out / "train.csv", comments)
     qx = np.vstack([q.x0 for q in suite.queries])

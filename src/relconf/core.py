@@ -95,6 +95,15 @@ def _row_indices(indices, what: str) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
+def _query_tail(d: Dataset, x0) -> np.ndarray:
+    """Query tail ``x0`` as a flat float array; DataError unless it has
+    dataset ``d``'s p features (selection and the runner call this)."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    if x0.size != d.p:
+        raise DataError(f"query has {x0.size} features, dataset has {d.p}")
+    return x0
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from each row of ``a`` to each row of ``b``.
 
@@ -254,7 +263,8 @@ _KNOB_RULES = {
 
 def check_knob(name: str, raw):
     """``raw`` as knob ``name``'s type; ConfigError if the conversion would
-    change it or it breaks the knob's rule (selection and controls call this)."""
+    change it or it breaks the knob's rule (selection, controls and
+    ``relconf gen`` call this)."""
     kind, rule, holds = _KNOB_RULES[name]
     value = kind(raw)
     # refuse what the conversion would change (30.9, "31"); NaN fails its rule

@@ -20,6 +20,7 @@ from .core import (
     DataError,
     Dataset,
     Similarity,
+    _query_tail,
     _readonly,
     _row_indices,
     _sq_dists,
@@ -94,9 +95,10 @@ def select_percentile(
     min_relevant = check_knob("min_relevant", min_relevant)
     if d.n < min_relevant:
         raise DataError(f"need n >= min_relevant, got n={d.n}, min_relevant={min_relevant}")
+    x0 = _query_tail(d, x0)
     # d's rows were checked when it was built: no second Dataset to re-check
     z, centers, scales, _ = _standardize_columns(d.x)
-    z0 = transform_features(np.asarray(x0, dtype=float).ravel(), centers, scales)
+    z0 = transform_features(x0, centers, scales)
     dist = np.sqrt(((z - z0) ** 2).sum(axis=1))
     k = max(ceil_guarded(alpha * d.n), 1)
     fallback = k < min_relevant
@@ -120,7 +122,7 @@ def select_cosine(
     min_relevant = check_knob("min_relevant", min_relevant)
     if d.n < min_relevant:
         raise DataError(f"need n >= min_relevant, got n={d.n}, min_relevant={min_relevant}")
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = _query_tail(d, x0)
     q_norm = float(np.linalg.norm(x0))
     if q_norm == 0.0:
         raise DataError("cosine similarity undefined for a zero-norm query tail")

@@ -603,7 +603,10 @@ def fit_kernel(d: Dataset) -> FittedModel:
 def kernel_weights(m: FittedModel, x_new: np.ndarray) -> np.ndarray:
     """Normalized kernel weights of each training row for each query row,
     shifted by ``_shifted_gaussian`` so that they never all underflow."""
-    z0 = transform_features(np.atleast_2d(x_new), m.centers, m.scales)
+    x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
+    if x_new.shape[1] != m.p:
+        raise DataError(f"query has {x_new.shape[1]} features, model expects {m.p}")
+    z0 = transform_features(x_new, m.centers, m.scales)
     w = _shifted_gaussian(_sq_dists(z0, m.train_z), m.bandwidth)
     w /= w.sum(axis=1, keepdims=True)
     return w
@@ -682,10 +685,11 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
     """Absolute residuals of full conformal's refits, shape (n+1, G).
 
     Column g holds |y_aug - f(x_aug)| for ``model``'s engine refit on the
-    n+1 rows of ``x_aug`` with heads y_aug = (y, candidates[g]). OLS calls
-    ``lstsq`` per candidate. LASSO stacks the G heads as one (n+1, G)
-    matrix, so ``_gram_problem`` standardizes the shared tails once and
-    forms every candidate's cross-products in one product, and
+    n+1 rows of ``x_aug`` with heads y_aug = (y, candidates[g]). OLS and
+    LASSO stack the G heads as one (n+1, G) matrix. OLS solves it with
+    ``fit_ols``'s one ``lstsq`` call; for LASSO, ``_gram_problem``
+    standardizes the shared tails once and forms every candidate's
+    cross-products in one product, and
     ``_lasso_batch`` solves every candidate exactly at the base fit
     ``model``'s penalty, batched by sign pattern; re-running
     cross-validation per candidate is pointless and slow. Its matrix
@@ -698,11 +702,6 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
     at a time, so no (n+1) x (n+1) matrix is formed.
     """
     n = len(y)
-    if model.kind is Regressor.LASSO:
-        y_aug = np.vstack([np.broadcast_to(y[:, None], (n, len(candidates))), candidates])
-        gram, xty, active, m, s, ybar = _gram_problem(x_aug, y_aug)
-        coef = _lasso_batch(gram, xty.T, model.lam, active) / s
-        return np.abs(y_aug - (ybar - coef @ m + x_aug @ coef.T))
     if model.kind is Regressor.KERNEL:
         refit = fit_kernel(Dataset(x_aug, np.append(y, 0.0)))
         y_pad = refit.train_y
@@ -713,10 +712,10 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
             b[rows] = -w[:, n]
         b[n] += 1.0
         return np.abs(a[:, None] + b[:, None] * candidates[None, :])
-    design = np.column_stack([np.ones(n + 1), x_aug])
-    resid = np.empty((n + 1, len(candidates)))
-    for g, trial in enumerate(candidates):
-        y_aug = np.append(y, trial)
-        coef, *_ = np.linalg.lstsq(design, y_aug, rcond=None)
-        resid[:, g] = np.abs(y_aug - (float(coef[0]) + x_aug @ coef[1:]))
-    return resid
+    y_aug = np.vstack([np.broadcast_to(y[:, None], (n, len(candidates))), candidates])
+    if model.kind is Regressor.LASSO:
+        gram, xty, active, m, s, ybar = _gram_problem(x_aug, y_aug)
+        coef = _lasso_batch(gram, xty.T, model.lam, active) / s
+        return np.abs(y_aug - (ybar - coef @ m + x_aug @ coef.T))
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(n + 1), x_aug]), y_aug, rcond=None)
+    return np.abs(y_aug - (coef[0] + x_aug @ coef[1:]))

@@ -46,6 +46,7 @@ from .core import (
     Regressor,
     Similarity,
     _parse_cell,
+    _query_tail,
     check_knobs,
     load_csv,
     subseed,
@@ -86,9 +87,7 @@ def _setup(d: Dataset, q: Query, cfg: ExperimentConfig):
     The floor is ``min_relevant`` raised to the smallest dataset the
     conformal method and regressor can run on, and capped at ``d.n``.
     """
-    x0 = np.asarray(q.x0, dtype=float).ravel()
-    if x0.size != d.p:
-        raise DataError(f"query has {x0.size} features, dataset has {d.p}")
+    x0 = _query_tail(d, q.x0)
     spec = ConformalSpec(
         cfg.conformal_method, **{name: getattr(cfg, name) for name in _SPEC_KNOBS}
     )

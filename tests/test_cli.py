@@ -97,6 +97,16 @@ class TestGen:
         assert code == 1
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2**64"])
+    def test_seed_out_of_range_is_config_error(self, tmp_path, capsys, seed):
+        # gen and run share one seed rule: gen writes no suite that run refuses
+        message = "config error: seed must be a 64-bit unsigned integer"
+        for command in ("gen", "run"):
+            out = tmp_path / command
+            assert main([command, "--seed", str(seed), "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestRun:
     def test_flags_run_and_write(self, tmp_path):

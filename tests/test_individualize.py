@@ -178,6 +178,21 @@ class TestCosine:
             with pytest.raises(ConfigError, match=name):
                 rule(d, x0, **knobs)
 
+    @pytest.mark.parametrize("x0", [[0.5], [0.5, 0.2, 0.1]], ids=["short", "long"])
+    def test_query_of_wrong_length_refused(self, x0):
+        # a one-entry query is not broadcast over both columns
+        rng = np.random.default_rng(6)
+        d = Dataset(rng.normal(size=(40, 2)), np.zeros(40))
+        message = f"query has {len(x0)} features, dataset has 2"
+        for rule in (
+            lambda: select_percentile(d, x0, 0.1, 10),
+            lambda: select_cosine(d, x0, 0.9, 10),
+            lambda: select(d, x0, "percentile", 0.1, 0.9, 10),
+            lambda: select(d, x0, "cosine", 0.1, 0.9, 10),
+        ):
+            with pytest.raises(DataError, match=message):
+                rule()
+
 
 class TestSimulateControls:
     @staticmethod

@@ -44,6 +44,17 @@ def make_dataset(rng, n, p, noise=1.0):
     return Dataset(x, y)
 
 
+def candidate_problem(seed, n, p):
+    """n rows and a query row whose column 1 is constant, their heads, and
+    15 candidate heads reaching well past the heads' range."""
+    rng = np.random.default_rng(seed)
+    x_aug = rng.normal(size=(n + 1, p))
+    x_aug[:, 1] = 0.7
+    y = 1.0 + x_aug[:n] @ rng.normal(size=p) + rng.normal(size=n)
+    span = y.max() - y.min()
+    return x_aug, y, np.linspace(y.min() - 2.0 * span, y.max() + 2.0 * span, 15)
+
+
 # The coordinate-descent references stop once a sweep moves no coefficient
 # by REFERENCE_TOL, or after REFERENCE_MAX_SWEEPS sweeps, so they are exact
 # only to about REFERENCE_TOL.
@@ -185,6 +196,20 @@ class TestOls:
             np.concatenate([[m.intercept], m.coefficients]), oracle, atol=1e-8
         )
         np.testing.assert_allclose(predict_many(m, d.x), d.y, atol=1e-8)
+
+    @pytest.mark.parametrize("n, p", [(30, 3), (30, 12), (8, 12)])
+    def test_candidate_residuals_equal_literal_refits(self, n, p):
+        # Every candidate is solved by one lstsq over the (n+1, G) head
+        # matrix; each column must be a literal fit_ols refit's residuals.
+        # The constant column makes every design rank-deficient, so each
+        # refit is the minimum-norm solution, and n = 8 has p > n.
+        x_aug, y, candidates = candidate_problem(60 + n + p, n, p)
+        resid = candidate_residuals(x_aug, y, candidates, fit_ols(Dataset(x_aug[:n], y)))
+        assert resid.shape == (n + 1, candidates.size)
+        for g, trial in enumerate(candidates):
+            y_aug = np.append(y, trial)
+            literal = np.abs(y_aug - predict_many(fit_ols(Dataset(x_aug, y_aug)), x_aug))
+            np.testing.assert_allclose(resid[:, g], literal, rtol=0, atol=1e-12)
 
 
 def near_collinear_dataset():
@@ -517,14 +542,9 @@ class TestLasso:
         # sum in another order than a refit per candidate; every column must
         # still be a literal fit_lasso refit's residuals up to rounding. One
         # column is constant, and the candidates reach well past the heads.
-        rng = np.random.default_rng(40 + p)
         n = 30
-        x_aug = rng.normal(size=(n + 1, p))
-        x_aug[:, 1] = 0.7
-        y = 1.0 + x_aug[:n] @ rng.normal(size=p) + rng.normal(size=n)
+        x_aug, y, candidates = candidate_problem(40 + p, n, p)
         model = fit_lasso(Dataset(x_aug[:n], y), seed=0)
-        span = y.max() - y.min()
-        candidates = np.linspace(y.min() - 2.0 * span, y.max() + 2.0 * span, 15)
         resid = candidate_residuals(x_aug, y, candidates, model)
         assert resid.shape == (n + 1, candidates.size)
         for g, trial in enumerate(candidates):
@@ -823,6 +843,13 @@ class TestPredict:
         m = FittedModel(kind=Regressor.OLS, intercept=0.0, coefficients=np.ones(2))
         with pytest.raises(DataError, match="features"):
             predict(m, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("x_new", [[[0.1]], [[0.1, 0.2, 0.3]]], ids=["short", "long"])
+    def test_kernel_weights_refuse_wrong_length(self, x_new):
+        m = fit_kernel(make_dataset(np.random.default_rng(18), 50, 2))
+        message = f"query has {len(x_new[0])} features, model expects 2"
+        with pytest.raises(DataError, match=message):
+            kernel_weights(m, x_new)
 
     def test_dispatcher_covers_all_engines(self):
         rng = np.random.default_rng(17)
