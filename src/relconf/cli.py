@@ -7,7 +7,8 @@ Subcommands:
 * ``score``    recompute summary tables from an existing plotdata.csv
 * ``selftest`` run the oracle checks of ``relconf.oracles``, printing PASS/FAIL lines
 
-Exit codes: 0 success, 1 configuration error, 2 data error.
+Exit codes: 0 success, 1 configuration error (an unusable output path is
+one), 2 data error.
 
 ``run`` reads an optional flat ``key=value`` config file; command-line
 flags override file values, which override built-in defaults. The keys
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # read_csv makes an input OSError a DataError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

@@ -27,6 +27,7 @@ from .core import (
     Dataset,
     PredictionInterval,
     Regressor,
+    _query_tail,
     check_knobs,
 )
 from .regress import (
@@ -123,6 +124,7 @@ def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> Pred
     residual quantile. The fit needs ``regress.min_fit_rows(reg)`` rows
     and calibration at least 2.
     """
+    x0 = _query_tail(d, x0)
     fit_rows = min_fit_rows(reg)
     n_train = _split_train_rows(d.n, spec.rho, fit_rows)
     if n_train is None:
@@ -160,7 +162,7 @@ def full_conformal_accepted(
     absolute residual ranks within the lowest ceil((n+1)(1-alpha)) of all
     n+1.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = _query_tail(d, x0)
     point = predict(base, x0)
     grid = _candidate_grid(d.y, spec)
     n = d.n
@@ -193,6 +195,7 @@ def jackknife_conformal(
 ) -> PredictionInterval:
     """Base forecast plus/minus the leave-one-out residual quantile;
     ``base`` is the engine's fit on ``d``."""
+    x0 = _query_tail(d, x0)
     if d.n < 3:
         raise DataError(f"jackknife needs n >= 3, got n={d.n}")
     point = predict(base, x0)

@@ -83,11 +83,14 @@ def _readonly(a, dtype=np.float64) -> np.ndarray:
 def _row_indices(indices, what: str) -> np.ndarray:
     """``indices`` as an int64 array for ``what`` to take rows by.
 
-    A boolean mask and a non-integer value are refused, not read as 0/1 or
-    truncated toward row 0. An empty input passes whatever its dtype
-    (``np.asarray([])`` is a float array), for the caller to refuse.
+    Anything but a 1-D array, a boolean mask and a non-integer value are
+    refused, not read as extra axes, as 0/1 or truncated toward row 0. An
+    empty input passes whatever its dtype (``np.asarray([])`` is a float
+    array), for the caller to refuse.
     """
     idx = np.asarray(indices)
+    if idx.ndim != 1:
+        raise DataError(f"{what} takes a 1-D array of row indices, got shape {idx.shape}")
     if idx.dtype == bool:
         raise DataError(f"{what} takes row indices, not a boolean mask")
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
@@ -96,9 +99,10 @@ def _row_indices(indices, what: str) -> np.ndarray:
 
 
 def _query_tail(d: Dataset, x0) -> np.ndarray:
-    """Query tail ``x0`` as a flat float array; DataError unless it has
-    dataset ``d``'s p features (selection and the runner call this)."""
-    x0 = np.asarray(x0, dtype=float).ravel()
+    """Query tail ``x0`` as a flat float array; DataError unless it passes
+    ``Query``'s rule (non-empty, finite) and has dataset ``d``'s p features
+    (selection, the conformal constructors and the runner call this)."""
+    x0 = Query(x0).x0
     if x0.size != d.p:
         raise DataError(f"query has {x0.size} features, dataset has {d.p}")
     return x0

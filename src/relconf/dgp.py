@@ -15,11 +15,12 @@ is a pure function of the seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, Dataset, Query
+from .core import ConfigError, Dataset, Query
 
 __all__ = ["SuiteOutput", "gen_small", "gen_long", "gen_setting", "SUITES"]
 
@@ -32,21 +33,33 @@ LONG_QUERIES = 5
 
 @dataclass(frozen=True)
 class SuiteOutput:
-    """One generated suite: pooled rows, per-row block labels, and queries."""
+    """One generated suite: pooled rows and queries, each labelled by ``_pool``."""
 
     dataset: Dataset
     queries: tuple[Query, ...]
     setting_labels: tuple[str, ...]
     query_labels: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.setting_labels) != self.dataset.n:
-            raise DataError("one setting label required per row")
-        if len(self.query_labels) != len(self.queries):
-            raise DataError("one label required per query")
-        object.__setattr__(self, "queries", tuple(self.queries))
-        object.__setattr__(self, "setting_labels", tuple(self.setting_labels))
-        object.__setattr__(self, "query_labels", tuple(self.query_labels))
+
+def _pool(seed: int, blocks: dict) -> SuiteOutput:
+    """Draw each block on its own child of ``SeedSequence(seed)``, spawned in
+    order, and pool their rows and queries, each labelled with its block.
+
+    ``blocks`` maps a label to a function of a Generator returning the
+    block's (x, y, x0, y0, ...); a row of ``np.atleast_2d(x0)`` is one query.
+    """
+    children = np.random.SeedSequence(seed).spawn(len(blocks))
+    xs, ys, labels, queries, qlabels = [], [], [], [], []
+    for (label, draw), child in zip(blocks.items(), children):
+        x, y, x0, y0, *_ = draw(np.random.default_rng(child))
+        xs.append(x)
+        ys.append(y)
+        labels += [label] * len(y)
+        for tail, head in zip(np.atleast_2d(x0), np.atleast_1d(y0)):
+            queries.append(Query(tail, float(head)))
+            qlabels.append(label)
+    dataset = Dataset(np.vstack(xs), np.concatenate(ys))
+    return SuiteOutput(dataset, tuple(queries), tuple(labels), tuple(qlabels))
 
 
 # ---------------------------------------------------------------------------
@@ -89,34 +102,23 @@ def _setting_c(rng: np.random.Generator, n: int):
     return np.column_stack([x1, x2]), y, x0, y0
 
 
-_SMALL_SETTINGS = {"A": _setting_a, "B": _setting_b, "C": _setting_c}
+_SMALL_SETTINGS = {
+    name: functools.partial(draw, n=SMALL_N)
+    for name, draw in (("A", _setting_a), ("B", _setting_b), ("C", _setting_c))
+}
 
 
-def gen_setting(name: str, seed: int, n: int = SMALL_N) -> tuple[Dataset, Query]:
+def gen_setting(name: str, seed: int) -> tuple[Dataset, Query]:
     """One small-suite setting on its own stream (for replication studies)."""
     if name not in _SMALL_SETTINGS:
         raise ConfigError(f"unknown setting {name!r}; expected one of A, B, C")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x, y, x0, y0 = _SMALL_SETTINGS[name](rng, n)
+    x, y, x0, y0 = _SMALL_SETTINGS[name](np.random.default_rng(np.random.SeedSequence(seed)))
     return Dataset(x, y), Query(x0, y0)
 
 
 def gen_small(seed: int) -> SuiteOutput:
     """Three 250-row settings pooled into one 750-row dataset, one query each."""
-    children = np.random.SeedSequence(seed).spawn(3)
-    xs, ys, labels, queries = [], [], [], []
-    for name, child in zip("ABC", children):
-        x, y, x0, y0 = _SMALL_SETTINGS[name](np.random.default_rng(child), SMALL_N)
-        xs.append(x)
-        ys.append(y)
-        labels.extend([name] * SMALL_N)
-        queries.append(Query(x0, y0))
-    return SuiteOutput(
-        dataset=Dataset(np.vstack(xs), np.concatenate(ys)),
-        queries=tuple(queries),
-        setting_labels=tuple(labels),
-        query_labels=("A", "B", "C"),
-    )
+    return _pool(seed, _SMALL_SETTINGS)
 
 
 # ---------------------------------------------------------------------------
@@ -135,30 +137,15 @@ def _long_block(rng: np.random.Generator, x_mean: float, beta_mean: float):
 
 
 _LONG_BLOCKS = {
-    "DGP_1": dict(x_mean=0.0, beta_mean=0.0),
-    "DGP_2": dict(x_mean=1.0, beta_mean=0.0),
-    "DGP_3": dict(x_mean=0.0, beta_mean=1.0),
+    "DGP_1": functools.partial(_long_block, x_mean=0.0, beta_mean=0.0),
+    "DGP_2": functools.partial(_long_block, x_mean=1.0, beta_mean=0.0),
+    "DGP_3": functools.partial(_long_block, x_mean=0.0, beta_mean=1.0),
 }
 
 
 def gen_long(seed: int) -> SuiteOutput:
     """Three 100-row, 12-feature blocks, five queries per block."""
-    children = np.random.SeedSequence(seed).spawn(3)
-    xs, ys, labels, queries, qlabels = [], [], [], [], []
-    for (name, params), child in zip(_LONG_BLOCKS.items(), children):
-        x, y, x0, y0, _ = _long_block(np.random.default_rng(child), **params)
-        xs.append(x)
-        ys.append(y)
-        labels.extend([name] * LONG_N)
-        for i in range(LONG_QUERIES):
-            queries.append(Query(x0[i], float(y0[i])))
-            qlabels.append(name)
-    return SuiteOutput(
-        dataset=Dataset(np.vstack(xs), np.concatenate(ys)),
-        queries=tuple(queries),
-        setting_labels=tuple(labels),
-        query_labels=tuple(qlabels),
-    )
+    return _pool(seed, _LONG_BLOCKS)
 
 
 SUITES = {"small": gen_small, "long": gen_long}

@@ -179,9 +179,10 @@ def simulate_controls(
     """
     noise_scale = check_knob("noise_scale", noise_scale)
     mode = ControlMode(mode)
-    sources = _row_indices(sources, "simulate_controls")
+    sources = np.asarray(sources)
     if sources.shape != (relevant.n,):
         raise DataError(f"source indices of shape {sources.shape} for {relevant.n} relevant rows")
+    sources = _row_indices(sources, "simulate_controls")
     x_rel, y_rel = relevant.x, relevant.y
     n_r, p = x_rel.shape
     if n_r >= 2:

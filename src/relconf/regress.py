@@ -311,9 +311,9 @@ def _cv_lambda(x, y, xty, seed: int) -> tuple[float, bool]:
     sse = np.zeros(grid.size)
     converged = True
     for held in fold_ids:
-        mask = np.ones(n, dtype=bool)
-        mask[held] = False
-        gram, fold_xty, active, m, s, ybar = _gram_problem(x[mask], y[mask])
+        gram, fold_xty, active, m, s, ybar = _gram_problem(
+            np.delete(x, held, axis=0), np.delete(y, held)
+        )
         path, _, fold_converged = _homotopy_path(gram, fold_xty, grid, active)
         converged = converged and fold_converged
         coefs = path / s
@@ -676,8 +676,7 @@ def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
             return (y - a @ coef) / (1.0 - h)
     out = np.empty(n)
     for i in range(n):
-        coef, *_ = np.linalg.lstsq(np.delete(a, i, axis=0), np.delete(y, i), rcond=None)
-        out[i] = y[i] - (float(coef[0]) + x[i : i + 1] @ coef[1:])[0]
+        out[i] = y[i] - predict(fit_ols(Dataset(np.delete(x, i, axis=0), np.delete(y, i))), x[i])
     return out
 
 

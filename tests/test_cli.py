@@ -284,6 +284,32 @@ class TestScore:
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "run", "score"])
+def test_output_path_that_is_a_file_is_config_error(tmp_path, capsys, command):
+    # mkdir on a regular file raises FileExistsError, and below one
+    # NotADirectoryError: a config error with exit code 1, not a traceback
+    train, queries = make_external(tmp_path)
+    run_out = tmp_path / "run"
+    assert main([
+        "run", "--suite", "external-csv", "--train", str(train), "--queries", str(queries),
+        "--out", str(run_out), *FAST_RUN,
+    ]) == 0
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    argv = {
+        "gen": ["gen", "--out"],
+        "run": ["run", "--suite", "small", *FAST_RUN, "--out"],
+        "score": ["score", "--in", str(run_out), "--out"],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    for out in (blocker, blocker / "x"):
+        capsys.readouterr()
+        assert main([*argv, str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+    assert blocker.read_text() == "kept\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestParseConfigFile:
     def test_comments_and_blanks_skipped(self, tmp_path):
         cfg = tmp_path / "c.cfg"

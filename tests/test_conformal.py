@@ -395,3 +395,23 @@ class TestDispatch:
         spec = ConformalSpec(method=method, grid_points=25)
         with pytest.raises(DataError, match="kernel"):
             conformal_interval(d, "ols", [0.1, -0.2], spec, base=fit(d, "kernel"))
+
+
+@pytest.mark.parametrize("reg", ["ols", "lasso", "kernel"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_query_tail_refused(reg, bad):
+    # every constructor reads the tail through the Query rule: no LAPACK
+    # error, no blame on the feature matrix or on the interval's point
+    d = make_dataset(np.random.default_rng(15), 30, 2)
+    base = fit(d, reg, seed=4)
+    x0 = [bad, 0.5]
+    spec = {m: ConformalSpec(method=m, grid_points=25) for m in ("split", "full", "jackknife")}
+    for construct in (
+        lambda: split_conformal(d, reg, x0, spec["split"], seed=4),
+        lambda: full_conformal(d, base, x0, spec["full"]),
+        lambda: full_conformal_accepted(d, base, x0, spec["full"]),
+        lambda: jackknife_conformal(d, base, x0, spec["jackknife"]),
+        *(lambda m=m: conformal_interval(d, reg, x0, spec[m], seed=4) for m in spec),
+    ):
+        with pytest.raises(DataError, match="non-finite entry in query tail"):
+            construct()

@@ -88,6 +88,15 @@ class TestDataset:
         with pytest.raises(DataError, match="integer row indices"):
             d.subset(rows)
 
+    @pytest.mark.parametrize("rows", [np.arange(3)[:, None], 3], ids=["column", "scalar"])
+    def test_subset_refuses_rows_that_are_not_one_dimensional(self, rows):
+        # taken as they are, a (3, 1) array gives x of shape (3, 1, 2) and a
+        # scalar gives x of shape (2,)
+        d = Dataset(np.arange(8.0).reshape(4, 2), np.arange(4.0))
+        message = re.escape(f"1-D array of row indices, got shape {np.shape(rows)}")
+        with pytest.raises(DataError, match=message):
+            d.subset(rows)
+
     @pytest.mark.parametrize("row", [-1, 3])
     def test_subset_refuses_rows_out_of_range(self, row):
         # -1 would wrap to the last row; 3 is one past the end

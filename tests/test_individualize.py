@@ -1,6 +1,8 @@
 """Selection rules and simulated controls: quantile arithmetic, fallbacks,
 invariances, and one synthetic row per relevant row."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,21 @@ class TestCosine:
             with pytest.raises(DataError, match=message):
                 rule()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_query_refused(self, bad):
+        # not a nan threshold, every row, or an empty selection
+        rng = np.random.default_rng(6)
+        d = Dataset(rng.normal(size=(50, 2)), np.zeros(50))
+        x0 = [bad, 0.5]
+        for rule in (
+            lambda: select_percentile(d, x0, 0.1, 10),
+            lambda: select_cosine(d, x0, 0.9, 10),
+            lambda: select(d, x0, "percentile", 0.1, 0.9, 10),
+            lambda: select(d, x0, "cosine", 0.1, 0.9, 10),
+        ):
+            with pytest.raises(DataError, match="non-finite entry in query tail"):
+                rule()
+
 
 class TestSimulateControls:
     @staticmethod
@@ -333,3 +350,8 @@ class TestRelevanceSelectionValidation:
         for indices in (np.array([], dtype=int), []):
             with pytest.raises(DataError, match="empty"):
                 RelevanceSelection(indices, Similarity.PERCENTILE, 1.0)
+
+    def test_indices_that_are_not_one_dimensional_rejected(self):
+        # a (2, 2) array would be stored as is, with n_relevant 4
+        with pytest.raises(DataError, match=re.escape("got shape (2, 2)")):
+            RelevanceSelection(np.arange(4).reshape(2, 2), Similarity.COSINE, 1.0)
