@@ -7,14 +7,14 @@ for evaluation at new tails. ``fit`` dispatches on the engine enum, and
 conformal) on the fitted model's engine, so every engine's refit algebra
 lives here and the interval constructors stay engine-agnostic.
 
-LASSO works on the p x p Gram matrix of the standardized problem, and
-every LASSO problem is solved exactly by one solver, the homotopy path
-(Osborne, Presnell & Turlach 2000; Efron et al. 2004). Cross-validation
-reads each fold's whole penalty grid off its path; a fit at one penalty
-follows the path down to it. The fixed-penalty refits of interval
-constructors (every leave-one-out problem, every full-conformal candidate
-head) are batched by sign pattern: the support and signs of one problem's
-path solve every problem that shares them in one linear solve.
+LASSO works on the p x p Gram matrix of the standardized problem, solved
+exactly by one solver, the homotopy path (Osborne, Presnell & Turlach
+2000; Efron et al. 2004). Cross-validation folds and leave-one-out rows
+come from one downdate of the full data's cross-products. Each fold reads
+its whole penalty grid off its path; a fit at one penalty follows the path
+down to it. Fixed-penalty refits (every leave-one-out problem, every
+full-conformal candidate head) are batched by sign pattern: one problem's
+support and signs solve every problem that shares them in one solve.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "predict_many",
     "kernel_weights",
     "lasso_kkt_residual",
-    "lasso_loo_residuals",
     "loo_residuals",
     "min_fit_rows",
 ]
@@ -62,10 +61,8 @@ LASSO_GRID_RATIO = 1e-4
 # _SINGULAR_EIGENVALUE (its diagonal is 1).
 LASSO_MAX_KNOTS = 1_000
 _SINGULAR_EIGENVALUE = 1e-10
-# A leave-one-out LASSO problem is refit from its rows instead of
-# downdated when its left-out row holds all but 1/_LOO_DOWNDATE_RATIO of a
-# column's centred sum of squares.
-_LOO_DOWNDATE_RATIO = 1e4
+# Held-out LASSO problems that cancel by this ratio are rebuilt (_held_out_problems).
+_DOWNDATE_RATIO = 1e4
 KERNEL_MIN_BANDWIDTH = 1e-6
 # Rows of the distance triangle the median bandwidth computes per block.
 _TRIANGLE_ROWS = 32
@@ -296,25 +293,70 @@ def _lambda_grid(xty) -> np.ndarray:
     return np.geomspace(lam_max, lam_max * LASSO_GRID_RATIO, LASSO_GRID_SIZE)
 
 
+def _held_out_problems(x, y, order, n_sets):
+    """``_gram_problem``'s six outputs for the rows kept when each set of
+    ``np.array_split(order, n_sets)``, a partition of the rows, is held out,
+    stacked on a leading axis. Each downdates the full data's centred
+    cross-products S: a set of k rows whose mean lies d from the full mean,
+    with centred cross-products W (0 for one row), leaves
+    S - (k n/(n-k)) d d' - W and moves the mean by -k d/(n-k). The kept
+    rows' min and max are the other sets' extremes. A set holding all but
+    1/_DOWNDATE_RATIO of a column's centred sum of squares cancels the
+    downdate, and is rebuilt from its kept rows. No loop runs over rows.
+    """
+    n = x.shape[0]
+    bounds = np.arange(n_sets + 1) * (n // n_sets) + np.minimum(np.arange(n_sets + 1), n % n_sets)
+    starts, k = bounds[:-1], np.diff(bounds).astype(np.float64)  # set g: bounds[g]:bounds[g + 1]
+    kept = n - k[:, None]
+    x_sets, y_sets = x.take(order, axis=0), y.take(order)
+    set_mu, set_ybar, lo, hi = x_sets, y_sets, x_sets, x_sets  # when every set is one row
+    if n_sets < n:
+        set_mu = np.add.reduceat(x_sets, starts) / k[:, None]
+        set_ybar = np.add.reduceat(y_sets, starts) / k
+        lo, hi = np.minimum.reduceat(x_sets, starts), np.maximum.reduceat(x_sets, starts)
+    mu, ybar = x.mean(axis=0), y.mean()
+    dx, d, dy = x - mu, set_mu - mu, set_ybar - ybar
+    sxx = dx.T @ dx
+    wd = k[:, None] * n / kept * d
+    cxx = sxx - wd[:, :, None] * d[:, None, :]
+    cxy = dx.T @ (y - ybar) - wd * dy[:, None]
+    for g in np.flatnonzero(k > 1):
+        dev = x_sets[bounds[g] : bounds[g + 1]] - set_mu[g]
+        cxx[g] -= dev.T @ dev
+        cxy[g] -= dev.T @ (y_sets[bounds[g] : bounds[g + 1]] - set_ybar[g])
+    ss = np.diagonal(cxx, axis1=1, axis2=2)
+    rebuild = np.any(ss * _DOWNDATE_RATIO < np.diag(sxx), axis=1)
+    lo, hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)  # inner loops over sets
+    lo2, hi2 = np.partition(lo, 1, axis=1), np.partition(hi, -2, axis=1)
+    lo = np.where(lo == lo2[:, :1], lo2[:, 1:2], lo2[:, :1])  # equal on a tie
+    hi = np.where(hi == hi2[:, -1:], hi2[:, -2:-1], hi2[:, -1:])
+    active = _active_columns(lo, hi, kept.T).T & ~rebuild[:, None]
+    s = np.sqrt(np.where(active, ss / kept, np.inf))  # zeroes inactive entries
+    cxx /= kept[:, :, None]
+    cxx /= s[:, :, None] * s[:, None, :]
+    m = mu - k[:, None] * d / kept
+    problems = cxx, cxy / kept / s, active, m, np.where(active, s, 1.0), ybar - k * dy / kept[:, 0]
+    for g in np.flatnonzero(rebuild):
+        held = order[bounds[g] : bounds[g + 1]]
+        for out, value in zip(problems, _gram_problem(np.delete(x, held, 0), np.delete(y, held))):
+            out[g] = value
+    return problems
+
+
 def _cv_lambda(x, y, xty, seed: int) -> tuple[float, bool]:
     """Pick the penalty by LASSO_CV_FOLDS-fold cross-validation on mean squared error.
 
-    The grid comes from ``xty``, the full data's cross-products from
-    ``_gram_problem``; each fold reads the whole grid off its exact
-    homotopy path. Ties resolve to the largest (most parsimonious)
-    penalty. Returns (penalty, whether every fold's path was finished).
+    Each fold's problem (``_held_out_problems``) reads the grid of ``xty``,
+    the full data's cross-products, off its exact homotopy path; ties go to
+    the largest penalty. Returns (penalty, whether every path was finished).
     """
-    n = x.shape[0]
     grid = _lambda_grid(xty)
-    rng = np.random.default_rng(seed)
-    fold_ids = np.array_split(rng.permutation(n), LASSO_CV_FOLDS)
+    order = np.random.default_rng(seed).permutation(x.shape[0])
+    held_out = _held_out_problems(x, y, order, LASSO_CV_FOLDS)
     sse = np.zeros(grid.size)
     converged = True
-    for held in fold_ids:
-        gram, fold_xty, active, m, s, ybar = _gram_problem(
-            np.delete(x, held, axis=0), np.delete(y, held)
-        )
-        path, _, fold_converged = _homotopy_path(gram, fold_xty, grid, active)
+    for held, gram, c, active, m, s, ybar in zip(np.array_split(order, LASSO_CV_FOLDS), *held_out):
+        path, _, fold_converged = _homotopy_path(gram, c, grid, active)
         converged = converged and fold_converged
         coefs = path / s
         pred = (ybar - coefs @ m)[:, None] + coefs @ x[held].T
@@ -353,51 +395,6 @@ def fit_lasso(d: Dataset, *, lam: float | None = None, seed: int = 0) -> FittedM
         lam=lam,
         converged=converged and cv_converged,
     )
-
-
-def lasso_loo_residuals(x, y, lam: float) -> np.ndarray:
-    """Signed leave-one-out residuals y_i - f_{-i}(x_i) of LASSO at penalty ``lam``.
-
-    Problem i is the standardized problem of the rows other than i. All n
-    are built in O(n p^2) by downdating the full data's centred
-    cross-products by row i, whose removal moves the mean to
-    mu + (mu - x_i)/(n-1), and solved exactly by ``_lasso_batch``. Column j
-    is active without row i when its leave-one-out min and max pass
-    ``core._active_columns`` for n - 1 rows.
-    Downdating cancels when row i carries nearly all of a column's centred
-    sum of squares, and the column's leave-one-out scale loses its digits;
-    such a row is an outlier whose residual is an extrapolation, so it is
-    refit from its n - 1 rows and predicted exactly as ``fit_lasso`` and
-    ``predict`` would. A head outlier needs no such care: the cancelled
-    cross-products err by rounding on the scale of its own residual.
-    """
-    n, p = x.shape
-    mu, ybar = x.mean(axis=0), y.mean()
-    dx, dy = x - mu, y - ybar
-    sxx = dx.T @ dx
-    w = n / (n - 1)
-    cxx = sxx - w * dx[:, :, None] * dx[:, None, :]
-    cxy = dx.T @ dy - w * dx * dy[:, None]
-    ss_x = np.diagonal(cxx, axis1=1, axis2=2)
-    refit = np.any(ss_x * _LOO_DOWNDATE_RATIO < np.diag(sxx), axis=1)
-    order = np.argsort(x, axis=0)
-    cols = np.arange(p)
-    own = np.arange(n)[:, None]
-    lo = np.where(own == order[0], x[order[1], cols], x[order[0], cols])
-    hi = np.where(own == order[-1], x[order[-2], cols], x[order[-1], cols])
-    active = _active_columns(lo, hi, n - 1) & ~refit[:, None]  # refit rows are solved below
-    s = np.sqrt(np.where(active, ss_x / (n - 1), 1.0))
-    gram = cxx / (n - 1) / (s[:, :, None] * s[:, None, :])
-    xty = cxy / (n - 1) / s
-    coef = _lasso_batch(gram, xty, lam, active) / s
-    loo_mu = mu + (mu - x) / (n - 1)
-    loo_ybar = ybar + (ybar - y) / (n - 1)
-    intercept = loo_ybar - np.einsum("ij,ij->i", coef, loo_mu)
-    resid = y - (intercept + np.einsum("ij,ij->i", x, coef))
-    for i in np.flatnonzero(refit):
-        rest = Dataset(np.delete(x, i, axis=0), np.delete(y, i))
-        resid[i] = y[i] - predict(fit_lasso(rest, lam=lam), x[i])
-    return resid
 
 
 def lasso_kkt_residual(d: Dataset, m: FittedModel) -> float:
@@ -600,13 +597,21 @@ def fit_kernel(d: Dataset) -> FittedModel:
     )
 
 
-def kernel_weights(m: FittedModel, x_new: np.ndarray) -> np.ndarray:
-    """Normalized kernel weights of each training row for each query row,
-    shifted by ``_shifted_gaussian`` so that they never all underflow."""
+def _query_rows(m: FittedModel, x_new) -> np.ndarray:
+    """``x_new`` as a 2-D float array of query rows; DataError unless every
+    row has ``m``'s p features and every entry is finite (``Query``'s rule)."""
     x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
     if x_new.shape[1] != m.p:
         raise DataError(f"query has {x_new.shape[1]} features, model expects {m.p}")
-    z0 = transform_features(x_new, m.centers, m.scales)
+    if not np.all(np.isfinite(x_new)):
+        raise DataError("non-finite entry in query tail")
+    return x_new
+
+
+def kernel_weights(m: FittedModel, x_new: np.ndarray) -> np.ndarray:
+    """Normalized kernel weights of each training row for each query row,
+    shifted by ``_shifted_gaussian`` so that they never all underflow."""
+    z0 = transform_features(_query_rows(m, x_new), m.centers, m.scales)
     w = _shifted_gaussian(_sq_dists(z0, m.train_z), m.bandwidth)
     w /= w.sum(axis=1, keepdims=True)
     return w
@@ -618,9 +623,7 @@ def predict_many(m: FittedModel, x_new) -> np.ndarray:
     The kernel forms the weights of one ``_row_blocks`` block of query rows
     at a time, so no (rows x n) weight matrix is held for a long ``x_new``.
     """
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
-    if x_new.shape[1] != m.p:
-        raise DataError(f"query has {x_new.shape[1]} features, model expects {m.p}")
+    x_new = _query_rows(m, x_new)
     if m.kind is Regressor.KERNEL:
         out = np.empty(x_new.shape[0])
         for rows in _row_blocks(x_new.shape[0]):
@@ -654,14 +657,17 @@ def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
 
     ``model`` is the engine's fit on all of (x, y). OLS uses the exact
     identity e_i / (1 - h_ii) and refits row by row when the design is
-    rank-deficient or a leverage reaches 1. LASSO solves every problem
-    exactly at the model's penalty, batched by sign pattern. The kernel
-    keeps the model's standardization and bandwidth, drops row i's own
-    weight and forms the weights one block of rows at a time, never an
-    n x n matrix.
+    rank-deficient or a leverage reaches 1. LASSO solves every problem,
+    built by the downdate that builds the cross-validation folds
+    (``_held_out_problems``), exactly at the model's penalty, batched by
+    sign pattern. The kernel keeps the model's standardization and
+    bandwidth, drops row i's own weight and forms the weights one block of
+    rows at a time, never an n x n matrix.
     """
     if model.kind is Regressor.LASSO:
-        return lasso_loo_residuals(x, y, model.lam)
+        gram, xty, active, m, s, ybar = _held_out_problems(x, y, np.arange(len(y)), len(y))
+        coef = _lasso_batch(gram, xty, model.lam, active) / s
+        return y - (ybar - np.einsum("ij,ij->i", coef, m) + np.einsum("ij,ij->i", x, coef))
     if model.kind is Regressor.KERNEL:
         out = np.empty(len(y))
         for rows, w in _gaussian_blocks(model.train_z, model.bandwidth, drop_self=True):

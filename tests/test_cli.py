@@ -257,6 +257,13 @@ class TestScore:
         assert main(["score", "--in", str(tmp_path)]) == 2
         assert "plotdata" in capsys.readouterr().err
 
+    def test_plotdata_without_scored_rows_is_data_error(self, tmp_path, capsys):
+        # no data row carries a y0, so no summary could be written
+        (tmp_path / "plotdata.csv").write_text("# nothing was scored\n")
+        assert main(["score", "--in", str(tmp_path)]) == 2
+        assert "no scored rows (no data row with a y0)" in capsys.readouterr().err
+        assert not list(tmp_path.glob("summary_*.csv"))
+
     @pytest.mark.parametrize("fault, message", [
         ("no up column", "no column 'up'"),
         ("short row", "data row 2 has 12 cells, expected 13"),
@@ -340,6 +347,13 @@ class TestParseConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config_file(tmp_path / "nope.cfg")
+
+    @pytest.mark.parametrize("value", ["", ",", " , ,"])
+    def test_empty_list_value(self, tmp_path, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"regressors = {value}\n")
+        with pytest.raises(ConfigError, match="bad value for regressors: empty list value"):
+            parse_config_file(cfg)
 
 
 class TestTopLevel:

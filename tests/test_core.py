@@ -59,6 +59,20 @@ class TestDataset:
         with pytest.raises(DataError, match="non-finite"):
             Dataset(np.ones((2, 2)), [1.0, np.inf])
 
+    @pytest.mark.parametrize(
+        "x, y, names, message",
+        [
+            (np.ones((2, 2, 2)), np.ones(2), (), "x must be 2-D, got ndim=3"),
+            (np.ones((0, 2)), [], (), re.escape("n >= 1 and p >= 1, got shape (0, 2)")),
+            (np.ones((3, 0)), np.ones(3), (), re.escape("n >= 1 and p >= 1, got shape (3, 0)")),
+            (np.ones((3, 2)), np.ones(3), ("a",), "1 feature names for 2 columns"),
+        ],
+        ids=["three_axes", "no_rows", "no_columns", "names_short"],
+    )
+    def test_shape_and_names_refused(self, x, y, names, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(x, y, names)
+
     def test_subset_preserves_order(self):
         d = Dataset(np.arange(8.0).reshape(4, 2), np.arange(4.0), ("a", "b"), "h")
         s = d.subset([2, 0])
@@ -121,6 +135,10 @@ class TestQuery:
         with pytest.raises(DataError):
             Query([1.0], y0=np.inf)
 
+    def test_empty_tail_rejected(self):
+        with pytest.raises(DataError, match="query tail is empty"):
+            Query([])
+
 
 class TestPredictionInterval:
     def test_length(self):
@@ -130,6 +148,15 @@ class TestPredictionInterval:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(DataError, match="inverted"):
             PredictionInterval(point=0.0, lo=1.0, up=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("point", np.nan), ("lo", -np.inf), ("up", np.inf), ("up", np.nan)]
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        bounds = dict(point=0.0, lo=-1.0, up=1.0)
+        bounds[field] = value
+        with pytest.raises(DataError, match=f"interval field {field} is not finite"):
+            PredictionInterval(**bounds)
 
 
 class TestExperimentConfig:
@@ -216,6 +243,22 @@ class TestCsv:
         f = tmp_path / "d.csv"
         f.write_text("y,x1,x2\n1.0,2.0\n")
         with pytest.raises(DataError, match="cells"):
+            load_csv(f, head_column="y")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# only a comment\n\n", "no header row"),
+            ("y,x1,y\n1.0,2.0,3.0\n", "head column 'y' appears more than once"),
+            ("y\n1.0\n2.0\n", "no feature columns besides 'y'"),
+            ("y,x1\n# no rows follow\n", "no data rows"),
+        ],
+        ids=["no_header", "head_twice", "head_only", "header_only"],
+    )
+    def test_header_and_rows_refused(self, tmp_path, text, message):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(DataError, match=message):
             load_csv(f, head_column="y")
 
     def test_byte_order_mark_is_skipped(self, tmp_path):

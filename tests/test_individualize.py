@@ -93,6 +93,11 @@ class TestCosine:
         sel = select_cosine(d, [1.0, 0.0], gamma=0.5, min_relevant=2)
         assert 0 not in sel.indices
 
+    def test_fewer_rows_than_min_relevant_refused(self):
+        d = Dataset(np.arange(1.0, 9.0).reshape(4, 2), np.zeros(4))
+        with pytest.raises(DataError, match="need n >= min_relevant, got n=4, min_relevant=5"):
+            select_cosine(d, [1.0, 1.0], gamma=0.5, min_relevant=5)
+
     def test_dot_product_arithmetic(self):
         x = np.array([[1.0, 0.0], [1.0, 1.0], [0.9, 1.1], [1.0, 0.8]])
         d = Dataset(x, np.zeros(4))

@@ -591,6 +591,18 @@ class TestLasso:
         with pytest.raises(DataError):
             fit_lasso(d)
 
+    def test_cv_memory_holds_no_per_row_outer_products(self):
+        # the folds downdate p x p cross-products: one (n, p, p) array of
+        # per-row outer products would take 144 MB here
+        d = make_dataset(np.random.default_rng(24), 20_000, 30)
+        tracemalloc.start()
+        try:
+            fit_lasso(d, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
     def test_nan_penalty_rejected(self):
         # NaN < 0 is False, so only a test that NaN fails lets it through
         d = make_dataset(np.random.default_rng(10), 20, 2)
@@ -602,6 +614,86 @@ class TestLasso:
         d = make_dataset(np.random.default_rng(10), 20, 2)
         with pytest.raises(TypeError):
             fit_lasso(d, 5)
+
+
+def held_out_design(case, held):
+    """40 rows, 4 columns and their heads, where ``held`` (one left-out row
+    or one fold) makes the named case: "constant" sets column 1 to 0.7
+    throughout, "constant_without_set" sets column 2 to 0.3 on every row
+    outside ``held``, and "outlier" puts 1e4 into column 3 of the first row
+    of ``held``, all but about 4e-7 of that column's centred sum of
+    squares."""
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(40, 4))
+    y = x @ rng.normal(size=4) + rng.normal(size=40)
+    if case == "constant":
+        x[:, 1] = 0.7
+    elif case == "constant_without_set":
+        x[:, 2] = 0.3
+        x[held, 2] = 1.5 + np.arange(held.size)
+    elif case == "outlier":
+        x[held[0], 3] = 1e4
+    return x, y
+
+
+@pytest.fixture
+def gram_problem_calls(monkeypatch):
+    """The argument tuples of every ``_gram_problem`` call made through the
+    module, each still answered by the real function."""
+    calls = []
+    real = regress._gram_problem
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(regress, "_gram_problem", spy)
+    return calls
+
+
+class TestHeldOutProblems:
+    # a set whose kept rows are constant in a column, or which holds a
+    # column's outlier, cancels the downdate and is rebuilt from its rows
+    @pytest.mark.parametrize(
+        "case, rebuilt",
+        [("plain", 0), ("constant", 0), ("constant_without_set", 1), ("outlier", 1)],
+    )
+    @pytest.mark.parametrize("sets", ["leave_one_out", "folds"])
+    def test_each_problem_equals_gram_problem_of_its_kept_rows(
+        self, gram_problem_calls, sets, case, rebuilt
+    ):
+        n = 40
+        if sets == "leave_one_out":
+            order, n_sets = np.arange(n), n
+        else:
+            order, n_sets = np.random.default_rng(5).permutation(n), 5
+        held_sets = np.array_split(order, n_sets)
+        x, y = held_out_design(case, held_sets[2])
+        problems = regress._held_out_problems(x, y, order, n_sets)
+        assert len(gram_problem_calls) == rebuilt
+        assert problems[0].shape == (n_sets, 4, 4)
+        for g, held in enumerate(held_sets):
+            expected = regress._gram_problem(np.delete(x, held, axis=0), np.delete(y, held))
+            gram, xty, active, centers, scales, ybar = (out[g] for out in problems)
+            np.testing.assert_array_equal(active, expected[2])
+            for got, want in zip((gram, xty, centers, scales, ybar), expected[:2] + expected[3:]):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            if case != "plain" and g != 2:
+                assert active.tolist() == [True, case != "constant", True, True]
+
+    def test_cv_fold_holding_an_outlier_is_rebuilt(self, gram_problem_calls):
+        # row 7's column 1 holds all but about 6e-7 of that column's centred
+        # sum of squares; its fold is rebuilt from the fold's kept rows, and
+        # the penalty is the one refitting every fold from its rows gives
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(60, 3))
+        x[7, 1] = 1e4
+        y = 1.0 + x @ np.array([1.0, 1e-4, -0.5]) + rng.normal(size=60)
+        for seed in range(3):
+            gram_problem_calls.clear()
+            assert fit_lasso(Dataset(x, y), seed=seed).lam == reference_cv_lambda(x, y, 5, seed)
+            # the full problem, then the fold holding row 7
+            assert [len(a[1]) for a in gram_problem_calls] == [60, 48]
 
 
 class TestKernel:
@@ -659,6 +751,10 @@ class TestKernel:
         x = np.repeat([[1.0, 2.0]], 40, axis=0)
         assert _median_bandwidth(np.zeros((40, 2))) == regress.KERNEL_MIN_BANDWIDTH
         assert fit_kernel(Dataset(x, np.arange(40.0))).bandwidth == regress.KERNEL_MIN_BANDWIDTH
+
+    def test_one_row_refused(self):
+        with pytest.raises(DataError, match="kernel fit needs n >= 2, got n=1"):
+            fit_kernel(Dataset([[0.5, 1.0]], [2.0]))
 
     @pytest.mark.parametrize("p", range(1, 8))
     def test_sq_dists_bit_equal_to_difference_cube_below_8_columns(self, p):
@@ -850,6 +946,18 @@ class TestPredict:
         message = f"query has {len(x_new[0])} features, model expects 2"
         with pytest.raises(DataError, match=message):
             kernel_weights(m, x_new)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["ols", "lasso", "kernel"])
+    def test_predictors_refuse_a_non_finite_tail(self, kind, bad):
+        # Query's rule: a NaN or infinite entry is refused, not forecast as NaN
+        m = fit(make_dataset(np.random.default_rng(19), 30, 2), kind, seed=0)
+        calls = [lambda: predict(m, [0.3, bad]), lambda: predict_many(m, [[0.1, 0.2], [bad, 0.1]])]
+        if kind == "kernel":
+            calls.append(lambda: kernel_weights(m, [[-bad, 0.1]]))
+        for call in calls:
+            with pytest.raises(DataError, match="non-finite entry in query tail"):
+                call()
 
     def test_dispatcher_covers_all_engines(self):
         rng = np.random.default_rng(17)

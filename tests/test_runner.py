@@ -279,6 +279,17 @@ class TestRunGrid:
                 assert all(c != "" for c in cells)
                 [float(c) for c in cells]
 
+    @pytest.mark.parametrize(
+        "tails, names",
+        [(np.ones((2, 3)), ("x1", "x2", "x3")), (np.ones((2, 2)), ("x2", "x1"))],
+        ids=["three_features", "names_swapped"],
+    )
+    def test_external_queries_must_match_training_features(self, tmp_path, tails, names):
+        manifest = external_manifest(tmp_path)
+        save_csv(Dataset(tails, np.zeros(2), names, "y0"), manifest.queries_csv)
+        with pytest.raises(DataError, match="do not match training features"):
+            run_grid(manifest)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         manifest = external_manifest(tmp_path)
         first = run_grid(manifest)
