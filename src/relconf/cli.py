@@ -46,7 +46,8 @@ __all__ = ["main", "parse_config_file"]
 def comma_list(text: str) -> tuple[str, ...]:
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
     if not parts:
-        raise ConfigError(f"empty list value: {text!r}")
+        # argparse keeps this error's message; it replaces a ValueError's
+        raise argparse.ArgumentTypeError(f"empty list value: {text!r}")
     return parts
 
 
@@ -82,7 +83,7 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             settings[key] = _parser(_DEFAULTS[key])(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return settings
 

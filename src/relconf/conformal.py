@@ -167,7 +167,7 @@ def full_conformal_accepted(
     grid = _candidate_grid(d.y, spec)
     n = d.n
     resid = candidate_residuals(np.vstack([d.x, x0]), d.y, grid, base)
-    k_accept = min(max(ceil_guarded((n + 1) * (1.0 - spec.alpha)), 1), n + 1)
+    k_accept = max(ceil_guarded((n + 1) * (1.0 - spec.alpha)), 1)
     ranks = 1 + (resid[:n, :] < resid[n, :][None, :]).sum(axis=0)
     return grid, ranks <= k_accept, point
 

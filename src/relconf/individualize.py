@@ -166,16 +166,16 @@ def simulate_controls(
     """One synthetic control per relevant row: n_r rows, in selection order.
 
     ``relevant`` holds the selected rows, ``d.subset(rel.indices)``, and
-    ``sources`` their row indices in the full dataset, ``rel.indices``: a
-    perturb stream is keyed on its source row, so a control does not
-    depend on which other rows were selected.
+    ``sources`` their row indices in the full dataset, ``rel.indices``.
+    Each control draws one standard normal row eps from a stream keyed on
+    its source row (perturb: a control does not depend on which other rows
+    were selected) or on its position (gaussian_mimic). sigma_j is the
+    sample std of feature j within the relevant subset, floored at 1e-8.
 
-    perturb (default): clone each relevant row, jittering feature j by
-    Normal(0, (noise_scale * sigma_j)^2) where sigma_j is the sample std
-    of feature j within the relevant subset (floored at 1e-8); the clone
-    keeps its source head. gaussian_mimic: draw n_r tails from the
-    per-feature Gaussian fitted to the relevant tails and give each the
-    head of its nearest relevant neighbor in standardized distance.
+    perturb (default): x + eps * noise_scale * sigma for each relevant row
+    x, keeping its head. gaussian_mimic: mu + eps * sigma, a draw from the
+    per-feature Gaussian fitted to the relevant tails, given the head of
+    its nearest relevant neighbor in standardized distance.
     """
     noise_scale = check_knob("noise_scale", noise_scale)
     mode = ControlMode(mode)
@@ -191,17 +191,14 @@ def simulate_controls(
         sigma = np.zeros(p)
     sigma = np.maximum(sigma, SIGMA_FLOOR)
 
+    keys = sources if mode is ControlMode.PERTURB else range(n_r)
+    eps = np.array([_row_rng(seed, key).normal(size=p) for key in keys])
     if mode is ControlMode.PERTURB:
-        eps = np.empty((n_r, p))
-        for row, source in enumerate(sources):
-            eps[row] = _row_rng(seed, source).normal(size=p)
         x_syn = x_rel + eps * (noise_scale * sigma)
         y_syn = y_rel
     else:
         mu = x_rel.mean(axis=0)
-        x_syn = np.empty((n_r, p))
-        for row in range(n_r):
-            x_syn[row] = mu + _row_rng(seed, row).normal(size=p) * sigma
+        x_syn = mu + eps * sigma
         z_rel = (x_rel - mu) / sigma
         z_syn = (x_syn - mu) / sigma
         # nearest relevant row of each synthetic row, a block of rows at a

@@ -287,7 +287,7 @@ def _gram_problem(x, y):
 
 
 def _lambda_grid(xty) -> np.ndarray:
-    lam_max = float(np.max(np.abs(xty))) if xty.size else 0.0
+    lam_max = float(np.max(np.abs(xty)))
     if lam_max <= 0.0:
         lam_max = 1e-3  # constant response: any penalty zeroes everything
     return np.geomspace(lam_max, lam_max * LASSO_GRID_RATIO, LASSO_GRID_SIZE)
@@ -299,21 +299,21 @@ def _held_out_problems(x, y, order, n_sets):
     stacked on a leading axis. Each downdates the full data's centred
     cross-products S: a set of k rows whose mean lies d from the full mean,
     with centred cross-products W (0 for one row), leaves
-    S - (k n/(n-k)) d d' - W and moves the mean by -k d/(n-k). The kept
-    rows' min and max are the other sets' extremes. A set holding all but
-    1/_DOWNDATE_RATIO of a column's centred sum of squares cancels the
-    downdate, and is rebuilt from its kept rows. No loop runs over rows.
+    S - (k n/(n-k)) d d' - W and moves the mean by -k d/(n-k). Each set's
+    mean, min and max are reductions over its rows, exact for a one-row
+    set, and the kept rows' min and max are the other sets' extremes. A
+    set holding all but 1/_DOWNDATE_RATIO of a column's centred sum of
+    squares cancels the downdate, and is rebuilt from its kept rows. No
+    loop runs over rows.
     """
     n = x.shape[0]
     bounds = np.arange(n_sets + 1) * (n // n_sets) + np.minimum(np.arange(n_sets + 1), n % n_sets)
     starts, k = bounds[:-1], np.diff(bounds).astype(np.float64)  # set g: bounds[g]:bounds[g + 1]
     kept = n - k[:, None]
     x_sets, y_sets = x.take(order, axis=0), y.take(order)
-    set_mu, set_ybar, lo, hi = x_sets, y_sets, x_sets, x_sets  # when every set is one row
-    if n_sets < n:
-        set_mu = np.add.reduceat(x_sets, starts) / k[:, None]
-        set_ybar = np.add.reduceat(y_sets, starts) / k
-        lo, hi = np.minimum.reduceat(x_sets, starts), np.maximum.reduceat(x_sets, starts)
+    set_mu = np.add.reduceat(x_sets, starts) / k[:, None]
+    set_ybar = np.add.reduceat(y_sets, starts) / k
+    lo, hi = np.minimum.reduceat(x_sets, starts), np.maximum.reduceat(x_sets, starts)
     mu, ybar = x.mean(axis=0), y.mean()
     dx, d, dy = x - mu, set_mu - mu, set_ybar - ybar
     sxx = dx.T @ dx

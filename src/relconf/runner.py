@@ -338,15 +338,13 @@ _PLOT_HEADER = (
 
 
 def _plot_row(cfg, query_index: int, label: str, q: Query, path, iv) -> dict[str, str]:
-    """One plotdata row (column -> text); the scoring columns are blank
-    when the query has no realized head."""
-    has_y0 = q.y0 is not None
+    """One plotdata row (column -> text), scored against the query's
+    realized head, which every query of a run has."""
     return dict(zip(_PLOT_HEADER, (
         cfg.similarity.value, str(query_index + 1), label, path.value,
         cfg.conformal_method.value, cfg.regressor.value,
         _fmt(q.y0), _fmt(iv.point), _fmt(iv.lo), _fmt(iv.up),
-        _fmt(q.y0 - iv.point) if has_y0 else "",
-        str(int(iv.lo <= q.y0 <= iv.up)) if has_y0 else "",
+        _fmt(q.y0 - iv.point), str(int(iv.lo <= q.y0 <= iv.up)),
         str(int(iv.degenerate)),
     )))
 
@@ -358,8 +356,8 @@ _SCORED_COLUMNS = ("similarity", "query", "path", "method", "regressor", "y0", "
 def score_plot_rows(rows: Iterable[Mapping[str, str]]) -> dict[str, list[MetricRow]]:
     """Each similarity's metric rows from plotdata rows (column -> text).
 
-    Rows without a realized head are skipped; a missing column or a number
-    that is not a finite real is a DataError naming it. ``run_grid`` and
+    Every row is scored: a missing column, or a number (``y0`` included)
+    that is not a finite real, is a DataError naming it. ``run_grid`` and
     ``relconf score`` both summarise through this, so their summaries agree.
     """
     by_similarity: dict[str, list[MetricRow]] = {}
@@ -367,8 +365,6 @@ def score_plot_rows(rows: Iterable[Mapping[str, str]]) -> dict[str, list[MetricR
         missing = [c for c in _SCORED_COLUMNS if c not in row]
         if missing:
             raise DataError(f"plotdata has no column {', '.join(map(repr, missing))}")
-        if row["y0"] == "":
-            continue
         y0, point, lo, up = (_parse_cell(row[c], i, c) for c in ("y0", "point", "lo", "up"))
         cell = Cell(row["path"], row["method"], row["regressor"], row["similarity"], row["query"])
         by_similarity.setdefault(row["similarity"], []).append(

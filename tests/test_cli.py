@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, config files, exit codes."""
 
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import fields
@@ -211,6 +212,17 @@ class TestRun:
         assert "similarities" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_list_value_keeps_its_reason(self, tmp_path, capsys, source):
+        args = ["--regressor", ","]
+        if source == "config":
+            (tmp_path / "c.cfg").write_text("regressors = ,\n")
+            args = ["--config", str(tmp_path / "c.cfg")]
+        assert main(["run", *args, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "empty list value: ','" in err
+        assert "invalid comma_list value" not in err
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--grid-expansion", "nan"), ("--grid-expansion", "inf"), ("--noise-scale", "inf")],
@@ -263,6 +275,20 @@ class TestScore:
         assert main(["score", "--in", str(tmp_path)]) == 2
         assert "no scored rows (no data row with a y0)" in capsys.readouterr().err
         assert not list(tmp_path.glob("summary_*.csv"))
+
+    def test_blank_y0_is_data_error(self, tmp_path, capsys):
+        # every query of a run has a realized head, so a blank one is
+        # refused like any other non-numeric cell, not skipped
+        train, queries = make_external(tmp_path)
+        out = tmp_path / "out"
+        main(["run", "--suite", "external-csv", "--train", str(train),
+              "--queries", str(queries), "--out", str(out), *FAST_RUN])
+        comments, (header, *data) = read_csv(out / "plotdata.csv")
+        data[1][header.index("y0")] = ""
+        write_csv(out / "plotdata.csv", header, data, comments)
+        capsys.readouterr()
+        assert main(["score", "--in", str(out)]) == 2
+        assert "non-numeric cell '' at data row 2, column 'y0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault, message", [
         ("no up column", "no column 'up'"),
@@ -374,6 +400,27 @@ class TestTopLevel:
             "FAIL ols-exact-fit: forced"
         ]
         assert "5/6 passed" in out
+
+    def test_selftest_reports_a_check_that_raises(self, capsys, monkeypatch):
+        def broken():
+            raise ZeroDivisionError("forced")
+
+        monkeypatch.setattr(oracles, "CHECKS", {"fine": lambda: (True, ""), "broken": broken})
+        assert main(["selftest"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS fine",
+            "FAIL broken: ZeroDivisionError: forced",
+            "selftest: 1/2 passed",
+        ]
+
+    def test_module_runs_main_in_process(self, tmp_path, monkeypatch, capsys):
+        # runpy warns that relconf.cli is imported already, then runs it as
+        # __main__, which exits with main()'s code
+        monkeypatch.setattr(sys, "argv", ["relconf", "score", "--in", str(tmp_path)])
+        with pytest.warns(RuntimeWarning), pytest.raises(SystemExit) as exit_:
+            runpy.run_module("relconf.cli", run_name="__main__")
+        assert exit_.value.code == 2
+        assert "plotdata" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         # the child imports relconf from this process's path, installed or not

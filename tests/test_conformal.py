@@ -18,7 +18,7 @@ from relconf.conformal import (
     split_conformal,
     split_quantile,
 )
-from relconf import conformal
+from relconf import conformal, oracles
 from relconf.regress import (
     fit,
     fit_kernel,
@@ -163,6 +163,13 @@ class TestFull:
             oracle = brute_force_full_ols(d, x0, spec.alpha, grid)
             np.testing.assert_array_equal(accepted, oracle)
 
+    def test_brute_force_oracle_reports_a_grid_mismatch(self, monkeypatch):
+        pinned = conformal._candidate_grid
+        monkeypatch.setattr(conformal, "_candidate_grid", lambda y, spec: pinned(y, spec) + 1.0)
+        assert oracles.full_conformal_brute_force() == (
+            False, "dataset 0: candidate grid differs from the pinned formula"
+        )
+
     def test_exact_linear_interval_contains_truth(self):
         # noiseless data makes any off-line candidate the unique worst
         # residual, so acceptance needs either a grid point exactly on the
@@ -251,6 +258,18 @@ class TestJackknife:
                 m = fit_ols(d.subset(rest))
                 naive[i] = d.y[i] - predict(m, d.x[i])
             np.testing.assert_allclose(loo, naive, atol=1e-8)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_full_rank_design_with_unit_leverage_equals_refits(self, p):
+        # n = p + 1 rows: the design is square and full rank, every leverage
+        # is 1, so the leverage shortcut would divide by zero: each row is refit
+        d = make_dataset(np.random.default_rng(320 + p), p + 1, p)
+        loo = loo_residuals(d.x, d.y, fit_ols(d))
+        naive = [
+            d.y[i] - predict(fit_ols(d.subset(np.delete(np.arange(d.n), i))), d.x[i])
+            for i in range(d.n)
+        ]
+        np.testing.assert_allclose(loo, naive, rtol=0, atol=1e-8)
 
     def test_exact_linear_collapses(self):
         x = np.linspace(0, 1, 10)[:, None]

@@ -245,6 +245,17 @@ class TestSimulateControls:
         np.testing.assert_allclose(cs.x, d.x[sel.indices], atol=1e-10)
         assert not np.array_equal(cs.x, d.x[sel.indices])
 
+    @pytest.mark.parametrize("mode", list(ControlMode))
+    def test_one_row_subset_takes_the_sigma_floor(self, mode):
+        # a one-row subset has no sample std: sigma is the 1e-8 floor, so
+        # each control stays next to its source row and keeps its head
+        d = Dataset(np.array([[3.0, -2.0], [0.5, 7.0]]), [1.5, -4.0])
+        sel = RelevanceSelection(np.array([1]), Similarity.COSINE, 0.5)
+        cs = self.controls(d, sel, noise_scale=2.0, mode=mode, seed=5)
+        np.testing.assert_allclose(cs.x, d.x[[1]], rtol=0, atol=1e-7)
+        assert not np.array_equal(cs.x, d.x[[1]])
+        np.testing.assert_array_equal(cs.y, [-4.0])
+
     def test_clones_keep_source_heads(self):
         rng = np.random.default_rng(8)
         d = Dataset(rng.normal(size=(12, 2)), rng.normal(size=12))
