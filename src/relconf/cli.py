@@ -202,7 +202,7 @@ def _cmd_score(args) -> int:
     comments, rows = read_csv(plot_path)
     by_similarity = score_plot_rows(dict(zip(rows[0], row)) for row in rows[1:])
     if not by_similarity:
-        raise DataError(f"no scored rows (no data row with a y0) in {plot_path}")
+        raise DataError(f"no data rows in {plot_path}")
     out = Path(args.out) if args.out else plot_path.parent
     out.mkdir(parents=True, exist_ok=True)
     for sim, metric_rows in by_similarity.items():

@@ -27,6 +27,7 @@ from .core import (
     Dataset,
     PredictionInterval,
     Regressor,
+    _choice,
     _query_tail,
     check_knobs,
 )
@@ -75,7 +76,7 @@ class ConformalSpec:
     grid_expansion: float = 0.25
 
     def __post_init__(self):
-        object.__setattr__(self, "method", ConformalMethod(self.method))
+        object.__setattr__(self, "method", _choice(ConformalMethod, self.method))
         check_knobs(self)
 
 

@@ -279,6 +279,15 @@ def check_knob(name: str, raw):
     return value
 
 
+def _choice(kind, raw):
+    """``raw`` as a member of the enum ``kind``; ConfigError if it names
+    none (every config record coerces its choice fields through this)."""
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def check_knobs(obj) -> None:
     """Coerce and check every numeric knob field of the frozen dataclass ``obj``.
 
@@ -313,10 +322,10 @@ class ExperimentConfig:
     grid_expansion: float = 0.25
 
     def __post_init__(self):
-        object.__setattr__(self, "regressor", Regressor(self.regressor))
-        object.__setattr__(self, "similarity", Similarity(self.similarity))
+        object.__setattr__(self, "regressor", _choice(Regressor, self.regressor))
+        object.__setattr__(self, "similarity", _choice(Similarity, self.similarity))
         object.__setattr__(
-            self, "conformal_method", ConformalMethod(self.conformal_method)
+            self, "conformal_method", _choice(ConformalMethod, self.conformal_method)
         )
         check_knobs(self)
 
@@ -378,17 +387,12 @@ def load_csv(path, head_column: str) -> Dataset:
     data = rows[1:]
     if not data:
         raise DataError(f"{path}: no data rows")
-    y = np.empty(len(data))
-    x = np.empty((len(data), len(feature_names)))
+    cells = np.empty((len(data), len(header)))
     for i, row in enumerate(data):
-        k = 0
         for j, cell in enumerate(row):
-            if j == head_idx:
-                y[i] = _parse_cell(cell.strip(), i + 1, head_column)
-            else:
-                x[i, k] = _parse_cell(cell.strip(), i + 1, header[j])
-                k += 1
-    return Dataset(x, y, tuple(feature_names), head_column)
+            cells[i, j] = _parse_cell(cell.strip(), i + 1, header[j])
+    x = np.delete(cells, head_idx, axis=1)
+    return Dataset(x, cells[:, head_idx], tuple(feature_names), head_column)
 
 
 def write_csv(path, header, rows, comments=None) -> None:

@@ -113,10 +113,13 @@ def select_cosine(
 ) -> RelevanceSelection:
     """Rows whose raw-tail cosine with the query reaches ``gamma``.
 
-    Zero-norm rows score -inf (cosine undefined, never selected); a
-    zero-norm query is a hard error. If fewer than ``min_relevant`` rows
-    clear gamma, the selection is exactly the top-min_relevant rows by
-    score, flagged as a fallback.
+    Zero-norm rows score -inf (cosine undefined); a zero-norm query is a
+    hard error. If fewer than ``min_relevant`` rows clear gamma, the
+    threshold falls to the min_relevant-th highest score and every row at
+    or above it is kept, flagged as a fallback: ties at the cut are all
+    kept, as in ``select_percentile``, whatever the row order. Zero-norm
+    rows stay out unless fewer than ``min_relevant`` rows have a cosine;
+    then the threshold is -inf and every row is kept.
     """
     gamma = check_knob("gamma", gamma)
     min_relevant = check_knob("min_relevant", min_relevant)
@@ -132,9 +135,9 @@ def select_cosine(
     indices = np.flatnonzero(scores >= gamma)
     if indices.size >= min_relevant:
         return RelevanceSelection(indices, Similarity.COSINE, float(gamma))
-    order = np.argsort(-scores, kind="stable")[:min_relevant]
-    indices = np.sort(order)
-    threshold = float(scores[order[-1]])
+    # negated, so that a NaN score (an overflowed product) ranks below every row
+    threshold = -float(np.partition(-scores, min_relevant - 1)[min_relevant - 1])
+    indices = np.flatnonzero(scores >= threshold)
     return RelevanceSelection(indices, Similarity.COSINE, threshold, fallback=True)
 
 
@@ -185,11 +188,7 @@ def simulate_controls(
     sources = _row_indices(sources, "simulate_controls")
     x_rel, y_rel = relevant.x, relevant.y
     n_r, p = x_rel.shape
-    if n_r >= 2:
-        sigma = x_rel.std(axis=0, ddof=1)
-    else:
-        sigma = np.zeros(p)
-    sigma = np.maximum(sigma, SIGMA_FLOOR)
+    sigma = np.maximum(x_rel.std(axis=0, ddof=min(n_r - 1, 1)), SIGMA_FLOOR)
 
     keys = sources if mode is ControlMode.PERTURB else range(n_r)
     eps = np.array([_row_rng(seed, key).normal(size=p) for key in keys])

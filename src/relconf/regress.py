@@ -656,9 +656,11 @@ def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
     """Signed leave-one-out residuals y_i - f_{-i}(x_i) of ``model``'s engine.
 
     ``model`` is the engine's fit on all of (x, y). OLS uses the exact
-    identity e_i / (1 - h_ii) and refits row by row when the design is
-    rank-deficient or a leverage reaches 1. LASSO solves every problem,
-    built by the downdate that builds the cross-validation folds
+    identity e_i / (1 - h_ii) at any rank: leaving out a row with
+    h_ii < 1 keeps the rank, so every least-squares fit of the kept rows
+    (``fit_ols``'s minimum-norm one too) forecasts it alike; only a row
+    with h_ii >= 1 - 1e-8 is refit with ``fit_ols``. LASSO solves every
+    problem, built by the downdate that builds the cross-validation folds
     (``_held_out_problems``), exactly at the model's penalty, batched by
     sign pattern. The kernel keeps the model's standardization and
     bandwidth, drops row i's own weight and forms the weights one block of
@@ -675,13 +677,12 @@ def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
         return out
     n = len(y)
     a = np.column_stack([np.ones(n), x])
-    coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
-    if rank == a.shape[1]:
-        h = np.einsum("ij,ji->i", a, np.linalg.pinv(a))
-        if np.max(h) < 1.0 - 1e-8:
-            return (y - a @ coef) / (1.0 - h)
-    out = np.empty(n)
-    for i in range(n):
+    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    # lstsq's own cutoff, so h is the projection its fitted values use
+    h = np.einsum("ij,ji->i", a, np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(float).eps))
+    pinned = h >= 1.0 - 1e-8
+    out = (y - a @ coef) / np.where(pinned, 1.0, 1.0 - h)
+    for i in np.flatnonzero(pinned):
         out[i] = y[i] - predict(fit_ols(Dataset(np.delete(x, i, axis=0), np.delete(y, i))), x[i])
     return out
 

@@ -45,6 +45,7 @@ from .core import (
     Query,
     Regressor,
     Similarity,
+    _choice,
     _parse_cell,
     _query_tail,
     check_knobs,
@@ -210,12 +211,9 @@ class RunManifest:
             raise ConfigError(f"unknown suite {self.suite!r}; expected one of {SUITE_NAMES}")
         if self.suite == "external-csv" and not (self.train_csv and self.queries_csv):
             raise ConfigError("external-csv suite needs train_csv and queries_csv paths")
-        try:
-            for name, kind in _CHOICE_FIELDS.items():
-                object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
-            object.__setattr__(self, "control_mode", ControlMode(self.control_mode))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        for name, kind in _CHOICE_FIELDS.items():
+            object.__setattr__(self, name, tuple(_choice(kind, v) for v in getattr(self, name)))
+        object.__setattr__(self, "control_mode", _choice(ControlMode, self.control_mode))
         for name in _CHOICE_FIELDS:
             values = getattr(self, name)
             if not values:

@@ -270,10 +270,10 @@ class TestScore:
         assert "plotdata" in capsys.readouterr().err
 
     def test_plotdata_without_scored_rows_is_data_error(self, tmp_path, capsys):
-        # no data row carries a y0, so no summary could be written
+        # the file has no data rows, so no summary could be written
         (tmp_path / "plotdata.csv").write_text("# nothing was scored\n")
         assert main(["score", "--in", str(tmp_path)]) == 2
-        assert "no scored rows (no data row with a y0)" in capsys.readouterr().err
+        assert f"no data rows in {tmp_path / 'plotdata.csv'}" in capsys.readouterr().err
         assert not list(tmp_path.glob("summary_*.csv"))
 
     def test_blank_y0_is_data_error(self, tmp_path, capsys):

@@ -182,6 +182,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(regressor="ridge")
 
+    @pytest.mark.parametrize("build", [
+        lambda: ExperimentConfig(regressor="ridge"),
+        lambda: ExperimentConfig(similarity="euclid"),
+        lambda: ConformalSpec(method="bogus"),
+        lambda: RunManifest(methods=("split", "bogus")),
+        lambda: RunManifest(control_mode="bogus"),
+    ], ids=["config_regressor", "config_similarity", "spec_method", "manifest_methods",
+            "manifest_control_mode"])
+    def test_unknown_enum_value_is_config_error_in_every_record(self, build):
+        with pytest.raises(ConfigError, match="is not a valid"):
+            build()
+
 
 @pytest.mark.parametrize("owner", sorted(KNOB_OWNERS))
 @pytest.mark.parametrize("value", [100.7, "100"])

@@ -144,6 +144,32 @@ class TestCosine:
         assert sel.fallback
         np.testing.assert_array_equal(sel.indices, [1, 2, 3])
 
+    def test_zero_norm_rows_fill_the_floor_only_when_too_few_have_a_cosine(self):
+        # two rows have a cosine and the floor asks for three: the threshold
+        # is -inf and every row is kept, not the first zero-norm row
+        x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 0.9]])
+        sel = select_cosine(Dataset(x, np.zeros(4)), [1.0, 1.0], gamma=0.9999, min_relevant=3)
+        assert sel.fallback and sel.threshold_used == -np.inf
+        np.testing.assert_array_equal(sel.indices, [0, 1, 2, 3])
+
+    def test_floor_keeps_every_row_tied_at_the_cut_in_any_row_order(self):
+        # 15 rows closer to the query than ten copies of one tail, 15 rows
+        # farther: the floor of 20 cuts through the copies, so all ten are
+        # kept, whatever positions the rows take in the file
+        rng = np.random.default_rng(40)
+        angles = np.concatenate([
+            rng.uniform(0.05, 0.4, 15), np.full(10, np.arctan(0.5)), rng.uniform(0.5, 1.2, 15)
+        ])
+        radii = np.concatenate([
+            rng.uniform(0.5, 3.0, 15), np.full(10, 2.0), rng.uniform(0.5, 3.0, 15)
+        ])
+        x = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(40)
+            sel = select_cosine(Dataset(x[perm], np.zeros(40)), [1.0, 0.0], 0.9999, 20)
+            assert sel.fallback and sel.n_relevant == 25
+            np.testing.assert_array_equal(np.sort(perm[sel.indices]), np.arange(25))
+
     def test_zero_norm_query_rejected(self):
         d = Dataset(np.ones((5, 2)), np.zeros(5))
         with pytest.raises(DataError, match="zero-norm query"):

@@ -211,6 +211,32 @@ class TestOls:
             literal = np.abs(y_aug - predict_many(fit_ols(Dataset(x_aug, y_aug)), x_aug))
             np.testing.assert_allclose(resid[:, g], literal, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "column, refit_rows",
+        [(np.ones(40), []), (np.eye(40)[0], [0])],
+        ids=["constant_column", "one_row_spans_a_column"],
+    )
+    def test_loo_residuals_refit_only_rows_of_unit_leverage(self, monkeypatch, column, refit_rows):
+        # e_i / (1 - h_ii) is row i's leave-one-out residual at any rank
+        # while h_ii < 1: a constant column (a copy of the intercept) makes
+        # the design rank-deficient but refits nothing; a column that only
+        # row 0 spans gives that row h = 1, and only it is refit
+        rng = np.random.default_rng(41)
+        x = np.column_stack([rng.normal(size=(40, 3)), column])
+        y = rng.normal(size=40)
+        literal = [
+            y[i] - predict(fit_ols(Dataset(np.delete(x, i, axis=0), np.delete(y, i))), x[i])
+            for i in range(40)
+        ]
+        model = fit_ols(Dataset(x, y))
+        refits = []
+        monkeypatch.setattr(regress, "fit_ols", lambda d: refits.append(d) or fit_ols(d))
+        loo = loo_residuals(x, y, model)
+        assert len(refits) == len(refit_rows)
+        for d, i in zip(refits, refit_rows):
+            np.testing.assert_array_equal(d.x, np.delete(x, i, axis=0))
+        np.testing.assert_allclose(loo, literal, rtol=0, atol=1e-12)
+
 
 def near_collinear_dataset():
     """Twelve near-copies of one column and a pure-noise head."""
