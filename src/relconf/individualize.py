@@ -113,11 +113,12 @@ def select_cosine(
 ) -> RelevanceSelection:
     """Rows whose raw-tail cosine with the query reaches ``gamma``.
 
-    Zero-norm rows score -inf (cosine undefined); a zero-norm query is a
-    hard error. If fewer than ``min_relevant`` rows clear gamma, the
-    threshold falls to the min_relevant-th highest score and every row at
-    or above it is kept, flagged as a fallback: ties at the cut are all
-    kept, as in ``select_percentile``, whatever the row order. Zero-norm
+    Zero-norm rows score -inf (cosine undefined); a zero-norm query, and a
+    row whose norm overflows, is a DataError. If fewer than
+    ``min_relevant`` rows clear gamma, the threshold falls to the
+    min_relevant-th highest score and every row at or above it is kept,
+    flagged as a fallback: ties at the cut are all kept, as in
+    ``select_percentile``, whatever the row order. Zero-norm
     rows stay out unless fewer than ``min_relevant`` rows have a cosine;
     then the threshold is -inf and every row is kept.
     """
@@ -129,7 +130,13 @@ def select_cosine(
     q_norm = float(np.linalg.norm(x0))
     if q_norm == 0.0:
         raise DataError("cosine similarity undefined for a zero-norm query tail")
-    row_norms = np.linalg.norm(d.x, axis=1)
+    with np.errstate(over="ignore"):
+        row_norms = np.linalg.norm(d.x, axis=1)
+    bad = np.flatnonzero(~np.isfinite(row_norms))
+    if bad.size:
+        raise DataError(
+            f"cosine similarity undefined: row {bad[0] + 1} of the tails has a non-finite norm"
+        )
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(row_norms > 0.0, d.x @ x0 / (row_norms * q_norm), -np.inf)
     indices = np.flatnonzero(scores >= gamma)
@@ -203,7 +210,7 @@ def simulate_controls(
         # nearest relevant row of each synthetic row, a block of rows at a
         # time so that no n_r x n_r distance matrix is held
         nearest = np.empty(n_r, dtype=np.intp)
-        for rows in _row_blocks(n_r):
+        for rows in _row_blocks(n_r, n_r):
             nearest[rows] = np.argmin(_sq_dists(z_syn[rows], z_rel), axis=1)
         y_syn = y_rel[nearest]
 

@@ -66,11 +66,15 @@ _DOWNDATE_RATIO = 1e4
 KERNEL_MIN_BANDWIDTH = 1e-6
 # Rows of the distance triangle the median bandwidth computes per block.
 _TRIANGLE_ROWS = 32
-# Rows of kernel weights the smoother forms per block, so that no n x n
-# weight matrix is held. A multiple of 4: the BLAS matrix-vector kernel
-# takes rows in groups of four, and with 254 or 258 rows per block some rows
-# of a blocked product differ in the last bit from the whole product.
-_SMOOTH_ROWS = 256
+# Entries of kernel weights the smoother forms per block, 512 KB of float64,
+# so that no n x n weight matrix is held and the two block buffers of
+# ``_sq_dists`` stay in a 2 MB L2 cache up to n = 16 384; a longer row still
+# takes a block of 4 rows.
+# ``_row_blocks`` turns it into rows, a multiple of 4: the BLAS
+# matrix-vector kernel takes rows in groups of four, and with 254 or 258
+# rows per block some rows of a blocked product differ in the last bit from
+# the whole product.
+_SMOOTH_ENTRIES = 2**16
 
 
 def min_fit_rows(kind) -> int:
@@ -547,15 +551,17 @@ def _shifted_gaussian(d2: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of _SMOOTH_ROWS rows that cover ``range(n)``.
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Consecutive slices that cover ``range(n)``, for rows of ``width``
+    entries: each block has the most rows that hold at most _SMOOTH_ENTRIES
+    entries, rounded down to a multiple of 4 and at least 4.
 
     A last block of one row joins the block before it: numpy computes a
     one-row matrix-vector product as a dot product, whose order of
     additions differs from that of a row of a larger product. So every row
     of a blocked product equals the same row of the whole product.
     """
-    starts = list(range(0, n, _SMOOTH_ROWS))
+    starts = list(range(0, n, max(4, _SMOOTH_ENTRIES // width // 4 * 4)))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
@@ -567,7 +573,7 @@ def _gaussian_blocks(z: np.ndarray, bandwidth: float, drop_self: bool):
     ``z[rows]`` against every row of ``z``. With ``drop_self`` each row's
     weight on itself is zero. Only one block of weights is alive at a time.
     """
-    for rows in _row_blocks(z.shape[0]):
+    for rows in _row_blocks(z.shape[0], z.shape[0]):
         d2 = _sq_dists(z[rows], z)
         if drop_self:
             r = np.arange(d2.shape[0])
@@ -621,12 +627,13 @@ def predict_many(m: FittedModel, x_new) -> np.ndarray:
     """Forecast at each row of ``x_new``.
 
     The kernel forms the weights of one ``_row_blocks`` block of query rows
-    at a time, so no (rows x n) weight matrix is held for a long ``x_new``.
+    against its n training rows at a time, so no (rows x n) weight matrix
+    is held for a long ``x_new``.
     """
     x_new = _query_rows(m, x_new)
     if m.kind is Regressor.KERNEL:
         out = np.empty(x_new.shape[0])
-        for rows in _row_blocks(x_new.shape[0]):
+        for rows in _row_blocks(x_new.shape[0], m.train_z.shape[0]):
             out[rows] = kernel_weights(m, x_new[rows]) @ m.train_y
         return out
     return m.intercept + x_new @ m.coefficients
@@ -663,8 +670,10 @@ def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
     problem, built by the downdate that builds the cross-validation folds
     (``_held_out_problems``), exactly at the model's penalty, batched by
     sign pattern. The kernel keeps the model's standardization and
-    bandwidth, drops row i's own weight and forms the weights one block of
-    rows at a time, never an n x n matrix.
+    bandwidth, drops row i's own weight and forms the weights one
+    ``_row_blocks`` block at a time: at most _SMOOTH_ENTRIES of them, or 4
+    rows when a row holds more than a quarter of that, never an n x n
+    matrix.
     """
     if model.kind is Regressor.LASSO:
         gram, xty, active, m, s, ybar = _held_out_problems(x, y, np.arange(len(y)), len(y))

@@ -170,6 +170,17 @@ class TestCosine:
             assert sel.fallback and sel.n_relevant == 25
             np.testing.assert_array_equal(np.sort(perm[sel.indices]), np.arange(25))
 
+    def test_overflowing_row_norm_rejected(self):
+        # a row whose squares overflow has no cosine: refused by name, not
+        # scored 0 or NaN and kept or dropped whatever its direction
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(40, 2))
+        x[:5] = [1.5e308, -1.5e308]
+        d = Dataset(x, np.zeros(40))
+        for min_relevant in (10, 38):
+            with pytest.raises(DataError, match="row 1 of the tails has a non-finite norm"):
+                select_cosine(d, [1.0, 0.5], gamma=0.9999, min_relevant=min_relevant)
+
     def test_zero_norm_query_rejected(self):
         d = Dataset(np.ones((5, 2)), np.zeros(5))
         with pytest.raises(DataError, match="zero-norm query"):
@@ -323,11 +334,13 @@ class TestSimulateControls:
         assert cs.n == 10
         assert set(cs.y) <= set(d.y[:10])
 
-    def test_gaussian_mimic_heads_equal_dense_nearest_neighbour(self):
-        # the relevant set spans several row blocks, and its integer lattice
-        # repeats rows: a tie must still go to the first relevant index
+    def test_gaussian_mimic_heads_equal_dense_nearest_neighbour(self, monkeypatch):
+        # the relevant set spans 128 row blocks of 4 rows, the fewest a block
+        # takes, and a joined one-row tail, and its integer lattice repeats
+        # rows: a tie must still go to the first relevant index
+        monkeypatch.setattr(regress, "_SMOOTH_ENTRIES", 1)
         rng = np.random.default_rng(13)
-        n_r = 2 * regress._SMOOTH_ROWS + 1
+        n_r = 513
         x = rng.integers(0, 4, size=(n_r + 5, 2)).astype(float)
         d = Dataset(x, np.arange(n_r + 5.0))
         sel = self.selection(d, n_r)

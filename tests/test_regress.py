@@ -1,6 +1,9 @@
 """Regression engines against closed-form and brute-force oracles."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -31,8 +34,9 @@ from relconf.regress import (
     _shifted_gaussian,
 )
 
-# rows of kernel weights formed per block
-B = regress._SMOOTH_ROWS
+# rows of kernel weights per block in the blocked-smoother tests, which set
+# the entry budget (block_rows) so that a block of their width has B rows
+B = 256
 # designs whose median bandwidth is checked against the whole triangle
 _MEDIAN_SIZES = (2, 3, 4, 65, 70, 513, 514, 1000, 1002)
 
@@ -53,6 +57,13 @@ def candidate_problem(seed, n, p):
     y = 1.0 + x_aug[:n] @ rng.normal(size=p) + rng.normal(size=n)
     span = y.max() - y.min()
     return x_aug, y, np.linspace(y.min() - 2.0 * span, y.max() + 2.0 * span, 15)
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """Set _SMOOTH_ENTRIES so that ``_row_blocks`` gives ``rows`` rows, a
+    multiple of 4, per block of ``width`` entries a row."""
+    return lambda rows, width: monkeypatch.setattr(regress, "_SMOOTH_ENTRIES", rows * width)
 
 
 # The coordinate-descent references stop once a sweep moves no coefficient
@@ -882,19 +893,21 @@ class TestKernel:
         b[n] += 1.0
         return np.abs((y_pad - w @ y_pad)[:, None] + b[:, None] * candidates[None, :])
 
-    # n is the number of rows of the smoother's weight matrix
+    # n is the number of rows of the smoother's weight matrix, and its width
     @pytest.mark.parametrize("p", [2, 5])
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
-    def test_blocked_loo_residuals_equal_dense(self, n, p):
+    def test_blocked_loo_residuals_equal_dense(self, block_rows, n, p):
         d = make_dataset(np.random.default_rng(n + p), n, p)
         m = fit_kernel(d)
+        block_rows(B, n)
         np.testing.assert_array_equal(loo_residuals(d.x, d.y, m), self.dense_loo_residuals(m, d.y))
 
     @pytest.mark.parametrize("p", [2, 5])
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
-    def test_blocked_candidate_residuals_equal_dense(self, n, p):
+    def test_blocked_candidate_residuals_equal_dense(self, block_rows, n, p):
         d = make_dataset(np.random.default_rng(n + p), n, p)
         y, candidates = d.y[:-1], np.linspace(-4.0, 4.0, 9)
+        block_rows(B, n)
         np.testing.assert_array_equal(
             candidate_residuals(d.x, y, candidates, fit_kernel(Dataset(d.x[:-1], y))),
             self.dense_candidate_residuals(d.x, y, candidates),
@@ -902,11 +915,45 @@ class TestKernel:
 
     @pytest.mark.parametrize("p", [2, 5])
     @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 1])
-    def test_blocked_predict_many_equals_dense(self, rows, p):
+    def test_blocked_predict_many_equals_dense(self, block_rows, rows, p):
         rng = np.random.default_rng(rows + p)
         m = fit_kernel(make_dataset(rng, 300, p))
         x_new = rng.normal(size=(rows, p))
+        block_rows(B, 300)
         np.testing.assert_array_equal(predict_many(m, x_new), kernel_weights(m, x_new) @ m.train_y)
+
+    # the fewest rows a block takes, as every n above _SMOOTH_ENTRIES / 8
+    # does: on a block boundary (8), a joined one-row tail (9, 257) and a
+    # short last block (7, 255)
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("n", [7, 8, 9, 255, 257])
+    def test_four_row_blocks_equal_dense(self, block_rows, n, p):
+        rng = np.random.default_rng(n + p)
+        d = make_dataset(rng, n, p)
+        m = fit_kernel(d)
+        y, candidates = d.y[:-1], np.linspace(-4.0, 4.0, 9)
+        x_new = rng.normal(size=(n, p))
+        block_rows(4, n)
+        np.testing.assert_array_equal(loo_residuals(d.x, d.y, m), self.dense_loo_residuals(m, d.y))
+        np.testing.assert_array_equal(
+            candidate_residuals(d.x, y, candidates, fit_kernel(Dataset(d.x[:-1], y))),
+            self.dense_candidate_residuals(d.x, y, candidates),
+        )
+        np.testing.assert_array_equal(predict_many(m, x_new), kernel_weights(m, x_new) @ m.train_y)
+
+    def test_row_blocks_cover_the_rows_within_the_entry_budget(self):
+        rng = np.random.default_rng(20)
+        for width in range(1, 20_001):
+            budget = max(4 * width, regress._SMOOTH_ENTRIES)
+            most = 3 * budget // width + 2  # three blocks and a one-row tail
+            for n in [1, 2, 5, 9, *rng.integers(1, most, size=3, endpoint=True)]:
+                blocks = regress._row_blocks(n, width)
+                assert blocks[0].start == 0 and blocks[-1].stop == n
+                assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+                assert n == 1 or blocks[-1].stop - blocks[-1].start > 1
+                for block in blocks[:-1]:
+                    rows = block.stop - block.start
+                    assert rows >= 4 and rows % 4 == 0 and rows * width <= budget
 
     def test_fit_kernel_memory_stays_below_a_quarter_triangle(self):
         # the median bandwidth keeps one block of the triangle and the
@@ -945,6 +992,64 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak < (n * (n - 1) // 2) * 8
+
+    # a block holds at most _SMOOTH_ENTRIES weights at this n: 256-row
+    # blocks peaked at 58.7 and 39.2 MB here, two (256 x n) buffers
+    @pytest.mark.parametrize("smoother", ["loo_residuals", "predict_many"])
+    def test_smoother_memory_does_not_grow_with_n(self, smoother):
+        n = 10_000
+        rng = np.random.default_rng(21)
+        x, y = rng.normal(size=(n, 2)), rng.normal(size=n)
+        m = fit_kernel(Dataset(x, y))
+        calls = {
+            "loo_residuals": lambda: loo_residuals(x, y, m),
+            "predict_many": lambda: predict_many(m, x),
+        }
+        tracemalloc.start()
+        try:
+            calls[smoother]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+# kernel leave-one-out, full-conformal candidates at one query row and
+# forecasts at n = 3 000, written as raw bytes
+_THREAD_PROBE = """
+import sys
+import numpy as np
+from relconf.core import Dataset
+from relconf.regress import candidate_residuals, fit_kernel, loo_residuals, predict_many
+rng = np.random.default_rng(30002)
+x, y = rng.normal(size=(3000, 2)), rng.normal(size=3000)
+x_aug = np.vstack([x, rng.normal(size=(1, 2))])
+m = fit_kernel(Dataset(x, y))
+out = [
+    loo_residuals(x, y, m),
+    candidate_residuals(x_aug, y, np.linspace(-3.0, 3.0, 20), m),
+    predict_many(m, x),
+]
+sys.stdout.buffer.write(b"".join(a.tobytes() for a in out))
+"""
+
+
+def test_kernel_smoother_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS 0.3.31 splits a matrix-vector product of more than about
+    # 460 000 entries between its threads, and a split inside a group of 4
+    # rows moves the last bit: 256-row blocks at n = 3 000 crossed that
+    # size, blocks of _SMOOTH_ENTRIES weights stay below it
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], capture_output=True, env=env, check=True
+        )
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) == 8 * (3000 + 3001 * 20 + 3000)
+    assert outputs[0] == outputs[1]
 
 
 class TestPredict:
