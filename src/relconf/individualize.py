@@ -113,36 +113,32 @@ def select_cosine(
 ) -> RelevanceSelection:
     """Rows whose raw-tail cosine with the query reaches ``gamma``.
 
-    Zero-norm rows score -inf (cosine undefined); a zero-norm query, and a
-    row whose norm overflows, is a DataError. If fewer than
-    ``min_relevant`` rows clear gamma, the threshold falls to the
-    min_relevant-th highest score and every row at or above it is kept,
-    flagged as a fallback: ties at the cut are all kept, as in
-    ``select_percentile``, whatever the row order. Zero-norm
-    rows stay out unless fewer than ``min_relevant`` rows have a cosine;
-    then the threshold is -inf and every row is kept.
+    Every finite tail has one: each row and the query are first scaled,
+    exactly, by the power of two that puts their largest |entry| in
+    [0.5, 1), so no square overflows. Zero-norm rows score -inf; only a
+    zero-norm query is a DataError. If fewer than ``min_relevant`` rows
+    clear gamma, the threshold falls to the min_relevant-th highest score
+    and every row at or above it is kept, flagged as a fallback: ties at
+    the cut are all kept, as in ``select_percentile``, whatever the row
+    order. Zero-norm rows stay out unless fewer than ``min_relevant`` rows
+    have a cosine; then the threshold is -inf and every row is kept.
     """
     gamma = check_knob("gamma", gamma)
     min_relevant = check_knob("min_relevant", min_relevant)
     if d.n < min_relevant:
         raise DataError(f"need n >= min_relevant, got n={d.n}, min_relevant={min_relevant}")
     x0 = _query_tail(d, x0)
-    q_norm = float(np.linalg.norm(x0))
+    x, x0 = (np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1]) for a in (d.x, x0))
+    q_norm = np.linalg.norm(x0)
     if q_norm == 0.0:
         raise DataError("cosine similarity undefined for a zero-norm query tail")
-    with np.errstate(over="ignore"):
-        row_norms = np.linalg.norm(d.x, axis=1)
-    bad = np.flatnonzero(~np.isfinite(row_norms))
-    if bad.size:
-        raise DataError(
-            f"cosine similarity undefined: row {bad[0] + 1} of the tails has a non-finite norm"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(row_norms > 0.0, d.x @ x0 / (row_norms * q_norm), -np.inf)
+    row_norms = np.linalg.norm(x, axis=1)
+    scores = np.full(d.n, -np.inf)
+    np.divide(x @ x0, row_norms * q_norm, out=scores, where=row_norms > 0.0)
     indices = np.flatnonzero(scores >= gamma)
     if indices.size >= min_relevant:
         return RelevanceSelection(indices, Similarity.COSINE, float(gamma))
-    # negated, so that a NaN score (an overflowed product) ranks below every row
+    # negated, so that the partition picks the min_relevant-th highest score
     threshold = -float(np.partition(-scores, min_relevant - 1)[min_relevant - 1])
     indices = np.flatnonzero(scores >= threshold)
     return RelevanceSelection(indices, Similarity.COSINE, threshold, fallback=True)

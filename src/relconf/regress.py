@@ -412,15 +412,8 @@ def lasso_kkt_residual(d: Dataset, m: FittedModel) -> float:
     beta = m.coefficients * scales
     r = (d.y - d.y.mean()) - xs @ beta
     grad = xs.T @ r / d.n
-    worst = 0.0
-    for j in range(xs.shape[1]):
-        if not active_cols[j]:
-            continue
-        if beta[j] != 0.0:
-            worst = max(worst, abs(grad[j] - m.lam * math.copysign(1.0, beta[j])))
-        else:
-            worst = max(worst, max(0.0, abs(grad[j]) - m.lam))
-    return worst
+    gap = np.where(beta != 0.0, np.abs(grad - m.lam * np.sign(beta)), np.abs(grad) - m.lam)
+    return float(np.max(gap[active_cols], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +656,10 @@ def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
     """Signed leave-one-out residuals y_i - f_{-i}(x_i) of ``model``'s engine.
 
     ``model`` is the engine's fit on all of (x, y). OLS uses the exact
-    identity e_i / (1 - h_ii) at any rank: leaving out a row with
-    h_ii < 1 keeps the rank, so every least-squares fit of the kept rows
-    (``fit_ols``'s minimum-norm one too) forecasts it alike; only a row
-    with h_ii >= 1 - 1e-8 is refit with ``fit_ols``. LASSO solves every
+    identity e_i / (1 - h_ii) at any rank, e being ``model``'s residuals:
+    leaving out a row with h_ii < 1 keeps the rank, so every least-squares
+    fit of the kept rows (``fit_ols``'s minimum-norm one too) forecasts it
+    alike; only a row with h_ii >= 1 - 1e-8 is refit with ``fit_ols``. LASSO solves every
     problem, built by the downdate that builds the cross-validation folds
     (``_held_out_problems``), exactly at the model's penalty, batched by
     sign pattern. The kernel keeps the model's standardization and
@@ -684,9 +677,8 @@ def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
         for rows, w in _gaussian_blocks(model.train_z, model.bandwidth, drop_self=True):
             out[rows] = y[rows] - (w @ y) / w.sum(axis=1)
         return out
-    n = len(y)
-    a = np.column_stack([np.ones(n), x])
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    a = np.column_stack([np.ones(len(y)), x])
+    coef = np.append(model.intercept, model.coefficients)
     # lstsq's own cutoff, so h is the projection its fitted values use
     h = np.einsum("ij,ji->i", a, np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(float).eps))
     pinned = h >= 1.0 - 1e-8

@@ -170,16 +170,42 @@ class TestCosine:
             assert sel.fallback and sel.n_relevant == 25
             np.testing.assert_array_equal(np.sort(perm[sel.indices]), np.arange(25))
 
-    def test_overflowing_row_norm_rejected(self):
-        # a row whose squares overflow has no cosine: refused by name, not
-        # scored 0 or NaN and kept or dropped whatever its direction
+    def test_scaling_by_a_power_of_two_changes_nothing(self):
+        # tails whose squares overflow or underflow still have a cosine, and
+        # it is the one of the same tails at ordinary scale, bit for bit
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(40, 3))
+        x0 = np.array([1.0, 0.5, -0.25])
+        base = select_cosine(Dataset(x, np.zeros(40)), x0, gamma=0.9, min_relevant=10)
+        assert base.fallback
+        for k in (-1000, -600, 600, 1000):
+            sel = select_cosine(
+                Dataset(np.ldexp(x, k), np.zeros(40)), np.ldexp(x0, k), gamma=0.9, min_relevant=10
+            )
+            np.testing.assert_array_equal(sel.indices, base.indices)
+            assert sel.threshold_used.hex() == base.threshold_used.hex()
+
+    def test_rows_whose_squares_overflow_score_as_their_direction(self):
+        # a row [1.5e308, -1.5e308] scores exactly as [1, -1] does
         rng = np.random.default_rng(41)
         x = rng.normal(size=(40, 2))
-        x[:5] = [1.5e308, -1.5e308]
-        d = Dataset(x, np.zeros(40))
         for min_relevant in (10, 38):
-            with pytest.raises(DataError, match="row 1 of the tails has a non-finite norm"):
-                select_cosine(d, [1.0, 0.5], gamma=0.9999, min_relevant=min_relevant)
+            sels = []
+            for big in (1.0, 1.5e308):
+                x[:5] = [big, -big]
+                sels.append(select_cosine(Dataset(x, np.zeros(40)), [1.0, 0.5], 0.9999, min_relevant))
+            np.testing.assert_array_equal(sels[0].indices, sels[1].indices)
+            assert sels[0].threshold_used == sels[1].threshold_used
+
+    def test_query_whose_squares_overflow_keeps_its_direction(self):
+        # [1e200, 5e199] points where [1, 0.5] does, so it keeps the same rows
+        d = Dataset(np.random.default_rng(41).normal(size=(40, 2)), np.zeros(40))
+        small = select_cosine(d, [1.0, 0.5], gamma=0.9, min_relevant=10)
+        big = select_cosine(d, [1e200, 5e199], gamma=0.9, min_relevant=10)
+        assert small.n_relevant == 10
+        assert small.threshold_used == pytest.approx(0.6933, abs=1e-4)
+        np.testing.assert_array_equal(big.indices, small.indices)
+        assert big.threshold_used == small.threshold_used
 
     def test_zero_norm_query_rejected(self):
         d = Dataset(np.ones((5, 2)), np.zeros(5))
