@@ -9,114 +9,20 @@ combined freely; a grid runner runs every combination over built-in
 simulation suites and writes deterministic CSV tables.
 """
 
-from .core import (
-    ARTIFACT_VERSION,
-    ConfigError,
-    ConformalMethod,
-    DataError,
-    Dataset,
-    ExperimentConfig,
-    IntervalPath,
-    PredictionInterval,
-    Query,
-    Regressor,
-    Similarity,
-    load_csv,
-    save_csv,
-    subseed,
-    transform_features,
-)
-from .regress import (
-    FittedModel,
-    fit,
-    fit_kernel,
-    fit_lasso,
-    fit_ols,
-    kernel_weights,
-    lasso_kkt_residual,
-    loo_residuals,
-    predict,
-    predict_many,
-)
-from .conformal import (
-    ConformalSpec,
-    ceil_guarded,
-    conformal_interval,
-    full_conformal,
-    full_conformal_accepted,
-    jackknife_conformal,
-    loo_quantile,
-    split_conformal,
-    split_quantile,
-)
-from .individualize import (
-    ControlMode,
-    RelevanceSelection,
-    select,
-    select_cosine,
-    select_percentile,
-    simulate_controls,
-)
-from .dgp import SUITES, SuiteOutput, gen_long, gen_setting, gen_small
-from .evaluate import Cell, MetricRow, aggregate, score, summary_table, variant_code
-from .runner import RunManifest, run_algorithm1, run_grid
+from . import conformal, core, dgp, evaluate, individualize, regress, runner
+from .core import *
+from .regress import *
+from .conformal import *
+from .individualize import *
+from .dgp import *
+from .evaluate import *
+from .runner import *
 
 __version__ = ARTIFACT_VERSION
 
+# the library modules' own export lists, which name no name twice
 __all__ = [
-    "ARTIFACT_VERSION",
-    "ConfigError",
-    "ConformalMethod",
-    "DataError",
-    "Dataset",
-    "ExperimentConfig",
-    "IntervalPath",
-    "PredictionInterval",
-    "Query",
-    "Regressor",
-    "Similarity",
-    "load_csv",
-    "save_csv",
-    "subseed",
-    "transform_features",
-    "FittedModel",
-    "fit",
-    "fit_kernel",
-    "fit_lasso",
-    "fit_ols",
-    "kernel_weights",
-    "lasso_kkt_residual",
-    "loo_residuals",
-    "predict",
-    "predict_many",
-    "ConformalSpec",
-    "ceil_guarded",
-    "conformal_interval",
-    "full_conformal",
-    "full_conformal_accepted",
-    "jackknife_conformal",
-    "loo_quantile",
-    "split_conformal",
-    "split_quantile",
-    "ControlMode",
-    "RelevanceSelection",
-    "select",
-    "select_cosine",
-    "select_percentile",
-    "simulate_controls",
-    "SUITES",
-    "SuiteOutput",
-    "gen_long",
-    "gen_setting",
-    "gen_small",
-    "Cell",
-    "MetricRow",
-    "aggregate",
-    "score",
-    "summary_table",
-    "variant_code",
-    "RunManifest",
-    "run_algorithm1",
-    "run_grid",
-    "__version__",
-]
+    name
+    for module in (core, regress, conformal, individualize, dgp, evaluate, runner)
+    for name in module.__all__
+] + ["__version__"]

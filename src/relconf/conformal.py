@@ -126,11 +126,12 @@ def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> Pred
     and calibration at least 2.
     """
     x0 = _query_tail(d, x0)
+    reg = _choice(Regressor, reg)
     fit_rows = min_fit_rows(reg)
     n_train = _split_train_rows(d.n, spec.rho, fit_rows)
     if n_train is None:
         raise DataError(
-            f"split with {Regressor(reg).value} needs {fit_rows} <= floor(rho*n) <= n-2;"
+            f"split with {reg.value} needs {fit_rows} <= floor(rho*n) <= n-2;"
             f" rho={spec.rho}, n={d.n}"
         )
     perm = _split_order(int(seed), d.n)
@@ -231,12 +232,13 @@ def conformal_interval(
     must be of engine ``reg``, else made here. Split fits on part of ``d``
     and takes none.
     """
+    reg = _choice(Regressor, reg)
     if spec.method is ConformalMethod.SPLIT:
         return split_conformal(d, reg, x0, spec, seed)
     if base is None:
         base = fit(d, reg, seed=seed)
-    elif base.kind is not Regressor(reg):
-        raise DataError(f"base fit is {base.kind.value}, not {Regressor(reg).value}")
+    elif base.kind is not reg:
+        raise DataError(f"base fit is {base.kind.value}, not {reg.value}")
     if spec.method is ConformalMethod.FULL:
         return full_conformal(d, base, x0, spec)
     return jackknife_conformal(d, base, x0, spec)

@@ -98,14 +98,35 @@ def _row_indices(indices, what: str) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
+def _tail_rows(x, p: int | None = None, owner: str = "dataset has", one: bool = False):
+    """The query-tail rule: ``x`` as a 2-D float array of query rows.
+
+    One tail may be 1-D or a single row; with ``one``, any other number
+    of rows is refused. DataError for a tail with no features, other than
+    ``p`` features (``owner`` names who expects them) and a non-finite
+    entry. ``Query``, ``_query_tail``, ``regress.predict``,
+    ``regress.predict_many`` and ``regress.kernel_weights`` read every tail
+    through this; a batch of zero rows passes.
+    """
+    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if rows.ndim != 2:
+        raise DataError(f"query tails must be 1-D or 2-D, got ndim={rows.ndim}")
+    if one and rows.shape[0] != 1:
+        raise DataError(f"one query tail expected, got {rows.shape[0]} rows")
+    if rows.shape[1] == 0:
+        raise DataError("query tail is empty")
+    if p is not None and rows.shape[1] != p:
+        raise DataError(f"query has {rows.shape[1]} features, {owner} {p}")
+    if not np.all(np.isfinite(rows)):
+        raise DataError("non-finite entry in query tail")
+    return rows
+
+
 def _query_tail(d: Dataset, x0) -> np.ndarray:
-    """Query tail ``x0`` as a flat float array; DataError unless it passes
-    ``Query``'s rule (non-empty, finite) and has dataset ``d``'s p features
-    (selection, the conformal constructors and the runner call this)."""
-    x0 = Query(x0).x0
-    if x0.size != d.p:
-        raise DataError(f"query has {x0.size} features, dataset has {d.p}")
-    return x0
+    """Query tail ``x0`` as a flat float array, by ``_tail_rows`` with
+    dataset ``d``'s p features (selection, the conformal constructors and
+    the runner call this)."""
+    return _tail_rows(x0, d.p, one=True)[0]
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,11 +231,7 @@ class Query:
     y0: float | None = None
 
     def __post_init__(self):
-        x0 = _readonly(np.asarray(self.x0, dtype=np.float64).ravel())
-        if x0.size < 1:
-            raise DataError("query tail is empty")
-        if not np.all(np.isfinite(x0)):
-            raise DataError("non-finite entry in query tail")
+        x0 = _readonly(_tail_rows(self.x0, one=True)[0])
         if self.y0 is not None and not math.isfinite(float(self.y0)):
             raise DataError("query head must be finite when present")
         object.__setattr__(self, "x0", x0)
@@ -281,7 +298,8 @@ def check_knob(name: str, raw):
 
 def _choice(kind, raw):
     """``raw`` as a member of the enum ``kind``; ConfigError if it names
-    none (every config record coerces its choice fields through this)."""
+    none (every function and record that takes an engine, similarity,
+    control-mode or path name coerces it through this)."""
     try:
         return kind(raw)
     except ValueError as exc:

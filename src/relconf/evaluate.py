@@ -26,6 +26,7 @@ from .core import (
     IntervalPath,
     PredictionInterval,
     Regressor,
+    _choice,
 )
 
 __all__ = [
@@ -61,7 +62,7 @@ _PATH_CODE = {
 
 def variant_code(regressor, path) -> str:
     """Row-label suffix for a (regressor, path) cell, e.g. ('lasso','relevant') -> 'lr'."""
-    return _REG_CODE[Regressor(regressor)] + _PATH_CODE[IntervalPath(path)]
+    return _REG_CODE[_choice(Regressor, regressor)] + _PATH_CODE[_choice(IntervalPath, path)]
 
 
 VARIANT_ORDER = tuple(variant_code(r, p) for r, p in product(Regressor, IntervalPath))

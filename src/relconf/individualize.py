@@ -20,6 +20,7 @@ from .core import (
     DataError,
     Dataset,
     Similarity,
+    _choice,
     _query_tail,
     _readonly,
     _row_indices,
@@ -70,7 +71,7 @@ class RelevanceSelection:
         if len(np.unique(idx)) != idx.size:
             raise DataError("relevance selection has duplicate indices")
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "method", Similarity(self.method))
+        object.__setattr__(self, "method", _choice(Similarity, self.method))
 
     @property
     def n_relevant(self) -> int:
@@ -101,11 +102,12 @@ def select_percentile(
     z0 = transform_features(x0, centers, scales)
     dist = np.sqrt(((z - z0) ** 2).sum(axis=1))
     k = max(ceil_guarded(alpha * d.n), 1)
-    fallback = k < min_relevant
-    k = max(k, min_relevant)
-    threshold = float(np.partition(dist, k - 1)[k - 1])
+    # fewer than min_relevant rows lie within the k-th distance exactly
+    # when the min_relevant-th distance lies beyond it
+    cut, floor = np.partition(dist, [k - 1, min_relevant - 1])[[k - 1, min_relevant - 1]]
+    threshold = float(max(cut, floor))
     indices = np.flatnonzero(dist <= threshold)
-    return RelevanceSelection(indices, Similarity.PERCENTILE, threshold, fallback)
+    return RelevanceSelection(indices, Similarity.PERCENTILE, threshold, bool(floor > cut))
 
 
 def select_cosine(
@@ -146,7 +148,7 @@ def select_cosine(
 
 def select(d: Dataset, x0, method, alpha: float, gamma: float, min_relevant: int = 30):
     """Dispatch on the similarity enum; percentile reuses alpha as its fraction."""
-    method = Similarity(method)
+    method = _choice(Similarity, method)
     if method is Similarity.PERCENTILE:
         return select_percentile(d, x0, alpha, min_relevant)
     return select_cosine(d, x0, gamma, min_relevant)
@@ -184,7 +186,7 @@ def simulate_controls(
     its nearest relevant neighbor in standardized distance.
     """
     noise_scale = check_knob("noise_scale", noise_scale)
-    mode = ControlMode(mode)
+    mode = _choice(ControlMode, mode)
     sources = np.asarray(sources)
     if sources.shape != (relevant.n,):
         raise DataError(f"source indices of shape {sources.shape} for {relevant.n} relevant rows")

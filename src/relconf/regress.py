@@ -29,9 +29,11 @@ from .core import (
     Dataset,
     Regressor,
     _active_columns,
+    _choice,
     _readonly,
     _sq_dists,
     _standardize_columns,
+    _tail_rows,
     transform_features,
 )
 
@@ -79,7 +81,7 @@ _SMOOTH_ENTRIES = 2**16
 
 def min_fit_rows(kind) -> int:
     """Fewest rows an engine's default fit runs on (LASSO cross-validates)."""
-    return LASSO_CV_FOLDS if Regressor(kind) is Regressor.LASSO else 2
+    return LASSO_CV_FOLDS if _choice(Regressor, kind) is Regressor.LASSO else 2
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,9 @@ class FittedModel:
     centers: np.ndarray | None = None
     scales: np.ndarray | None = None
     converged: bool | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", _choice(Regressor, self.kind))
 
     @property
     def p(self) -> int:
@@ -596,21 +601,10 @@ def fit_kernel(d: Dataset) -> FittedModel:
     )
 
 
-def _query_rows(m: FittedModel, x_new) -> np.ndarray:
-    """``x_new`` as a 2-D float array of query rows; DataError unless every
-    row has ``m``'s p features and every entry is finite (``Query``'s rule)."""
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
-    if x_new.shape[1] != m.p:
-        raise DataError(f"query has {x_new.shape[1]} features, model expects {m.p}")
-    if not np.all(np.isfinite(x_new)):
-        raise DataError("non-finite entry in query tail")
-    return x_new
-
-
 def kernel_weights(m: FittedModel, x_new: np.ndarray) -> np.ndarray:
     """Normalized kernel weights of each training row for each query row,
     shifted by ``_shifted_gaussian`` so that they never all underflow."""
-    z0 = transform_features(_query_rows(m, x_new), m.centers, m.scales)
+    z0 = transform_features(_tail_rows(x_new, m.p, "model expects"), m.centers, m.scales)
     w = _shifted_gaussian(_sq_dists(z0, m.train_z), m.bandwidth)
     w /= w.sum(axis=1, keepdims=True)
     return w
@@ -623,7 +617,7 @@ def predict_many(m: FittedModel, x_new) -> np.ndarray:
     against its n training rows at a time, so no (rows x n) weight matrix
     is held for a long ``x_new``.
     """
-    x_new = _query_rows(m, x_new)
+    x_new = _tail_rows(x_new, m.p, "model expects")
     if m.kind is Regressor.KERNEL:
         out = np.empty(x_new.shape[0])
         for rows in _row_blocks(x_new.shape[0], m.train_z.shape[0]):
@@ -634,8 +628,7 @@ def predict_many(m: FittedModel, x_new) -> np.ndarray:
 
 def predict(m: FittedModel, x0) -> float:
     """Forecast at a single tail."""
-    x0 = np.asarray(x0, dtype=np.float64).ravel()
-    return float(predict_many(m, x0[None, :])[0])
+    return float(predict_many(m, _tail_rows(x0, m.p, "model expects", one=True))[0])
 
 
 def fit(d: Dataset, kind, seed: int = 0) -> FittedModel:
@@ -644,7 +637,7 @@ def fit(d: Dataset, kind, seed: int = 0) -> FittedModel:
     LASSO picks its penalty by cross-validation with folds drawn from
     ``seed``; the kernel uses the median-heuristic bandwidth.
     """
-    kind = Regressor(kind)
+    kind = _choice(Regressor, kind)
     if kind is Regressor.OLS:
         return fit_ols(d)
     if kind is Regressor.LASSO:

@@ -11,6 +11,7 @@ import itertools
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -208,12 +209,12 @@ def test_criterion_08_structural_golden_files(tmp_path):
 
     problems = []
     for sim in ("percentile", "cosine"):
-        raw_lines = open(first[f"raw_{sim}"]).read().splitlines()
+        raw_lines = Path(first[f"raw_{sim}"]).read_text().splitlines()
         body = [l for l in raw_lines if not l.startswith("#")]
         labels = [l.split(",")[0] for l in body[1:]]
         if labels != EXPECTED_RAW_LABELS:
             problems.append(f"raw_{sim} labels {labels}")
-        summary_lines = open(first[f"summary_{sim}"]).read().splitlines()
+        summary_lines = Path(first[f"summary_{sim}"]).read_text().splitlines()
         body = [l for l in summary_lines if not l.startswith("#")]
         expected = [f + v for f in METRIC_FAMILIES for v in VARIANT_ORDER]
         if [l.split(",")[0] for l in body[1:]] != expected:
@@ -221,7 +222,7 @@ def test_criterion_08_structural_golden_files(tmp_path):
     for name in sorted(first):
         if name == "manifest":
             continue  # records output_dir, which differs by design
-        if open(first[name], "rb").read() != open(second[name], "rb").read():
+        if Path(first[name]).read_bytes() != Path(second[name]).read_bytes():
             problems.append(f"{name} not byte-stable")
     report(8, not problems, "; ".join(problems) or "19+36 row labels exact, re-run byte-identical")
 

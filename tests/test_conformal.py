@@ -20,6 +20,7 @@ from relconf.conformal import (
 )
 from relconf import conformal, oracles
 from relconf.regress import (
+    FittedModel,
     fit,
     fit_kernel,
     fit_lasso,
@@ -414,6 +415,17 @@ class TestDispatch:
         spec = ConformalSpec(method=method, grid_points=25)
         with pytest.raises(DataError, match="kernel"):
             conformal_interval(d, "ols", [0.1, -0.2], spec, base=fit(d, "kernel"))
+
+    def test_base_fit_built_with_an_engine_name_is_that_engine(self):
+        # FittedModel coerces its kind, so a base built from the name "ols"
+        # is an OLS fit, not refused or read as another engine
+        d = make_dataset(np.random.default_rng(14), 30, 2)
+        m = fit_ols(d)
+        twin = FittedModel(kind="ols", intercept=m.intercept, coefficients=m.coefficients)
+        spec = ConformalSpec(method="jackknife")
+        assert conformal_interval(d, "ols", [0.1, -0.2], spec, base=twin) == (
+            conformal_interval(d, "ols", [0.1, -0.2], spec, base=m)
+        )
 
 
 @pytest.mark.parametrize("reg", ["ols", "lasso", "kernel"])

@@ -2,11 +2,19 @@
 
 import re
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from relconf.conformal import ConformalSpec
+from relconf.conformal import (
+    ConformalSpec,
+    conformal_interval,
+    full_conformal,
+    full_conformal_accepted,
+    jackknife_conformal,
+    split_conformal,
+)
 from relconf.core import (
     ConfigError,
     ConformalMethod,
@@ -21,8 +29,23 @@ from relconf.core import (
     transform_features,
     _standardize_columns,
 )
-from relconf.individualize import select_percentile
-from relconf.regress import fit_kernel, fit_lasso, predict
+from relconf.evaluate import variant_code
+from relconf.individualize import (
+    RelevanceSelection,
+    select,
+    select_cosine,
+    select_percentile,
+    simulate_controls,
+)
+from relconf.regress import (
+    FittedModel,
+    fit,
+    fit_kernel,
+    fit_lasso,
+    min_fit_rows,
+    predict,
+    predict_many,
+)
 from relconf.runner import RunManifest
 
 # every dataclass whose integer knobs ``check_knobs`` converts
@@ -139,6 +162,16 @@ class TestQuery:
         with pytest.raises(DataError, match="query tail is empty"):
             Query([])
 
+    def test_tails_of_more_than_two_axes_rejected(self):
+        # not flattened into one tail, nor read row by row along axis 1
+        m = fit(Dataset(np.arange(20.0).reshape(10, 2), np.arange(10.0)), "ols")
+        for call in (
+            lambda: Query(np.ones((1, 1, 2))),
+            lambda: predict_many(m, np.ones((2, 1, 2))),
+        ):
+            with pytest.raises(DataError, match="query tails must be 1-D or 2-D, got ndim=3"):
+                call()
+
 
 class TestPredictionInterval:
     def test_length(self):
@@ -206,6 +239,90 @@ def test_integer_knob_refuses_value_it_would_change(owner, value):
             build(min_relevant=30.9 if isinstance(value, float) else "31")
     integral = build(grid_points=100.0)
     assert integral.grid_points == 100 and type(integral.grid_points) is int
+
+
+@pytest.fixture(scope="module")
+def four():
+    """A 4-feature dataset, its fit by each engine, and one spec per method."""
+    rng = np.random.default_rng(40)
+    d = Dataset(rng.normal(size=(40, 4)), rng.normal(size=40))
+    return SimpleNamespace(
+        d=d,
+        fits={reg: fit(d, reg) for reg in ("ols", "lasso", "kernel")},
+        spec={m: ConformalSpec(m, grid_points=25) for m in ("split", "full", "jackknife")},
+    )
+
+
+# two rows of two features hold the four entries of one 4-feature tail, but
+# the tail rule reads them as two tails, which no single-tail entry point takes
+TWO_ROWS = [[0.1, 0.2], [0.3, 0.4]]
+TAIL = [0.1, 0.2, 0.3, 0.4]
+TWO_ROW_CALLS = {
+    "Query": lambda w: Query(TWO_ROWS),
+    **{
+        f"predict-{reg}": lambda w, reg=reg: predict(w.fits[reg], TWO_ROWS)
+        for reg in ("ols", "lasso", "kernel")
+    },
+    "split_conformal": lambda w: split_conformal(w.d, "ols", TWO_ROWS, w.spec["split"], 0),
+    "full_conformal": lambda w: full_conformal(w.d, w.fits["ols"], TWO_ROWS, w.spec["full"]),
+    "full_conformal_accepted": lambda w: full_conformal_accepted(
+        w.d, w.fits["ols"], TWO_ROWS, w.spec["full"]
+    ),
+    "jackknife_conformal": lambda w: jackknife_conformal(
+        w.d, w.fits["ols"], TWO_ROWS, w.spec["jackknife"]
+    ),
+    **{
+        f"conformal_interval-{m}": lambda w, m=m: conformal_interval(
+            w.d, "ols", TWO_ROWS, w.spec[m]
+        )
+        for m in ("split", "full", "jackknife")
+    },
+    "select_percentile": lambda w: select_percentile(w.d, TWO_ROWS, 0.2, 10),
+    "select_cosine": lambda w: select_cosine(w.d, TWO_ROWS, 0.5, 10),
+    **{
+        f"select-{sim}": lambda w, sim=sim: select(w.d, TWO_ROWS, sim, 0.2, 0.5, 10)
+        for sim in ("percentile", "cosine")
+    },
+}
+UNKNOWN_NAME_CALLS = {
+    "fit": ("Regressor", lambda w: fit(w.d, "bogus")),
+    "min_fit_rows": ("Regressor", lambda w: min_fit_rows("bogus")),
+    "FittedModel": ("Regressor", lambda w: FittedModel(kind="bogus")),
+    "split_conformal": (
+        "Regressor", lambda w: split_conformal(w.d, "bogus", TAIL, w.spec["split"], 0)
+    ),
+    **{
+        f"conformal_interval-{m}": (
+            "Regressor",
+            lambda w, m=m: conformal_interval(w.d, "bogus", TAIL, w.spec[m], base=w.fits["ols"]),
+        )
+        for m in ("split", "full", "jackknife")
+    },
+    "select": ("Similarity", lambda w: select(w.d, TAIL, "bogus", 0.2, 0.5, 10)),
+    "simulate_controls": (
+        "ControlMode",
+        lambda w: simulate_controls(w.d.subset([0, 1]), [0, 1], 0.1, mode="bogus"),
+    ),
+    "RelevanceSelection": ("Similarity", lambda w: RelevanceSelection([0, 1], "bogus", 1.0)),
+    "variant_code-regressor": ("Regressor", lambda w: variant_code("bogus", "standard")),
+    "variant_code-path": ("IntervalPath", lambda w: variant_code("ols", "bogus")),
+}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    *(
+        pytest.param(call, DataError, "one query tail expected, got 2 rows", id=f"two_rows-{name}")
+        for name, call in TWO_ROW_CALLS.items()
+    ),
+    *(
+        pytest.param(call, ConfigError, f"'bogus' is not a valid {kind}", id=f"bogus-{name}")
+        for name, (kind, call) in UNKNOWN_NAME_CALLS.items()
+    ),
+])
+def test_every_entry_point_reads_its_input_through_one_rule(four, call, error, message):
+    # the tail rule and the name rule live in core, one function each
+    with pytest.raises(error, match=re.escape(message)):
+        call(four)
 
 
 class TestCsv:

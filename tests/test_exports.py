@@ -1,8 +1,11 @@
 """Every name a module exports resolves, so ``from relconf.<module> import *``
-never fails on a stale ``__all__`` entry."""
+never fails on a stale ``__all__`` entry, and the README's library example
+runs on the package's exports."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +23,10 @@ def test_all_entries_resolve(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})

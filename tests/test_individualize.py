@@ -57,6 +57,15 @@ class TestPercentile:
         # k = ceil(1.2) = 2 < min_relevant, floor to 2; rows 0-2 tie at 0
         np.testing.assert_array_equal(sel.indices, [0, 1, 2])
 
+    def test_ties_at_the_cut_that_reach_the_floor_are_no_fallback(self):
+        # k = ceil(1.2) = 2 < min_relevant = 3, but rows 0-2 tie at the k-th
+        # distance 0: the rule alone admits 3 rows, so the floor never acts
+        x = np.array([[1.0], [1.0], [1.0], [5.0], [6.0], [7.0]])
+        sel = select_percentile(Dataset(x, np.zeros(6)), [1.0], alpha=0.2, min_relevant=3)
+        np.testing.assert_array_equal(sel.indices, [0, 1, 2])
+        assert sel.threshold_used == 0.0
+        assert not sel.fallback
+
     def test_min_relevant_floor_flags_fallback(self):
         d = line_dataset()
         sel = select_percentile(d, [0.0], alpha=0.1, min_relevant=5)
