@@ -162,16 +162,19 @@ def full_conformal_accepted(
     to the data and the model refit on the n+1 rows
     (``regress.candidate_residuals``); the candidate survives when its
     absolute residual ranks within the lowest ceil((n+1)(1-alpha)) of all
-    n+1.
+    n+1. The refits come one block of candidates at a time, and each
+    block's ranks are counted against its query row before the next block
+    is formed, so no (n+1) x G residual matrix is held.
     """
     x0 = _query_tail(d, x0)
     point = predict(base, x0)
     grid = _candidate_grid(d.y, spec)
     n = d.n
-    resid = candidate_residuals(np.vstack([d.x, x0]), d.y, grid, base)
     k_accept = max(ceil_guarded((n + 1) * (1.0 - spec.alpha)), 1)
-    ranks = 1 + (resid[:n, :] < resid[n, :][None, :]).sum(axis=0)
-    return grid, ranks <= k_accept, point
+    accepted = np.empty(grid.size, dtype=bool)
+    for cols, resid in candidate_residuals(np.vstack([d.x, x0]), d.y, grid, base):
+        accepted[cols] = 1 + (resid[:n] < resid[n]).sum(axis=0) <= k_accept
+    return grid, accepted, point
 
 
 def full_conformal(d: Dataset, base: FittedModel, x0, spec: ConformalSpec) -> PredictionInterval:

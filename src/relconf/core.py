@@ -129,18 +129,20 @@ def _query_tail(d: Dataset, x0) -> np.ndarray:
     return _tail_rows(x0, d.p, one=True)[0]
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sq_dists(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """Squared Euclidean distance from each row of ``a`` to each row of ``b``.
 
     Sums one column at a time into the (n, m) result, so no (n, m, p)
     difference cube is built. Columns are added left to right, which is
     numpy's own order for p < 8; from p = 8 on numpy sums pairwise, so an
     entry may differ from ``((a[:, None] - b[None]) ** 2).sum(-1)`` by a few
-    ulp.
+    ulp. ``out`` and ``tmp``, (n, m) buffers for the result and one column's
+    squares, are allocated when not given.
     """
-    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out = np.subtract.outer(a[:, 0], b[:, 0], out=out)
     out *= out
-    tmp = np.empty_like(out) if a.shape[1] > 1 else None
+    if tmp is None and a.shape[1] > 1:
+        tmp = np.empty_like(out)
     for j in range(1, a.shape[1]):
         np.subtract.outer(a[:, j], b[:, j], out=tmp)
         tmp *= tmp

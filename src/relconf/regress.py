@@ -66,7 +66,8 @@ _SINGULAR_EIGENVALUE = 1e-10
 # Held-out LASSO problems that cancel by this ratio are rebuilt (_held_out_problems).
 _DOWNDATE_RATIO = 1e4
 KERNEL_MIN_BANDWIDTH = 1e-6
-# Rows of the distance triangle the median bandwidth computes per block.
+# Most rows of the distance triangle the median bandwidth computes per block;
+# from n = 2 048 on a block takes fewer, to keep within _SMOOTH_ENTRIES.
 _TRIANGLE_ROWS = 32
 # Entries of kernel weights the smoother forms per block, 512 KB of float64,
 # so that no n x n weight matrix is held and the two block buffers of
@@ -275,23 +276,31 @@ def _lasso_batch(gram, xty, lam, active):
     return beta
 
 
-def _gram_problem(x, y):
-    """Standardize (x, y) and reduce it to the p x p data the solver needs.
-
-    ``y`` is one head vector, or an (n, G) matrix of G heads that share the
-    tails ``x``: one problem per column, all with the same Gram matrix.
-    Returns (gram, xty, active, centers, scales, ybar): gram = xs'xs/n and
-    xty = xs'(y - ybar)/n, of shape (p,) or (p, G), with ``active`` marking
-    non-constant columns and ``ybar`` the mean of each head. Columns are
-    scaled by their root mean square deviation: the 1/n makes every active
-    column of xs satisfy (1/n)||col||^2 = 1, so the Gram matrix has a unit
-    diagonal on the active columns.
+def _standardized_gram(x):
+    """Standardize the tails ``x`` for the solver: (xs, gram, active, centers,
+    scales), with gram = xs'xs/n and ``active`` marking non-constant columns.
+    Columns are scaled by their root mean square deviation: the 1/n makes
+    every active column of xs satisfy (1/n)||col||^2 = 1, so the Gram matrix
+    has a unit diagonal on the active columns.
     """
     xs, m, s, active = _standardize_columns(x, ddof=0)
-    n = x.shape[0]
+    return xs, xs.T @ xs / x.shape[0], active, m, s
+
+
+def _centred_cross_products(xs, y):
+    """(xty, ybar): xty = xs'(y - ybar)/n for the standardized tails ``xs``
+    and ``ybar`` the mean of each head. ``y`` is one head vector, or an
+    (n, G) matrix of G heads that share the tails: xty is then (p, G)."""
     ybar = y.mean(axis=0)
-    gram = xs.T @ xs / n
-    xty = xs.T @ (y - ybar) / n
+    return xs.T @ (y - ybar) / xs.shape[0], ybar
+
+
+def _gram_problem(x, y):
+    """Standardize (x, y) and reduce it to the p x p data the solver needs:
+    (gram, xty, active, centers, scales, ybar), as ``_standardized_gram``
+    and ``_centred_cross_products`` give them."""
+    xs, gram, active, m, s = _standardized_gram(x)
+    xty, ybar = _centred_cross_products(xs, y)
     return gram, xty, active, m, s, ybar
 
 
@@ -461,9 +470,11 @@ def _triangle_between(z: np.ndarray, lo: float, hi: float):
     many equal ``hi`` (0 when ``hi`` is ``lo``). Ties at the ends are counted,
     not kept, so a design whose distances mostly tie keeps few of them.
 
-    The triangle comes in blocks of _TRIANGLE_ROWS rows against the rows
-    after the block's first, so each entry is the float ``_sq_dists`` gives
-    that pair. A block's entries on and below the diagonal are set to +inf:
+    The triangle comes in blocks of min(_TRIANGLE_ROWS, _SMOOTH_ENTRIES // n)
+    rows, at least one, against the rows after the block's first, so a
+    block holds at most _SMOOTH_ENTRIES distances from n = 2 048 on, and
+    each entry is the float ``_sq_dists`` gives that pair, whatever the
+    block. A block's entries on and below the diagonal are set to +inf:
     never below ``lo``, and within the bracket only when ``hi`` is +inf,
     where they are counted at ``hi``, after every distance. The kept
     distances go into one buffer with room for 8 m of them, m the sample
@@ -472,11 +483,12 @@ def _triangle_between(z: np.ndarray, lo: float, hi: float):
     heap and raise the peak memory of a process that fits many kernels.
     """
     n = z.shape[0]
-    lower = np.tri(_TRIANGLE_ROWS, _TRIANGLE_ROWS, -1, dtype=bool)
+    step = max(1, min(_TRIANGLE_ROWS, _SMOOTH_ENTRIES // n))
+    lower = np.tri(step, step, -1, dtype=bool)
     upto_lo, at_lo, at_hi, size = 0, 0, 0, 0
     inside = np.empty(8 * _median_sample_size(n * (n - 1) // 2))
-    for start in range(0, n - 1, _TRIANGLE_ROWS):
-        block = _sq_dists(z[start : start + _TRIANGLE_ROWS], z[start + 1 :])
+    for start in range(0, n - 1, step):
+        block = _sq_dists(z[start : start + step], z[start + 1 :])
         rows, cols = block.shape
         square = min(rows, cols)
         block[:, :square][lower[:rows, :square]] = np.inf
@@ -508,8 +520,8 @@ def _median_bandwidth(z: np.ndarray) -> float:
     result, and three passes always suffice. An even count averages the
     two middle values as ``np.median`` does, so the result equals the
     median of the upper triangle exactly. No vector of the n(n-1)/2
-    distances is formed: one block of _TRIANGLE_ROWS rows and the kept
-    distances, about 6 (n(n-1)/2)^(2/3) of them, are held.
+    distances is formed: one block of the triangle and the kept distances,
+    about 6 (n(n-1)/2)^(2/3) of them, are held.
     """
     n = z.shape[0]
     pairs = n * (n - 1) // 2
@@ -569,10 +581,18 @@ def _gaussian_blocks(z: np.ndarray, bandwidth: float, drop_self: bool):
     """Yield ``(rows, w)`` for each of ``_row_blocks`` over the rows of
     ``z``: ``w`` holds the unnormalized ``_shifted_gaussian`` weights of
     ``z[rows]`` against every row of ``z``. With ``drop_self`` each row's
-    weight on itself is zero. Only one block of weights is alive at a time.
+    weight on itself is zero.
+
+    Every block is formed in one pair of buffers allocated once, so ``w``
+    is overwritten by the next block. A pair allocated per block had its
+    pages returned to the system and faulted in again by glibc's malloc,
+    about 14 000 page faults per ``small`` grid.
     """
-    for rows in _row_blocks(z.shape[0], z.shape[0]):
-        d2 = _sq_dists(z[rows], z)
+    blocks = _row_blocks(z.shape[0], z.shape[0])
+    buf = np.empty((2, max(rows.stop - rows.start for rows in blocks), z.shape[0]))
+    for rows in blocks:
+        k = rows.stop - rows.start
+        d2 = _sq_dists(z[rows], z, out=buf[0, :k], tmp=buf[1, :k])
         if drop_self:
             r = np.arange(d2.shape[0])
             d2[r, rows.start + r] = np.inf
@@ -681,27 +701,43 @@ def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
     return out
 
 
-def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
-    """Absolute residuals of full conformal's refits, shape (n+1, G).
+def _candidate_heads(y, candidates) -> np.ndarray:
+    """The (n+1, len(candidates)) heads of full conformal's refits: column g
+    is ``y`` with ``candidates[g]`` appended."""
+    n = len(y)
+    return np.vstack([np.broadcast_to(y[:, None], (n, len(candidates))), candidates])
 
-    Column g holds |y_aug - f(x_aug)| for ``model``'s engine refit on the
-    n+1 rows of ``x_aug`` with heads y_aug = (y, candidates[g]). OLS and
-    LASSO stack the G heads as one (n+1, G) matrix. OLS solves it with
-    ``fit_ols``'s one ``lstsq`` call; for LASSO, ``_gram_problem``
-    standardizes the shared tails once and forms every candidate's
-    cross-products in one product, and
-    ``_lasso_batch`` solves every candidate exactly at the base fit
-    ``model``'s penalty, batched by sign pattern; re-running
-    cross-validation per candidate is pointless and slow. Its matrix
-    products sum in another order than a literal ``fit_lasso`` refit and
-    ``predict_many`` per candidate, so a column equals that refit's
-    residuals up to rounding. The kernel refits once with ``fit_kernel``
-    on the n+1 rows, head padded with 0: its weights depend only on the
-    tails, so each residual is affine in the candidate head,
-    A + B * candidate; A and B are read off the weights one block of rows
-    at a time, so no (n+1) x (n+1) matrix is formed.
+
+def candidate_residuals(x_aug, y, candidates, model: FittedModel):
+    """Absolute residuals of full conformal's refits, one block of
+    candidates at a time.
+
+    Yields ``(cols, resid)`` for the slices ``cols`` of ``_row_blocks``
+    over the candidates, for columns of n+1 entries: at most
+    _SMOOTH_ENTRIES residuals a block, or 4 candidates when a column holds
+    more than a quarter of that, so no (n+1) x G matrix is held. Column j
+    of ``resid`` holds |y_aug - f(x_aug)| for ``model``'s engine refit on
+    the n+1 rows of ``x_aug`` with heads y_aug = (y, candidates[cols][j]).
+
+    OLS solves each block's heads with ``fit_ols``'s ``lstsq`` call. LASSO
+    standardizes the shared tails once (``_standardized_gram``), forms each
+    block's cross-products, and ``_lasso_batch`` solves every candidate
+    exactly at the base fit ``model``'s penalty, in one batch by sign
+    pattern; re-running cross-validation per candidate is pointless and
+    slow. Its matrix products sum in another order than a literal
+    ``fit_lasso`` refit and ``predict_many`` per candidate, so a column
+    equals that refit's residuals up to rounding. The kernel refits once
+    with ``fit_kernel`` on the n+1 rows, head padded with 0: its weights
+    depend only on the tails, so each residual is affine in the candidate
+    head, A + B * candidate; A and B are read off the weights one block of
+    rows at a time, so no (n+1) x (n+1) matrix is formed either.
+
+    Blocks this small also keep OpenBLAS 0.3.31 from splitting a product
+    between its threads: the residuals had the same bits at 1 and 2
+    threads on every design tried up to n = 10 000, p = 12.
     """
     n = len(y)
+    blocks = _row_blocks(len(candidates), n + 1)
     if model.kind is Regressor.KERNEL:
         refit = fit_kernel(Dataset(x_aug, np.append(y, 0.0)))
         y_pad = refit.train_y
@@ -711,11 +747,29 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel) -> np.ndarray:
             a[rows] = y_pad[rows] - w @ y_pad
             b[rows] = -w[:, n]
         b[n] += 1.0
-        return np.abs(a[:, None] + b[:, None] * candidates[None, :])
-    y_aug = np.vstack([np.broadcast_to(y[:, None], (n, len(candidates))), candidates])
-    if model.kind is Regressor.LASSO:
-        gram, xty, active, m, s, ybar = _gram_problem(x_aug, y_aug)
+        for cols in blocks:
+            resid = np.multiply.outer(b, candidates[cols])
+            resid += a[:, None]
+            yield cols, np.abs(resid, out=resid)
+    elif model.kind is Regressor.LASSO:
+        xs, gram, active, m, s = _standardized_gram(x_aug)
+        xty, ybar = np.empty((x_aug.shape[1], len(candidates))), np.empty(len(candidates))
+        for cols in blocks:
+            heads = _candidate_heads(y, candidates[cols])
+            xty[:, cols], ybar[cols] = _centred_cross_products(xs, heads)
         coef = _lasso_batch(gram, xty.T, model.lam, active) / s
-        return np.abs(y_aug - (ybar - coef @ m + x_aug @ coef.T))
-    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(n + 1), x_aug]), y_aug, rcond=None)
-    return np.abs(y_aug - (coef[0] + x_aug @ coef[1:]))
+        intercepts = ybar - coef @ m
+        for cols in blocks:
+            resid = x_aug @ coef[cols].T
+            resid += intercepts[cols]
+            np.subtract(_candidate_heads(y, candidates[cols]), resid, out=resid)
+            yield cols, np.abs(resid, out=resid)
+    else:
+        a = np.column_stack([np.ones(n + 1), x_aug])
+        for cols in blocks:
+            y_aug = _candidate_heads(y, candidates[cols])
+            coef, *_ = np.linalg.lstsq(a, y_aug, rcond=None)
+            resid = x_aug @ coef[1:]
+            resid += coef[0]
+            np.subtract(y_aug, resid, out=resid)
+            yield cols, np.abs(resid, out=resid)

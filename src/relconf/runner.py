@@ -347,22 +347,34 @@ def _plot_row(cfg, query_index: int, label: str, q: Query, path, iv) -> dict[str
     )))
 
 
-# the plotdata columns that scoring reads
+# the plotdata columns that scoring reads, and the names each cell column may hold
 _SCORED_COLUMNS = ("similarity", "query", "path", "method", "regressor", "y0", "point", "lo", "up")
+_CELL_NAMES = {
+    column: {member.value for member in kind}
+    for column, kind in (
+        ("similarity", Similarity), ("path", IntervalPath),
+        ("method", ConformalMethod), ("regressor", Regressor),
+    )
+}
 
 
 def score_plot_rows(rows: Iterable[Mapping[str, str]]) -> dict[str, list[MetricRow]]:
     """Each similarity's metric rows from plotdata rows (column -> text).
 
-    Every row is scored: a missing column, or a number (``y0`` included)
-    that is not a finite real, is a DataError naming it. ``run_grid`` and
-    ``relconf score`` both summarise through this, so their summaries agree.
+    Every row is scored: a missing column, a similarity, path, method or
+    regressor cell that names no member of its kind, or a number (``y0``
+    included) that is not a finite real, is a DataError naming it.
+    ``run_grid`` and ``relconf score`` both summarise through this, so
+    their summaries agree.
     """
     by_similarity: dict[str, list[MetricRow]] = {}
     for i, row in enumerate(rows, 1):
         missing = [c for c in _SCORED_COLUMNS if c not in row]
         if missing:
             raise DataError(f"plotdata has no column {', '.join(map(repr, missing))}")
+        for column, names in _CELL_NAMES.items():
+            if row[column] not in names:
+                raise DataError(f"unknown name {row[column]!r} at data row {i}, column {column!r}")
         y0, point, lo, up = (_parse_cell(row[c], i, c) for c in ("y0", "point", "lo", "up"))
         cell = Cell(row["path"], row["method"], row["regressor"], row["similarity"], row["query"])
         by_similarity.setdefault(row["similarity"], []).append(

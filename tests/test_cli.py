@@ -14,6 +14,7 @@ from relconf import cli, oracles
 from relconf.cli import main, parse_config_file
 from relconf.core import (
     ConfigError,
+    DataError,
     Dataset,
     Regressor,
     load_csv,
@@ -22,7 +23,10 @@ from relconf.core import (
     write_csv,
 )
 from relconf.dgp import gen_small
-from relconf.runner import RunManifest
+from relconf.runner import RunManifest, score_plot_rows
+
+
+SMALL_PLOTDATA = Path(__file__).parent / "golden" / "plotdata_small_seed0.csv"
 
 
 def make_external(tmp_path, n=60, n_queries=2, seed=21):
@@ -289,6 +293,28 @@ class TestScore:
         capsys.readouterr()
         assert main(["score", "--in", str(out)]) == 2
         assert "non-numeric cell '' at data row 2, column 'y0'" in capsys.readouterr().err
+
+    def test_unknown_method_is_data_error(self, tmp_path, capsys):
+        # small seed 0's plotdata with its split rows renamed: scored, they
+        # would drop out of every summary without a word
+        plot_path = tmp_path / "plotdata.csv"
+        plot_path.write_text(SMALL_PLOTDATA.read_text().replace(",split,", ",bogus,"))
+        message = "unknown name 'bogus' at data row 4, column 'method'"
+        _, (header, *data) = read_csv(plot_path)
+        with pytest.raises(DataError, match=message):
+            score_plot_rows(dict(zip(header, row)) for row in data)
+        assert main(["score", "--in", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("summary_*.csv"))
+
+    @pytest.mark.parametrize("column", ["similarity", "path", "method", "regressor"])
+    def test_unknown_cell_name_is_data_error(self, column):
+        _, (header, *data) = read_csv(SMALL_PLOTDATA)
+        rows = [dict(zip(header, row)) for row in data]
+        score_plot_rows(rows)
+        rows[2][column] = "Full"  # names are matched exactly
+        with pytest.raises(DataError, match=f"'Full' at data row 3, column '{column}'"):
+            score_plot_rows(rows)
 
     @pytest.mark.parametrize("fault, message", [
         ("no up column", "no column 'up'"),

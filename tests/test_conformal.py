@@ -18,7 +18,7 @@ from relconf.conformal import (
     split_conformal,
     split_quantile,
 )
-from relconf import conformal, oracles
+from relconf import conformal, oracles, regress
 from relconf.regress import (
     FittedModel,
     fit,
@@ -163,6 +163,19 @@ class TestFull:
             grid, accepted, _ = full_conformal_accepted(d, fit_ols(d), x0, spec)
             oracle = brute_force_full_ols(d, x0, spec.alpha, grid)
             np.testing.assert_array_equal(accepted, oracle)
+
+    @pytest.mark.parametrize("reg", ["ols", "lasso", "kernel"])
+    def test_candidate_blocks_accept_what_one_block_does(self, monkeypatch, reg):
+        # ranked one block of 4 candidates at a time, against each block's
+        # own query row, the grid keeps what one block of all 30 keeps
+        d = make_dataset(np.random.default_rng(9), 40, 3)
+        spec = ConformalSpec(method="full", alpha=0.2, grid_points=30)
+        base = fit(d, reg, seed=0)
+        whole = full_conformal_accepted(d, base, [0.1, 0.2, 0.3], spec)[1]
+        monkeypatch.setattr(regress, "_SMOOTH_ENTRIES", 1)
+        blocked = full_conformal_accepted(d, base, [0.1, 0.2, 0.3], spec)[1]
+        assert whole.any() and not whole.all()
+        np.testing.assert_array_equal(blocked, whole)
 
     def test_brute_force_oracle_reports_a_grid_mismatch(self, monkeypatch):
         pinned = conformal._candidate_grid

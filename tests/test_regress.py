@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from relconf.regress import (
     predict_many,
 )
 from relconf import regress
+from relconf.conformal import ConformalSpec, full_conformal
 from relconf.oracles import orthonormal_design
 from relconf.regress import (
     _gram_problem,
@@ -57,6 +59,15 @@ def candidate_problem(seed, n, p):
     y = 1.0 + x_aug[:n] @ rng.normal(size=p) + rng.normal(size=n)
     span = y.max() - y.min()
     return x_aug, y, np.linspace(y.min() - 2.0 * span, y.max() + 2.0 * span, 15)
+
+
+def stacked_candidate_residuals(x_aug, y, candidates, model):
+    """``candidate_residuals``'s blocks side by side, checked to cover the
+    candidates in order."""
+    blocks = list(candidate_residuals(x_aug, y, candidates, model))
+    stops = [0] + [cols.stop for cols, _ in blocks]
+    assert [cols.start for cols, _ in blocks] == stops[:-1] and stops[-1] == len(candidates)
+    return np.hstack([resid for _, resid in blocks])
 
 
 @pytest.fixture
@@ -209,13 +220,14 @@ class TestOls:
         np.testing.assert_allclose(predict_many(m, d.x), d.y, atol=1e-8)
 
     @pytest.mark.parametrize("n, p", [(30, 3), (30, 12), (8, 12)])
-    def test_candidate_residuals_equal_literal_refits(self, n, p):
-        # Every candidate is solved by one lstsq over the (n+1, G) head
-        # matrix; each column must be a literal fit_ols refit's residuals.
+    def test_candidate_residuals_equal_literal_refits(self, block_rows, n, p):
+        # Each block of 4 candidates is solved by one lstsq over its (n+1, 4)
+        # head matrix; each column must be a literal fit_ols refit's residuals.
         # The constant column makes every design rank-deficient, so each
         # refit is the minimum-norm solution, and n = 8 has p > n.
         x_aug, y, candidates = candidate_problem(60 + n + p, n, p)
-        resid = candidate_residuals(x_aug, y, candidates, fit_ols(Dataset(x_aug[:n], y)))
+        block_rows(4, n + 1)
+        resid = stacked_candidate_residuals(x_aug, y, candidates, fit_ols(Dataset(x_aug[:n], y)))
         assert resid.shape == (n + 1, candidates.size)
         for g, trial in enumerate(candidates):
             y_aug = np.append(y, trial)
@@ -574,15 +586,17 @@ class TestLasso:
             assert gram_kkt_residual(grams[b], xty[b], 0.01, beta[b], active[b]) <= 1e-12
 
     @pytest.mark.parametrize("p", [3, 12])
-    def test_candidate_residuals_equal_literal_refits(self, p):
-        # The candidate heads are solved as one batch, whose matrix products
-        # sum in another order than a refit per candidate; every column must
-        # still be a literal fit_lasso refit's residuals up to rounding. One
-        # column is constant, and the candidates reach well past the heads.
+    def test_candidate_residuals_equal_literal_refits(self, block_rows, p):
+        # The candidate heads are solved as one batch, and their cross-products
+        # and residuals formed in blocks of 4, whose matrix products sum in
+        # another order than a refit per candidate; every column must still
+        # be a literal fit_lasso refit's residuals up to rounding. One column
+        # is constant, and the candidates reach well past the heads.
         n = 30
         x_aug, y, candidates = candidate_problem(40 + p, n, p)
         model = fit_lasso(Dataset(x_aug[:n], y), seed=0)
-        resid = candidate_residuals(x_aug, y, candidates, model)
+        block_rows(4, n + 1)
+        resid = stacked_candidate_residuals(x_aug, y, candidates, model)
         assert resid.shape == (n + 1, candidates.size)
         for g, trial in enumerate(candidates):
             y_aug = np.append(y, trial)
@@ -825,6 +839,29 @@ class TestKernel:
         d2 = ((z[:, None] - z[None]) ** 2).sum(-1)
         assert _median_bandwidth(z) == np.sqrt(np.median(d2[np.triu_indices(n, 1)]))
 
+    @pytest.mark.parametrize("n", [2047, 2048, 2049, 3000])
+    def test_triangle_blocks_keep_to_the_entry_budget(self, monkeypatch, n):
+        # 32 rows a block up to n = 2 048, fewer from there on, so that no
+        # block holds more than _SMOOTH_ENTRIES distances
+        shapes = []
+
+        def recording(a, b):
+            shapes.append((a.shape[0], b.shape[0]))
+            return _sq_dists(a, b)
+
+        monkeypatch.setattr(regress, "_sq_dists", recording)
+        regress._triangle_between(np.random.default_rng(n).normal(size=(n, 2)), 1.0, 2.0)
+        assert {rows for rows, _ in shapes[:-1]} == {min(32, regress._SMOOTH_ENTRIES // n)}
+        assert max(rows * cols for rows, cols in shapes) <= regress._SMOOTH_ENTRIES
+
+    @pytest.mark.parametrize("n", _MEDIAN_SIZES[3:])
+    def test_median_bandwidth_does_not_depend_on_the_triangle_blocks(self, monkeypatch, n):
+        # blocks of 5 rows at n = 65 and 70, and of 1 row from n = 513 on
+        z = np.random.default_rng(n).integers(-2, 3, size=(n, 3)).astype(float)
+        whole = _median_bandwidth(z)
+        monkeypatch.setattr(regress, "_SMOOTH_ENTRIES", 5 * 70)
+        assert _median_bandwidth(z) == whole
+
     def test_median_bandwidth_exact_when_the_bracket_misses(self, monkeypatch):
         # two sampled pairs bracket the median only by chance: each side of
         # the bracket must miss on some design, open and be streamed again
@@ -909,7 +946,7 @@ class TestKernel:
         y, candidates = d.y[:-1], np.linspace(-4.0, 4.0, 9)
         block_rows(B, n)
         np.testing.assert_array_equal(
-            candidate_residuals(d.x, y, candidates, fit_kernel(Dataset(d.x[:-1], y))),
+            stacked_candidate_residuals(d.x, y, candidates, fit_kernel(Dataset(d.x[:-1], y))),
             self.dense_candidate_residuals(d.x, y, candidates),
         )
 
@@ -936,7 +973,7 @@ class TestKernel:
         block_rows(4, n)
         np.testing.assert_array_equal(loo_residuals(d.x, d.y, m), self.dense_loo_residuals(m, d.y))
         np.testing.assert_array_equal(
-            candidate_residuals(d.x, y, candidates, fit_kernel(Dataset(d.x[:-1], y))),
+            stacked_candidate_residuals(d.x, y, candidates, fit_kernel(Dataset(d.x[:-1], y))),
             self.dense_candidate_residuals(d.x, y, candidates),
         )
         np.testing.assert_array_equal(predict_many(m, x_new), kernel_weights(m, x_new) @ m.train_y)
@@ -980,8 +1017,8 @@ class TestKernel:
         m = fit_kernel(Dataset(x, y))
         calls = {
             "loo_residuals": lambda: loo_residuals(x, y, m),
-            "candidate_residuals": lambda: candidate_residuals(
-                x, y[:-1], np.linspace(-3.0, 3.0, 100), m
+            "candidate_residuals": lambda: deque(
+                candidate_residuals(x, y[:-1], np.linspace(-3.0, 3.0, 100), m), maxlen=0
             ),
             "predict_many": lambda: predict_many(m, x),
         }
@@ -1014,6 +1051,30 @@ class TestKernel:
         assert peak < 4e6
 
 
+# full conformal forms its refits one block of at most _SMOOTH_ENTRIES
+# residuals at a time and ranks each block before the next; holding the
+# (n+1) x G head and residual matrices instead takes about 53 MB at
+# n = 20 000 (16 MB each) and 5.5 MB for the kernel at n = 3 000
+@pytest.mark.parametrize(
+    "reg, n, p, bound",
+    [("ols", 20_000, 30, 25e6), ("lasso", 20_000, 30, 25e6), ("kernel", 3000, 2, 4.5e6)],
+)
+def test_full_conformal_memory_holds_no_candidate_matrix(reg, n, p, bound):
+    rng = np.random.default_rng(22)
+    d = make_dataset(rng, n, p)
+    x0 = rng.normal(size=p)
+    base = fit_lasso(d, lam=0.05) if reg == "lasso" else fit(d, reg)
+    spec = ConformalSpec(method="full")
+    tracemalloc.start()
+    try:
+        iv = full_conformal(d, base, x0, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iv.lo < iv.point < iv.up
+    assert peak < bound
+
+
 # kernel leave-one-out, full-conformal candidates at one query row and
 # forecasts at n = 3 000, written as raw bytes
 _THREAD_PROBE = """
@@ -1027,11 +1088,43 @@ x_aug = np.vstack([x, rng.normal(size=(1, 2))])
 m = fit_kernel(Dataset(x, y))
 out = [
     loo_residuals(x, y, m),
-    candidate_residuals(x_aug, y, np.linspace(-3.0, 3.0, 20), m),
+    *(resid for _, resid in candidate_residuals(x_aug, y, np.linspace(-3.0, 3.0, 20), m)),
     predict_many(m, x),
 ]
 sys.stdout.buffer.write(b"".join(a.tobytes() for a in out))
 """
+
+# full-conformal residuals of 100 candidates on [-3, 3] at one query row for
+# OLS or for LASSO at a fixed penalty, at n rows of p features, written as
+# raw bytes: python -c _LINEAR_THREAD_PROBE ols|lasso n p
+_LINEAR_THREAD_PROBE = """
+import sys
+import numpy as np
+from relconf.core import Dataset
+from relconf.regress import candidate_residuals, fit_lasso, fit_ols
+reg, n, p = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+rng = np.random.default_rng(n + p)
+x, y = rng.normal(size=(n, p)), rng.normal(size=n)
+x_aug = np.vstack([x, rng.normal(size=(1, p))])
+m = fit_ols(Dataset(x, y)) if reg == "ols" else fit_lasso(Dataset(x, y), lam=0.01)
+assert reg == "ols" or 0 < np.count_nonzero(m.coefficients) < p
+for _, resid in candidate_residuals(x_aug, y, np.linspace(-3.0, 3.0, 100), m):
+    sys.stdout.buffer.write(resid.tobytes())
+"""
+
+
+def _output_at_1_and_2_blas_threads(probe, *args):
+    """What ``python -c probe *args`` writes at 1 and at 2 BLAS threads."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *args], capture_output=True, env=env, check=True
+        )
+        outputs.append(proc.stdout)
+    return outputs
 
 
 def test_kernel_smoother_bits_do_not_depend_on_blas_threads():
@@ -1039,16 +1132,20 @@ def test_kernel_smoother_bits_do_not_depend_on_blas_threads():
     # 460 000 entries between its threads, and a split inside a group of 4
     # rows moves the last bit: 256-row blocks at n = 3 000 crossed that
     # size, blocks of _SMOOTH_ENTRIES weights stay below it
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[name] = threads
-        proc = subprocess.run(
-            [sys.executable, "-c", _THREAD_PROBE], capture_output=True, env=env, check=True
-        )
-        outputs.append(proc.stdout)
+    outputs = _output_at_1_and_2_blas_threads(_THREAD_PROBE)
     assert len(outputs[0]) == 8 * (3000 + 3001 * 20 + 3000)
+    assert outputs[0] == outputs[1]
+
+
+# OpenBLAS 0.3.31 splits between its threads lstsq's solve for 100 heads at
+# n = 10 000 and the cross-products xs'Y of 100 heads at n = 3 000, p = 12,
+# which moves last bits; a block of at most _SMOOTH_ENTRIES residuals (4 and
+# 20 candidates here) is not split. At n = 20 000, p = 30 the factorization
+# of the design itself is split, so that size is left out.
+@pytest.mark.parametrize("reg, n, p", [("ols", 10_000, 5), ("lasso", 3000, 12)])
+def test_full_conformal_bits_do_not_depend_on_blas_threads(reg, n, p):
+    outputs = _output_at_1_and_2_blas_threads(_LINEAR_THREAD_PROBE, reg, str(n), str(p))
+    assert len(outputs[0]) == 8 * (n + 1) * 100
     assert outputs[0] == outputs[1]
 
 
