@@ -90,11 +90,12 @@ class FittedModel:
     """Frozen result of one regression fit.
 
     ``coefficients``/``intercept`` describe linear engines; the kernel
-    engine instead retains its standardized training tails, heads, the
-    standardization parameters, and the bandwidth. LASSO fits also carry
-    whether the fit ``converged``: False when the homotopy path of the
-    final fit or, for a cross-validated penalty, of any fold stopped at
-    LASSO_MAX_KNOTS.
+    engine instead retains its standardized training tails ``train_z``,
+    column-major so that ``_sq_dists`` reads each column contiguously
+    (``fit_kernel``), heads, the standardization parameters, and the
+    bandwidth. LASSO fits also carry whether the fit ``converged``: False
+    when the homotopy path of the final fit or, for a cross-validated
+    penalty, of any fold stopped at LASSO_MAX_KNOTS.
     """
 
     kind: Regressor
@@ -476,20 +477,28 @@ def _triangle_between(z: np.ndarray, lo: float, hi: float):
     each entry is the float ``_sq_dists`` gives that pair, whatever the
     block. A block's entries on and below the diagonal are set to +inf:
     never below ``lo``, and within the bracket only when ``hi`` is +inf,
-    where they are counted at ``hi``, after every distance. The kept
-    distances go into one buffer with room for 8 m of them, m the sample
-    size (the bracket holds about 6 m), grown only when a bracket holds
-    more; an array per block, each of another length, would fragment the
-    heap and raise the peak memory of a process that fits many kernels.
+    where they are counted at ``hi``, after every distance.
+
+    Like the smoother (``_gaussian_blocks``), the pass forms every block
+    in one pair of flat buffers allocated once, of the first and widest
+    block's size, and ``_sq_dists`` fills a contiguous rows x cols view of
+    each, so the pass holds two block-sized arrays, never a block and the
+    pair that forms the next one. The kept distances go into one buffer
+    with room for 8 m of them, m the sample size (the bracket holds about
+    6 m), grown only when a bracket holds more, so that kept distances of
+    another length for each block do not fragment the heap of a process
+    that fits many kernels.
     """
     n = z.shape[0]
     step = max(1, min(_TRIANGLE_ROWS, _SMOOTH_ENTRIES // n))
     lower = np.tri(step, step, -1, dtype=bool)
     upto_lo, at_lo, at_hi, size = 0, 0, 0, 0
     inside = np.empty(8 * _median_sample_size(n * (n - 1) // 2))
+    buf = np.empty((2, step * (n - 1)))  # the first block is the widest
     for start in range(0, n - 1, step):
-        block = _sq_dists(z[start : start + step], z[start + 1 :])
-        rows, cols = block.shape
+        rows, cols = min(step, n - start), n - 1 - start
+        out, tmp = (flat[: rows * cols].reshape(rows, cols) for flat in buf)
+        block = _sq_dists(z[start : start + step], z[start + 1 :], out=out, tmp=tmp)
         square = min(rows, cols)
         block[:, :square][lower[:rows, :square]] = np.inf
         keep = block > lo
@@ -607,14 +616,22 @@ def fit_kernel(d: Dataset) -> FittedModel:
     heuristic. It is selected exactly without holding the n(n-1)/2
     distances (``_median_bandwidth``), so the fit's memory grows with
     n^(4/3), not n^2.
+
+    ``train_z`` is stored column-major, read-only, in one copy: every
+    distance sweep (the triangle, the smoother's blocks, ``kernel_weights``)
+    reads it through ``_sq_dists``, which subtracts one column of it at a
+    time, and a column-major column is contiguous where a row-major one is
+    read at a stride of p entries. Each entry is the same float either way.
     """
     if d.n < 2:
         raise DataError(f"kernel fit needs n >= 2, got n={d.n}")
     z, centers, scales, _ = _standardize_columns(d.x)
+    z = np.asfortranarray(z)
+    z.flags.writeable = False
     return FittedModel(
         kind=Regressor.KERNEL,
         bandwidth=_median_bandwidth(z),
-        train_z=_readonly(z),
+        train_z=z,
         train_y=d.y,
         centers=_readonly(centers),
         scales=_readonly(scales),

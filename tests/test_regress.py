@@ -843,16 +843,19 @@ class TestKernel:
     def test_triangle_blocks_keep_to_the_entry_budget(self, monkeypatch, n):
         # 32 rows a block up to n = 2 048, fewer from there on, so that no
         # block holds more than _SMOOTH_ENTRIES distances
-        shapes = []
+        shapes, blocks = [], []
 
-        def recording(a, b):
+        def recording(a, b, **buffers):
             shapes.append((a.shape[0], b.shape[0]))
-            return _sq_dists(a, b)
+            blocks.append(_sq_dists(a, b, **buffers))
+            return blocks[-1]
 
         monkeypatch.setattr(regress, "_sq_dists", recording)
         regress._triangle_between(np.random.default_rng(n).normal(size=(n, 2)), 1.0, 2.0)
         assert {rows for rows, _ in shapes[:-1]} == {min(32, regress._SMOOTH_ENTRIES // n)}
         assert max(rows * cols for rows, cols in shapes) <= regress._SMOOTH_ENTRIES
+        # one buffer pair serves the whole pass, not a fresh pair per block
+        assert all(np.shares_memory(block, blocks[0]) for block in blocks[1:])
 
     @pytest.mark.parametrize("n", _MEDIAN_SIZES[3:])
     def test_median_bandwidth_does_not_depend_on_the_triangle_blocks(self, monkeypatch, n):
@@ -978,6 +981,35 @@ class TestKernel:
         )
         np.testing.assert_array_equal(predict_many(m, x_new), kernel_weights(m, x_new) @ m.train_y)
 
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("n", [2 * B + 1, 3000])
+    def test_row_major_tails_give_the_same_bits(self, monkeypatch, n, p):
+        # fit_kernel stores the tails column-major for _sq_dists's column
+        # sweeps; the layout must not move a bit of any sweep
+        rng = np.random.default_rng(n * p)
+        d = make_dataset(rng, n, p)
+        y, candidates = d.y[:-1], np.linspace(-4.0, 4.0, 9)
+        x_new = rng.normal(size=(n, p))
+        m = fit_kernel(d)
+        assert m.train_z.flags.f_contiguous and not m.train_z.flags.writeable
+
+        def sweeps(model):
+            return [
+                np.array([_median_bandwidth(model.train_z)]),
+                loo_residuals(d.x, d.y, model),
+                stacked_candidate_residuals(d.x, y, candidates, model),
+                predict_many(model, x_new),
+            ]
+
+        def row_major(model):
+            return dataclasses.replace(model, train_z=np.ascontiguousarray(model.train_z))
+
+        column_major = sweeps(m)
+        # the candidates' refit is a fit_kernel of its own
+        monkeypatch.setattr(regress, "fit_kernel", lambda data: row_major(fit_kernel(data)))
+        for got, want in zip(sweeps(row_major(m)), column_major):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_row_blocks_cover_the_rows_within_the_entry_budget(self):
         rng = np.random.default_rng(20)
         for width in range(1, 20_001):
@@ -1005,6 +1037,21 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * (n * (n - 1) // 2) * 8
+
+    def test_fit_kernel_memory_holds_one_triangle_block_pair(self):
+        # the triangle pass forms its blocks of 21 x 2 999 distances in one
+        # buffer pair of 1.01e6 bytes, beside 1.74e6 bytes of room for kept
+        # distances: 2.85 MiB here, where a fresh pair per block, held with
+        # the block before it, peaked at 3.21 MiB
+        n = 3000
+        d = Dataset(np.random.default_rng(0).normal(size=(n, 2)), np.zeros(n))
+        tracemalloc.start()
+        try:
+            fit_kernel(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * 2**20
 
     # the smoother holds one block of weights at a time, never an n x n
     # matrix (32 MB here, and a second one inside the distance sum), and
@@ -1186,6 +1233,14 @@ class TestPredict:
         for call in calls:
             with pytest.raises(DataError, match="non-finite entry in query tail"):
                 call()
+
+    @pytest.mark.parametrize("kind", ["ols", "lasso", "kernel"])
+    def test_zero_row_batches(self, kind):
+        # the query-tail rule lets a batch have zero rows
+        m = fit(make_dataset(np.random.default_rng(20), 30, 2), kind, seed=0)
+        assert predict_many(m, np.empty((0, 2))).shape == (0,)
+        if kind == "kernel":
+            assert kernel_weights(m, np.empty((0, 2))).shape == (0, 30)
 
     def test_dispatcher_covers_all_engines(self):
         rng = np.random.default_rng(17)
