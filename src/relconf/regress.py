@@ -736,18 +736,21 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel):
     of ``resid`` holds |y_aug - f(x_aug)| for ``model``'s engine refit on
     the n+1 rows of ``x_aug`` with heads y_aug = (y, candidates[cols][j]).
 
-    OLS solves each block's heads with ``fit_ols``'s ``lstsq`` call. LASSO
-    standardizes the shared tails once (``_standardized_gram``), forms each
-    block's cross-products, and ``_lasso_batch`` solves every candidate
-    exactly at the base fit ``model``'s penalty, in one batch by sign
-    pattern; re-running cross-validation per candidate is pointless and
-    slow. Its matrix products sum in another order than a literal
-    ``fit_lasso`` refit and ``predict_many`` per candidate, so a column
-    equals that refit's residuals up to rounding. The kernel refits once
-    with ``fit_kernel`` on the n+1 rows, head padded with 0: its weights
-    depend only on the tails, so each residual is affine in the candidate
-    head, A + B * candidate; A and B are read off the weights one block of
-    rows at a time, so no (n+1) x (n+1) matrix is formed either.
+    OLS and the kernel are linear in the heads, so each refit's residuals
+    are affine in the candidate, A + B * candidate (Vovk, Gammerman &
+    Shafer 2005, ch. 2): A holds the residuals of the heads (y, 0), B those
+    of the unit head e at the query row. OLS reads both off one call of
+    ``fit_ols``'s ``lstsq``, whose minimum-norm solution is linear in the
+    head at any rank. The kernel refits once with ``fit_kernel`` on
+    the n+1 rows, head padded with 0; its weights depend only on the tails
+    and give A and B = e - w[:, n] one block of rows at a time.
+
+    LASSO standardizes the shared tails once (``_standardized_gram``),
+    forms each block's cross-products, and ``_lasso_batch`` solves every
+    candidate exactly at ``model``'s penalty in one batch by sign pattern
+    (cross-validating per candidate is pointless and slow). Its products
+    sum in another order than a literal ``fit_lasso`` refit's, so a column
+    equals that refit's residuals up to rounding.
 
     Blocks this small also keep OpenBLAS 0.3.31 from splitting a product
     between its threads: the residuals had the same bits at 1 and 2
@@ -755,20 +758,7 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel):
     """
     n = len(y)
     blocks = _row_blocks(len(candidates), n + 1)
-    if model.kind is Regressor.KERNEL:
-        refit = fit_kernel(Dataset(x_aug, np.append(y, 0.0)))
-        y_pad = refit.train_y
-        a, b = np.empty(n + 1), np.empty(n + 1)
-        for rows, w in _gaussian_blocks(refit.train_z, refit.bandwidth, drop_self=False):
-            w /= w.sum(axis=1, keepdims=True)
-            a[rows] = y_pad[rows] - w @ y_pad
-            b[rows] = -w[:, n]
-        b[n] += 1.0
-        for cols in blocks:
-            resid = np.multiply.outer(b, candidates[cols])
-            resid += a[:, None]
-            yield cols, np.abs(resid, out=resid)
-    elif model.kind is Regressor.LASSO:
+    if model.kind is Regressor.LASSO:
         xs, gram, active, m, s = _standardized_gram(x_aug)
         xty, ybar = np.empty((x_aug.shape[1], len(candidates))), np.empty(len(candidates))
         for cols in blocks:
@@ -781,12 +771,22 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel):
             resid += intercepts[cols]
             np.subtract(_candidate_heads(y, candidates[cols]), resid, out=resid)
             yield cols, np.abs(resid, out=resid)
+        return
+    y_pad, e = np.append(y, 0.0), (np.arange(n + 1) == n).astype(float)
+    if model.kind is Regressor.KERNEL:
+        refit = fit_kernel(Dataset(x_aug, y_pad))
+        a, b = np.empty(n + 1), np.empty(n + 1)
+        for rows, w in _gaussian_blocks(refit.train_z, refit.bandwidth, drop_self=False):
+            w /= w.sum(axis=1, keepdims=True)
+            a[rows] = y_pad[rows] - w @ y_pad
+            b[rows] = e[rows] - w[:, n]
     else:
-        a = np.column_stack([np.ones(n + 1), x_aug])
-        for cols in blocks:
-            y_aug = _candidate_heads(y, candidates[cols])
-            coef, *_ = np.linalg.lstsq(a, y_aug, rcond=None)
-            resid = x_aug @ coef[1:]
-            resid += coef[0]
-            np.subtract(y_aug, resid, out=resid)
-            yield cols, np.abs(resid, out=resid)
+        heads = np.column_stack([y_pad, e])
+        coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(n + 1), x_aug]), heads, rcond=None)
+        fitted = x_aug @ coef[1:]
+        fitted += coef[0]
+        a, b = np.subtract(heads, fitted, out=fitted).T
+    for cols in blocks:
+        resid = np.multiply.outer(b, candidates[cols])
+        resid += a[:, None]
+        yield cols, np.abs(resid, out=resid)

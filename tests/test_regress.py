@@ -221,8 +221,9 @@ class TestOls:
 
     @pytest.mark.parametrize("n, p", [(30, 3), (30, 12), (8, 12)])
     def test_candidate_residuals_equal_literal_refits(self, block_rows, n, p):
-        # Each block of 4 candidates is solved by one lstsq over its (n+1, 4)
-        # head matrix; each column must be a literal fit_ols refit's residuals.
+        # Every block of 4 candidates is read off A + B * candidate, from one
+        # lstsq of the heads (y, 0) and e_{n+1}; each column must be a literal
+        # fit_ols refit's residuals.
         # The constant column makes every design rank-deficient, so each
         # refit is the minimum-norm solution, and n = 8 has p > n.
         x_aug, y, candidates = candidate_problem(60 + n + p, n, p)
@@ -233,6 +234,20 @@ class TestOls:
             y_aug = np.append(y, trial)
             literal = np.abs(y_aug - predict_many(fit_ols(Dataset(x_aug, y_aug)), x_aug))
             np.testing.assert_allclose(resid[:, g], literal, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(30, 3), (8, 12)])
+    def test_candidate_residuals_solve_once_per_pass(self, monkeypatch, block_rows, n, p):
+        # the refits' residuals are affine in the candidate, so one lstsq
+        # serves every block: 15 candidates in blocks of 4 make one call
+        x_aug, y, candidates = candidate_problem(90 + n + p, n, p)
+        model = fit_ols(Dataset(x_aug[:n], y))
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+        block_rows(4, n + 1)
+        blocks = list(candidate_residuals(x_aug, y, candidates, model))
+        assert len(blocks) == 4
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "column, refit_rows",
@@ -1184,11 +1199,12 @@ def test_kernel_smoother_bits_do_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-# OpenBLAS 0.3.31 splits between its threads lstsq's solve for 100 heads at
-# n = 10 000 and the cross-products xs'Y of 100 heads at n = 3 000, p = 12,
-# which moves last bits; a block of at most _SMOOTH_ENTRIES residuals (4 and
-# 20 candidates here) is not split. At n = 20 000, p = 30 the factorization
-# of the design itself is split, so that size is left out.
+# OpenBLAS 0.3.31 splits between its threads the cross-products xs'Y of 100
+# heads at n = 3 000, p = 12, which moves last bits; a block of at most
+# _SMOOTH_ENTRIES residuals (20 candidates here) is not split. OLS solves
+# two heads, (y, 0) and e_{n+1}, once for all 100 candidates at
+# n = 10 000. At n = 20 000, p = 30 the factorization of the design itself
+# is split, so that size is left out.
 @pytest.mark.parametrize("reg, n, p", [("ols", 10_000, 5), ("lasso", 3000, 12)])
 def test_full_conformal_bits_do_not_depend_on_blas_threads(reg, n, p):
     outputs = _output_at_1_and_2_blas_threads(_LINEAR_THREAD_PROBE, reg, str(n), str(p))
