@@ -33,12 +33,11 @@ from .core import (
 )
 from .regress import (
     FittedModel,
+    _forecast,
     candidate_residuals,
     fit,
     loo_residuals,
     min_fit_rows,
-    predict,
-    predict_many,
 )
 
 __all__ = [
@@ -78,6 +77,12 @@ class ConformalSpec:
     def __post_init__(self):
         object.__setattr__(self, "method", _choice(ConformalMethod, self.method))
         check_knobs(self)
+
+
+def _point(model: FittedModel, x0: np.ndarray) -> float:
+    """The forecast at the query tail ``x0`` that ``_query_tail`` has read,
+    which is not checked again."""
+    return float(_forecast(model, x0[None])[0])
 
 
 def _kth_smallest(values: np.ndarray, k: int) -> float:
@@ -136,9 +141,9 @@ def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> Pred
         )
     perm = _split_order(int(seed), d.n)
     model = fit(d.subset(perm[:n_train]), reg, seed=seed)
-    point = predict(model, x0)
+    point = _point(model, x0)
     cal = perm[n_train:]
-    resid = np.abs(d.y[cal] - predict_many(model, d.x[cal]))
+    resid = np.abs(d.y[cal] - _forecast(model, d.x[cal]))
     dstar = split_quantile(resid, spec.alpha)
     return PredictionInterval(point, point - dstar, point + dstar)
 
@@ -167,7 +172,7 @@ def full_conformal_accepted(
     is formed, so no (n+1) x G residual matrix is held.
     """
     x0 = _query_tail(d, x0)
-    point = predict(base, x0)
+    point = _point(base, x0)
     grid = _candidate_grid(d.y, spec)
     n = d.n
     k_accept = max(ceil_guarded((n + 1) * (1.0 - spec.alpha)), 1)
@@ -203,7 +208,7 @@ def jackknife_conformal(
     x0 = _query_tail(d, x0)
     if d.n < 3:
         raise DataError(f"jackknife needs n >= 3, got n={d.n}")
-    point = predict(base, x0)
+    point = _point(base, x0)
     dstar = loo_quantile(np.abs(loo_residuals(d.x, d.y, base)), spec.alpha)
     return PredictionInterval(point, point - dstar, point + dstar)
 

@@ -66,18 +66,29 @@ _SINGULAR_EIGENVALUE = 1e-10
 # Held-out LASSO problems that cancel by this ratio are rebuilt (_held_out_problems).
 _DOWNDATE_RATIO = 1e4
 KERNEL_MIN_BANDWIDTH = 1e-6
-# Most rows of the distance triangle the median bandwidth computes per block;
-# from n = 2 048 on a block takes fewer, to keep within _SMOOTH_ENTRIES.
-_TRIANGLE_ROWS = 32
-# Entries of kernel weights the smoother forms per block, 512 KB of float64,
-# so that no n x n weight matrix is held and the two block buffers of
-# ``_sq_dists`` stay in a 2 MB L2 cache up to n = 16 384; a longer row still
-# takes a block of 4 rows.
-# ``_row_blocks`` turns it into rows, a multiple of 4: the BLAS
-# matrix-vector kernel takes rows in groups of four, and with 254 or 258
-# rows per block some rows of a blocked product differ in the last bit from
-# the whole product.
+# Most rows of a block of the distance triangle (``_triangle_blocks``); from
+# n = 683 on a block takes fewer, to keep within _SMOOTH_ENTRIES. A block
+# computes a rows x rows square of which it keeps the upper half, and each
+# block costs a fixed number of numpy calls, so the best cap does not depend
+# on n. Timed on 2 CPUs at n = 30 to 3 000, the median pass and the weight
+# sweep both ran fastest, or within 5% of it, at 96 rows: 32 rows took
+# 20-60% longer at n = 75 to 400, and one block of all n rows 10-40% longer
+# at n = 250 and 400.
+_TRIANGLE_ROWS = 96
+# Entries of kernel weights or distances a block holds, 512 KB of float64,
+# so that no n x n matrix is held and the two block buffers of
+# ``_sq_dists`` stay in a 2 MB L2 cache up to n = 16 384.
+# ``_row_blocks`` turns it into rows of forecasts, candidates or synthetic
+# controls, a multiple of 4 and at least 4: the BLAS matrix-vector kernel
+# takes rows in groups of four, and with 254 or 258 rows per block some
+# rows of a blocked product differ in the last bit from the whole product.
 _SMOOTH_ENTRIES = 2**16
+# A leave-one-out row whose weights on the other rows sum below this is
+# isolated. From 2^-960 on, every weight that reaches the last bit of the
+# sum, 2^-53 of it, is a normal float (2^-1013 > 2^-1022), so the sums keep
+# full precision; below it the weights have underflowed, all or in part,
+# and the row takes them shifted by its nearest neighbour (``loo_residuals``).
+_ISOLATED_SUM = 2.0**-960
 
 
 def min_fit_rows(kind) -> int:
@@ -463,44 +474,59 @@ def _median_bracket(z: np.ndarray, pairs: int) -> tuple[float, float]:
     return float(d2[ranks[0]]), float(d2[ranks[1]])
 
 
+def _triangle_blocks(z: np.ndarray):
+    """Yield ``(start, block)`` over the strict upper triangle of the squared
+    distances among the rows of ``z``: ``block[r, c]`` is the distance from
+    row start + r to row start + 1 + c, the float ``_sq_dists`` gives that
+    pair whatever the block, and the entries below the diagonal (c < r) are
+    +inf, which no pair of the triangle is.
+
+    A block holds min(_TRIANGLE_ROWS, _SMOOTH_ENTRIES // n) rows, at least
+    one, against the rows after its first, so it holds at most
+    _SMOOTH_ENTRIES distances from n = _SMOOTH_ENTRIES / _TRIANGLE_ROWS on.
+    Every block is formed in one pair of flat buffers allocated once, of
+    the first and widest block's size, and ``_sq_dists`` fills a contiguous
+    rows x cols view of each, so a sweep holds two block-sized arrays, never
+    a block and the pair that forms the next one; ``block`` is overwritten
+    by the next block. A pair allocated per block had its pages returned to
+    the system and faulted in again by glibc's malloc.
+    """
+    n = z.shape[0]
+    step = max(1, min(_TRIANGLE_ROWS, _SMOOTH_ENTRIES // n, n - 1))
+    lower = np.tri(step, step, -1, dtype=bool)
+    buf = np.empty((2, step * (n - 1)))  # the first block is the widest
+    for start in range(0, n - 1, step):
+        rows, cols = min(step, n - 1 - start), n - 1 - start
+        out, tmp = (flat[: rows * cols].reshape(rows, cols) for flat in buf)
+        block = _sq_dists(z[start : start + rows], z[start + 1 :], out=out, tmp=tmp)
+        block[:, :rows][lower[:rows, :rows]] = np.inf
+        yield start, block
+
+
 def _triangle_between(z: np.ndarray, lo: float, hi: float):
-    """One pass over the upper-triangle squared distances of ``z``.
+    """One pass over the upper-triangle squared distances of ``z``
+    (``_triangle_blocks``).
 
     Returns (below, at_lo, inside, at_hi): how many distances are below
     ``lo`` and equal to it, those strictly between ``lo`` and ``hi``, and how
     many equal ``hi`` (0 when ``hi`` is ``lo``). Ties at the ends are counted,
-    not kept, so a design whose distances mostly tie keeps few of them.
+    not kept, so a design whose distances mostly tie keeps few of them. A
+    block's +inf entries are never below ``lo``, and within the bracket only
+    when ``hi`` is +inf, where they are counted at ``hi``, after every
+    distance.
 
-    The triangle comes in blocks of min(_TRIANGLE_ROWS, _SMOOTH_ENTRIES // n)
-    rows, at least one, against the rows after the block's first, so a
-    block holds at most _SMOOTH_ENTRIES distances from n = 2 048 on, and
-    each entry is the float ``_sq_dists`` gives that pair, whatever the
-    block. A block's entries on and below the diagonal are set to +inf:
-    never below ``lo``, and within the bracket only when ``hi`` is +inf,
-    where they are counted at ``hi``, after every distance.
-
-    Like the smoother (``_gaussian_blocks``), the pass forms every block
-    in one pair of flat buffers allocated once, of the first and widest
-    block's size, and ``_sq_dists`` fills a contiguous rows x cols view of
-    each, so the pass holds two block-sized arrays, never a block and the
-    pair that forms the next one. The kept distances go into one buffer
-    with room for 8 m of them, m the sample size (the bracket holds about
-    6 m), grown only when a bracket holds more, so that kept distances of
-    another length for each block do not fragment the heap of a process
-    that fits many kernels.
+    The kept distances go into one buffer with room for 8 m of them, m the
+    sample size (the bracket holds about 6 m), grown only when a bracket
+    holds more, so that kept distances of another length for each block do
+    not fragment the heap of a process that fits many kernels. ``np.take``
+    in clip mode gathers a block's kept distances straight into it; in
+    raise mode, as ``np.compress`` takes them, it first copies the slice it
+    writes.
     """
     n = z.shape[0]
-    step = max(1, min(_TRIANGLE_ROWS, _SMOOTH_ENTRIES // n))
-    lower = np.tri(step, step, -1, dtype=bool)
     upto_lo, at_lo, at_hi, size = 0, 0, 0, 0
     inside = np.empty(8 * _median_sample_size(n * (n - 1) // 2))
-    buf = np.empty((2, step * (n - 1)))  # the first block is the widest
-    for start in range(0, n - 1, step):
-        rows, cols = min(step, n - start), n - 1 - start
-        out, tmp = (flat[: rows * cols].reshape(rows, cols) for flat in buf)
-        block = _sq_dists(z[start : start + step], z[start + 1 :], out=out, tmp=tmp)
-        square = min(rows, cols)
-        block[:, :square][lower[:rows, :square]] = np.inf
+    for _, block in _triangle_blocks(z):
         keep = block > lo
         upto_lo += keep.size - np.count_nonzero(keep)
         at_lo += np.count_nonzero(block == lo)
@@ -510,7 +536,7 @@ def _triangle_between(z: np.ndarray, lo: float, hi: float):
             count = np.count_nonzero(keep)
             if size + count > inside.size:
                 inside = np.concatenate([inside[:size], np.empty(size + count)])
-            np.compress(keep.ravel(), block, out=inside[size : size + count])
+            np.take(block, np.flatnonzero(keep), out=inside[size : size + count], mode="clip")
             size += count
     return upto_lo - at_lo, at_lo, inside[:size], at_hi
 
@@ -586,26 +612,26 @@ def _row_blocks(n: int, width: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
-def _gaussian_blocks(z: np.ndarray, bandwidth: float, drop_self: bool):
-    """Yield ``(rows, w)`` for each of ``_row_blocks`` over the rows of
-    ``z``: ``w`` holds the unnormalized ``_shifted_gaussian`` weights of
-    ``z[rows]`` against every row of ``z``. With ``drop_self`` each row's
-    weight on itself is zero.
+def _weight_sums(z: np.ndarray, bandwidth: float, heads: np.ndarray) -> np.ndarray:
+    """Sum over j != i of w_ij heads[j] for each row i of ``z``, one row of
+    the result per row of ``z`` and one column per column of ``heads``.
 
-    Every block is formed in one pair of buffers allocated once, so ``w``
-    is overwritten by the next block. A pair allocated per block had its
-    pages returned to the system and faulted in again by glibc's malloc,
-    about 14 000 page faults per ``small`` grid.
+    w_ij = exp(d_ij / (-2h^2)) is the unshifted Gaussian weight of the
+    squared distance d_ij, and w_ij = w_ji: one sweep of the distance
+    triangle (``_triangle_blocks``) forms each pair's weight once and adds
+    it to both rows' sums with two products a block, ``k @ heads`` for the
+    block's rows and ``k.T @ heads`` for the rows after them. No n x n
+    matrix is held and no weight is formed twice. A sum accumulates its
+    block products in another order than the whole product ``w @ heads``,
+    so it equals that product up to rounding.
     """
-    blocks = _row_blocks(z.shape[0], z.shape[0])
-    buf = np.empty((2, max(rows.stop - rows.start for rows in blocks), z.shape[0]))
-    for rows in blocks:
-        k = rows.stop - rows.start
-        d2 = _sq_dists(z[rows], z, out=buf[0, :k], tmp=buf[1, :k])
-        if drop_self:
-            r = np.arange(d2.shape[0])
-            d2[r, rows.start + r] = np.inf
-        yield rows, _shifted_gaussian(d2, bandwidth)
+    sums = np.zeros(heads.shape)
+    for start, block in _triangle_blocks(z):
+        rows = slice(start, start + block.shape[0])
+        k = np.exp(np.divide(block, -2.0 * bandwidth**2, out=block), out=block)
+        sums[rows] += k @ heads[start + 1 :]
+        sums[start + 1 :] += k.T @ heads[rows]
+    return sums
 
 
 def fit_kernel(d: Dataset) -> FittedModel:
@@ -618,10 +644,10 @@ def fit_kernel(d: Dataset) -> FittedModel:
     n^(4/3), not n^2.
 
     ``train_z`` is stored column-major, read-only, in one copy: every
-    distance sweep (the triangle, the smoother's blocks, ``kernel_weights``)
-    reads it through ``_sq_dists``, which subtracts one column of it at a
-    time, and a column-major column is contiguous where a row-major one is
-    read at a stride of p entries. Each entry is the same float either way.
+    distance sweep (the triangle, ``kernel_weights``) reads it through
+    ``_sq_dists``, which subtracts one column of it at a time, and a
+    column-major column is contiguous where a row-major one is read at a
+    stride of p entries. Each entry is the same float either way.
     """
     if d.n < 2:
         raise DataError(f"kernel fit needs n >= 2, got n={d.n}")
@@ -641,31 +667,41 @@ def fit_kernel(d: Dataset) -> FittedModel:
 def kernel_weights(m: FittedModel, x_new: np.ndarray) -> np.ndarray:
     """Normalized kernel weights of each training row for each query row,
     shifted by ``_shifted_gaussian`` so that they never all underflow."""
-    z0 = transform_features(_tail_rows(x_new, m.p, "model expects"), m.centers, m.scales)
+    return _kernel_weights(m, _tail_rows(x_new, m.p, "model expects"))
+
+
+def _kernel_weights(m: FittedModel, rows: np.ndarray) -> np.ndarray:
+    """``kernel_weights`` at query rows already read by ``_tail_rows``."""
+    z0 = transform_features(rows, m.centers, m.scales)
     w = _shifted_gaussian(_sq_dists(z0, m.train_z), m.bandwidth)
     w /= w.sum(axis=1, keepdims=True)
     return w
 
 
-def predict_many(m: FittedModel, x_new) -> np.ndarray:
-    """Forecast at each row of ``x_new``.
+def _forecast(m: FittedModel, rows: np.ndarray) -> np.ndarray:
+    """``predict_many`` at query rows already read by ``_tail_rows``, or
+    rows of a ``Dataset``, so that a call chain checks each tail once.
 
     The kernel forms the weights of one ``_row_blocks`` block of query rows
     against its n training rows at a time, so no (rows x n) weight matrix
-    is held for a long ``x_new``.
+    is held for a long ``rows``.
     """
-    x_new = _tail_rows(x_new, m.p, "model expects")
     if m.kind is Regressor.KERNEL:
-        out = np.empty(x_new.shape[0])
-        for rows in _row_blocks(x_new.shape[0], m.train_z.shape[0]):
-            out[rows] = kernel_weights(m, x_new[rows]) @ m.train_y
+        out = np.empty(rows.shape[0])
+        for block in _row_blocks(rows.shape[0], m.train_z.shape[0]):
+            out[block] = _kernel_weights(m, rows[block]) @ m.train_y
         return out
-    return m.intercept + x_new @ m.coefficients
+    return m.intercept + rows @ m.coefficients
+
+
+def predict_many(m: FittedModel, x_new) -> np.ndarray:
+    """Forecast at each row of ``x_new`` (``_forecast``)."""
+    return _forecast(m, _tail_rows(x_new, m.p, "model expects"))
 
 
 def predict(m: FittedModel, x0) -> float:
     """Forecast at a single tail."""
-    return float(predict_many(m, _tail_rows(x0, m.p, "model expects", one=True))[0])
+    return float(_forecast(m, _tail_rows(x0, m.p, "model expects", one=True))[0])
 
 
 def fit(d: Dataset, kind, seed: int = 0) -> FittedModel:
@@ -693,19 +729,29 @@ def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
     problem, built by the downdate that builds the cross-validation folds
     (``_held_out_problems``), exactly at the model's penalty, batched by
     sign pattern. The kernel keeps the model's standardization and
-    bandwidth, drops row i's own weight and forms the weights one
-    ``_row_blocks`` block at a time: at most _SMOOTH_ENTRIES of them, or 4
-    rows when a row holds more than a quarter of that, never an n x n
-    matrix.
+    bandwidth and drops row i's own weight: its forecast is
+    sum_j w_ij y_j / sum_j w_ij over j != i, both sums read off one sweep
+    of the distance triangle (``_weight_sums``), so each pair's weight is
+    formed once and no n x n matrix is held. The weights are unshifted,
+    and a row whose weights sum below _ISOLATED_SUM, where they have
+    underflowed, is isolated: it alone forms its n - 1 weights again,
+    shifted by its nearest neighbour (``_shifted_gaussian``), which are
+    exact and never all underflow.
     """
     if model.kind is Regressor.LASSO:
         gram, xty, active, m, s, ybar = _held_out_problems(x, y, np.arange(len(y)), len(y))
         coef = _lasso_batch(gram, xty, model.lam, active) / s
         return y - (ybar - np.einsum("ij,ij->i", coef, m) + np.einsum("ij,ij->i", x, coef))
     if model.kind is Regressor.KERNEL:
-        out = np.empty(len(y))
-        for rows, w in _gaussian_blocks(model.train_z, model.bandwidth, drop_self=True):
-            out[rows] = y[rows] - (w @ y) / w.sum(axis=1)
+        z, h = model.train_z, model.bandwidth
+        total, head = _weight_sums(z, h, np.column_stack([np.ones(len(y)), y])).T
+        isolated = total < _ISOLATED_SUM
+        out = y - head / np.where(isolated, 1.0, total)
+        for i in np.flatnonzero(isolated):
+            d2 = _sq_dists(z[i : i + 1], z)
+            d2[0, i] = np.inf
+            w = _shifted_gaussian(d2, h)[0]
+            out[i] = y[i] - (w @ y) / w.sum()
         return out
     a = np.column_stack([np.ones(len(y)), x])
     coef = np.append(model.intercept, model.coefficients)
@@ -742,8 +788,13 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel):
     of the unit head e at the query row. OLS reads both off one call of
     ``fit_ols``'s ``lstsq``, whose minimum-norm solution is linear in the
     head at any rank. The kernel refits once with ``fit_kernel`` on
-    the n+1 rows, head padded with 0; its weights depend only on the tails
-    and give A and B = e - w[:, n] one block of rows at a time.
+    the n+1 rows, head padded with 0; its weights depend only on the tails.
+    One sweep of the triangle (``_weight_sums``) sums each row's weights
+    times the heads 1, (y, 0) and e, so the e column holds the triangle's
+    last column, w[:, n]; each row's own weight, exp(-0) = 1, adds its own
+    heads. With S the first sum, A = y_pad - (w y_pad) / S and
+    B = e - w[:, n] / S. The self weight keeps S >= 1, so no row needs the
+    nearest-neighbour shift of ``loo_residuals``.
 
     LASSO standardizes the shared tails once (``_standardized_gram``),
     forms each block's cross-products, and ``_lasso_batch`` solves every
@@ -775,11 +826,10 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel):
     y_pad, e = np.append(y, 0.0), (np.arange(n + 1) == n).astype(float)
     if model.kind is Regressor.KERNEL:
         refit = fit_kernel(Dataset(x_aug, y_pad))
-        a, b = np.empty(n + 1), np.empty(n + 1)
-        for rows, w in _gaussian_blocks(refit.train_z, refit.bandwidth, drop_self=False):
-            w /= w.sum(axis=1, keepdims=True)
-            a[rows] = y_pad[rows] - w @ y_pad
-            b[rows] = e[rows] - w[:, n]
+        heads = np.column_stack([np.ones(n + 1), y_pad, e])
+        # a row's own weight is exp(-0) = 1: its heads join the sums
+        total, head, last = (_weight_sums(refit.train_z, refit.bandwidth, heads) + heads).T
+        a, b = y_pad - head / total, e - last / total
     else:
         heads = np.column_stack([y_pad, e])
         coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(n + 1), x_aug]), heads, rcond=None)

@@ -362,6 +362,32 @@ class TestCsv:
         with pytest.raises(DataError, match="non-numeric"):
             load_csv(f, head_column="y")
 
+    def test_first_bad_cell_is_named(self, tmp_path):
+        # the cells are parsed in one conversion; when it fails, the message
+        # names the first bad cell in reading order, non-finite or not
+        f = tmp_path / "d.csv"
+        f.write_text("y,x1,x2\n1.0,2.0,3.0\n4.0,inf,x\n7.0,8.0,nan\n")
+        with pytest.raises(DataError, match=r"non-finite cell 'inf' at data row 2, column 'x1'"):
+            load_csv(f, head_column="y")
+        f.write_text("y,x1,x2\n1.0,2.0,3.0\n4.0, 5.0 ,x\n7.0,8.0,nan\n")
+        with pytest.raises(DataError, match=r"non-numeric cell 'x' at data row 2, column 'x2'"):
+            load_csv(f, head_column="y")
+
+    def test_cells_parse_bit_equal_to_float(self, tmp_path):
+        # surrounding spaces, exponents, signed zeros, digit separators and
+        # the 17 significant digits of repr: each cell is the float that
+        # float() reads from it
+        rng = np.random.default_rng(12)
+        texts = [" 1.5 ", "\t-2e-3", "1E+300", "-0.0", "+0", "4.9e-324", "1_000", ".5", "7."]
+        texts += [repr(float(v)) for v in rng.normal(size=21) * 10.0 ** rng.integers(-200, 200, size=21)]
+        rows = [texts[i : i + 3] for i in range(0, len(texts), 3)]
+        f = tmp_path / "d.csv"
+        f.write_text("y,x1,x2\n" + "".join(",".join(row) + "\n" for row in rows))
+        d = load_csv(f, head_column="y")
+        want = np.array([[float(t) for t in row] for row in rows])
+        np.testing.assert_array_equal(d.y.view(np.uint64), want[:, 0].view(np.uint64))
+        np.testing.assert_array_equal(d.x.view(np.uint64), want[:, 1:].view(np.uint64))
+
     def test_missing_head_column(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a,b\n1.0,2.0\n")

@@ -37,7 +37,8 @@ from relconf.regress import (
 )
 
 # rows of kernel weights per block in the blocked-smoother tests, which set
-# the entry budget (block_rows) so that a block of their width has B rows
+# the entry budget and the triangle's rows (block_rows) so that a block of
+# their width has B rows
 B = 256
 # designs whose median bandwidth is checked against the whole triangle
 _MEDIAN_SIZES = (2, 3, 4, 65, 70, 513, 514, 1000, 1002)
@@ -73,8 +74,14 @@ def stacked_candidate_residuals(x_aug, y, candidates, model):
 @pytest.fixture
 def block_rows(monkeypatch):
     """Set _SMOOTH_ENTRIES so that ``_row_blocks`` gives ``rows`` rows, a
-    multiple of 4, per block of ``width`` entries a row."""
-    return lambda rows, width: monkeypatch.setattr(regress, "_SMOOTH_ENTRIES", rows * width)
+    multiple of 4, per block of ``width`` entries a row, and so does the
+    distance triangle (``_triangle_blocks``) of ``width`` rows."""
+
+    def set_rows(rows, width):
+        monkeypatch.setattr(regress, "_SMOOTH_ENTRIES", rows * width)
+        monkeypatch.setattr(regress, "_TRIANGLE_ROWS", rows)
+
+    return set_rows
 
 
 # The coordinate-descent references stop once a sweep moves no coefficient
@@ -856,8 +863,9 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", [2047, 2048, 2049, 3000])
     def test_triangle_blocks_keep_to_the_entry_budget(self, monkeypatch, n):
-        # 32 rows a block up to n = 2 048, fewer from there on, so that no
-        # block holds more than _SMOOTH_ENTRIES distances
+        # _TRIANGLE_ROWS rows a block up to n = 682, fewer from there on
+        # (32 at n = 2 047 and 2 048), so that no block holds more than
+        # _SMOOTH_ENTRIES distances
         shapes, blocks = [], []
 
         def recording(a, b, **buffers):
@@ -867,7 +875,9 @@ class TestKernel:
 
         monkeypatch.setattr(regress, "_sq_dists", recording)
         regress._triangle_between(np.random.default_rng(n).normal(size=(n, 2)), 1.0, 2.0)
-        assert {rows for rows, _ in shapes[:-1]} == {min(32, regress._SMOOTH_ENTRIES // n)}
+        assert {rows for rows, _ in shapes[:-1]} == {
+            min(regress._TRIANGLE_ROWS, regress._SMOOTH_ENTRIES // n)
+        }
         assert max(rows * cols for rows, cols in shapes) <= regress._SMOOTH_ENTRIES
         # one buffer pair serves the whole pass, not a fresh pair per block
         assert all(np.shares_memory(block, blocks[0]) for block in blocks[1:])
@@ -927,9 +937,14 @@ class TestKernel:
             w = _shifted_gaussian(d2.copy(), bandwidth)
         np.testing.assert_array_equal(w.view(np.uint64), ref.view(np.uint64))
 
-    # the unblocked formulas, with one n x n weight matrix; every row of the
-    # blocked smoother must equal them bit for bit, on either side of a block
-    # boundary and where a one-row tail joins the block before it (2B + 1)
+    # the unblocked formulas, with one n x n weight matrix
+    @staticmethod
+    def dense_weights(z, bandwidth):
+        """exp(d / (-2h^2)) of every pair's squared distance d, 0 on the diagonal."""
+        w = np.exp(_sq_dists(z, z) / (-2.0 * bandwidth**2))
+        np.fill_diagonal(w, 0.0)
+        return w
+
     @staticmethod
     def dense_loo_residuals(m, y):
         d2 = _sq_dists(m.train_z, m.train_z)
@@ -948,25 +963,105 @@ class TestKernel:
         b[n] += 1.0
         return np.abs((y_pad - w @ y_pad)[:, None] + b[:, None] * candidates[None, :])
 
-    # n is the number of rows of the smoother's weight matrix, and its width
+    def assert_weight_sums_equal_dense(self, z, bandwidth, heads):
+        """The triangle sweep's sums: with identity heads the weight matrix
+        itself, bit for bit, and with ``heads`` within n eps (|W| |heads|)
+        of the dense product W heads, the rounding of an n-term sum."""
+        n = z.shape[0]
+        w = self.dense_weights(z, bandwidth)
+        eye = regress._weight_sums(z, bandwidth, np.eye(n))
+        np.testing.assert_array_equal(eye.view(np.uint64), w.view(np.uint64))
+        sums = regress._weight_sums(z, bandwidth, heads)
+        assert np.all(np.abs(sums - w @ heads) <= n * np.finfo(float).eps * (w @ np.abs(heads)))
+
+    # every sum of the triangle sweep: one block of n - 1 rows up to B + 1,
+    # two blocks of B rows at 2B + 1, whose sums of rows B - 1 and B lie on
+    # either side of the boundary; and every residual within the rounding
+    # of its sums: a residual is y_i less a weighted mean of heads up to
+    # max |y| in size, so it moves by at most a few n eps max |y|
     @pytest.mark.parametrize("p", [2, 5])
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
     def test_blocked_loo_residuals_equal_dense(self, block_rows, n, p):
         d = make_dataset(np.random.default_rng(n + p), n, p)
         m = fit_kernel(d)
         block_rows(B, n)
-        np.testing.assert_array_equal(loo_residuals(d.x, d.y, m), self.dense_loo_residuals(m, d.y))
+        self.assert_weight_sums_equal_dense(
+            m.train_z, m.bandwidth, np.column_stack([np.ones(n), d.y])
+        )
+        np.testing.assert_allclose(
+            loo_residuals(d.x, d.y, m),
+            self.dense_loo_residuals(m, d.y),
+            rtol=0.0,
+            atol=4 * n * np.finfo(float).eps * np.abs(d.y).max(),
+        )
 
+    # the refit's sweep runs over the n rows and the query row, with heads
+    # (1, y, 0) and e at the query row; each residual is affine in a
+    # candidate of size up to 4
     @pytest.mark.parametrize("p", [2, 5])
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
     def test_blocked_candidate_residuals_equal_dense(self, block_rows, n, p):
         d = make_dataset(np.random.default_rng(n + p), n, p)
         y, candidates = d.y[:-1], np.linspace(-4.0, 4.0, 9)
         block_rows(B, n)
-        np.testing.assert_array_equal(
-            stacked_candidate_residuals(d.x, y, candidates, fit_kernel(Dataset(d.x[:-1], y))),
-            self.dense_candidate_residuals(d.x, y, candidates),
+        self.assert_candidate_residuals_near_dense(d.x, y, candidates)
+
+    def assert_candidate_residuals_near_dense(self, x_aug, y, candidates):
+        n = len(y)
+        z = np.asfortranarray(_standardize_columns(x_aug)[0])
+        e = (np.arange(n + 1) == n).astype(float)
+        self.assert_weight_sums_equal_dense(
+            z, _median_bandwidth(z), np.column_stack([np.ones(n + 1), np.append(y, 0.0), e])
         )
+        np.testing.assert_allclose(
+            stacked_candidate_residuals(x_aug, y, candidates, fit_kernel(Dataset(x_aug[:-1], y))),
+            self.dense_candidate_residuals(x_aug, y, candidates),
+            rtol=0.0,
+            atol=4 * (n + 1) * np.finfo(float).eps * (np.abs(y).max() + np.abs(candidates).max()),
+        )
+
+    def loo_nearest_shifted(self, m, y, i):
+        """Row i's leave-one-out residual with its weights shifted by its
+        nearest neighbour, one row at a time."""
+        d2 = _sq_dists(m.train_z[i : i + 1], m.train_z)[0]
+        d2[i] = np.inf
+        w = np.exp((d2 - d2.min()) / (-2.0 * m.bandwidth**2))
+        return y[i] - (w @ y) / w.sum()
+
+    def test_isolated_rows_in_two_blocks_take_the_nearest_shift(self, block_rows):
+        # rows 3 and 29, in the first and the fourth block of 8 rows, sit
+        # far from the others, so all their weights underflow; every other
+        # row keeps the sweep's sums
+        d = make_dataset(np.random.default_rng(31), 40, 2)
+        x = d.x.copy()
+        x[3], x[29] = [1e3, -1e3], [-1e3, 1e3]
+        d = Dataset(x, d.y)
+        m = fit_kernel(d)
+        block_rows(8, d.n)
+        sums = regress._weight_sums(m.train_z, m.bandwidth, np.ones((d.n, 1)))[:, 0]
+        np.testing.assert_array_equal(np.flatnonzero(sums < regress._ISOLATED_SUM), [3, 29])
+        loo = loo_residuals(d.x, d.y, m)
+        for i in (3, 29):
+            assert loo[i] == self.loo_nearest_shifted(m, d.y, i)
+        kept = np.delete(np.arange(d.n), [3, 29])
+        np.testing.assert_allclose(
+            loo[kept],
+            self.dense_loo_residuals(m, d.y)[kept],
+            rtol=0.0,
+            atol=4 * d.n * np.finfo(float).eps * np.abs(d.y).max(),
+        )
+
+    def test_every_row_isolated_takes_the_nearest_shift(self, block_rows):
+        # at a bandwidth of 1e-5 every weight between distinct rows
+        # underflows, so every row takes the rule, across 5 blocks of 8 rows
+        d = make_dataset(np.random.default_rng(32), 40, 3)
+        m = dataclasses.replace(fit_kernel(d), bandwidth=1e-5)
+        block_rows(8, d.n)
+        sums = regress._weight_sums(m.train_z, m.bandwidth, np.ones((d.n, 1)))[:, 0]
+        assert np.all(sums < regress._ISOLATED_SUM)
+        loo = loo_residuals(d.x, d.y, m)
+        for i in range(d.n):
+            assert loo[i] == self.loo_nearest_shifted(m, d.y, i)
 
     @pytest.mark.parametrize("p", [2, 5])
     @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 1])
@@ -977,9 +1072,10 @@ class TestKernel:
         block_rows(B, 300)
         np.testing.assert_array_equal(predict_many(m, x_new), kernel_weights(m, x_new) @ m.train_y)
 
-    # the fewest rows a block takes, as every n above _SMOOTH_ENTRIES / 8
-    # does: on a block boundary (8), a joined one-row tail (9, 257) and a
-    # short last block (7, 255)
+    # the fewest rows a smoother block takes, as every n above
+    # _SMOOTH_ENTRIES / 8 does: on a block boundary (8), a joined one-row
+    # tail (9, 257) and a short last block (7, 255); the triangle sweep
+    # takes 4 rows a block here too, and ends on a short block at 7 and 8
     @pytest.mark.parametrize("p", [2, 5])
     @pytest.mark.parametrize("n", [7, 8, 9, 255, 257])
     def test_four_row_blocks_equal_dense(self, block_rows, n, p):
@@ -989,11 +1085,16 @@ class TestKernel:
         y, candidates = d.y[:-1], np.linspace(-4.0, 4.0, 9)
         x_new = rng.normal(size=(n, p))
         block_rows(4, n)
-        np.testing.assert_array_equal(loo_residuals(d.x, d.y, m), self.dense_loo_residuals(m, d.y))
-        np.testing.assert_array_equal(
-            stacked_candidate_residuals(d.x, y, candidates, fit_kernel(Dataset(d.x[:-1], y))),
-            self.dense_candidate_residuals(d.x, y, candidates),
+        self.assert_weight_sums_equal_dense(
+            m.train_z, m.bandwidth, np.column_stack([np.ones(n), d.y])
         )
+        np.testing.assert_allclose(
+            loo_residuals(d.x, d.y, m),
+            self.dense_loo_residuals(m, d.y),
+            rtol=0.0,
+            atol=4 * n * np.finfo(float).eps * np.abs(d.y).max(),
+        )
+        self.assert_candidate_residuals_near_dense(d.x, y, candidates)
         np.testing.assert_array_equal(predict_many(m, x_new), kernel_weights(m, x_new) @ m.train_y)
 
     @pytest.mark.parametrize("p", [2, 5])
@@ -1056,7 +1157,7 @@ class TestKernel:
     def test_fit_kernel_memory_holds_one_triangle_block_pair(self):
         # the triangle pass forms its blocks of 21 x 2 999 distances in one
         # buffer pair of 1.01e6 bytes, beside 1.74e6 bytes of room for kept
-        # distances: 2.85 MiB here, where a fresh pair per block, held with
+        # distances: 2.79 MiB here, where a fresh pair per block, held with
         # the block before it, peaked at 3.21 MiB
         n = 3000
         d = Dataset(np.random.default_rng(0).normal(size=(n, 2)), np.zeros(n))
