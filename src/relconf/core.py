@@ -219,7 +219,8 @@ class Dataset:
         fractional index, a negative index and one past the end are
         refused, not read as 0/1, truncated, wrapped or left to numpy. The
         rows were checked when this Dataset was built, so the copy skips
-        ``__post_init__``.
+        ``__post_init__``, and indexing's own copy is flagged read-only,
+        not copied again.
         """
         idx = _row_indices(indices, "subset")
         if idx.size == 0:
@@ -227,8 +228,10 @@ class Dataset:
         if idx.min() < 0 or idx.max() >= self.n:
             raise DataError(f"row index out of range for {self.n} rows")
         out = object.__new__(Dataset)
-        object.__setattr__(out, "x", _readonly(self.x[idx]))
-        object.__setattr__(out, "y", _readonly(self.y[idx]))
+        for name in ("x", "y"):
+            rows = getattr(self, name)[idx]
+            rows.flags.writeable = False
+            object.__setattr__(out, name, rows)
         object.__setattr__(out, "feature_names", self.feature_names)
         object.__setattr__(out, "head_name", self.head_name)
         return out

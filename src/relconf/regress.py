@@ -288,32 +288,19 @@ def _lasso_batch(gram, xty, lam, active):
     return beta
 
 
-def _standardized_gram(x):
-    """Standardize the tails ``x`` for the solver: (xs, gram, active, centers,
-    scales), with gram = xs'xs/n and ``active`` marking non-constant columns.
-    Columns are scaled by their root mean square deviation: the 1/n makes
-    every active column of xs satisfy (1/n)||col||^2 = 1, so the Gram matrix
-    has a unit diagonal on the active columns.
-    """
-    xs, m, s, active = _standardize_columns(x, ddof=0)
-    return xs, xs.T @ xs / x.shape[0], active, m, s
-
-
-def _centred_cross_products(xs, y):
-    """(xty, ybar): xty = xs'(y - ybar)/n for the standardized tails ``xs``
-    and ``ybar`` the mean of each head. ``y`` is one head vector, or an
-    (n, G) matrix of G heads that share the tails: xty is then (p, G)."""
-    ybar = y.mean(axis=0)
-    return xs.T @ (y - ybar) / xs.shape[0], ybar
-
-
 def _gram_problem(x, y):
     """Standardize (x, y) and reduce it to the p x p data the solver needs:
-    (gram, xty, active, centers, scales, ybar), as ``_standardized_gram``
-    and ``_centred_cross_products`` give them."""
-    xs, gram, active, m, s = _standardized_gram(x)
-    xty, ybar = _centred_cross_products(xs, y)
-    return gram, xty, active, m, s, ybar
+    (gram, xty, active, centers, scales, ybar), with gram = xs'xs/n and
+    xty = xs'(y - ybar)/n for the standardized tails xs, ``active`` marking
+    non-constant columns and ``ybar`` the mean of each head. Columns are
+    scaled by their root mean square deviation: the 1/n makes every active
+    column of xs satisfy (1/n)||col||^2 = 1, so the Gram matrix has a unit
+    diagonal on the active columns. ``y`` is one head vector, or an (n, G)
+    matrix of G heads that share the tails: xty is then (p, G)."""
+    n = x.shape[0]
+    xs, m, s, active = _standardize_columns(x, ddof=0)
+    ybar = y.mean(axis=0)
+    return xs.T @ xs / n, xs.T @ (y - ybar) / n, active, m, s, ybar
 
 
 def _lambda_grid(xty) -> np.ndarray:
@@ -764,13 +751,6 @@ def loo_residuals(x, y, model: FittedModel) -> np.ndarray:
     return out
 
 
-def _candidate_heads(y, candidates) -> np.ndarray:
-    """The (n+1, len(candidates)) heads of full conformal's refits: column g
-    is ``y`` with ``candidates[g]`` appended."""
-    n = len(y)
-    return np.vstack([np.broadcast_to(y[:, None], (n, len(candidates))), candidates])
-
-
 def candidate_residuals(x_aug, y, candidates, model: FittedModel):
     """Absolute residuals of full conformal's refits, one block of
     candidates at a time.
@@ -782,61 +762,63 @@ def candidate_residuals(x_aug, y, candidates, model: FittedModel):
     of ``resid`` holds |y_aug - f(x_aug)| for ``model``'s engine refit on
     the n+1 rows of ``x_aug`` with heads y_aug = (y, candidates[cols][j]).
 
-    OLS and the kernel are linear in the heads, so each refit's residuals
-    are affine in the candidate, A + B * candidate (Vovk, Gammerman &
-    Shafer 2005, ch. 2): A holds the residuals of the heads (y, 0), B those
-    of the unit head e at the query row. OLS reads both off one call of
-    ``fit_ols``'s ``lstsq``, whose minimum-norm solution is linear in the
-    head at any rank. The kernel refits once with ``fit_kernel`` on
-    the n+1 rows, head padded with 0; its weights depend only on the tails.
-    One sweep of the triangle (``_weight_sums``) sums each row's weights
-    times the heads 1, (y, 0) and e, so the e column holds the triangle's
-    last column, w[:, n]; each row's own weight, exp(-0) = 1, adds its own
-    heads. With S the first sum, A = y_pad - (w y_pad) / S and
-    B = e - w[:, n] / S. The self weight keeps S >= 1, so no row needs the
-    nearest-neighbour shift of ``loo_residuals``.
+    Every engine reads its candidates off two heads: (y, 0), and the unit
+    head e at the query row, so that y_aug = A + B * candidate with
+    A = (y, 0) and B = e. OLS and the kernel are linear in the heads, so
+    their refits' residuals are affine in the candidate too (Vovk,
+    Gammerman & Shafer 2005, ch. 2), and A and B become the residuals of
+    the two heads. OLS reads both off one call of ``fit_ols``'s ``lstsq``,
+    whose minimum-norm solution is linear in the head at any rank. The
+    kernel refits once with ``fit_kernel`` on the n+1 rows, head padded
+    with 0; its weights depend only on the tails. One sweep of the
+    triangle (``_weight_sums``) sums each row's weights times the heads 1,
+    (y, 0) and e, so the e column holds the triangle's last column,
+    w[:, n]; each row's own weight, exp(-0) = 1, adds its own heads. With
+    S the first sum, A = y_pad - (w y_pad) / S and B = e - w[:, n] / S.
+    The self weight keeps S >= 1, so no row needs the nearest-neighbour
+    shift of ``loo_residuals``.
 
-    LASSO standardizes the shared tails once (``_standardized_gram``),
-    forms each block's cross-products, and ``_lasso_batch`` solves every
+    LASSO is not linear in the heads, but its problem is affine in them:
+    one ``_gram_problem`` of the two heads standardizes the shared tails
+    once and gives the centred cross-products c0 and c1 and the means
+    ybar0 and ebar of (y, 0) and e, so a candidate t's problem has
+    xty = c0 + t c1 and mean ybar0 + t ebar. ``_lasso_batch`` solves every
     candidate exactly at ``model``'s penalty in one batch by sign pattern
-    (cross-validating per candidate is pointless and slow). Its products
-    sum in another order than a literal ``fit_lasso`` refit's, so a column
-    equals that refit's residuals up to rounding.
+    (cross-validating per candidate is pointless and slow), and each
+    block subtracts the candidates' fitted values from A + B * t. Its
+    sums run in another order than a literal ``fit_lasso`` refit's, so a
+    column equals that refit's residuals up to rounding.
 
     Blocks this small also keep OpenBLAS 0.3.31 from splitting a product
     between its threads: the residuals had the same bits at 1 and 2
     threads on every design tried up to n = 10 000, p = 12.
     """
     n = len(y)
-    blocks = _row_blocks(len(candidates), n + 1)
-    if model.kind is Regressor.LASSO:
-        xs, gram, active, m, s = _standardized_gram(x_aug)
-        xty, ybar = np.empty((x_aug.shape[1], len(candidates))), np.empty(len(candidates))
-        for cols in blocks:
-            heads = _candidate_heads(y, candidates[cols])
-            xty[:, cols], ybar[cols] = _centred_cross_products(xs, heads)
-        coef = _lasso_batch(gram, xty.T, model.lam, active) / s
-        intercepts = ybar - coef @ m
-        for cols in blocks:
-            resid = x_aug @ coef[cols].T
-            resid += intercepts[cols]
-            np.subtract(_candidate_heads(y, candidates[cols]), resid, out=resid)
-            yield cols, np.abs(resid, out=resid)
-        return
     y_pad, e = np.append(y, 0.0), (np.arange(n + 1) == n).astype(float)
-    if model.kind is Regressor.KERNEL:
+    heads = np.column_stack([y_pad, e])
+    lasso = model.kind is Regressor.LASSO
+    if lasso:
+        gram, c, active, m, s, ybar = _gram_problem(x_aug, heads)
+        xty = c[:, 0] + np.multiply.outer(candidates, c[:, 1])
+        coef = _lasso_batch(gram, xty, model.lam, active) / s
+        intercepts = ybar[0] + candidates * ybar[1] - coef @ m
+        a, b = y_pad, e
+    elif model.kind is Regressor.KERNEL:
         refit = fit_kernel(Dataset(x_aug, y_pad))
-        heads = np.column_stack([np.ones(n + 1), y_pad, e])
+        heads = np.column_stack([np.ones(n + 1), heads])
         # a row's own weight is exp(-0) = 1: its heads join the sums
         total, head, last = (_weight_sums(refit.train_z, refit.bandwidth, heads) + heads).T
         a, b = y_pad - head / total, e - last / total
     else:
-        heads = np.column_stack([y_pad, e])
         coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(n + 1), x_aug]), heads, rcond=None)
         fitted = x_aug @ coef[1:]
         fitted += coef[0]
         a, b = np.subtract(heads, fitted, out=fitted).T
-    for cols in blocks:
+    for cols in _row_blocks(len(candidates), n + 1):
         resid = np.multiply.outer(b, candidates[cols])
         resid += a[:, None]
+        if lasso:
+            fitted = x_aug @ coef[cols].T
+            fitted += intercepts[cols]
+            resid -= fitted
         yield cols, np.abs(resid, out=resid)

@@ -102,6 +102,7 @@ class TestDataset:
         np.testing.assert_array_equal(s.y, [2.0, 0.0])
         np.testing.assert_array_equal(s.x[0], d.x[2])
         assert not s.x.flags.writeable and not s.y.flags.writeable
+        assert not np.shares_memory(s.x, d.x) and not np.shares_memory(s.y, d.y)
         assert (s.feature_names, s.head_name) == (("a", "b"), "h")
         # integer lists and arrays of any integer dtype, repeats allowed
         for rows in ([3, 1, 1], np.array([3, 1, 1]), np.array([3, 1, 1], dtype=np.uint8)):

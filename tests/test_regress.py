@@ -609,11 +609,12 @@ class TestLasso:
 
     @pytest.mark.parametrize("p", [3, 12])
     def test_candidate_residuals_equal_literal_refits(self, block_rows, p):
-        # The candidate heads are solved as one batch, and their cross-products
-        # and residuals formed in blocks of 4, whose matrix products sum in
-        # another order than a refit per candidate; every column must still
-        # be a literal fit_lasso refit's residuals up to rounding. One column
-        # is constant, and the candidates reach well past the heads.
+        # The candidates' cross-products are read off one problem of two
+        # heads, c0 + t c1, and solved as one batch, and their residuals
+        # formed in blocks of 4; all sum in another order than a refit per
+        # candidate, yet every column must be a literal fit_lasso refit's
+        # residuals up to rounding. One column is constant, and the
+        # candidates reach well past the heads.
         n = 30
         x_aug, y, candidates = candidate_problem(40 + p, n, p)
         model = fit_lasso(Dataset(x_aug[:n], y), seed=0)
@@ -626,6 +627,37 @@ class TestLasso:
             assert refit.coefficients[1] == 0.0
             literal = np.abs(y_aug - predict_many(refit, x_aug))
             np.testing.assert_allclose(resid[:, g], literal, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [3, 12])
+    def test_candidate_residuals_form_one_problem_per_pass(
+        self, monkeypatch, block_rows, gram_problem_calls, p
+    ):
+        # a candidate t's cross-products are affine in t, so one
+        # _gram_problem of the heads (y, 0) and e_{n+1} serves every block:
+        # 15 candidates in blocks of 4 make one call, and each candidate's
+        # cross-products in the batch are its own problem's up to rounding
+        n = 30
+        x_aug, y, candidates = candidate_problem(70 + p, n, p)
+        model = fit_lasso(Dataset(x_aug[:n], y), seed=0)
+        gram_problem_calls.clear()
+        batches = []
+        batch = regress._lasso_batch
+        monkeypatch.setattr(regress, "_lasso_batch", lambda *a: batches.append(a) or batch(*a))
+        block_rows(4, n + 1)
+        blocks = list(candidate_residuals(x_aug, y, candidates, model))
+        assert len(blocks) == 4
+        assert len(gram_problem_calls) == 1 and gram_problem_calls[0][1].shape == (n + 1, 2)
+        ((gram, xty, lam, active),) = batches
+        assert xty.shape == (candidates.size, p) and lam == model.lam
+        xs = _standardize_columns(x_aug, ddof=0)[0]
+        for g, trial in enumerate(candidates):
+            y_aug = np.append(y, trial)
+            want = _gram_problem(x_aug, y_aug)
+            np.testing.assert_array_equal(gram, want[0])
+            np.testing.assert_array_equal(active, want[2])
+            scale = np.abs(xs).max() * np.abs(y_aug - y_aug.mean()).max()
+            tol = (n + 1) * np.finfo(float).eps * scale
+            np.testing.assert_allclose(xty[g], want[1], rtol=0, atol=tol)
 
     @pytest.mark.parametrize("p", [1, 3, 12])
     def test_cv_fit_equals_fit_at_its_penalty(self, p):
@@ -1300,13 +1332,16 @@ def test_kernel_smoother_bits_do_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-# OpenBLAS 0.3.31 splits between its threads the cross-products xs'Y of 100
-# heads at n = 3 000, p = 12, which moves last bits; a block of at most
-# _SMOOTH_ENTRIES residuals (20 candidates here) is not split. OLS solves
-# two heads, (y, 0) and e_{n+1}, once for all 100 candidates at
-# n = 10 000. At n = 20 000, p = 30 the factorization of the design itself
-# is split, so that size is left out.
-@pytest.mark.parametrize("reg, n, p", [("ols", 10_000, 5), ("lasso", 3000, 12)])
+# OpenBLAS 0.3.31 splits a large matrix product between its threads, which
+# moves last bits. OLS and LASSO read all 100 candidates off two heads,
+# (y, 0) and e_{n+1}: OLS solves them in one lstsq, LASSO forms their
+# cross-products xs'[y_pad, e] once, and its fitted values are formed a
+# block of at most _SMOOTH_ENTRIES residuals at a time. At n = 20 000,
+# p = 30 the factorization of the OLS design and LASSO's two-head
+# cross-products are split, so that size is left out.
+@pytest.mark.parametrize(
+    "reg, n, p", [("ols", 10_000, 5), ("lasso", 3000, 12), ("lasso", 10_000, 12)]
+)
 def test_full_conformal_bits_do_not_depend_on_blas_threads(reg, n, p):
     outputs = _output_at_1_and_2_blas_threads(_LINEAR_THREAD_PROBE, reg, str(n), str(p))
     assert len(outputs[0]) == 8 * (n + 1) * 100
