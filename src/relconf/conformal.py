@@ -201,15 +201,19 @@ def full_conformal(d: Dataset, base: FittedModel, x0, spec: ConformalSpec) -> Pr
 # ---------------------------------------------------------------------------
 
 def jackknife_conformal(
-    d: Dataset, base: FittedModel, x0, spec: ConformalSpec
+    d: Dataset, base: FittedModel, x0, spec: ConformalSpec, scores: np.ndarray | None = None
 ) -> PredictionInterval:
     """Base forecast plus/minus the leave-one-out residual quantile;
-    ``base`` is the engine's fit on ``d``."""
+    ``base`` is the engine's fit on ``d``. ``scores`` are the absolute
+    leave-one-out residuals ``|regress.loo_residuals(d.x, d.y, base)|``:
+    given when the caller has them, else made here."""
     x0 = _query_tail(d, x0)
     if d.n < 3:
         raise DataError(f"jackknife needs n >= 3, got n={d.n}")
     point = _point(base, x0)
-    dstar = loo_quantile(np.abs(loo_residuals(d.x, d.y, base)), spec.alpha)
+    if scores is None:
+        scores = np.abs(loo_residuals(d.x, d.y, base))
+    dstar = loo_quantile(scores, spec.alpha)
     return PredictionInterval(point, point - dstar, point + dstar)
 
 
@@ -231,14 +235,22 @@ def _min_rows(spec: ConformalSpec, reg) -> int:
 
 
 def conformal_interval(
-    d: Dataset, reg, x0, spec: ConformalSpec, seed: int = 0, base: FittedModel | None = None
+    d: Dataset,
+    reg,
+    x0,
+    spec: ConformalSpec,
+    seed: int = 0,
+    base: FittedModel | None = None,
+    scores: np.ndarray | None = None,
 ) -> PredictionInterval:
     """Dispatch on ``spec.method``.
 
     Full conformal and the jackknife start from the base fit
     ``regress.fit(d, reg, seed)``: ``base`` when the caller has it, which
-    must be of engine ``reg``, else made here. Split fits on part of ``d``
-    and takes none.
+    must be of engine ``reg``, else made here. The jackknife also takes
+    ``base``'s absolute leave-one-out residuals on ``d`` as ``scores``
+    (``jackknife_conformal``); the other methods ignore them. Split fits on
+    part of ``d`` and takes neither.
     """
     reg = _choice(Regressor, reg)
     if spec.method is ConformalMethod.SPLIT:
@@ -249,4 +261,4 @@ def conformal_interval(
         raise DataError(f"base fit is {base.kind.value}, not {reg.value}")
     if spec.method is ConformalMethod.FULL:
         return full_conformal(d, base, x0, spec)
-    return jackknife_conformal(d, base, x0, spec)
+    return jackknife_conformal(d, base, x0, spec, scores)

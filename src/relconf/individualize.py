@@ -158,10 +158,90 @@ def select(d: Dataset, x0, method, alpha: float, gamma: float, min_relevant: int
 # Simulated controls
 # ---------------------------------------------------------------------------
 
-def _row_rng(seed: int, counter: int) -> np.random.Generator:
-    """Counter-based stream: draws for one synthetic row never depend on
-    how many other rows exist or the order they are generated in."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(counter))))
+# numpy's SeedSequence and PCG64 seeding constants; NEP 19 keeps the
+# streams they give stable across numpy versions
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # pool hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hash
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running hash of uint32 words: each call xors the word
+    with the constant, steps the constant, multiplies by it and folds the
+    high half in. The constants do not depend on the words, so one call
+    hashes one word of every row at once."""
+
+    def hash_words(words: np.ndarray) -> np.ndarray:
+        nonlocal const
+        words = words ^ np.uint32(const)
+        const = const * mult & _MASK32
+        words = words * np.uint32(const)
+        return words ^ (words >> np.uint32(16))
+
+    return hash_words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of hashed word ``y`` into pool word ``x``."""
+    mixed = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return mixed ^ (mixed >> np.uint32(16))
+
+
+def _stream_states(seed: int, keys: np.ndarray):
+    """Yield the PCG64 (state, inc) of ``default_rng(SeedSequence((seed,
+    key)))`` for each key; the seed words of all keys are made in one pass.
+
+    The entropy is the little-endian uint32 words of ``seed`` and then of
+    ``key`` (0 is the one word [0]). With seed and key below 2^64 they fill
+    at most the 4-word pool, and zero padding hashes as the pool's own
+    padding does, so each row's pool is its zero-padded words hashed in and
+    every ordered pair of pool words mixed. ``generate_state(4, uint64)``
+    hashes the pool out as (s0, s1, i0, i1), and PCG64 seeds from them as
+    pcg64_set_seed does: two LCG steps from state 0 with
+    inc = 2 (i0 2^64 + i1) + 1, adding s0 2^64 + s1 after the first.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = np.zeros((4, keys.size), dtype=np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    at = len(seed_words)
+    entropy[at] = keys & np.uint64(_MASK32)
+    entropy[at + 1] = keys >> np.uint64(32)
+    hash_in = _hasher(_INIT_A, _MULT_A)
+    pool = [hash_in(words) for words in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_in(pool[src]))
+    hash_out = _hasher(_INIT_B, _MULT_B)
+    out = [hash_out(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    words = np.column_stack([out[j] | out[j + 1] << np.uint64(32) for j in range(0, 8, 2)])
+    for row in words:
+        s0, s1, i0, i1 = row.tolist()
+        inc = ((i0 << 65) + (i1 << 1) + 1) & _MASK128
+        yield (((inc + (s0 << 64) + s1) * _PCG_MULT) + inc) & _MASK128, inc
+
+
+def _row_normals(seed: int, keys: np.ndarray, p: int) -> np.ndarray:
+    """Row r holds the p standard normals that
+    ``default_rng(SeedSequence((seed, keys[r]))).normal(size=p)`` draws:
+    a control's draws never depend on how many other rows exist or the
+    order they are drawn in. One PCG64 takes each row's state in turn,
+    with no buffered half-word, as a fresh one starts."""
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    out = np.empty((len(keys), p))
+    for row, (state, inc) in zip(out, _stream_states(seed, keys)):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=row)
+    return out
 
 
 def simulate_controls(
@@ -175,9 +255,11 @@ def simulate_controls(
 
     ``relevant`` holds the selected rows, ``d.subset(rel.indices)``, and
     ``sources`` their row indices in the full dataset, ``rel.indices``.
-    Each control draws one standard normal row eps from a stream keyed on
-    its source row (perturb: a control does not depend on which other rows
-    were selected) or on its position (gaussian_mimic). sigma_j is the
+    Each control draws one standard normal row eps from the stream
+    ``default_rng(SeedSequence((seed, key)))``, keyed on its source row
+    (perturb: a control does not depend on which other rows were selected)
+    or on its position (gaussian_mimic); every row's stream is seeded in
+    one pass (``_row_normals``). sigma_j is the
     sample std of feature j within the relevant subset, floored at 1e-8.
 
     perturb (default): x + eps * noise_scale * sigma for each relevant row
@@ -186,17 +268,20 @@ def simulate_controls(
     its nearest relevant neighbor in standardized distance.
     """
     noise_scale = check_knob("noise_scale", noise_scale)
+    seed = check_knob("seed", seed)
     mode = _choice(ControlMode, mode)
     sources = np.asarray(sources)
     if sources.shape != (relevant.n,):
         raise DataError(f"source indices of shape {sources.shape} for {relevant.n} relevant rows")
     sources = _row_indices(sources, "simulate_controls")
+    if sources.min() < 0:
+        raise DataError("simulate_controls takes source row indices >= 0")
     x_rel, y_rel = relevant.x, relevant.y
     n_r, p = x_rel.shape
     sigma = np.maximum(x_rel.std(axis=0, ddof=min(n_r - 1, 1)), SIGMA_FLOOR)
 
-    keys = sources if mode is ControlMode.PERTURB else range(n_r)
-    eps = np.array([_row_rng(seed, key).normal(size=p) for key in keys])
+    keys = sources if mode is ControlMode.PERTURB else np.arange(n_r)
+    eps = _row_normals(seed, keys, p)
     if mode is ControlMode.PERTURB:
         x_syn = x_rel + eps * (noise_scale * sigma)
         y_syn = y_rel

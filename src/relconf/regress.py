@@ -502,30 +502,49 @@ def _triangle_between(z: np.ndarray, lo: float, hi: float):
     when ``hi`` is +inf, where they are counted at ``hi``, after every
     distance.
 
+    Each block is read three times, into two bool buffers allocated once:
+    d < lo, counted for ``below``; d <= hi; and their difference,
+    lo <= d <= hi, whose distances are gathered. The end ties are then
+    counted among the gathered ones, which are few, in the same two
+    buffers, and dropped when there are any: small tie masks allocated
+    for every block left the heap of a process that fits 3 000-row
+    kernels about 1 MB larger.
+
     The kept distances go into one buffer with room for 8 m of them, m the
-    sample size (the bracket holds about 6 m), grown only when a bracket
-    holds more, so that kept distances of another length for each block do
-    not fragment the heap of a process that fits many kernels. ``np.take``
-    in clip mode gathers a block's kept distances straight into it; in
-    raise mode, as ``np.compress`` takes them, it first copies the slice it
-    writes.
+    sample size (the bracket holds about 6 m), grown only when a block's
+    gathered ones do not fit, so that kept distances of another length for
+    each block do not fragment the heap of a process that fits many
+    kernels. ``np.take`` in clip mode gathers a block's distances straight
+    into it; in raise mode, as ``np.compress`` takes them, it first copies
+    the slice it writes.
     """
     n = z.shape[0]
-    upto_lo, at_lo, at_hi, size = 0, 0, 0, 0
+    below, at_lo, at_hi, size = 0, 0, 0, 0
     inside = np.empty(8 * _median_sample_size(n * (n - 1) // 2))
+    flags = None
     for _, block in _triangle_blocks(z):
-        keep = block > lo
-        upto_lo += keep.size - np.count_nonzero(keep)
-        at_lo += np.count_nonzero(block == lo)
+        if flags is None:  # the first block is the widest
+            flags = np.empty((2, block.size), dtype=bool)
+        lt, le = (flat[: block.size].reshape(block.shape) for flat in flags)
+        np.less(block, lo, out=lt)
+        below += np.count_nonzero(lt)
+        np.less_equal(block, hi, out=le)
+        np.greater(le, lt, out=le)
+        kept = np.flatnonzero(le)
+        if size + kept.size > inside.size:
+            inside = np.concatenate([inside[:size], np.empty(size + kept.size)])
+        gathered = inside[size : size + kept.size]
+        np.take(block, kept, out=gathered, mode="clip")
+        ends, at_end = (flat[: kept.size] for flat in flags)
+        at_lo += np.count_nonzero(np.equal(gathered, lo, out=ends))
         if hi > lo:
-            at_hi += np.count_nonzero(block == hi)
-            keep &= block < hi
-            count = np.count_nonzero(keep)
-            if size + count > inside.size:
-                inside = np.concatenate([inside[:size], np.empty(size + count)])
-            np.take(block, np.flatnonzero(keep), out=inside[size : size + count], mode="clip")
-            size += count
-    return upto_lo - at_lo, at_lo, inside[:size], at_hi
+            at_hi += np.count_nonzero(np.equal(gathered, hi, out=at_end))
+            ends |= at_end
+        count = kept.size - np.count_nonzero(ends)
+        if count < kept.size:
+            inside[size : size + count] = gathered[~ends]
+        size += count
+    return below, at_lo, inside[:size], at_hi
 
 
 def _median_bandwidth(z: np.ndarray) -> float:

@@ -56,7 +56,7 @@ from .core import (
 from .dgp import SUITES
 from .evaluate import METHOD_LABELS, Cell, MetricRow, score, summary_table, variant_code
 from .individualize import ControlMode, select, simulate_controls
-from .regress import fit
+from .regress import fit, loo_residuals
 
 __all__ = [
     "RunManifest",
@@ -101,26 +101,57 @@ def _setup(d: Dataset, q: Query, cfg: ExperimentConfig):
     return x0, spec, min(max(int(cfg.min_relevant), needed), d.n)
 
 
-def _query_intervals(d, q, configs, query_index: int, control_mode):
+def _standard_fits(d: Dataset, configs) -> dict:
+    """Regressor -> (base fit, jackknife scores or None) of the standard path
+    on ``d``, for OLS and the kernel under full conformal and the jackknife.
+
+    Neither engine's fit reads the seed, and the scores, the absolute
+    leave-one-out residuals, depend only on the rows and the fit, so they
+    are made once per training set and shared by all of its queries.
+    LASSO draws its cross-validation folds from each query's seed and is
+    fitted per query. A config that ``d`` is too small for is left for
+    ``_setup`` to report.
+    """
+    fits = {}
+    for cfg in configs:
+        reg, method = cfg.regressor, cfg.conformal_method
+        if (
+            reg is Regressor.LASSO
+            or method is ConformalMethod.SPLIT
+            or d.n < _min_rows(ConformalSpec(method), reg)  # reads only the method
+        ):
+            continue
+        base, scores = fits.get(reg) or (fit(d, reg), None)
+        if method is ConformalMethod.JACKKNIFE and scores is None:
+            scores = np.abs(loo_residuals(d.x, d.y, base))
+        fits[reg] = base, scores
+    return fits
+
+
+def _query_intervals(d, q, configs, query_index: int, control_mode, standard_fits):
     """Yield (cfg, (standard, relevant, relevant_simulated)) for each config.
 
     The configs differ only in regressor, similarity and method, so the
     keys that share the standard interval, the neighbourhood and the base
     fit are complete. Every path runs on the query's one conformal seed, so
     full conformal and the jackknife on the same rows and regressor start
-    from one base fit.
+    from one base fit. ``standard_fits`` is ``_standard_fits(d, configs)``.
     """
-    standard, neighbourhoods, bases = {}, {}, {}
+    standard, neighbourhoods = {}, {}
+    # (path, regressor) -> (base fit, jackknife scores or None)
+    bases = {(IntervalPath.STANDARD, reg): fits for reg, fits in standard_fits.items()}
 
     def interval(rows, path, cfg, x0, spec) -> PredictionInterval:
         seed = subseed(cfg.seed, "conformal", query_index)
-        base = None
-        if spec.method is not ConformalMethod.SPLIT:
-            key = (path, cfg.regressor)
-            if key not in bases:
-                bases[key] = fit(rows, cfg.regressor, seed=seed)
-            base = bases[key]
-        return conformal_interval(rows, cfg.regressor, x0, spec, seed=seed, base=base)
+        if spec.method is ConformalMethod.SPLIT:
+            return conformal_interval(rows, cfg.regressor, x0, spec, seed=seed)
+        key = (path, cfg.regressor)
+        if key not in bases:
+            bases[key] = fit(rows, cfg.regressor, seed=seed), None
+        base, scores = bases[key]
+        return conformal_interval(
+            rows, cfg.regressor, x0, spec, seed=seed, base=base, scores=scores
+        )
 
     for cfg in configs:
         x0, spec, floor = _setup(d, q, cfg)
@@ -168,7 +199,9 @@ def run_algorithm1(
     raised to that minimum; only a dataset below the minimum is a hard
     error.
     """
-    ((_, triple),) = _query_intervals(d, q, (cfg,), query_index, control_mode)
+    ((_, triple),) = _query_intervals(
+        d, q, (cfg,), query_index, control_mode, _standard_fits(d, (cfg,))
+    )
     return triple
 
 
@@ -390,10 +423,16 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
     datasets, queries, qlabels = _load_grid_data(manifest)
     cells = product(manifest.similarities, manifest.regressors, manifest.methods)
     configs = [manifest.base_config(reg, sim, method) for sim, reg, method in cells]
+    # each training set's standard fits, once, for all of its queries
+    trained = {id(d): d for d in datasets}
+    standard_fits = {key: _standard_fits(d, configs) for key, d in trained.items()}
     # plotdata runs similarity -> query -> regressor -> method -> path
     rows_by_similarity = {sim: [] for sim in manifest.similarities}
     for qidx, (d, q, qlabel) in enumerate(zip(datasets, queries, qlabels)):
-        for cfg, triple in _query_intervals(d, q, configs, qidx, manifest.control_mode):
+        intervals = _query_intervals(
+            d, q, configs, qidx, manifest.control_mode, standard_fits[id(d)]
+        )
+        for cfg, triple in intervals:
             # a triple runs in IntervalPath order, so its position names the path
             rows_by_similarity[cfg.similarity] += (
                 _plot_row(cfg, qidx, qlabel, q, path, iv)

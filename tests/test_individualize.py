@@ -361,6 +361,49 @@ class TestSimulateControls:
         np.testing.assert_array_equal(a.x, b.x)
         assert not np.array_equal(a.x, c.x)
 
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_each_control_draws_its_own_seed_sequence_stream(self, p):
+        # every row's stream is seeded in one pass: its noise must be, bit
+        # for bit, that of a generator made for its (seed, key) alone, at
+        # seeds of one and two 32-bit words and keys of up to two
+        rng = np.random.default_rng(15)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+        seeds += rng.integers(0, 2**64, size=4, dtype=np.uint64).tolist()
+        sources = np.array([0, 1, 7, 2**31 - 1, 2**32 - 1, 2**32, 2**40 + 3, 2**62 + 11])
+        d = Dataset(rng.normal(size=(sources.size, p)), rng.normal(size=sources.size))
+        sigma = np.maximum(d.x.std(axis=0, ddof=1), SIGMA_FLOOR)
+        for seed in seeds:
+            for mode, keys in (
+                (ControlMode.PERTURB, sources),
+                (ControlMode.GAUSSIAN_MIMIC, range(sources.size)),
+            ):
+                eps = np.array([
+                    np.random.default_rng(np.random.SeedSequence((seed, int(key)))).normal(size=p)
+                    for key in keys
+                ])
+                if mode is ControlMode.PERTURB:
+                    expected = d.x + eps * (0.3 * sigma)
+                else:
+                    expected = d.x.mean(axis=0) + eps * sigma
+                cs = simulate_controls(d, sources, 0.3, mode=mode, seed=seed)
+                np.testing.assert_array_equal(cs.x, expected)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64])
+    def test_seed_must_be_a_64_bit_unsigned_integer(self, seed):
+        # 1.5 would be cut to stream 1; from 2^64 on, a seed's words and
+        # its row key's would overflow the 4-word seed pool
+        rng = np.random.default_rng(16)
+        d = Dataset(rng.normal(size=(6, 2)), rng.normal(size=6))
+        for mode in ControlMode:
+            with pytest.raises(ConfigError, match="seed"):
+                self.controls(d, self.selection(d, 6), noise_scale=0.1, mode=mode, seed=seed)
+
+    def test_negative_sources_rejected(self):
+        # a negative source row has no stream: it is refused, not wrapped
+        d = Dataset(np.ones((2, 2)) + np.eye(2), np.zeros(2))
+        with pytest.raises(DataError, match=">= 0"):
+            simulate_controls(d, [0, -1], noise_scale=0.1)
+
     def test_gaussian_mimic_heads_come_from_relevant_rows(self):
         rng = np.random.default_rng(12)
         d = Dataset(rng.normal(size=(40, 3)), rng.normal(size=40))

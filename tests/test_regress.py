@@ -1401,3 +1401,20 @@ class TestPredict:
             m = fit(d, kind, seed=1)
             assert m.kind is Regressor(kind)
             assert np.all(np.isfinite(predict_many(m, d.x)))
+
+
+@pytest.mark.parametrize("kind", ["ols", "kernel"])
+def test_ols_and_kernel_fits_do_not_read_the_seed(kind):
+    # the runner makes the standard path's OLS and kernel fits once per
+    # training set and shares them across every query's seed
+    d = make_dataset(np.random.default_rng(21), 40, 3)
+    fields = (
+        ("intercept", "coefficients")
+        if kind == "ols"
+        else ("bandwidth", "train_z", "centers", "scales")
+    )
+    models = [fit(d, kind, seed=seed) for seed in (0, 1, 2**32 + 5, 2**63 - 1)]
+    for m in models[1:]:
+        for name in fields:
+            a, b = getattr(models[0], name), getattr(m, name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name

@@ -22,7 +22,7 @@ from relconf.core import (
     save_csv,
     subseed,
 )
-from relconf import cli, regress, runner
+from relconf import cli, conformal, regress, runner
 from relconf.individualize import select, simulate_controls
 from relconf.runner import RunManifest, _load_grid_data, _setup, run_algorithm1, run_grid
 from relconf.evaluate import METRIC_FAMILIES, VARIANT_ORDER, variant_code
@@ -460,10 +460,10 @@ class TestRunGrid:
         selections = []  # (query tail, similarity, floor, selection) per select call
         controlled = []  # the selection's indices behind each simulate_controls call
 
-        def counting_interval(d, reg, x0, spec, seed=0, base=None):
+        def counting_interval(d, reg, x0, spec, seed=0, base=None, scores=None):
             if any(d is full for full in datasets):
                 standard[seed, Regressor(reg), spec.method] += 1
-            return conformal_interval(d, reg, x0, spec, seed=seed, base=base)
+            return conformal_interval(d, reg, x0, spec, seed=seed, base=base, scores=scores)
 
         def counting_select(d, x0, method, alpha, gamma, min_relevant=30):
             rel = select(d, x0, method, alpha, gamma, min_relevant)
@@ -499,10 +499,16 @@ class TestRunGrid:
         # simulated per similarity), each fit once for split and once for
         # the other two methods, per regressor. The kernel's full conformal
         # also refits once on the path's rows and the query tail, whose
-        # bandwidth serves every candidate head
+        # bandwidth serves every candidate head. Neither OLS's nor the
+        # kernel's fit reads the seed, so their standard base fit and
+        # leave-one-out residuals are made once for all queries on the
+        # training set; LASSO's base fit draws its folds from each query's
+        # seed, so it is made once per query
         manifest = external_manifest(tmp_path)
         datasets, queries, labels = _load_grid_data(manifest)
-        fits = Counter()
+        queries = queries + [Query(np.array([-0.7, 1.1]), 0.4)]
+        n_queries = len(queries)
+        fits, loos = Counter(), Counter()
         for name in ("fit_ols", "fit_lasso", "fit_kernel"):
             engine = getattr(regress, name)
 
@@ -511,14 +517,38 @@ class TestRunGrid:
                 return _engine(d, *args, **kwargs)
 
             monkeypatch.setattr(regress, name, counting)
-        # one query, so that no two fits share their rows by pooling
+
+        def counting_loo(x, y, model):
+            loos[model.kind, x.tobytes(), y.tobytes()] += 1
+            return regress.loo_residuals(x, y, model)
+
+        for module in (runner, conformal):
+            monkeypatch.setattr(module, "loo_residuals", counting_loo)
+        # every query trains on the same rows
         monkeypatch.setattr(
-            runner, "_load_grid_data", lambda m: (datasets[:1], queries[:1], labels[:1])
+            runner,
+            "_load_grid_data",
+            lambda m: ([datasets[0]] * n_queries, queries, [str(k) for k in range(n_queries)]),
         )
         run_grid(manifest)
-        assert set(fits.values()) == {1}
-        refits = {key for key in fits if key[1].endswith(queries[0].x0.tobytes())}
-        assert Counter(name for name, _, _ in refits) == {"fit_kernel": 5}
-        assert Counter(name for name, _, _ in fits.keys() - refits) == {
-            name: 5 * 2 for name in ("fit_ols", "fit_lasso", "fit_kernel")
+        full = (datasets[0].x.tobytes(), datasets[0].y.tobytes())
+        assert {key[0]: n for key, n in fits.items() if key[1:] == full} == {
+            "fit_ols": 1, "fit_kernel": 1, "fit_lasso": n_queries
+        }
+        assert {key[0]: n for key, n in loos.items() if key[1:] == full} == {
+            Regressor.OLS: 1, Regressor.KERNEL: 1, Regressor.LASSO: n_queries
+        }
+        paths = fits.keys() - {(name, *full) for name in ("fit_ols", "fit_lasso", "fit_kernel")}
+        assert {fits[key] for key in paths} == {1}
+        assert {n for key, n in loos.items() if key[1:] != full} == {1}
+        refits = {key for key in paths if any(key[1].endswith(q.x0.tobytes()) for q in queries)}
+        assert Counter(name for name, _, _ in refits) == {"fit_kernel": 5 * n_queries}
+        # per query: split on all 5 paths and a base fit on the 4 relevant
+        # and simulated paths
+        assert Counter(name for name, _, _ in paths - refits) == {
+            name: (5 + 4) * n_queries for name in ("fit_ols", "fit_lasso", "fit_kernel")
+        }
+        # the jackknife on the 4 relevant and simulated paths, per query
+        assert Counter(kind for kind, *rows in loos if tuple(rows) != full) == {
+            reg: 4 * n_queries for reg in Regressor
         }
