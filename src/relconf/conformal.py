@@ -29,6 +29,7 @@ from .core import (
     Regressor,
     _choice,
     _query_tail,
+    check_knob,
     check_knobs,
 )
 from .regress import (
@@ -139,7 +140,8 @@ def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> Pred
             f"split with {reg.value} needs {fit_rows} <= floor(rho*n) <= n-2;"
             f" rho={spec.rho}, n={d.n}"
         )
-    perm = _split_order(int(seed), d.n)
+    seed = check_knob("seed", seed)
+    perm = _split_order(seed, d.n)
     model = fit(d.subset(perm[:n_train]), reg, seed=seed)
     point = _point(model, x0)
     cal = perm[n_train:]

@@ -301,8 +301,8 @@ _KNOB_RULES = {
 
 def check_knob(name: str, raw):
     """``raw`` as knob ``name``'s type; ConfigError if the conversion would
-    change it or it breaks the knob's rule (selection, controls and
-    ``relconf gen`` call this)."""
+    change it or it breaks the knob's rule (selection, controls, split
+    conformal, the LASSO fit and ``relconf gen`` call this)."""
     kind, rule, holds = _KNOB_RULES[name]
     value = kind(raw)
     # refuse what the conversion would change (30.9, "31"); NaN fails its rule

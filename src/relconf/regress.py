@@ -34,6 +34,7 @@ from .core import (
     _sq_dists,
     _standardize_columns,
     _tail_rows,
+    check_knob,
     transform_features,
 )
 
@@ -393,6 +394,7 @@ def fit_lasso(d: Dataset, *, lam: float | None = None, seed: int = 0) -> FittedM
     its penalty end on the same solve. ``converged`` covers the final fit
     and the cross-validation paths.
     """
+    seed = check_knob("seed", seed)
     if lam is not None:
         lam = float(lam)
         if not lam >= 0.0:  # NaN fails too

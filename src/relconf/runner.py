@@ -101,54 +101,34 @@ def _setup(d: Dataset, q: Query, cfg: ExperimentConfig):
     return x0, spec, min(max(int(cfg.min_relevant), needed), d.n)
 
 
-def _standard_fits(d: Dataset, configs) -> dict:
-    """Regressor -> (base fit, jackknife scores or None) of the standard path
-    on ``d``, for OLS and the kernel under full conformal and the jackknife.
-
-    Neither engine's fit reads the seed, and the scores, the absolute
-    leave-one-out residuals, depend only on the rows and the fit, so they
-    are made once per training set and shared by all of its queries.
-    LASSO draws its cross-validation folds from each query's seed and is
-    fitted per query. A config that ``d`` is too small for is left for
-    ``_setup`` to report.
-    """
-    fits = {}
-    for cfg in configs:
-        reg, method = cfg.regressor, cfg.conformal_method
-        if (
-            reg is Regressor.LASSO
-            or method is ConformalMethod.SPLIT
-            or d.n < _min_rows(ConformalSpec(method), reg)  # reads only the method
-        ):
-            continue
-        base, scores = fits.get(reg) or (fit(d, reg), None)
-        if method is ConformalMethod.JACKKNIFE and scores is None:
-            scores = np.abs(loo_residuals(d.x, d.y, base))
-        fits[reg] = base, scores
-    return fits
-
-
-def _query_intervals(d, q, configs, query_index: int, control_mode, standard_fits):
+def _query_intervals(d, q, configs, query_index: int, control_mode, trained: dict):
     """Yield (cfg, (standard, relevant, relevant_simulated)) for each config.
 
     The configs differ only in regressor, similarity and method, so the
     keys that share the standard interval, the neighbourhood and the base
-    fit are complete. Every path runs on the query's one conformal seed, so
-    full conformal and the jackknife on the same rows and regressor start
-    from one base fit. ``standard_fits`` is ``_standard_fits(d, configs)``.
+    fit are complete. Full conformal and the jackknife on one path's rows
+    share a base fit, made on first use. OLS and the kernel read no seed,
+    and the jackknife's scores (the absolute leave-one-out residuals)
+    depend only on the rows and the fit, so those engines' standard-path
+    fits and scores go into ``trained``, the caller's table for ``d``, and
+    serve all of its queries; every other fit serves this query only.
     """
     standard, neighbourhoods = {}, {}
     # (path, regressor) -> (base fit, jackknife scores or None)
-    bases = {(IntervalPath.STANDARD, reg): fits for reg, fits in standard_fits.items()}
+    bases = {}
 
     def interval(rows, path, cfg, x0, spec) -> PredictionInterval:
         seed = subseed(cfg.seed, "conformal", query_index)
         if spec.method is ConformalMethod.SPLIT:
             return conformal_interval(rows, cfg.regressor, x0, spec, seed=seed)
-        key = (path, cfg.regressor)
-        if key not in bases:
-            bases[key] = fit(rows, cfg.regressor, seed=seed), None
-        base, scores = bases[key]
+        shared = path is IntervalPath.STANDARD and cfg.regressor is not Regressor.LASSO
+        table = trained if shared else bases
+        key = path, cfg.regressor
+        base, scores = table.get(key) or (fit(rows, cfg.regressor, seed=seed), None)
+        if shared and scores is None and spec.method is ConformalMethod.JACKKNIFE:
+            # a query's own scores serve one jackknife, which makes them itself
+            scores = np.abs(loo_residuals(rows.x, rows.y, base))
+        table[key] = base, scores
         return conformal_interval(
             rows, cfg.regressor, x0, spec, seed=seed, base=base, scores=scores
         )
@@ -199,9 +179,7 @@ def run_algorithm1(
     raised to that minimum; only a dataset below the minimum is a hard
     error.
     """
-    ((_, triple),) = _query_intervals(
-        d, q, (cfg,), query_index, control_mode, _standard_fits(d, (cfg,))
-    )
+    ((_, triple),) = _query_intervals(d, q, (cfg,), query_index, control_mode, {})
     return triple
 
 
@@ -423,15 +401,12 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
     datasets, queries, qlabels = _load_grid_data(manifest)
     cells = product(manifest.similarities, manifest.regressors, manifest.methods)
     configs = [manifest.base_config(reg, sim, method) for sim, reg, method in cells]
-    # each training set's standard fits, once, for all of its queries
-    trained = {id(d): d for d in datasets}
-    standard_fits = {key: _standard_fits(d, configs) for key, d in trained.items()}
+    # each training set's shared standard-path fits, kept for all of its queries
+    trained = {id(d): {} for d in datasets}
     # plotdata runs similarity -> query -> regressor -> method -> path
     rows_by_similarity = {sim: [] for sim in manifest.similarities}
     for qidx, (d, q, qlabel) in enumerate(zip(datasets, queries, qlabels)):
-        intervals = _query_intervals(
-            d, q, configs, qidx, manifest.control_mode, standard_fits[id(d)]
-        )
+        intervals = _query_intervals(d, q, configs, qidx, manifest.control_mode, trained[id(d)])
         for cfg, triple in intervals:
             # a triple runs in IntervalPath order, so its position names the path
             rows_by_similarity[cfg.similarity] += (

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from relconf.core import DataError, Dataset, PredictionInterval
+from relconf.core import ConfigError, DataError, Dataset, PredictionInterval
 from relconf.conformal import (
     ConformalSpec,
     ceil_guarded,
@@ -459,3 +459,18 @@ def test_non_finite_query_tail_refused(reg, bad):
     ):
         with pytest.raises(DataError, match="non-finite entry in query tail"):
             construct()
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, 2**64])
+@pytest.mark.parametrize("consumer", ["split-ols", "split-lasso", "split-kernel", "fit_lasso"])
+def test_seed_must_be_a_64_bit_unsigned_integer(consumer, seed):
+    # split conformal's row order and LASSO's folds both read the seed, by
+    # the knob rule every seed follows: 1.5 would be cut to stream 1, -1 is
+    # no numpy seed, and 2^64 is past the rule's bound
+    d = make_dataset(np.random.default_rng(16), 30, 2)
+    with pytest.raises(ConfigError, match="seed"):
+        if consumer == "fit_lasso":
+            fit_lasso(d, seed=seed)
+        else:
+            reg = consumer.split("-")[1]
+            conformal_interval(d, reg, [0.0, 0.0], ConformalSpec("split"), seed=seed)

@@ -147,10 +147,25 @@ class TestRunAlgorithm1:
         for iv in triple:
             assert iv.lo <= iv.up
 
-    def test_dataset_below_method_minimum_is_hard_error(self):
-        d = make_data(n=3)
-        with pytest.raises(DataError, match="n >= 4"):
-            run_algorithm1(d, Query(np.array([0.0, 0.0])), BASE)
+    @pytest.mark.parametrize(
+        "method, reg, needed",
+        [
+            ("split", "ols", 4),
+            ("full", "ols", 2),
+            ("full", "kernel", 2),
+            ("jackknife", "ols", 3),
+            ("jackknife", "kernel", 3),
+        ],
+    )
+    def test_dataset_below_method_minimum_is_hard_error(self, method, reg, needed, monkeypatch):
+        # _setup refuses a dataset one row short before any fit runs
+        for name in ("fit_ols", "fit_lasso", "fit_kernel"):
+            monkeypatch.setattr(regress, name, None)  # a fit here would fail
+        d = make_data(n=needed - 1)
+        cfg = replace(BASE, conformal_method=method, regressor=reg)
+        message = f"{method} conformal with {reg} needs n >= {needed}, got n={needed - 1}"
+        with pytest.raises(DataError, match=message):
+            run_algorithm1(d, Query(np.array([0.0, 0.0])), cfg)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError, match="features"):
@@ -231,6 +246,43 @@ def external_manifest(tmp_path, **overrides):
 
 def read_lines(path):
     return Path(path).read_text().splitlines()
+
+
+def count_grid_fits(tmp_path, monkeypatch, **overrides):
+    """Run the external grid with a third query on the same training rows.
+
+    Returns the engine fits counted per (engine name, x bytes, y bytes),
+    the leave-one-out calls counted per (engine, x bytes, y bytes), the
+    training rows' (x bytes, y bytes), and the queries.
+    """
+    manifest = external_manifest(tmp_path, **overrides)
+    datasets, queries, labels = _load_grid_data(manifest)
+    queries = queries + [Query(np.array([-0.7, 1.1]), 0.4)]
+    n_queries = len(queries)
+    fits, loos = Counter(), Counter()
+    for name in ("fit_ols", "fit_lasso", "fit_kernel"):
+        engine = getattr(regress, name)
+
+        def counting(d, *args, _engine=engine, _name=name, **kwargs):
+            fits[_name, d.x.tobytes(), d.y.tobytes()] += 1
+            return _engine(d, *args, **kwargs)
+
+        monkeypatch.setattr(regress, name, counting)
+
+    def counting_loo(x, y, model):
+        loos[model.kind, x.tobytes(), y.tobytes()] += 1
+        return regress.loo_residuals(x, y, model)
+
+    for module in (runner, conformal):
+        monkeypatch.setattr(module, "loo_residuals", counting_loo)
+    # every query trains on the same rows
+    monkeypatch.setattr(
+        runner,
+        "_load_grid_data",
+        lambda m: ([datasets[0]] * n_queries, queries, [str(k) for k in range(n_queries)]),
+    )
+    run_grid(manifest)
+    return fits, loos, (datasets[0].x.tobytes(), datasets[0].y.tobytes()), queries
 
 
 class TestRunGrid:
@@ -504,34 +556,8 @@ class TestRunGrid:
         # leave-one-out residuals are made once for all queries on the
         # training set; LASSO's base fit draws its folds from each query's
         # seed, so it is made once per query
-        manifest = external_manifest(tmp_path)
-        datasets, queries, labels = _load_grid_data(manifest)
-        queries = queries + [Query(np.array([-0.7, 1.1]), 0.4)]
+        fits, loos, full, queries = count_grid_fits(tmp_path, monkeypatch)
         n_queries = len(queries)
-        fits, loos = Counter(), Counter()
-        for name in ("fit_ols", "fit_lasso", "fit_kernel"):
-            engine = getattr(regress, name)
-
-            def counting(d, *args, _engine=engine, _name=name, **kwargs):
-                fits[_name, d.x.tobytes(), d.y.tobytes()] += 1
-                return _engine(d, *args, **kwargs)
-
-            monkeypatch.setattr(regress, name, counting)
-
-        def counting_loo(x, y, model):
-            loos[model.kind, x.tobytes(), y.tobytes()] += 1
-            return regress.loo_residuals(x, y, model)
-
-        for module in (runner, conformal):
-            monkeypatch.setattr(module, "loo_residuals", counting_loo)
-        # every query trains on the same rows
-        monkeypatch.setattr(
-            runner,
-            "_load_grid_data",
-            lambda m: ([datasets[0]] * n_queries, queries, [str(k) for k in range(n_queries)]),
-        )
-        run_grid(manifest)
-        full = (datasets[0].x.tobytes(), datasets[0].y.tobytes())
         assert {key[0]: n for key, n in fits.items() if key[1:] == full} == {
             "fit_ols": 1, "fit_kernel": 1, "fit_lasso": n_queries
         }
@@ -552,3 +578,21 @@ class TestRunGrid:
         assert Counter(kind for kind, *rows in loos if tuple(rows) != full) == {
             reg: 4 * n_queries for reg in Regressor
         }
+
+    @pytest.mark.parametrize("method", ["full", "jackknife"])
+    def test_grid_of_one_method_shares_the_standard_fits(self, tmp_path, monkeypatch, method):
+        # a grid of one method still fits OLS and the kernel once on the
+        # training rows for all queries; only the jackknife takes their
+        # leave-one-out residuals there, once per engine
+        fits, loos, full, queries = count_grid_fits(tmp_path, monkeypatch, methods=(method,))
+        assert len(queries) >= 3
+        assert {key[0]: n for key, n in fits.items() if key[1:] == full} == {
+            "fit_ols": 1, "fit_kernel": 1, "fit_lasso": len(queries)
+        }
+        on_full = {key[0]: n for key, n in loos.items() if key[1:] == full}
+        if method == "full":
+            assert on_full == {}
+        else:
+            assert on_full == {
+                Regressor.OLS: 1, Regressor.KERNEL: 1, Regressor.LASSO: len(queries)
+            }
