@@ -81,6 +81,8 @@ def parse_config_file(path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in settings:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice")
         try:
             settings[key] = _parser(_DEFAULTS[key])(value)
         except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:

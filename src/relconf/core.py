@@ -80,24 +80,6 @@ def _readonly(a, dtype=np.float64) -> np.ndarray:
     return out
 
 
-def _row_indices(indices, what: str) -> np.ndarray:
-    """``indices`` as an int64 array for ``what`` to take rows by.
-
-    Anything but a 1-D array, a boolean mask and a non-integer value are
-    refused, not read as extra axes, as 0/1 or truncated toward row 0. An
-    empty input passes whatever its dtype (``np.asarray([])`` is a float
-    array), for the caller to refuse.
-    """
-    idx = np.asarray(indices)
-    if idx.ndim != 1:
-        raise DataError(f"{what} takes a 1-D array of row indices, got shape {idx.shape}")
-    if idx.dtype == bool:
-        raise DataError(f"{what} takes row indices, not a boolean mask")
-    if idx.size and not np.issubdtype(idx.dtype, np.integer):
-        raise DataError(f"{what} takes integer row indices, got {idx.dtype}")
-    return idx.astype(np.int64, copy=False)
-
-
 def _tail_rows(x, p: int | None = None, owner: str = "dataset has", one: bool = False):
     """The query-tail rule: ``x`` as a 2-D float array of query rows.
 
@@ -222,9 +204,16 @@ class Dataset:
         ``__post_init__``, and indexing's own copy is flagged read-only,
         not copied again.
         """
-        idx = _row_indices(indices, "subset")
+        idx = np.asarray(indices)
+        if idx.ndim != 1:
+            raise DataError(f"subset takes a 1-D array of row indices, got shape {idx.shape}")
         if idx.size == 0:
+            # np.asarray([]) is a float array: no rows, not a fractional index
             raise DataError("subset selects no rows")
+        if idx.dtype == bool:
+            raise DataError("subset takes row indices, not a boolean mask")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise DataError(f"subset takes integer row indices, got {idx.dtype}")
         if idx.min() < 0 or idx.max() >= self.n:
             raise DataError(f"row index out of range for {self.n} rows")
         out = object.__new__(Dataset)

@@ -23,7 +23,6 @@ from .core import (
     _choice,
     _query_tail,
     _readonly,
-    _row_indices,
     _sq_dists,
     _standardize_columns,
     check_knob,
@@ -55,8 +54,8 @@ class RelevanceSelection:
     ``threshold_used`` is the cut the rule applied: a distance for the
     percentile rule, a cosine for the cosine rule; ``fallback`` records that
     the rule alone gave fewer than ``min_relevant`` rows and the floor
-    took over. The indices must be integers; whether they fit a dataset
-    is checked where they are used, by ``Dataset.subset``.
+    took over. ``select`` builds the indices; they are kept read-only as
+    given and checked where they are used, by ``Dataset.subset``.
     """
 
     indices: np.ndarray
@@ -65,12 +64,7 @@ class RelevanceSelection:
     fallback: bool = False
 
     def __post_init__(self):
-        idx = _readonly(_row_indices(self.indices, "RelevanceSelection"), dtype=np.int64)
-        if idx.size == 0:
-            raise DataError("relevance selection is empty")
-        if len(np.unique(idx)) != idx.size:
-            raise DataError("relevance selection has duplicate indices")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", _readonly(self.indices, dtype=None))
         object.__setattr__(self, "method", _choice(Similarity, self.method))
 
     @property
@@ -245,22 +239,22 @@ def _row_normals(seed: int, keys: np.ndarray, p: int) -> np.ndarray:
 
 
 def simulate_controls(
-    relevant: Dataset,
-    sources,
+    d: Dataset,
+    indices,
     noise_scale: float,
     mode=ControlMode.PERTURB,
     seed: int = 0,
 ) -> Dataset:
     """One synthetic control per relevant row: n_r rows, in selection order.
 
-    ``relevant`` holds the selected rows, ``d.subset(rel.indices)``, and
-    ``sources`` their row indices in the full dataset, ``rel.indices``.
-    Each control draws one standard normal row eps from the stream
-    ``default_rng(SeedSequence((seed, key)))``, keyed on its source row
-    (perturb: a control does not depend on which other rows were selected)
-    or on its position (gaussian_mimic); every row's stream is seeded in
-    one pass (``_row_normals``). sigma_j is the
-    sample std of feature j within the relevant subset, floored at 1e-8.
+    The relevant rows are ``d.subset(indices)``, which checks the indices
+    (``rel.indices`` of a selection on ``d``). Each control draws one
+    standard normal row eps from the stream
+    ``default_rng(SeedSequence((seed, key)))``, keyed on its row index in
+    ``d`` (perturb: a control does not depend on which other rows were
+    selected) or on its position (gaussian_mimic); every row's stream is
+    seeded in one pass (``_row_normals``). sigma_j is the sample std of
+    feature j within the relevant subset, floored at 1e-8.
 
     perturb (default): x + eps * noise_scale * sigma for each relevant row
     x, keeping its head. gaussian_mimic: mu + eps * sigma, a draw from the
@@ -270,17 +264,12 @@ def simulate_controls(
     noise_scale = check_knob("noise_scale", noise_scale)
     seed = check_knob("seed", seed)
     mode = _choice(ControlMode, mode)
-    sources = np.asarray(sources)
-    if sources.shape != (relevant.n,):
-        raise DataError(f"source indices of shape {sources.shape} for {relevant.n} relevant rows")
-    sources = _row_indices(sources, "simulate_controls")
-    if sources.min() < 0:
-        raise DataError("simulate_controls takes source row indices >= 0")
+    relevant = d.subset(indices)
     x_rel, y_rel = relevant.x, relevant.y
     n_r, p = x_rel.shape
     sigma = np.maximum(x_rel.std(axis=0, ddof=min(n_r - 1, 1)), SIGMA_FLOOR)
 
-    keys = sources if mode is ControlMode.PERTURB else np.arange(n_r)
+    keys = indices if mode is ControlMode.PERTURB else np.arange(n_r)
     eps = _row_normals(seed, keys, p)
     if mode is ControlMode.PERTURB:
         x_syn = x_rel + eps * (noise_scale * sigma)

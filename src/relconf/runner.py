@@ -142,12 +142,11 @@ def _query_intervals(d, q, configs, query_index: int, control_mode, trained: dic
         if hood not in neighbourhoods:
             # the relevant rows and the synthetic controls cloned from them
             rel = select(d, x0, cfg.similarity, cfg.alpha, cfg.gamma, min_relevant=floor)
-            relevant = d.subset(rel.indices)
             controls_seed = subseed(cfg.seed, "controls", query_index)
             neighbourhoods[hood] = (
-                relevant,
+                d.subset(rel.indices),
                 simulate_controls(
-                    relevant, rel.indices, cfg.noise_scale, mode=control_mode, seed=controls_seed
+                    d, rel.indices, cfg.noise_scale, mode=control_mode, seed=controls_seed
                 ),
             )
         relevant, simulated = neighbourhoods[hood]
@@ -223,7 +222,10 @@ class RunManifest:
         if self.suite == "external-csv" and not (self.train_csv and self.queries_csv):
             raise ConfigError("external-csv suite needs train_csv and queries_csv paths")
         for name, kind in _CHOICE_FIELDS.items():
-            object.__setattr__(self, name, tuple(_choice(kind, v) for v in getattr(self, name)))
+            values = getattr(self, name)
+            # the enums are str: a bare name is one choice, not its characters
+            values = (values,) if isinstance(values, str) else values
+            object.__setattr__(self, name, tuple(_choice(kind, v) for v in values))
         object.__setattr__(self, "control_mode", _choice(ControlMode, self.control_mode))
         for name in _CHOICE_FIELDS:
             values = getattr(self, name)

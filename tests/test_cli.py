@@ -180,6 +180,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert "alfa" in err
 
+    def test_config_key_given_twice(self, tmp_path, capsys):
+        # the last value would win silently, and a run of seed 2 exit 0
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("seed = 1\n# again\nseed = 2\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {cfg}:3: config key 'seed' given twice"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("alpha = ten percent\n")

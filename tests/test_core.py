@@ -302,7 +302,7 @@ UNKNOWN_NAME_CALLS = {
     "select": ("Similarity", lambda w: select(w.d, TAIL, "bogus", 0.2, 0.5, 10)),
     "simulate_controls": (
         "ControlMode",
-        lambda w: simulate_controls(w.d.subset([0, 1]), [0, 1], 0.1, mode="bogus"),
+        lambda w: simulate_controls(w.d, [0, 1], 0.1, mode="bogus"),
     ),
     "RelevanceSelection": ("Similarity", lambda w: RelevanceSelection([0, 1], "bogus", 1.0)),
     "variant_code-regressor": ("Regressor", lambda w: variant_code("bogus", "standard")),

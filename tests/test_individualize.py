@@ -1,8 +1,6 @@
 """Selection rules and simulated controls: quantile arithmetic, fallbacks,
 invariances, and one synthetic row per relevant row."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,7 @@ from relconf.individualize import (
     SIGMA_FLOOR,
     ControlMode,
     RelevanceSelection,
+    _row_normals,
     select,
     select_cosine,
     select_percentile,
@@ -296,7 +295,7 @@ class TestSimulateControls:
     @staticmethod
     def controls(d, sel, *args, **kwargs):
         """The controls of a selection made on ``d``, built as the runner does."""
-        return simulate_controls(d.subset(sel.indices), sel.indices, *args, **kwargs)
+        return simulate_controls(d, sel.indices, *args, **kwargs)
 
     def test_one_control_per_relevant_row(self):
         rng = np.random.default_rng(6)
@@ -369,24 +368,31 @@ class TestSimulateControls:
         rng = np.random.default_rng(15)
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
         seeds += rng.integers(0, 2**64, size=4, dtype=np.uint64).tolist()
-        sources = np.array([0, 1, 7, 2**31 - 1, 2**32 - 1, 2**32, 2**40 + 3, 2**62 + 11])
-        d = Dataset(rng.normal(size=(sources.size, p)), rng.normal(size=sources.size))
-        sigma = np.maximum(d.x.std(axis=0, ddof=1), SIGMA_FLOOR)
+
+        def streams(seed, keys):
+            return np.array([
+                np.random.default_rng(np.random.SeedSequence((seed, int(key)))).normal(size=p)
+                for key in keys
+            ])
+
+        keys = np.array([0, 1, 7, 2**31 - 1, 2**32 - 1, 2**32, 2**40 + 3, 2**62 + 11])
         for seed in seeds:
-            for mode, keys in (
-                (ControlMode.PERTURB, sources),
-                (ControlMode.GAUSSIAN_MIMIC, range(sources.size)),
-            ):
-                eps = np.array([
-                    np.random.default_rng(np.random.SeedSequence((seed, int(key)))).normal(size=p)
-                    for key in keys
-                ])
-                if mode is ControlMode.PERTURB:
-                    expected = d.x + eps * (0.3 * sigma)
-                else:
-                    expected = d.x.mean(axis=0) + eps * sigma
-                cs = simulate_controls(d, sources, 0.3, mode=mode, seed=seed)
-                np.testing.assert_array_equal(cs.x, expected)
+            np.testing.assert_array_equal(_row_normals(seed, keys, p), streams(seed, keys))
+        # a perturb control is keyed on its row index in d, a gaussian_mimic
+        # control on its position in the selection
+        d = Dataset(rng.normal(size=(12, p)), rng.normal(size=12))
+        indices = np.array([11, 0, 7, 3])
+        x_rel = d.x[indices]
+        sigma = np.maximum(x_rel.std(axis=0, ddof=1), SIGMA_FLOOR)
+        for seed in seeds:
+            perturbed = simulate_controls(d, indices, 0.3, seed=seed)
+            np.testing.assert_array_equal(
+                perturbed.x, x_rel + streams(seed, indices) * (0.3 * sigma)
+            )
+            mimic = simulate_controls(d, indices, 0.3, mode="gaussian_mimic", seed=seed)
+            np.testing.assert_array_equal(
+                mimic.x, x_rel.mean(axis=0) + streams(seed, range(indices.size)) * sigma
+            )
 
     @pytest.mark.parametrize("seed", [1.5, -1, 2**64])
     def test_seed_must_be_a_64_bit_unsigned_integer(self, seed):
@@ -401,7 +407,7 @@ class TestSimulateControls:
     def test_negative_sources_rejected(self):
         # a negative source row has no stream: it is refused, not wrapped
         d = Dataset(np.ones((2, 2)) + np.eye(2), np.zeros(2))
-        with pytest.raises(DataError, match=">= 0"):
+        with pytest.raises(DataError, match="out of range"):
             simulate_controls(d, [0, -1], noise_scale=0.1)
 
     def test_gaussian_mimic_heads_come_from_relevant_rows(self):
@@ -452,14 +458,6 @@ class TestSimulateControls:
             with pytest.raises(DataError, match="range"):
                 self.controls(d, sel, noise_scale=0.1, mode=mode)
 
-    def test_sources_must_match_relevant_rows(self):
-        # one source index per relevant row keys its control's stream: any
-        # other shape is refused, not cut short or left with rows unset
-        d = Dataset(np.ones((5, 2)) + np.eye(5, 2), np.zeros(5))
-        for sources in (np.arange(4), np.arange(6), np.arange(5)[:, None]):
-            with pytest.raises(DataError, match="source indices"):
-                simulate_controls(d, sources, noise_scale=0.1)
-
     def test_non_integer_sources_rejected(self):
         # int(1.7) would key the control of row 1's stream
         d = Dataset(np.ones((2, 2)) + np.eye(2), np.zeros(2))
@@ -468,23 +466,13 @@ class TestSimulateControls:
                 simulate_controls(d, sources, noise_scale=0.1)
 
 
-class TestRelevanceSelectionValidation:
-    def test_duplicate_indices_rejected(self):
-        with pytest.raises(DataError, match="duplicate"):
-            RelevanceSelection(np.array([0, 0]), Similarity.PERCENTILE, 1.0)
-
-    def test_non_integer_indices_rejected(self):
-        # stored as int64, [1.7, 2.2] would become rows [1, 2]
-        for indices in ([1.7, 2.2], np.array([1.0, 2.0]), [True, False]):
-            with pytest.raises(DataError, match="row indices"):
-                RelevanceSelection(indices, Similarity.PERCENTILE, 1.0)
-
-    def test_empty_selection_rejected(self):
-        for indices in (np.array([], dtype=int), []):
-            with pytest.raises(DataError, match="empty"):
-                RelevanceSelection(indices, Similarity.PERCENTILE, 1.0)
-
-    def test_indices_that_are_not_one_dimensional_rejected(self):
-        # a (2, 2) array would be stored as is, with n_relevant 4
-        with pytest.raises(DataError, match=re.escape("got shape (2, 2)")):
-            RelevanceSelection(np.arange(4).reshape(2, 2), Similarity.COSINE, 1.0)
+class TestRelevanceSelection:
+    def test_indices_are_a_read_only_copy_checked_where_used(self):
+        # kept as given, not cast to int64: a fractional index is refused
+        # where its rows are taken, not truncated toward row 0
+        given = np.array([1.7, 0.0])
+        sel = RelevanceSelection(given, Similarity.PERCENTILE, 1.0)
+        assert not sel.indices.flags.writeable and not np.shares_memory(sel.indices, given)
+        d = Dataset(np.arange(6.0).reshape(3, 2), np.arange(3.0))
+        with pytest.raises(DataError, match="integer row indices"):
+            d.subset(sel.indices)

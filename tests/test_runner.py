@@ -56,8 +56,7 @@ class TestRunAlgorithm1:
         x0, spec, floor = _setup(d, q, BASE)
         rel = select(d, x0, BASE.similarity, BASE.alpha, BASE.gamma, min_relevant=floor)
         controls = simulate_controls(
-            d.subset(rel.indices), rel.indices, BASE.noise_scale,
-            seed=subseed(BASE.seed, "controls", 4),
+            d, rel.indices, BASE.noise_scale, seed=subseed(BASE.seed, "controls", 4)
         )
         seed = subseed(BASE.seed, "conformal", 4)
         assert triple == tuple(
@@ -473,6 +472,14 @@ class TestRunGrid:
         with pytest.raises(ConfigError, match="similarities lists 'cosine' more than once"):
             RunManifest(similarities=("cosine", "percentile", "cosine"))
 
+    def test_manifest_reads_a_bare_name_as_one_choice(self):
+        # a str is iterable: read one character at a time, "ols" would be
+        # the choices "o", "l", "s"
+        bare = RunManifest(regressors="ols", methods=ConformalMethod.FULL)
+        assert bare.regressors == (Regressor.OLS,)
+        assert bare.methods == (ConformalMethod.FULL,)
+        listed = RunManifest(regressors=("ols",), methods=("full",))
+        assert bare.config_hash() == listed.config_hash()
 
     @pytest.mark.parametrize(
         "knobs",
@@ -522,9 +529,9 @@ class TestRunGrid:
             selections.append((x0.tobytes(), Similarity(method), min_relevant, rel))
             return rel
 
-        def counting_controls(relevant, sources, noise_scale, mode, seed):
-            controlled.append(sources)
-            return simulate_controls(relevant, sources, noise_scale, mode=mode, seed=seed)
+        def counting_controls(d, indices, noise_scale, mode, seed):
+            controlled.append(indices)
+            return simulate_controls(d, indices, noise_scale, mode=mode, seed=seed)
 
         monkeypatch.setattr(runner, "_load_grid_data", lambda m: (datasets, queries, labels))
         monkeypatch.setattr(runner, "conformal_interval", counting_interval)
