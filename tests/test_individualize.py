@@ -1,6 +1,8 @@
 """Selection rules and simulated controls: quantile arithmetic, fallbacks,
 invariances, and one synthetic row per relevant row."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -466,7 +468,36 @@ class TestSimulateControls:
                 simulate_controls(d, sources, noise_scale=0.1)
 
 
-class TestRelevanceSelection:
+class TestRelevanceSelectionValidation:
+    """A selection keeps its indices as given; both consumers refuse bad ones.
+
+    The runner takes a selection's rows with ``d.subset`` (the relevant
+    path) and ``simulate_controls`` (the simulated path, in either mode).
+    """
+
+    D = Dataset(np.arange(10.0).reshape(5, 2) ** 2, np.arange(5.0))
+
+    def refused(self, indices, match):
+        sel = RelevanceSelection(indices, Similarity.PERCENTILE, 1.0)
+        with pytest.raises(DataError, match=match):
+            self.D.subset(sel.indices)
+        for mode in ControlMode:
+            with pytest.raises(DataError, match=match):
+                simulate_controls(self.D, sel.indices, noise_scale=0.1, mode=mode)
+
+    def test_non_integer_indices_rejected(self):
+        # truncated, [1.7, 2.2] would take rows [1, 2]; a mask, rows 1 and 0
+        for indices in ([1.7, 2.2], np.array([1.0, 2.0]), [True, False]):
+            self.refused(indices, "row indices")
+
+    def test_empty_selection_rejected(self):
+        for indices in (np.array([], dtype=int), []):
+            self.refused(indices, "no rows")
+
+    def test_indices_that_are_not_one_dimensional_rejected(self):
+        # a (2, 2) array would take a (2, 2, p) block of rows
+        self.refused(np.arange(4).reshape(2, 2), re.escape("got shape (2, 2)"))
+
     def test_indices_are_a_read_only_copy_checked_where_used(self):
         # kept as given, not cast to int64: a fractional index is refused
         # where its rows are taken, not truncated toward row 0
