@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     ConformalMethod,
+    ConformalSpec,
     DataError,
     Dataset,
     PredictionInterval,
@@ -30,7 +30,6 @@ from .core import (
     _choice,
     _query_tail,
     check_knob,
-    check_knobs,
 )
 from .regress import (
     FittedModel,
@@ -42,7 +41,6 @@ from .regress import (
 )
 
 __all__ = [
-    "ConformalSpec",
     "conformal_interval",
     "split_conformal",
     "full_conformal",
@@ -59,25 +57,6 @@ _CEIL_GUARD = 1e-9
 def ceil_guarded(x: float) -> int:
     """Ceiling that forgives float dust just above an integer."""
     return math.ceil(x - _CEIL_GUARD)
-
-
-@dataclass(frozen=True)
-class ConformalSpec:
-    """Method choice plus the knobs it needs.
-
-    ``rho`` only matters for split; ``grid_points``/``grid_expansion``
-    only for full.
-    """
-
-    method: ConformalMethod
-    alpha: float = 0.1
-    rho: float = 0.5
-    grid_points: int = 100
-    grid_expansion: float = 0.25
-
-    def __post_init__(self):
-        object.__setattr__(self, "method", _choice(ConformalMethod, self.method))
-        check_knobs(self)
 
 
 def _point(model: FittedModel, x0: np.ndarray) -> float:

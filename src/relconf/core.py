@@ -30,6 +30,7 @@ __all__ = [
     "Dataset",
     "Query",
     "PredictionInterval",
+    "ConformalSpec",
     "ExperimentConfig",
     "check_knob",
     "check_knobs",
@@ -315,8 +316,9 @@ def _choice(kind, raw):
 def check_knobs(obj) -> None:
     """Coerce and check every numeric knob field of the frozen dataclass ``obj``.
 
-    ``ExperimentConfig``, ``ConformalSpec`` and ``RunManifest`` all call
-    this, so each knob is checked by one rule wherever it is set.
+    ``ConformalSpec`` (and through it ``ExperimentConfig``) and
+    ``RunManifest`` call this, so each knob is checked by one rule wherever
+    it is set.
     """
     for f in fields(obj):
         if f.name in _KNOB_RULES:
@@ -324,34 +326,47 @@ def check_knobs(obj) -> None:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One cell of the experiment grid: method choices plus the tuning knobs.
+class ConformalSpec:
+    """Method choice plus the knobs it needs.
 
-    ``alpha`` is the miscoverage level (also the selection fraction for
-    percentile relevance), ``gamma`` the cosine-similarity threshold,
-    ``rho`` the split-conformal training fraction, ``noise_scale`` the
-    control perturbation as a fraction of per-feature spread.
+    ``rho`` only matters for split; ``grid_points``/``grid_expansion``
+    only for full.
     """
 
+    method: ConformalMethod
     alpha: float = 0.1
-    gamma: float = 0.9
     rho: float = 0.5
-    regressor: Regressor = Regressor.OLS
-    similarity: Similarity = Similarity.PERCENTILE
-    conformal_method: ConformalMethod = ConformalMethod.SPLIT
-    noise_scale: float = 0.1
-    min_relevant: int = 30
-    seed: int = 0
     grid_points: int = 100
     grid_expansion: float = 0.25
 
     def __post_init__(self):
+        object.__setattr__(self, "method", _choice(ConformalMethod, self.method))
+        check_knobs(self)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig(ConformalSpec):
+    """One cell of the experiment grid: its conformal spec, with the method
+    split by default, plus the engine, the similarity and their knobs.
+
+    ``alpha`` is the miscoverage level (also the selection fraction for
+    percentile relevance), ``gamma`` the cosine-similarity threshold,
+    ``noise_scale`` the control perturbation as a fraction of per-feature
+    spread.
+    """
+
+    method: ConformalMethod = ConformalMethod.SPLIT
+    gamma: float = 0.9
+    regressor: Regressor = Regressor.OLS
+    similarity: Similarity = Similarity.PERCENTILE
+    noise_scale: float = 0.1
+    min_relevant: int = 30
+    seed: int = 0
+
+    def __post_init__(self):
         object.__setattr__(self, "regressor", _choice(Regressor, self.regressor))
         object.__setattr__(self, "similarity", _choice(Similarity, self.similarity))
-        object.__setattr__(
-            self, "conformal_method", _choice(ConformalMethod, self.conformal_method)
-        )
-        check_knobs(self)
+        super().__post_init__()
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +511,10 @@ def transform_features(x, centers: np.ndarray, scales: np.ndarray) -> np.ndarray
 def subseed(master: int, label: str, index: int = 0) -> int:
     """Derive a stable child seed from (master, label, index).
 
-    Hash-based so that streams for different stages ("conformal",
-    "controls", "cv", ...) and different query indices never collide or
-    depend on evaluation order.
+    Hash-based so that the runner's two streams per query, "conformal"
+    and "controls", and different query indices never collide or depend
+    on evaluation order. The "conformal" seed draws split conformal's row
+    order and LASSO's cross-validation folds.
     """
     msg = f"{int(master)}:{label}:{int(index)}".encode()
     digest = hashlib.sha256(msg).digest()

@@ -131,13 +131,12 @@ def select_cosine(
     row_norms = np.linalg.norm(x, axis=1)
     scores = np.full(d.n, -np.inf)
     np.divide(x @ x0, row_norms * q_norm, out=scores, where=row_norms > 0.0)
-    indices = np.flatnonzero(scores >= gamma)
-    if indices.size >= min_relevant:
-        return RelevanceSelection(indices, Similarity.COSINE, float(gamma))
-    # negated, so that the partition picks the min_relevant-th highest score
-    threshold = -float(np.partition(-scores, min_relevant - 1)[min_relevant - 1])
+    # fewer than min_relevant rows reach gamma exactly when the
+    # min_relevant-th highest score (negated, for the partition) lies below it
+    floor = -float(np.partition(-scores, min_relevant - 1)[min_relevant - 1])
+    threshold = min(gamma, floor)
     indices = np.flatnonzero(scores >= threshold)
-    return RelevanceSelection(indices, Similarity.COSINE, threshold, fallback=True)
+    return RelevanceSelection(indices, Similarity.COSINE, threshold, floor < gamma)
 
 
 def select(d: Dataset, x0, method, alpha: float, gamma: float, min_relevant: int = 30):

@@ -1,12 +1,12 @@
 """End-to-end experiment driver.
 
-One query passes through three stages: cell setup (query check,
-conformal spec, selection floor), its neighbourhood (the
-similarity-selected rows and the synthetic controls built from them),
-and one conformal interval per path: standard on the full dataset,
-relevant on the selected rows, relevant+simulated on the controls. All
-three paths share one conformal seed per query, so they differ only
-through the data they see.
+One query passes through three stages: cell setup (query check and
+selection floor), its neighbourhood (the similarity-selected rows and
+the synthetic controls built from them), and one conformal interval per
+path: standard on the full dataset, relevant on the selected rows,
+relevant+simulated on the controls. Each cell's config is its own
+conformal spec. All three paths share one conformal seed per query, so
+they differ only through the data they see.
 
 One per-query loop composes the stages for a query's configurations,
 computing its standard interval once per (regressor, method) and its
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import ConformalSpec, _min_rows, conformal_interval
+from .conformal import _min_rows, conformal_interval
 from .core import (
     ARTIFACT_VERSION,
     ConfigError,
@@ -79,26 +79,20 @@ _RAW_VARIANTS = tuple(
 )
 
 
-_SPEC_KNOBS = tuple(f.name for f in fields(ConformalSpec) if f.name != "method")
-
-
 def _setup(d: Dataset, q: Query, cfg: ExperimentConfig):
-    """Check one cell's inputs; return (x0, conformal spec, selection floor).
+    """Check one cell's inputs; return (x0, selection floor).
 
     The floor is ``min_relevant`` raised to the smallest dataset the
     conformal method and regressor can run on, and capped at ``d.n``.
     """
     x0 = _query_tail(d, q.x0)
-    spec = ConformalSpec(
-        cfg.conformal_method, **{name: getattr(cfg, name) for name in _SPEC_KNOBS}
-    )
-    needed = _min_rows(spec, cfg.regressor)
+    needed = _min_rows(cfg, cfg.regressor)
     if d.n < needed:
         raise DataError(
-            f"{cfg.conformal_method.value} conformal with {cfg.regressor.value} "
+            f"{cfg.method.value} conformal with {cfg.regressor.value} "
             f"needs n >= {needed}, got n={d.n}"
         )
-    return x0, spec, min(max(int(cfg.min_relevant), needed), d.n)
+    return x0, min(max(int(cfg.min_relevant), needed), d.n)
 
 
 def _query_intervals(d, q, configs, query_index: int, control_mode, trained: dict):
@@ -117,27 +111,27 @@ def _query_intervals(d, q, configs, query_index: int, control_mode, trained: dic
     # (path, regressor) -> (base fit, jackknife scores or None)
     bases = {}
 
-    def interval(rows, path, cfg, x0, spec) -> PredictionInterval:
+    def interval(rows, path, cfg, x0) -> PredictionInterval:
         seed = subseed(cfg.seed, "conformal", query_index)
-        if spec.method is ConformalMethod.SPLIT:
-            return conformal_interval(rows, cfg.regressor, x0, spec, seed=seed)
+        if cfg.method is ConformalMethod.SPLIT:
+            return conformal_interval(rows, cfg.regressor, x0, cfg, seed=seed)
         shared = path is IntervalPath.STANDARD and cfg.regressor is not Regressor.LASSO
         table = trained if shared else bases
         key = path, cfg.regressor
         base, scores = table.get(key) or (fit(rows, cfg.regressor, seed=seed), None)
-        if shared and scores is None and spec.method is ConformalMethod.JACKKNIFE:
+        if shared and scores is None and cfg.method is ConformalMethod.JACKKNIFE:
             # a query's own scores serve one jackknife, which makes them itself
             scores = np.abs(loo_residuals(rows.x, rows.y, base))
         table[key] = base, scores
         return conformal_interval(
-            rows, cfg.regressor, x0, spec, seed=seed, base=base, scores=scores
+            rows, cfg.regressor, x0, cfg, seed=seed, base=base, scores=scores
         )
 
     for cfg in configs:
-        x0, spec, floor = _setup(d, q, cfg)
-        cell = (cfg.regressor, cfg.conformal_method)
+        x0, floor = _setup(d, q, cfg)
+        cell = (cfg.regressor, cfg.method)
         if cell not in standard:
-            standard[cell] = interval(d, IntervalPath.STANDARD, cfg, x0, spec)
+            standard[cell] = interval(d, IntervalPath.STANDARD, cfg, x0)
         hood = (cfg.similarity, floor)
         if hood not in neighbourhoods:
             # the relevant rows and the synthetic controls cloned from them
@@ -152,8 +146,8 @@ def _query_intervals(d, q, configs, query_index: int, control_mode, trained: dic
         relevant, simulated = neighbourhoods[hood]
         yield cfg, (
             standard[cell],
-            interval(relevant, (IntervalPath.RELEVANT, hood), cfg, x0, spec),
-            interval(simulated, (IntervalPath.RELEVANT_SIMULATED, hood), cfg, x0, spec),
+            interval(relevant, (IntervalPath.RELEVANT, hood), cfg, x0),
+            interval(simulated, (IntervalPath.RELEVANT_SIMULATED, hood), cfg, x0),
         )
 
 
@@ -256,9 +250,7 @@ class RunManifest:
             for f in fields(ExperimentConfig)
             if hasattr(self, f.name)
         }
-        return ExperimentConfig(
-            regressor=regressor, similarity=similarity, conformal_method=method, **shared
-        )
+        return ExperimentConfig(regressor=regressor, similarity=similarity, method=method, **shared)
 
 
 # where the outputs go and when the run started change no output byte
@@ -353,7 +345,7 @@ def _plot_row(cfg, query_index: int, label: str, q: Query, path, iv) -> dict[str
     realized head, which every query of a run has."""
     return dict(zip(_PLOT_HEADER, (
         cfg.similarity.value, str(query_index + 1), label, path.value,
-        cfg.conformal_method.value, cfg.regressor.value,
+        cfg.method.value, cfg.regressor.value,
         _fmt(q.y0), _fmt(iv.point), _fmt(iv.lo), _fmt(iv.up),
         _fmt(q.y0 - iv.point), str(int(iv.lo <= q.y0 <= iv.up)),
         str(int(iv.degenerate)),
@@ -376,11 +368,13 @@ def score_plot_rows(rows: Iterable[Mapping[str, str]]) -> dict[str, list[MetricR
 
     Every row is scored: a missing column, a similarity, path, method or
     regressor cell that names no member of its kind, or a number (``y0``
-    included) that is not a finite real, is a DataError naming it.
-    ``run_grid`` and ``relconf score`` both summarise through this, so
-    their summaries agree.
+    included) that is not a finite real, is a DataError naming it, as is
+    a row of a (similarity, query, path, method, regressor) cell that an
+    earlier row holds, which would be averaged in twice. ``run_grid`` and
+    ``relconf score`` both summarise through this, so their summaries agree.
     """
     by_similarity: dict[str, list[MetricRow]] = {}
+    seen = set()
     for i, row in enumerate(rows, 1):
         missing = [c for c in _SCORED_COLUMNS if c not in row]
         if missing:
@@ -390,6 +384,9 @@ def score_plot_rows(rows: Iterable[Mapping[str, str]]) -> dict[str, list[MetricR
                 raise DataError(f"unknown name {row[column]!r} at data row {i}, column {column!r}")
         y0, point, lo, up = (_parse_cell(row[c], i, c) for c in ("y0", "point", "lo", "up"))
         cell = Cell(row["path"], row["method"], row["regressor"], row["similarity"], row["query"])
+        if cell in seen:
+            raise DataError(f"repeated cell at data row {i}: {cell}")
+        seen.add(cell)
         by_similarity.setdefault(row["similarity"], []).append(
             score(PredictionInterval(point, lo, up), y0, cell)
         )

@@ -69,7 +69,7 @@ def test_criterion_05_relevant_intervals_adapt_to_low_noise_queries():
         alpha=0.1,
         regressor=Regressor.OLS,
         similarity=Similarity.PERCENTILE,
-        conformal_method=ConformalMethod.SPLIT,
+        method=ConformalMethod.SPLIT,
         min_relevant=10,
     )
     diffs = []
@@ -177,7 +177,7 @@ def test_criterion_07_three_paths_collapse_when_selection_is_degenerate():
             gamma=1e-6,
             noise_scale=1e-12,
             min_relevant=4,
-            conformal_method=method,
+            method=method,
             regressor=Regressor.OLS,
             grid_points=60,
             seed=7,

@@ -330,6 +330,7 @@ class TestScore:
         ("no up column", "no column 'up'"),
         ("short row", "data row 2 has 12 cells, expected 13"),
         ("non-numeric cell", "non-numeric cell 'abc' at data row 1, column 'lo'"),
+        ("repeated cell", "repeated cell at data row 3: Cell(path='standard'"),
     ])
     def test_malformed_plotdata_is_data_error(self, tmp_path, capsys, fault, message):
         train, queries = make_external(tmp_path)
@@ -345,6 +346,8 @@ class TestScore:
             header, data = header[:j] + header[j + 1:], [r[:j] + r[j + 1:] for r in data]
         elif fault == "short row":
             data[1] = data[1][:-1]
+        elif fault == "repeated cell":
+            data[2] = data[0]
         else:
             data[0][header.index("lo")] = "abc"
         write_csv(out / "plotdata.csv", header, data, comments)

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from relconf.core import ConfigError, DataError, Dataset, PredictionInterval
+from relconf.core import ConfigError, DataError, Dataset, ExperimentConfig, PredictionInterval
 from relconf.conformal import (
     ConformalSpec,
     ceil_guarded,
@@ -404,6 +404,25 @@ class TestDispatch:
             for f in fields(PredictionInterval):
                 assert getattr(iv, f.name) == getattr(own, f.name), (method, f.name)
             assert iv.lo <= iv.up
+
+    @pytest.mark.parametrize("method", ["split", "full", "jackknife"])
+    @pytest.mark.parametrize("reg", ["ols", "lasso", "kernel"])
+    def test_cell_config_is_its_conformal_spec(self, reg, method):
+        # the runner passes a grid cell's config as the spec: it gives the
+        # interval of the ConformalSpec made of its method and knobs
+        d = make_dataset(np.random.default_rng(17), 30, 2)
+        cfg = ExperimentConfig(
+            method=method, regressor=reg, alpha=0.2, rho=0.6, grid_points=25, grid_expansion=0.5
+        )
+        assert isinstance(cfg, ConformalSpec)
+        spec = ConformalSpec(
+            cfg.method, alpha=cfg.alpha, rho=cfg.rho,
+            grid_points=cfg.grid_points, grid_expansion=cfg.grid_expansion,
+        )
+        x0 = [0.1, -0.2]
+        assert conformal_interval(d, reg, x0, cfg, seed=4) == (
+            conformal_interval(d, reg, x0, spec, seed=4)
+        )
 
     @pytest.mark.parametrize("reg", ["ols", "lasso", "kernel"])
     def test_given_base_fit_is_used_and_changes_nothing(self, reg, monkeypatch):

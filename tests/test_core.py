@@ -208,9 +208,9 @@ class TestExperimentConfig:
             ExperimentConfig(**{field: value})
 
     def test_enum_coercion_from_strings(self):
-        c = ExperimentConfig(regressor="lasso", conformal_method="full")
+        c = ExperimentConfig(regressor="lasso", method="full")
         assert c.regressor.value == "lasso"
-        assert c.conformal_method is ConformalMethod.FULL
+        assert c.method is ConformalMethod.FULL
 
     def test_unknown_enum_value_rejected(self):
         with pytest.raises(ValueError):

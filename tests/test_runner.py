@@ -53,14 +53,14 @@ class TestRunAlgorithm1:
         d = make_data()
         q = Query(np.array([0.5, -0.2]))
         triple = run_algorithm1(d, q, BASE, query_index=4)
-        x0, spec, floor = _setup(d, q, BASE)
+        x0, floor = _setup(d, q, BASE)
         rel = select(d, x0, BASE.similarity, BASE.alpha, BASE.gamma, min_relevant=floor)
         controls = simulate_controls(
             d, rel.indices, BASE.noise_scale, seed=subseed(BASE.seed, "controls", 4)
         )
         seed = subseed(BASE.seed, "conformal", 4)
         assert triple == tuple(
-            conformal_interval(data, BASE.regressor, x0, spec, seed=seed)
+            conformal_interval(data, BASE.regressor, x0, BASE, seed=seed)
             for data in (d, d.subset(rel.indices), controls)
         )
         for iv in triple:
@@ -83,7 +83,7 @@ class TestRunAlgorithm1:
     def test_all_engines_and_methods_run(self, method, reg):
         d = make_data(n=40)
         q = Query(np.array([0.2, 0.1]))
-        cfg = replace(BASE, conformal_method=method, regressor=reg, grid_points=30)
+        cfg = replace(BASE, method=method, regressor=reg, grid_points=30)
         triple = run_algorithm1(d, q, cfg)
         for iv in triple:
             assert np.isfinite([iv.point, iv.lo, iv.up]).all()
@@ -107,7 +107,7 @@ class TestRunAlgorithm1:
         d = make_data()
         q = Query(np.array([0.5, -0.2]))
         standard = run_algorithm1(d, q, BASE, query_index=7)[0]
-        spec = ConformalSpec(method=BASE.conformal_method, alpha=BASE.alpha, rho=BASE.rho)
+        spec = ConformalSpec(method=BASE.method, alpha=BASE.alpha, rho=BASE.rho)
         alone = conformal_interval(
             d, BASE.regressor, q.x0, spec, seed=subseed(BASE.seed, "conformal", 7)
         )
@@ -161,7 +161,7 @@ class TestRunAlgorithm1:
         for name in ("fit_ols", "fit_lasso", "fit_kernel"):
             monkeypatch.setattr(regress, name, None)  # a fit here would fail
         d = make_data(n=needed - 1)
-        cfg = replace(BASE, conformal_method=method, regressor=reg)
+        cfg = replace(BASE, method=method, regressor=reg)
         message = f"{method} conformal with {reg} needs n >= {needed}, got n={needed - 1}"
         with pytest.raises(DataError, match=message):
             run_algorithm1(d, Query(np.array([0.0, 0.0])), cfg)
@@ -206,7 +206,7 @@ class TestRunAlgorithm1:
         q = Query(np.array([1.9, 1.1]))
         cfg = ExperimentConfig(
             regressor=Regressor.LASSO,
-            conformal_method=method,
+            method=method,
             similarity=Similarity.COSINE,
             gamma=0.99999,
             min_relevant=4,
@@ -541,7 +541,7 @@ class TestRunGrid:
 
         assert sorted(standard.values()) == [1] * (2 * 3 * 3)
         expected = {
-            (q.x0.tobytes(), sim, _setup(d, q, manifest.base_config(reg, sim, method))[2])
+            (q.x0.tobytes(), sim, _setup(d, q, manifest.base_config(reg, sim, method))[1])
             for d, q in zip(datasets, queries)
             for sim in manifest.similarities
             for reg in manifest.regressors
