@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from .core import (
+    ConfigError,
     ConformalMethod,
     ConformalSpec,
     DataError,
@@ -92,12 +93,12 @@ def _split_train_rows(n: int, rho: float, fit_rows: int) -> int | None:
     return n_train if fit_rows <= n_train <= n - 2 else None
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=4)
 def _split_order(seed: int, n: int) -> np.ndarray:
     """The seeded row order split conformal cuts into fit and calibration
     rows, read-only. Memoised: every path of a query runs on one seed and
-    the relevant and simulated rows share one n, so a (seed, n) recurs
-    across the query's paths and regressors."""
+    the relevant and simulated rows share one n, so a query's few (seed, n)
+    keys recur across its paths and regressors."""
     order = np.random.default_rng(seed).permutation(n)
     order.flags.writeable = False
     return order
@@ -224,7 +225,8 @@ def conformal_interval(
     base: FittedModel | None = None,
     scores: np.ndarray | None = None,
 ) -> PredictionInterval:
-    """Dispatch on ``spec.method``.
+    """Dispatch on ``spec.method``. A spec that names an engine, a grid
+    cell's ``ExperimentConfig``, must name ``reg`` (a ConfigError otherwise).
 
     Full conformal and the jackknife start from the base fit
     ``regress.fit(d, reg, seed)``: ``base`` when the caller has it, which
@@ -234,6 +236,8 @@ def conformal_interval(
     part of ``d`` and takes neither.
     """
     reg = _choice(Regressor, reg)
+    if getattr(spec, "regressor", reg) is not reg:
+        raise ConfigError(f"spec is for engine {spec.regressor.value}, not {reg.value}")
     if spec.method is ConformalMethod.SPLIT:
         return split_conformal(d, reg, x0, spec, seed)
     if base is None:

@@ -145,7 +145,7 @@ def _sq_dists(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
             np.setbufsize(bufsize)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Labeled observations: an n x p tail matrix ``x`` and head vector ``y``.
 
@@ -227,7 +227,7 @@ class Dataset:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Query:
     """An unlabeled tail ``x0``; ``y0`` is held-out truth for evaluation only.
 

@@ -31,7 +31,7 @@ LONG_ACTIVE = 2
 LONG_QUERIES = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuiteOutput:
     """One generated suite: pooled rows and queries, each labelled by ``_pool``."""
 

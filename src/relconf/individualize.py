@@ -47,7 +47,7 @@ class ControlMode(str, enum.Enum):
     GAUSSIAN_MIMIC = "gaussian_mimic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelevanceSelection:
     """Row indices judged relevant to one query.
 
@@ -76,9 +76,7 @@ class RelevanceSelection:
 # Selection rules
 # ---------------------------------------------------------------------------
 
-def select_percentile(
-    d: Dataset, x0, alpha: float, min_relevant: int = 30
-) -> RelevanceSelection:
+def select_percentile(d: Dataset, x0, alpha: float, min_relevant: int = 30) -> RelevanceSelection:
     """Rows within the alpha-quantile of standardized distance to the query.
 
     The quantile is nearest-rank: the k-th smallest distance with
@@ -86,27 +84,10 @@ def select_percentile(
     quantile admits fewer than ``min_relevant`` rows, the threshold grows
     to the min_relevant-th smallest distance and the fallback is flagged.
     """
-    alpha = check_knob("alpha", alpha)
-    min_relevant = check_knob("min_relevant", min_relevant)
-    if d.n < min_relevant:
-        raise DataError(f"need n >= min_relevant, got n={d.n}, min_relevant={min_relevant}")
-    x0 = _query_tail(d, x0)
-    # d's rows were checked when it was built: no second Dataset to re-check
-    z, centers, scales, _ = _standardize_columns(d.x)
-    z0 = transform_features(x0, centers, scales)
-    dist = np.sqrt(((z - z0) ** 2).sum(axis=1))
-    k = max(ceil_guarded(alpha * d.n), 1)
-    # fewer than min_relevant rows lie within the k-th distance exactly
-    # when the min_relevant-th distance lies beyond it
-    cut, floor = np.partition(dist, [k - 1, min_relevant - 1])[[k - 1, min_relevant - 1]]
-    threshold = float(max(cut, floor))
-    indices = np.flatnonzero(dist <= threshold)
-    return RelevanceSelection(indices, Similarity.PERCENTILE, threshold, bool(floor > cut))
+    return select(d, x0, Similarity.PERCENTILE, alpha, None, min_relevant)
 
 
-def select_cosine(
-    d: Dataset, x0, gamma: float, min_relevant: int = 30
-) -> RelevanceSelection:
+def select_cosine(d: Dataset, x0, gamma: float, min_relevant: int = 30) -> RelevanceSelection:
     """Rows whose raw-tail cosine with the query reaches ``gamma``.
 
     Every finite tail has one: each row and the query are first scaled,
@@ -119,32 +100,48 @@ def select_cosine(
     order. Zero-norm rows stay out unless fewer than ``min_relevant`` rows
     have a cosine; then the threshold is -inf and every row is kept.
     """
-    gamma = check_knob("gamma", gamma)
+    return select(d, x0, Similarity.COSINE, None, gamma, min_relevant)
+
+
+def select(d: Dataset, x0, method, alpha: float, gamma: float, min_relevant: int = 30):
+    """Dispatch on the similarity enum; percentile reuses alpha as its fraction.
+
+    Each rule keys every row, smaller for closer, and sets a cut: the
+    standardized distance and its k-th smallest value, or minus the cosine
+    and -gamma. The rows keyed at most max(cut, the min_relevant-th
+    smallest key) are kept, flagged as a fallback when that floor passes
+    the cut.
+    """
+    method = _choice(Similarity, method)
+    percentile = method is Similarity.PERCENTILE
+    knob = check_knob("alpha", alpha) if percentile else check_knob("gamma", gamma)
     min_relevant = check_knob("min_relevant", min_relevant)
     if d.n < min_relevant:
         raise DataError(f"need n >= min_relevant, got n={d.n}, min_relevant={min_relevant}")
     x0 = _query_tail(d, x0)
-    x, x0 = (np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1]) for a in (d.x, x0))
-    q_norm = np.linalg.norm(x0)
-    if q_norm == 0.0:
-        raise DataError("cosine similarity undefined for a zero-norm query tail")
-    row_norms = np.linalg.norm(x, axis=1)
-    scores = np.full(d.n, -np.inf)
-    np.divide(x @ x0, row_norms * q_norm, out=scores, where=row_norms > 0.0)
-    # fewer than min_relevant rows reach gamma exactly when the
-    # min_relevant-th highest score (negated, for the partition) lies below it
-    floor = -float(np.partition(-scores, min_relevant - 1)[min_relevant - 1])
-    threshold = min(gamma, floor)
-    indices = np.flatnonzero(scores >= threshold)
-    return RelevanceSelection(indices, Similarity.COSINE, threshold, floor < gamma)
-
-
-def select(d: Dataset, x0, method, alpha: float, gamma: float, min_relevant: int = 30):
-    """Dispatch on the similarity enum; percentile reuses alpha as its fraction."""
-    method = _choice(Similarity, method)
-    if method is Similarity.PERCENTILE:
-        return select_percentile(d, x0, alpha, min_relevant)
-    return select_cosine(d, x0, gamma, min_relevant)
+    if percentile:
+        # d's rows were checked when it was built: no second Dataset to re-check
+        z, centers, scales, _ = _standardize_columns(d.x)
+        key = np.sqrt(((z - transform_features(x0, centers, scales)) ** 2).sum(axis=1))
+        k = max(ceil_guarded(knob * d.n), 1)
+        cut = np.partition(key, k - 1)[k - 1]
+    else:
+        x, x0 = (
+            np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1]) for a in (d.x, x0)
+        )
+        q_norm = np.linalg.norm(x0)
+        if q_norm == 0.0:
+            raise DataError("cosine similarity undefined for a zero-norm query tail")
+        row_norms = np.linalg.norm(x, axis=1)
+        # exactly minus the cosine; a zero-norm row has none and sorts last
+        key = np.full(d.n, np.inf)
+        np.divide(x @ x0, row_norms * -q_norm, out=key, where=row_norms > 0.0)
+        cut = -knob
+    floor = np.partition(key, min_relevant - 1)[min_relevant - 1]
+    threshold = float(max(cut, floor))
+    indices = np.flatnonzero(key <= threshold)
+    threshold_used = threshold if percentile else -threshold
+    return RelevanceSelection(indices, method, threshold_used, bool(floor > cut))
 
 
 # ---------------------------------------------------------------------------

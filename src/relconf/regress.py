@@ -97,7 +97,7 @@ def min_fit_rows(kind) -> int:
     return LASSO_CV_FOLDS if _choice(Regressor, kind) is Regressor.LASSO else 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FittedModel:
     """Frozen result of one regression fit.
 

@@ -8,17 +8,17 @@ relevant+simulated on the controls. Each cell's config is its own
 conformal spec. All three paths share one conformal seed per query, so
 they differ only through the data they see.
 
-One per-query loop composes the stages for a query's configurations,
-computing its standard interval once per (regressor, method) and its
-neighbourhood once per (similarity, selection floor).
-``run_algorithm1`` runs it on one configuration; ``run_grid`` runs it
-on {full, split, jackknife} x {ols, lasso, kernel} x {percentile,
-cosine} for every query of a suite and turns each interval into its
-plot-data row as it comes. From those rows it writes deterministic CSV
-outputs: per-query raw tables, summary tables scored from the rows (as
-``relconf score`` scores a saved file), and the plot-data file. Every
-CSV carries version, seed, and config hash in ``#`` comment lines; no
-timestamps, so re-runs are byte-identical.
+One loop per training set composes the stages for its queries'
+configurations, computing a query's standard interval once per
+(regressor, method) and its neighbourhood once per (similarity,
+selection floor). ``run_algorithm1`` runs it on one query and config;
+``run_grid`` on {full, split, jackknife} x {ols, lasso, kernel} x
+{percentile, cosine} for every training set of a suite, turning each
+interval into its plot-data row as it comes. From those rows it writes
+deterministic CSV outputs: per-query raw tables, summary tables scored
+from the rows (as ``relconf score`` scores a saved file), and the
+plot-data file. Every CSV carries version, seed, and config hash in
+``#`` comment lines; no timestamps, so re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import hashlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from itertools import product
+from itertools import count, groupby, product
 from pathlib import Path
 
 import numpy as np
@@ -95,60 +95,61 @@ def _setup(d: Dataset, q: Query, cfg: ExperimentConfig):
     return x0, min(max(int(cfg.min_relevant), needed), d.n)
 
 
-def _query_intervals(d, q, configs, query_index: int, control_mode, trained: dict):
-    """Yield (cfg, (standard, relevant, relevant_simulated)) for each config.
+def _query_intervals(d, queries, configs, control_mode):
+    """Yield (query, cfg, (standard, relevant, relevant_simulated)) for
+    each query of training set ``d``, an (index, Query, label) triple, and
+    each config.
 
-    The configs differ only in regressor, similarity and method, so the
-    keys that share the standard interval, the neighbourhood and the base
-    fit are complete. Full conformal and the jackknife on one path's rows
-    share a base fit, made on first use. OLS and the kernel read no seed,
-    and the jackknife's scores (the absolute leave-one-out residuals)
-    depend only on the rows and the fit, so those engines' standard-path
-    fits and scores go into ``trained``, the caller's table for ``d``, and
-    serve all of its queries; every other fit serves this query only.
+    The configs differ only in regressor, similarity and method, so a
+    query has one conformal and one controls seed, and the keys that
+    share the standard interval, the neighbourhood and the base fit are
+    complete. Full conformal and the jackknife on one path's rows share a
+    base fit, made on first use. OLS and the kernel read no seed, and the
+    jackknife's scores (the absolute leave-one-out residuals) depend only
+    on the rows and the fit, so those engines' standard-path fits and
+    scores serve every query of ``d``; every other fit serves one query.
     """
-    standard, neighbourhoods = {}, {}
     # (path, regressor) -> (base fit, jackknife scores or None)
-    bases = {}
+    trained = {}
+    for query in queries:
+        query_index, q, _ = query
+        seed = subseed(configs[0].seed, "conformal", query_index)
+        controls_seed = subseed(configs[0].seed, "controls", query_index)
+        standard, neighbourhoods, bases = {}, {}, {}
 
-    def interval(rows, path, cfg, x0) -> PredictionInterval:
-        seed = subseed(cfg.seed, "conformal", query_index)
-        if cfg.method is ConformalMethod.SPLIT:
-            return conformal_interval(rows, cfg.regressor, x0, cfg, seed=seed)
-        shared = path is IntervalPath.STANDARD and cfg.regressor is not Regressor.LASSO
-        table = trained if shared else bases
-        key = path, cfg.regressor
-        base, scores = table.get(key) or (fit(rows, cfg.regressor, seed=seed), None)
-        if shared and scores is None and cfg.method is ConformalMethod.JACKKNIFE:
-            # a query's own scores serve one jackknife, which makes them itself
-            scores = np.abs(loo_residuals(rows.x, rows.y, base))
-        table[key] = base, scores
-        return conformal_interval(
-            rows, cfg.regressor, x0, cfg, seed=seed, base=base, scores=scores
-        )
-
-    for cfg in configs:
-        x0, floor = _setup(d, q, cfg)
-        cell = (cfg.regressor, cfg.method)
-        if cell not in standard:
-            standard[cell] = interval(d, IntervalPath.STANDARD, cfg, x0)
-        hood = (cfg.similarity, floor)
-        if hood not in neighbourhoods:
-            # the relevant rows and the synthetic controls cloned from them
-            rel = select(d, x0, cfg.similarity, cfg.alpha, cfg.gamma, min_relevant=floor)
-            controls_seed = subseed(cfg.seed, "controls", query_index)
-            neighbourhoods[hood] = (
-                d.subset(rel.indices),
-                simulate_controls(
-                    d, rel.indices, cfg.noise_scale, mode=control_mode, seed=controls_seed
-                ),
+        def interval(rows, path, cfg, x0) -> PredictionInterval:
+            if cfg.method is ConformalMethod.SPLIT:
+                return conformal_interval(rows, cfg.regressor, x0, cfg, seed=seed)
+            shared = path is IntervalPath.STANDARD and cfg.regressor is not Regressor.LASSO
+            table = trained if shared else bases
+            key = path, cfg.regressor
+            base, scores = table.get(key) or (fit(rows, cfg.regressor, seed=seed), None)
+            if shared and scores is None and cfg.method is ConformalMethod.JACKKNIFE:
+                # a query's own scores serve one jackknife, which makes them itself
+                scores = np.abs(loo_residuals(rows.x, rows.y, base))
+            table[key] = base, scores
+            return conformal_interval(
+                rows, cfg.regressor, x0, cfg, seed=seed, base=base, scores=scores
             )
-        relevant, simulated = neighbourhoods[hood]
-        yield cfg, (
-            standard[cell],
-            interval(relevant, (IntervalPath.RELEVANT, hood), cfg, x0),
-            interval(simulated, (IntervalPath.RELEVANT_SIMULATED, hood), cfg, x0),
-        )
+
+        for cfg in configs:
+            x0, floor = _setup(d, q, cfg)
+            cell = (cfg.regressor, cfg.method)
+            if cell not in standard:
+                standard[cell] = interval(d, IntervalPath.STANDARD, cfg, x0)
+            hood = (cfg.similarity, floor)
+            if hood not in neighbourhoods:
+                # the relevant rows and the synthetic controls cloned from them
+                rel = select(d, x0, cfg.similarity, cfg.alpha, cfg.gamma, min_relevant=floor)
+                neighbourhoods[hood] = d.subset(rel.indices), simulate_controls(
+                    d, rel.indices, cfg.noise_scale, mode=control_mode, seed=controls_seed
+                )
+            relevant, simulated = neighbourhoods[hood]
+            yield query, cfg, (
+                standard[cell],
+                interval(relevant, (IntervalPath.RELEVANT, hood), cfg, x0),
+                interval(simulated, (IntervalPath.RELEVANT_SIMULATED, hood), cfg, x0),
+            )
 
 
 def run_algorithm1(
@@ -172,7 +173,7 @@ def run_algorithm1(
     raised to that minimum; only a dataset below the minimum is a hard
     error.
     """
-    ((_, triple),) = _query_intervals(d, q, (cfg,), query_index, control_mode, {})
+    ((_, _, triple),) = _query_intervals(d, [(query_index, q, None)], (cfg,), control_mode)
     return triple
 
 
@@ -265,24 +266,24 @@ def _text(value) -> str:
 
 
 def _load_grid_data(manifest: RunManifest):
-    """Per-query training sets, queries, and display labels.
+    """Each training set with its queries, as (index, Query, label)
+    triples, in query order.
 
     The small suite pools all rows for every query (relevance selection
     is what separates the regimes); the long suite trains each query on
-    its own generating block; external CSVs pool like the small suite.
+    its own generating block, whose queries ``dgp._pool`` lists together;
+    external CSVs pool like the small suite.
     """
     if manifest.suite in SUITES:
         out = SUITES[manifest.suite](manifest.seed)
+        queries = list(zip(count(), out.queries, out.query_labels))
         if manifest.suite == "small":
-            datasets = [out.dataset] * len(out.queries)
-        else:
-            labels = np.asarray(out.setting_labels)
-            blocks = {
-                lab: out.dataset.subset(np.flatnonzero(labels == lab))
-                for lab in dict.fromkeys(out.setting_labels)
-            }
-            datasets = [blocks[lab] for lab in out.query_labels]
-        return datasets, list(out.queries), list(out.query_labels)
+            return [(out.dataset, queries)]
+        labels = np.asarray(out.setting_labels)
+        return [
+            (out.dataset.subset(np.flatnonzero(labels == lab)), list(block))
+            for lab, block in groupby(queries, key=lambda query: query[2])
+        ]
     train = load_csv(manifest.train_csv, head_column="y")
     qd = load_csv(manifest.queries_csv, head_column="y0")
     if qd.p != train.p or qd.feature_names != train.feature_names:
@@ -290,8 +291,7 @@ def _load_grid_data(manifest: RunManifest):
             f"query features {qd.feature_names} do not match training features "
             f"{train.feature_names}"
         )
-    queries = [Query(qd.x[i], float(qd.y[i])) for i in range(qd.n)]
-    return [train] * qd.n, queries, [str(i + 1) for i in range(qd.n)]
+    return [(train, [(i, Query(qd.x[i], float(qd.y[i])), str(i + 1)) for i in range(qd.n)])]
 
 
 def _fmt(value) -> str:
@@ -397,16 +397,14 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
     """Execute the full grid and write output files; returns name -> path."""
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    datasets, queries, qlabels = _load_grid_data(manifest)
+    groups = _load_grid_data(manifest)
     cells = product(manifest.similarities, manifest.regressors, manifest.methods)
     configs = [manifest.base_config(reg, sim, method) for sim, reg, method in cells]
-    # each training set's shared standard-path fits, kept for all of its queries
-    trained = {id(d): {} for d in datasets}
     # plotdata runs similarity -> query -> regressor -> method -> path
     rows_by_similarity = {sim: [] for sim in manifest.similarities}
-    for qidx, (d, q, qlabel) in enumerate(zip(datasets, queries, qlabels)):
-        intervals = _query_intervals(d, q, configs, qidx, manifest.control_mode, trained[id(d)])
-        for cfg, triple in intervals:
+    for d, queries in groups:
+        intervals = _query_intervals(d, queries, configs, manifest.control_mode)
+        for (qidx, q, qlabel), cfg, triple in intervals:
             # a triple runs in IntervalPath order, so its position names the path
             rows_by_similarity[cfg.similarity] += (
                 _plot_row(cfg, qidx, qlabel, q, path, iv)
@@ -421,7 +419,7 @@ def run_grid(manifest: RunManifest) -> dict[str, str]:
         f"config_hash={manifest.config_hash()}",
     ]
     written: dict[str, str] = {}
-    y0s = [q.y0 for q in queries]
+    y0s = [q.y0 for _, queries in groups for _, q, _ in queries]
     for sim, rows in rows_by_similarity.items():
         raw_path = out_dir / f"raw_{sim.value}.csv"
         write_csv(raw_path, *_raw_table(rows, y0s), comments)

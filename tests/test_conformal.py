@@ -424,6 +424,19 @@ class TestDispatch:
             conformal_interval(d, reg, x0, spec, seed=4)
         )
 
+    @pytest.mark.parametrize("method", ["split", "full", "jackknife"])
+    def test_cell_config_of_another_engine_is_refused(self, method):
+        # a grid cell's config names its engine: called with another, the
+        # interval would be the other engine's, the config's unread
+        d = make_dataset(np.random.default_rng(14), 40, 2)
+        cfg = ExperimentConfig(method=method, regressor="kernel", grid_points=25)
+        with pytest.raises(ConfigError, match="kernel, not ols"):
+            conformal_interval(d, "ols", [0.1, -0.2], cfg, seed=4)
+        # the engine's name is its member
+        assert conformal_interval(d, "kernel", [0.1, -0.2], cfg, seed=4) == (
+            conformal_interval(d, cfg.regressor, [0.1, -0.2], cfg, seed=4)
+        )
+
     @pytest.mark.parametrize("reg", ["ols", "lasso", "kernel"])
     def test_given_base_fit_is_used_and_changes_nothing(self, reg, monkeypatch):
         # full conformal and the jackknife take a caller's base fit in place

@@ -29,6 +29,7 @@ from relconf.core import (
     transform_features,
     _standardize_columns,
 )
+from relconf.dgp import gen_small
 from relconf.evaluate import variant_code
 from relconf.individualize import (
     RelevanceSelection,
@@ -172,6 +173,28 @@ class TestQuery:
         ):
             with pytest.raises(DataError, match="query tails must be 1-D or 2-D, got ndim=3"):
                 call()
+
+
+class TestRecordsHoldingArrays:
+    def test_compare_and_hash_by_identity(self):
+        # a generated __eq__ compares the arrays and raises on their
+        # ambiguous truth value, and a generated __hash__ hashes them: the
+        # records holding arrays are equal only to themselves
+        d = Dataset(np.arange(20.0).reshape(10, 2), np.arange(10.0) % 3)
+        pairs = {
+            "Dataset": (d, d.subset(range(d.n))),
+            "Query": (Query([1.0, 2.0]), Query([1.0, 2.0])),
+            "FittedModel": (fit(d, "ols"), fit(d, "ols")),
+            "RelevanceSelection": tuple(
+                select_percentile(d, [1.0, 2.0], 0.5, min_relevant=2) for _ in range(2)
+            ),
+            "SuiteOutput": (gen_small(0), gen_small(0)),
+        }
+        for name, (record, twin) in pairs.items():
+            assert record == record, name
+            assert (record == twin) is False, name
+            assert record != twin, name
+            assert len({record, record, twin}) == 2, name
 
 
 class TestPredictionInterval:

@@ -19,10 +19,12 @@ from relconf.core import (
     Query,
     Regressor,
     Similarity,
+    load_csv,
     save_csv,
     subseed,
 )
 from relconf import cli, conformal, regress, runner
+from relconf.dgp import SUITES
 from relconf.individualize import select, simulate_controls
 from relconf.runner import RunManifest, _load_grid_data, _setup, run_algorithm1, run_grid
 from relconf.evaluate import METRIC_FAMILIES, VARIANT_ORDER, variant_code
@@ -255,8 +257,8 @@ def count_grid_fits(tmp_path, monkeypatch, **overrides):
     training rows' (x bytes, y bytes), and the queries.
     """
     manifest = external_manifest(tmp_path, **overrides)
-    datasets, queries, labels = _load_grid_data(manifest)
-    queries = queries + [Query(np.array([-0.7, 1.1]), 0.4)]
+    ((train, triples),) = _load_grid_data(manifest)
+    queries = [q for _, q, _ in triples] + [Query(np.array([-0.7, 1.1]), 0.4)]
     n_queries = len(queries)
     fits, loos = Counter(), Counter()
     for name in ("fit_ols", "fit_lasso", "fit_kernel"):
@@ -278,13 +280,50 @@ def count_grid_fits(tmp_path, monkeypatch, **overrides):
     monkeypatch.setattr(
         runner,
         "_load_grid_data",
-        lambda m: ([datasets[0]] * n_queries, queries, [str(k) for k in range(n_queries)]),
+        lambda m: [(train, [(k, q, str(k)) for k, q in enumerate(queries)])],
     )
     run_grid(manifest)
-    return fits, loos, (datasets[0].x.tobytes(), datasets[0].y.tobytes()), queries
+    return fits, loos, (train.x.tobytes(), train.y.tobytes()), queries
 
 
 class TestRunGrid:
+    @pytest.mark.parametrize(
+        "suite, n_groups, n_queries", [("small", 1, 3), ("long", 3, 15), ("external-csv", 1, 2)]
+    )
+    def test_grid_data_groups_each_training_set_with_its_queries(
+        self, tmp_path, suite, n_groups, n_queries
+    ):
+        # one group per training set, holding the queries 0 ... Q-1 once
+        # each and in order, each with the rows it trains on
+        if suite == "external-csv":
+            manifest = external_manifest(tmp_path)
+            train = load_csv(manifest.train_csv, head_column="y")
+            qd = load_csv(manifest.queries_csv, head_column="y0")
+            expected = [(train, Query(x0, y0)) for x0, y0 in zip(qd.x, qd.y)]
+        else:
+            manifest = RunManifest(suite=suite, seed=3)
+            out = SUITES[suite](manifest.seed)
+            # small pools every block's rows; long trains on the query's block
+            labels = np.asarray(out.setting_labels)
+            expected = [
+                (
+                    out.dataset if suite == "small"
+                    else out.dataset.subset(np.flatnonzero(labels == lab)),
+                    q,
+                )
+                for q, lab in zip(out.queries, out.query_labels)
+            ]
+        groups = _load_grid_data(manifest)
+        assert len(groups) == n_groups
+        assert len({(d.x.tobytes(), d.y.tobytes()) for d, _ in groups}) == n_groups
+        flat = [(i, d, q) for d, queries in groups for i, q, _ in queries]
+        assert [i for i, _, _ in flat] == list(range(n_queries)) == list(range(len(expected)))
+        for (_, d, q), (want_d, want_q) in zip(flat, expected):
+            np.testing.assert_array_equal(d.x, want_d.x)
+            np.testing.assert_array_equal(d.y, want_d.y)
+            np.testing.assert_array_equal(q.x0, want_q.x0)
+            assert q.y0 == want_q.y0
+
     def test_output_structure(self, tmp_path):
         manifest = external_manifest(tmp_path)
         written = run_grid(manifest)
@@ -491,7 +530,9 @@ class TestRunGrid:
         manifest = external_manifest(tmp_path, **knobs)
         lines = read_lines(run_grid(manifest)["plotdata"])
         header = lines[3].split(",")
-        datasets, queries, _ = _load_grid_data(manifest)
+        trained_on = {
+            qidx: (d, q) for d, queries in _load_grid_data(manifest) for qidx, q, _ in queries
+        }
         alone = {}
         for line in lines[4:]:
             row = dict(zip(header, line.split(",")))
@@ -500,7 +541,7 @@ class TestRunGrid:
             if key not in alone:
                 cfg = manifest.base_config(row["regressor"], row["similarity"], row["method"])
                 alone[key] = dict(zip(IntervalPath, run_algorithm1(
-                    datasets[qidx], queries[qidx], cfg, qidx, manifest.control_mode
+                    *trained_on[qidx], cfg, qidx, manifest.control_mode
                 )))
             iv = alone[key][IntervalPath(row["path"])]
             for k in ("point", "lo", "up"):
@@ -514,13 +555,13 @@ class TestRunGrid:
         # min_relevant=2 and rho=0.9 give four selection floors per query:
         # 2 (full), 3 (jackknife), 5 (LASSO full and jackknife), 11 (split)
         manifest = external_manifest(tmp_path, min_relevant=2, rho=0.9)
-        datasets, queries, labels = _load_grid_data(manifest)
+        groups = _load_grid_data(manifest)
         standard = Counter()
         selections = []  # (query tail, similarity, floor, selection) per select call
         controlled = []  # the selection's indices behind each simulate_controls call
 
         def counting_interval(d, reg, x0, spec, seed=0, base=None, scores=None):
-            if any(d is full for full in datasets):
+            if any(d is full for full, _ in groups):
                 standard[seed, Regressor(reg), spec.method] += 1
             return conformal_interval(d, reg, x0, spec, seed=seed, base=base, scores=scores)
 
@@ -533,7 +574,7 @@ class TestRunGrid:
             controlled.append(indices)
             return simulate_controls(d, indices, noise_scale, mode=mode, seed=seed)
 
-        monkeypatch.setattr(runner, "_load_grid_data", lambda m: (datasets, queries, labels))
+        monkeypatch.setattr(runner, "_load_grid_data", lambda m: groups)
         monkeypatch.setattr(runner, "conformal_interval", counting_interval)
         monkeypatch.setattr(runner, "select", counting_select)
         monkeypatch.setattr(runner, "simulate_controls", counting_controls)
@@ -542,7 +583,8 @@ class TestRunGrid:
         assert sorted(standard.values()) == [1] * (2 * 3 * 3)
         expected = {
             (q.x0.tobytes(), sim, _setup(d, q, manifest.base_config(reg, sim, method))[1])
-            for d, q in zip(datasets, queries)
+            for d, queries in groups
+            for _, q, _ in queries
             for sim in manifest.similarities
             for reg in manifest.regressors
             for method in manifest.methods
