@@ -43,10 +43,6 @@ from .regress import (
 
 __all__ = [
     "conformal_interval",
-    "split_conformal",
-    "full_conformal",
-    "full_conformal_accepted",
-    "jackknife_conformal",
     "ceil_guarded",
     "split_quantile",
     "loo_quantile",
@@ -83,14 +79,13 @@ def loo_quantile(abs_residuals: np.ndarray, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Split conformal
+# The three constructors, which ``conformal_interval`` calls on a tail,
+# seed and dataset it has checked; they check nothing again
 # ---------------------------------------------------------------------------
 
-def _split_train_rows(n: int, rho: float, fit_rows: int) -> int | None:
-    """Rows split conformal fits on, floor(rho*n), or None when that leaves
-    fewer than ``fit_rows`` to fit or fewer than 2 to calibrate."""
-    n_train = int(math.floor(rho * n + _CEIL_GUARD))
-    return n_train if fit_rows <= n_train <= n - 2 else None
+def _split_train_rows(n: int, rho: float) -> int:
+    """Rows split conformal fits on, floor(rho*n)."""
+    return int(math.floor(rho * n + _CEIL_GUARD))
 
 
 @functools.lru_cache(maxsize=4)
@@ -104,23 +99,10 @@ def _split_order(seed: int, n: int) -> np.ndarray:
     return order
 
 
-def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> PredictionInterval:
-    """Fit on a seeded ``rho`` fraction, calibrate on the held-out rest.
-
-    The interval is the base forecast plus/minus the calibration
-    residual quantile. The fit needs ``regress.min_fit_rows(reg)`` rows
-    and calibration at least 2.
-    """
-    x0 = _query_tail(d, x0)
-    reg = _choice(Regressor, reg)
-    fit_rows = min_fit_rows(reg)
-    n_train = _split_train_rows(d.n, spec.rho, fit_rows)
-    if n_train is None:
-        raise DataError(
-            f"split with {reg.value} needs {fit_rows} <= floor(rho*n) <= n-2;"
-            f" rho={spec.rho}, n={d.n}"
-        )
-    seed = check_knob("seed", seed)
+def _split(d: Dataset, reg: Regressor, x0: np.ndarray, spec: ConformalSpec, seed: int):
+    """Fit on a seeded ``rho`` fraction, calibrate on the held-out rest:
+    the base forecast plus/minus the calibration residual quantile."""
+    n_train = _split_train_rows(d.n, spec.rho)
     perm = _split_order(seed, d.n)
     model = fit(d.subset(perm[:n_train]), reg, seed=seed)
     point = _point(model, x0)
@@ -130,20 +112,17 @@ def split_conformal(d: Dataset, reg, x0, spec: ConformalSpec, seed: int) -> Pred
     return PredictionInterval(point, point - dstar, point + dstar)
 
 
-# ---------------------------------------------------------------------------
-# Full (transductive) conformal
-# ---------------------------------------------------------------------------
-
 def _candidate_grid(y: np.ndarray, spec: ConformalSpec) -> np.ndarray:
     lo, hi = float(y.min()), float(y.max())
     e = spec.grid_expansion * (hi - lo)
     return np.linspace(lo - e, hi + e, spec.grid_points)
 
 
-def full_conformal_accepted(
-    d: Dataset, base: FittedModel, x0, spec: ConformalSpec
+def _full_accepted(
+    d: Dataset, base: FittedModel, x0: np.ndarray, spec: ConformalSpec
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Candidate grid, per-candidate acceptance mask, and the base forecast.
+    """Full conformal's candidate grid, per-candidate acceptance mask, and
+    the base forecast.
 
     ``base`` is the engine's fit on ``d``. Each candidate head is appended
     to the data and the model refit on the n+1 rows
@@ -153,7 +132,6 @@ def full_conformal_accepted(
     block's ranks are counted against its query row before the next block
     is formed, so no (n+1) x G residual matrix is held.
     """
-    x0 = _query_tail(d, x0)
     point = _point(base, x0)
     grid = _candidate_grid(d.y, spec)
     n = d.n
@@ -164,34 +142,23 @@ def full_conformal_accepted(
     return grid, accepted, point
 
 
-def full_conformal(d: Dataset, base: FittedModel, x0, spec: ConformalSpec) -> PredictionInterval:
+def _full(d: Dataset, base: FittedModel, x0: np.ndarray, spec: ConformalSpec):
     """[min accepted, max accepted] over the candidate grid.
 
     An empty acceptance region degrades to a zero-length interval at the
     base forecast, flagged ``degenerate`` so downstream metrics can see it.
-    ``base`` is as for ``full_conformal_accepted``.
     """
-    grid, accepted, point = full_conformal_accepted(d, base, x0, spec)
+    grid, accepted, point = _full_accepted(d, base, x0, spec)
     if not accepted.any():
         return PredictionInterval(point, point, point, degenerate=True)
     kept = grid[accepted]
     return PredictionInterval(point, float(kept.min()), float(kept.max()))
 
 
-# ---------------------------------------------------------------------------
-# Jackknife conformal
-# ---------------------------------------------------------------------------
-
-def jackknife_conformal(
-    d: Dataset, base: FittedModel, x0, spec: ConformalSpec, scores: np.ndarray | None = None
-) -> PredictionInterval:
-    """Base forecast plus/minus the leave-one-out residual quantile;
-    ``base`` is the engine's fit on ``d``. ``scores`` are the absolute
-    leave-one-out residuals ``|regress.loo_residuals(d.x, d.y, base)|``:
-    given when the caller has them, else made here."""
-    x0 = _query_tail(d, x0)
-    if d.n < 3:
-        raise DataError(f"jackknife needs n >= 3, got n={d.n}")
+def _jackknife(d: Dataset, base: FittedModel, x0: np.ndarray, spec: ConformalSpec, scores):
+    """Base forecast plus/minus the leave-one-out residual quantile.
+    ``scores`` are the absolute leave-one-out residuals
+    ``|regress.loo_residuals(d.x, d.y, base)|``, or None to make them here."""
     point = _point(base, x0)
     if scores is None:
         scores = np.abs(loo_residuals(d.x, d.y, base))
@@ -200,20 +167,32 @@ def jackknife_conformal(
 
 
 def _min_rows(spec: ConformalSpec, reg) -> int:
-    """Smallest dataset ``conformal_interval`` can run on with ``spec`` and ``reg``.
+    """Smallest dataset ``conformal_interval`` can run on with ``spec`` and
+    ``reg``; it runs on every larger one too.
 
     A fit needs ``regress.min_fit_rows(reg)``; split fits on floor(rho*n)
-    rows; jackknife needs 3.
+    rows and calibrates on the rest, at least 2; jackknife needs 3.
     """
     fit_rows = min_fit_rows(reg)
     if spec.method is ConformalMethod.SPLIT:
+        # neither floor(rho*n) nor n - floor(rho*n) falls as n grows
         n = fit_rows + 2
-        while _split_train_rows(n, spec.rho, fit_rows) is None:
+        while not fit_rows <= _split_train_rows(n, spec.rho) <= n - 2:
             n += 1
         return n
     if spec.method is ConformalMethod.JACKKNIFE:
         return max(fit_rows, 3)
     return fit_rows
+
+
+def _check_rows(d: Dataset, spec: ConformalSpec, reg: Regressor) -> int:
+    """``_min_rows(spec, reg)``, after refusing a ``d`` below it."""
+    needed = _min_rows(spec, reg)
+    if d.n < needed:
+        raise DataError(
+            f"{spec.method.value} conformal with {reg.value} needs n >= {needed}, got n={d.n}"
+        )
+    return needed
 
 
 def conformal_interval(
@@ -225,25 +204,34 @@ def conformal_interval(
     base: FittedModel | None = None,
     scores: np.ndarray | None = None,
 ) -> PredictionInterval:
-    """Dispatch on ``spec.method``. A spec that names an engine, a grid
-    cell's ``ExperimentConfig``, must name ``reg`` (a ConfigError otherwise).
+    """The interval of method ``spec.method`` with engine ``reg`` for the
+    query tail ``x0``, calibrated on ``d``.
+
+    Before any fit it checks, in turn, the engine (a spec that names one,
+    a grid cell's ``ExperimentConfig``, must name ``reg``: a ConfigError
+    otherwise), the tail (``_query_tail``), the seed (``check_knob``, for
+    every method) and the size of ``d`` (``_min_rows``: a DataError below
+    it).
 
     Full conformal and the jackknife start from the base fit
     ``regress.fit(d, reg, seed)``: ``base`` when the caller has it, which
     must be of engine ``reg``, else made here. The jackknife also takes
-    ``base``'s absolute leave-one-out residuals on ``d`` as ``scores``
-    (``jackknife_conformal``); the other methods ignore them. Split fits on
-    part of ``d`` and takes neither.
+    ``base``'s absolute leave-one-out residuals on ``d`` as ``scores``,
+    else makes them; the other methods ignore them. Split fits on part of
+    ``d`` and takes neither.
     """
     reg = _choice(Regressor, reg)
     if getattr(spec, "regressor", reg) is not reg:
         raise ConfigError(f"spec is for engine {spec.regressor.value}, not {reg.value}")
+    x0 = _query_tail(d, x0)
+    seed = check_knob("seed", seed)
+    _check_rows(d, spec, reg)
     if spec.method is ConformalMethod.SPLIT:
-        return split_conformal(d, reg, x0, spec, seed)
+        return _split(d, reg, x0, spec, seed)
     if base is None:
         base = fit(d, reg, seed=seed)
     elif base.kind is not reg:
         raise DataError(f"base fit is {base.kind.value}, not {reg.value}")
     if spec.method is ConformalMethod.FULL:
-        return full_conformal(d, base, x0, spec)
-    return jackknife_conformal(d, base, x0, spec, scores)
+        return _full(d, base, x0, spec)
+    return _jackknife(d, base, x0, spec, scores)

@@ -183,6 +183,9 @@ class Dataset:
         names = tuple(self.feature_names) or tuple(f"x{j + 1}" for j in range(p))
         if len(names) != p:
             raise DataError(f"{len(names)} feature names for {p} columns")
+        if len(set(names)) < p:
+            repeated = next(name for name in names if names.count(name) > 1)
+            raise DataError(f"feature name {repeated!r} appears more than once")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "feature_names", names)
@@ -290,13 +293,18 @@ _KNOB_RULES = {
 
 
 def check_knob(name: str, raw):
-    """``raw`` as knob ``name``'s type; ConfigError if the conversion would
-    change it or it breaks the knob's rule (selection, controls, split
-    conformal, the LASSO fit and ``relconf gen`` call this)."""
+    """``raw`` as knob ``name``'s type; ConfigError if the type cannot
+    convert it, the conversion would change it or it breaks the knob's rule
+    (``check_knobs``, selection, controls, ``conformal_interval``, the LASSO
+    fit and ``relconf gen`` call this)."""
     kind, rule, holds = _KNOB_RULES[name]
-    value = kind(raw)
-    # refuse what the conversion would change (30.9, "31"); NaN fails its rule
-    if value != raw and value == value:
+    try:
+        value = kind(raw)
+        # refuse what the conversion would change (30.9, "31"); NaN fails its rule
+        converts = value == raw or value != value
+    except (TypeError, ValueError, OverflowError):  # None, "abc", [0.1], 1+2j, inf as int
+        converts = False
+    if not converts:
         raise ConfigError(f"{name} must be of type {kind.__name__}, got {raw!r}")
     if not holds(value):
         raise ConfigError(f"{name} must {rule}, got {value}")

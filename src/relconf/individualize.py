@@ -1,8 +1,8 @@
 """Relevance selection and simulated controls.
 
-Two selection rules identify the observations that matter for a query:
-``select_percentile`` keeps the closest alpha-fraction in standardized
-Euclidean distance, ``select_cosine`` keeps rows whose raw-tail cosine
+Two selection rules, both run by ``select``, identify the observations
+that matter for a query: percentile keeps the closest alpha-fraction in
+standardized Euclidean distance, cosine keeps rows whose raw-tail cosine
 with the query clears a threshold. ``simulate_controls`` then builds one
 synthetic row per selected row, a ``Dataset`` of its own, on which the
 relevant + simulated interval is calibrated.
@@ -33,8 +33,6 @@ from .regress import _row_blocks
 __all__ = [
     "ControlMode",
     "RelevanceSelection",
-    "select_percentile",
-    "select_cosine",
     "select",
     "simulate_controls",
 ]
@@ -76,41 +74,27 @@ class RelevanceSelection:
 # Selection rules
 # ---------------------------------------------------------------------------
 
-def select_percentile(d: Dataset, x0, alpha: float, min_relevant: int = 30) -> RelevanceSelection:
-    """Rows within the alpha-quantile of standardized distance to the query.
+def select(d: Dataset, x0, method, alpha=None, gamma=None, min_relevant: int = 30):
+    """The rows of ``d`` relevant to the query tail ``x0`` by rule ``method``.
 
-    The quantile is nearest-rank: the k-th smallest distance with
-    k = ceil(alpha * n). Ties at the threshold are all included. When the
-    quantile admits fewer than ``min_relevant`` rows, the threshold grows
-    to the min_relevant-th smallest distance and the fallback is flagged.
-    """
-    return select(d, x0, Similarity.PERCENTILE, alpha, None, min_relevant)
+    Each rule keys every row, smaller for closer, and sets a cut; the rows
+    keyed at most max(cut, the min_relevant-th smallest key) are kept,
+    flagged as a fallback when that floor passes the cut. Ties at the
+    threshold are all kept, whatever the row order.
 
+    percentile (reads ``alpha``): the key is the standardized Euclidean
+    distance and the cut its nearest-rank alpha-quantile, the k-th smallest
+    distance with k = ceil(alpha * n).
 
-def select_cosine(d: Dataset, x0, gamma: float, min_relevant: int = 30) -> RelevanceSelection:
-    """Rows whose raw-tail cosine with the query reaches ``gamma``.
+    cosine (reads ``gamma``): the key is minus the raw-tail cosine with the
+    query and the cut -gamma. Every finite tail has a cosine: each row and
+    the query are first scaled, exactly, by the power of two that puts
+    their largest |entry| in [0.5, 1), so no square overflows. A zero-norm
+    row has none and keys last, kept only when fewer than ``min_relevant``
+    rows have one (the threshold is then -inf); a zero-norm query is a
+    DataError.
 
-    Every finite tail has one: each row and the query are first scaled,
-    exactly, by the power of two that puts their largest |entry| in
-    [0.5, 1), so no square overflows. Zero-norm rows score -inf; only a
-    zero-norm query is a DataError. If fewer than ``min_relevant`` rows
-    clear gamma, the threshold falls to the min_relevant-th highest score
-    and every row at or above it is kept, flagged as a fallback: ties at
-    the cut are all kept, as in ``select_percentile``, whatever the row
-    order. Zero-norm rows stay out unless fewer than ``min_relevant`` rows
-    have a cosine; then the threshold is -inf and every row is kept.
-    """
-    return select(d, x0, Similarity.COSINE, None, gamma, min_relevant)
-
-
-def select(d: Dataset, x0, method, alpha: float, gamma: float, min_relevant: int = 30):
-    """Dispatch on the similarity enum; percentile reuses alpha as its fraction.
-
-    Each rule keys every row, smaller for closer, and sets a cut: the
-    standardized distance and its k-th smallest value, or minus the cosine
-    and -gamma. The rows keyed at most max(cut, the min_relevant-th
-    smallest key) are kept, flagged as a fallback when that floor passes
-    the cut.
+    A rule given no knob of its own is a ConfigError.
     """
     method = _choice(Similarity, method)
     percentile = method is Similarity.PERCENTILE

@@ -14,11 +14,7 @@ import time
 
 import numpy as np
 
-from .conformal import (
-    ConformalSpec,
-    full_conformal_accepted,
-    split_conformal,
-)
+from .conformal import ConformalSpec, _full_accepted, conformal_interval
 from .core import ConformalMethod, Dataset, PredictionInterval, Regressor
 from .dgp import gen_setting
 from .evaluate import score
@@ -45,7 +41,7 @@ def split_coverage() -> tuple[bool, str]:
     hits = 0
     for rep in range(500):
         d, q = gen_setting("A", seed=rep)
-        iv = split_conformal(d, Regressor.OLS, q.x0, spec, seed=rep)
+        iv = conformal_interval(d, Regressor.OLS, q.x0, spec, seed=rep)
         hits += iv.lo <= q.y0 <= iv.up
     elapsed = time.perf_counter() - start
     coverage = hits / 500
@@ -71,7 +67,7 @@ def full_conformal_brute_force() -> tuple[bool, str]:
         x0 = rng.normal(0.0, 1.0, size=p)
         alpha = alphas[i % len(alphas)]
         spec = ConformalSpec(method=ConformalMethod.FULL, alpha=alpha, grid_points=20)
-        grid, accepted, _ = full_conformal_accepted(d, fit_ols(d), x0, spec)
+        grid, accepted, _ = _full_accepted(d, fit_ols(d), x0, spec)
 
         # independent oracle: same pinned grid formula, literal refits
         spread = float(y.max() - y.min())

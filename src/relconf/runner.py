@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import _min_rows, conformal_interval
+from .conformal import _check_rows, conformal_interval
 from .core import (
     ARTIFACT_VERSION,
     ConfigError,
@@ -86,12 +86,8 @@ def _setup(d: Dataset, q: Query, cfg: ExperimentConfig):
     conformal method and regressor can run on, and capped at ``d.n``.
     """
     x0 = _query_tail(d, q.x0)
-    needed = _min_rows(cfg, cfg.regressor)
-    if d.n < needed:
-        raise DataError(
-            f"{cfg.method.value} conformal with {cfg.regressor.value} "
-            f"needs n >= {needed}, got n={d.n}"
-        )
+    # refused here, before the loop's own fits, by conformal_interval's rule
+    needed = _check_rows(d, cfg, cfg.regressor)
     return x0, min(max(int(cfg.min_relevant), needed), d.n)
 
 

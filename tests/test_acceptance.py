@@ -28,11 +28,7 @@ from relconf.core import (
 )
 from relconf.dgp import gen_setting
 from relconf.evaluate import METRIC_FAMILIES, VARIANT_ORDER
-from relconf.individualize import (
-    select_cosine,
-    select_percentile,
-    simulate_controls,
-)
+from relconf.individualize import select, simulate_controls
 from relconf.runner import RunManifest, run_algorithm1, run_grid
 
 
@@ -110,7 +106,7 @@ def test_criterion_06_containment_and_monotonicity():
         d = Dataset(x, y)
         x0 = rng.normal(0.0, 1.0, size=2)
 
-        selection = select_percentile(d, x0, alpha=0.2, min_relevant=10)
+        selection = select(d, x0, "percentile", alpha=0.2, min_relevant=10)
         controls = simulate_controls(d, selection.indices, noise_scale=0.1, seed=trial)
         n_r = selection.n_relevant
         heads_ok = controls.n == n_r and np.array_equal(controls.y, d.y[selection.indices])
@@ -150,7 +146,7 @@ def test_criterion_06_containment_and_monotonicity():
         dp = Dataset(xp, xp @ np.array([1.0, 0.5]) + rng.normal(0.0, 0.3, size=n))
         x0p = rng.uniform(1.0, 2.0, size=2)
         sizes = [
-            select_cosine(dp, x0p, gamma=g, min_relevant=10).n_relevant
+            select(dp, x0p, "cosine", gamma=g, min_relevant=10).n_relevant
             for g in gammas
         ]
         violations += sum(

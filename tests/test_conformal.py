@@ -1,21 +1,25 @@
 """Interval constructors against hand ranks and brute-force refit oracles."""
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from relconf.core import ConfigError, DataError, Dataset, ExperimentConfig, PredictionInterval
+from relconf.core import (
+    ConfigError,
+    DataError,
+    Dataset,
+    ExperimentConfig,
+    PredictionInterval,
+    Regressor,
+)
 from relconf.conformal import (
     ConformalSpec,
     ceil_guarded,
     conformal_interval,
-    full_conformal,
-    full_conformal_accepted,
-    jackknife_conformal,
     loo_quantile,
-    split_conformal,
     split_quantile,
 )
 from relconf import conformal, oracles, regress
@@ -78,13 +82,13 @@ class TestSplit:
     def test_perfect_fit_collapses(self):
         x = np.linspace(0, 1, 13)[:, None]
         d = Dataset(x, 2.0 * x.ravel())
-        iv = split_conformal(d, "ols", [0.4], self.SPEC, seed=5)
+        iv = conformal_interval(d, "ols", [0.4], self.SPEC, seed=5)
         assert iv.lo == pytest.approx(iv.up, abs=1e-10)
         assert iv.point == pytest.approx(0.8, abs=1e-10)
 
     def test_interval_is_centered(self):
         d = make_dataset(np.random.default_rng(0), 40, 2)
-        iv = split_conformal(d, "ols", [0.1, 0.2], self.SPEC, seed=1)
+        iv = conformal_interval(d, "ols", [0.1, 0.2], self.SPEC, seed=1)
         assert iv.lo <= iv.point <= iv.up
         assert iv.up - iv.point == pytest.approx(iv.point - iv.lo)
 
@@ -93,22 +97,22 @@ class TestSplit:
         widths = []
         for alpha in (0.05, 0.1, 0.2, 0.5):
             spec = ConformalSpec(method="split", alpha=alpha)
-            widths.append(split_conformal(d, "ols", [0.0, 0.0], spec, seed=7).length)
+            widths.append(conformal_interval(d, "ols", [0.0, 0.0], spec, seed=7).length)
         assert all(a >= b for a, b in zip(widths, widths[1:]))
 
     def test_translation_equivariance_ols(self):
         d = make_dataset(np.random.default_rng(2), 50, 2)
         shifted = Dataset(d.x, d.y + 10.0)
-        a = split_conformal(d, "ols", [0.3, -0.2], self.SPEC, seed=3)
-        b = split_conformal(shifted, "ols", [0.3, -0.2], self.SPEC, seed=3)
+        a = conformal_interval(d, "ols", [0.3, -0.2], self.SPEC, seed=3)
+        b = conformal_interval(shifted, "ols", [0.3, -0.2], self.SPEC, seed=3)
         assert b.lo == pytest.approx(a.lo + 10.0, abs=1e-9)
         assert b.up == pytest.approx(a.up + 10.0, abs=1e-9)
         assert b.length == pytest.approx(a.length, abs=1e-9)
 
     def test_seed_determinism(self):
         d = make_dataset(np.random.default_rng(3), 30, 2)
-        a = split_conformal(d, "ols", [0.0, 0.0], self.SPEC, seed=11)
-        b = split_conformal(d, "ols", [0.0, 0.0], self.SPEC, seed=11)
+        a = conformal_interval(d, "ols", [0.0, 0.0], self.SPEC, seed=11)
+        b = conformal_interval(d, "ols", [0.0, 0.0], self.SPEC, seed=11)
         assert (a.lo, a.point, a.up) == (b.lo, b.point, b.up)
 
     def test_memoised_order_is_the_seeded_permutation(self):
@@ -123,7 +127,7 @@ class TestSplit:
             order = conformal._split_order(11, 30)
             np.testing.assert_array_equal(order, perm)
             assert not order.flags.writeable
-            iv = split_conformal(d, "ols", [0.0, 0.0], self.SPEC, seed=11)
+            iv = conformal_interval(d, "ols", [0.0, 0.0], self.SPEC, seed=11)
             assert (iv.lo, iv.point, iv.up) == (
                 predict(model, [0.0, 0.0]) - dstar,
                 predict(model, [0.0, 0.0]),
@@ -134,20 +138,20 @@ class TestSplit:
     def test_too_small_to_partition(self):
         d = make_dataset(np.random.default_rng(4), 3, 1)
         with pytest.raises(DataError, match="split"):
-            split_conformal(d, "ols", [0.0], self.SPEC, seed=0)
+            conformal_interval(d, "ols", [0.0], self.SPEC, seed=0)
 
     def test_lasso_split_needs_rows_for_cross_validation(self):
-        # 8 rows at rho 0.5 fit on 4, fewer than LASSO's 5 CV folds; split
-        # refuses by its own rule, which ``conformal._min_rows`` shares
+        # 8 rows at rho 0.5 fit on 4, fewer than LASSO's 5 CV folds: split
+        # with LASSO needs 10 rows, by ``conformal._min_rows``
         d = make_dataset(np.random.default_rng(4), 8, 1)
-        with pytest.raises(DataError, match="split with lasso needs 5 <= floor"):
-            split_conformal(d, "lasso", [0.0], self.SPEC, seed=0)
-        assert np.isfinite(split_conformal(d, "ols", [0.0], self.SPEC, seed=0).length)
+        with pytest.raises(DataError, match="split conformal with lasso needs n >= 10, got n=8"):
+            conformal_interval(d, "lasso", [0.0], self.SPEC, seed=0)
+        assert np.isfinite(conformal_interval(d, "ols", [0.0], self.SPEC, seed=0).length)
 
     def test_all_engines_produce_finite_intervals(self):
         d = make_dataset(np.random.default_rng(5), 40, 2)
         for reg in ("ols", "lasso", "kernel"):
-            iv = split_conformal(d, reg, [0.1, 0.1], self.SPEC, seed=2)
+            iv = conformal_interval(d, reg, [0.1, 0.1], self.SPEC, seed=2)
             assert np.isfinite([iv.lo, iv.point, iv.up]).all()
 
 
@@ -160,7 +164,7 @@ class TestFull:
             p = int(rng.integers(1, 3))
             d = make_dataset(rng, n, p)
             x0 = rng.normal(size=p)
-            grid, accepted, _ = full_conformal_accepted(d, fit_ols(d), x0, spec)
+            grid, accepted, _ = conformal._full_accepted(d, fit_ols(d), x0, spec)
             oracle = brute_force_full_ols(d, x0, spec.alpha, grid)
             np.testing.assert_array_equal(accepted, oracle)
 
@@ -171,9 +175,10 @@ class TestFull:
         d = make_dataset(np.random.default_rng(9), 40, 3)
         spec = ConformalSpec(method="full", alpha=0.2, grid_points=30)
         base = fit(d, reg, seed=0)
-        whole = full_conformal_accepted(d, base, [0.1, 0.2, 0.3], spec)[1]
+        x0 = np.array([0.1, 0.2, 0.3])
+        whole = conformal._full_accepted(d, base, x0, spec)[1]
         monkeypatch.setattr(regress, "_SMOOTH_ENTRIES", 1)
-        blocked = full_conformal_accepted(d, base, [0.1, 0.2, 0.3], spec)[1]
+        blocked = conformal._full_accepted(d, base, x0, spec)[1]
         assert whole.any() and not whole.all()
         np.testing.assert_array_equal(blocked, whole)
 
@@ -191,17 +196,17 @@ class TestFull:
         x = np.linspace(0.0, 2.0, 12)[:, None]
         d = Dataset(x, 2.0 * x.ravel())
         on_grid = ConformalSpec(method="full", alpha=0.2, grid_points=13)
-        iv = full_conformal(d, fit_ols(d), [0.75], on_grid)  # grid step 0.5 hits 1.5
+        iv = conformal_interval(d, "ols", [0.75], on_grid)  # grid step 0.5 hits 1.5
         assert not iv.degenerate
         assert iv.lo <= 1.5 <= iv.up
         tiny_alpha = ConformalSpec(method="full", alpha=0.05, grid_points=13)
-        iv = full_conformal(d, fit_ols(d), [0.75], tiny_alpha)  # k = n+1: accept all
+        iv = conformal_interval(d, "ols", [0.75], tiny_alpha)  # k = n+1: accept all
         assert (iv.lo, iv.up) == (-1.0, 5.0)
 
     def test_nested_in_alpha(self):
         d = make_dataset(np.random.default_rng(6), 20, 2)
-        tight = full_conformal(d, fit_ols(d), [0.1, 0.1], ConformalSpec("full", alpha=0.5))
-        wide = full_conformal(d, fit_ols(d), [0.1, 0.1], ConformalSpec("full", alpha=0.1))
+        tight = conformal_interval(d, "ols", [0.1, 0.1], ConformalSpec("full", alpha=0.5))
+        wide = conformal_interval(d, "ols", [0.1, 0.1], ConformalSpec("full", alpha=0.1))
         assert wide.lo <= tight.lo and tight.up <= wide.up
 
     def test_empty_acceptance_flags_degenerate(self):
@@ -211,7 +216,7 @@ class TestFull:
         # 20-point grid over [-0.25, 1.25] never hits
         d = Dataset(np.array([[0.0], [1.0]]), [0.0, 1.0])
         spec = ConformalSpec(method="full", alpha=0.9, grid_points=20)
-        iv = full_conformal(d, fit_ols(d), [0.5], spec)
+        iv = conformal_interval(d, "ols", [0.5], spec)
         assert iv.degenerate
         assert iv.lo == iv.up == iv.point == pytest.approx(0.5)
 
@@ -223,7 +228,7 @@ class TestFull:
         spec = ConformalSpec(method="full", alpha=0.2, grid_points=15)
         k = math.ceil((d.n + 1) * (1 - spec.alpha) - 1e-9)
         for x0 in (rng.normal(size=2), np.array([1e3, -1e3])):
-            grid, accepted, _ = full_conformal_accepted(d, fit_kernel(d), x0, spec)
+            grid, accepted, _ = conformal._full_accepted(d, fit_kernel(d), x0, spec)
             x_aug = np.vstack([d.x, x0])
             oracle = []
             for t in grid:
@@ -243,7 +248,7 @@ class TestFull:
             x0 = np.zeros(p)
             spec = ConformalSpec(method="full", alpha=0.2, grid_points=12)
             base = fit_lasso(d, seed=0)
-            grid, accepted, _ = full_conformal_accepted(d, base, x0, spec)
+            grid, accepted, _ = conformal._full_accepted(d, base, x0, spec)
             lam = base.lam
             k = math.ceil((d.n + 1) * (1 - spec.alpha) - 1e-9)
             x_aug = np.vstack([d.x, x0])
@@ -288,7 +293,7 @@ class TestJackknife:
     def test_exact_linear_collapses(self):
         x = np.linspace(0, 1, 10)[:, None]
         d = Dataset(x, 3.0 * x.ravel() + 1.0)
-        iv = jackknife_conformal(d, fit_ols(d), [0.5], self.SPEC)
+        iv = conformal_interval(d, "ols", [0.5], self.SPEC)
         assert iv.length == pytest.approx(0.0, abs=1e-8)
         assert iv.point == pytest.approx(2.5, abs=1e-8)
 
@@ -375,9 +380,7 @@ class TestJackknife:
     def test_monotone_in_alpha(self):
         d = make_dataset(np.random.default_rng(12), 30, 2)
         widths = [
-            jackknife_conformal(
-                d, fit_ols(d), [0.0, 0.0], ConformalSpec("jackknife", alpha=a)
-            ).length
+            conformal_interval(d, "ols", [0.0, 0.0], ConformalSpec("jackknife", alpha=a)).length
             for a in (0.05, 0.1, 0.2, 0.5)
         ]
         assert all(a >= b for a, b in zip(widths, widths[1:]))
@@ -385,17 +388,18 @@ class TestJackknife:
     def test_needs_three_rows(self):
         d = Dataset([[0.0], [1.0]], [0.0, 1.0])
         with pytest.raises(DataError, match="jackknife"):
-            jackknife_conformal(d, fit_ols(d), [0.5], self.SPEC)
+            conformal_interval(d, "ols", [0.5], self.SPEC)
 
 
 class TestDispatch:
     def test_routes_by_method(self):
         d = make_dataset(np.random.default_rng(13), 30, 2)
         base = fit(d, "ols", seed=4)
+        x0 = np.zeros(2)
         constructors = {
-            "split": lambda spec: split_conformal(d, "ols", [0.0, 0.0], spec, seed=4),
-            "full": lambda spec: full_conformal(d, base, [0.0, 0.0], spec),
-            "jackknife": lambda spec: jackknife_conformal(d, base, [0.0, 0.0], spec),
+            "split": lambda spec: conformal._split(d, Regressor.OLS, x0, spec, 4),
+            "full": lambda spec: conformal._full(d, base, x0, spec),
+            "jackknife": lambda spec: conformal._jackknife(d, base, x0, spec, None),
         }
         for method, construct in constructors.items():
             spec = ConformalSpec(method=method, alpha=0.2, grid_points=25)
@@ -476,33 +480,54 @@ class TestDispatch:
 @pytest.mark.parametrize("reg", ["ols", "lasso", "kernel"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_query_tail_refused(reg, bad):
-    # every constructor reads the tail through the Query rule: no LAPACK
-    # error, no blame on the feature matrix or on the interval's point
+    # every method reads the tail through the Query rule, with or without
+    # a caller's base fit: no LAPACK error, no blame on the feature matrix
+    # or on the interval's point
     d = make_dataset(np.random.default_rng(15), 30, 2)
     base = fit(d, reg, seed=4)
     x0 = [bad, 0.5]
     spec = {m: ConformalSpec(method=m, grid_points=25) for m in ("split", "full", "jackknife")}
     for construct in (
-        lambda: split_conformal(d, reg, x0, spec["split"], seed=4),
-        lambda: full_conformal(d, base, x0, spec["full"]),
-        lambda: full_conformal_accepted(d, base, x0, spec["full"]),
-        lambda: jackknife_conformal(d, base, x0, spec["jackknife"]),
         *(lambda m=m: conformal_interval(d, reg, x0, spec[m], seed=4) for m in spec),
+        *(lambda m=m: conformal_interval(d, reg, x0, spec[m], seed=4, base=base) for m in spec),
     ):
         with pytest.raises(DataError, match="non-finite entry in query tail"):
             construct()
 
 
+CELLS = [f"{m}-{reg}" for m in ("split", "full", "jackknife") for reg in ("ols", "lasso", "kernel")]
+
+
 @pytest.mark.parametrize("seed", [1.5, -1, 2**64])
-@pytest.mark.parametrize("consumer", ["split-ols", "split-lasso", "split-kernel", "fit_lasso"])
-def test_seed_must_be_a_64_bit_unsigned_integer(consumer, seed):
-    # split conformal's row order and LASSO's folds both read the seed, by
-    # the knob rule every seed follows: 1.5 would be cut to stream 1, -1 is
-    # no numpy seed, and 2^64 is past the rule's bound
+@pytest.mark.parametrize("consumer", [*CELLS, "fit_lasso"])
+def test_seed_must_be_a_64_bit_unsigned_integer(consumer, seed, monkeypatch):
+    # every method checks the seed by the knob rule every seed follows,
+    # before any fit, whether or not its engine reads it (split's row order
+    # and LASSO's folds do): 1.5 would be cut to stream 1, -1 is no numpy
+    # seed, and 2^64 is past the rule's bound
     d = make_dataset(np.random.default_rng(16), 30, 2)
     with pytest.raises(ConfigError, match="seed"):
         if consumer == "fit_lasso":
             fit_lasso(d, seed=seed)
         else:
-            reg = consumer.split("-")[1]
-            conformal_interval(d, reg, [0.0, 0.0], ConformalSpec("split"), seed=seed)
+            method, reg = consumer.split("-")
+            monkeypatch.setattr(conformal, "fit", None)  # a fit here would fail
+            conformal_interval(d, reg, [0.0, 0.0], ConformalSpec(method), seed=seed)
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_dataset_below_the_fewest_rows_is_refused_with_one_message(cell, monkeypatch):
+    # one size check, before any fit: one row short of ``_min_rows`` is
+    # refused with the runner's message, and that many rows or more run
+    method, reg = cell.split("-")
+    spec = ConformalSpec(method, grid_points=25)
+    needed = conformal._min_rows(spec, Regressor(reg))
+    rng = np.random.default_rng(18)
+    message = f"{method} conformal with {reg} needs n >= {needed}, got n={needed - 1}"
+    with monkeypatch.context() as patch:
+        patch.setattr(conformal, "fit", None)  # a fit here would fail
+        with pytest.raises(DataError, match=re.escape(message)):
+            conformal_interval(make_dataset(rng, needed - 1, 1), reg, [0.0], spec)
+    for n in range(needed, needed + 4):
+        iv = conformal_interval(make_dataset(rng, n, 1), reg, [0.0], spec)
+        assert np.isfinite([iv.lo, iv.point, iv.up]).all()

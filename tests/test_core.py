@@ -7,14 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from relconf.conformal import (
-    ConformalSpec,
-    conformal_interval,
-    full_conformal,
-    full_conformal_accepted,
-    jackknife_conformal,
-    split_conformal,
-)
+from relconf.conformal import ConformalSpec, conformal_interval
 from relconf.core import (
     ConfigError,
     ConformalMethod,
@@ -26,7 +19,9 @@ from relconf.core import (
     load_csv,
     save_csv,
     subseed,
+    check_knob,
     transform_features,
+    _KNOB_RULES,
     _standardize_columns,
 )
 from relconf.dgp import gen_small
@@ -34,8 +29,6 @@ from relconf.evaluate import variant_code
 from relconf.individualize import (
     RelevanceSelection,
     select,
-    select_cosine,
-    select_percentile,
     simulate_controls,
 )
 from relconf.regress import (
@@ -90,8 +83,9 @@ class TestDataset:
             (np.ones((0, 2)), [], (), re.escape("n >= 1 and p >= 1, got shape (0, 2)")),
             (np.ones((3, 0)), np.ones(3), (), re.escape("n >= 1 and p >= 1, got shape (3, 0)")),
             (np.ones((3, 2)), np.ones(3), ("a",), "1 feature names for 2 columns"),
+            (np.ones((3, 2)), np.ones(3), ("a", "a"), "feature name 'a' appears more than once"),
         ],
-        ids=["three_axes", "no_rows", "no_columns", "names_short"],
+        ids=["three_axes", "no_rows", "no_columns", "names_short", "names_repeated"],
     )
     def test_shape_and_names_refused(self, x, y, names, message):
         with pytest.raises(DataError, match=message):
@@ -186,7 +180,7 @@ class TestRecordsHoldingArrays:
             "Query": (Query([1.0, 2.0]), Query([1.0, 2.0])),
             "FittedModel": (fit(d, "ols"), fit(d, "ols")),
             "RelevanceSelection": tuple(
-                select_percentile(d, [1.0, 2.0], 0.5, min_relevant=2) for _ in range(2)
+                select(d, [1.0, 2.0], "percentile", 0.5, min_relevant=2) for _ in range(2)
             ),
             "SuiteOutput": (gen_small(0), gen_small(0)),
         }
@@ -265,6 +259,40 @@ def test_integer_knob_refuses_value_it_would_change(owner, value):
     assert integral.grid_points == 100 and type(integral.grid_points) is int
 
 
+@pytest.mark.parametrize(
+    "raw", [None, "abc", [0.1], 1 + 2j], ids=["none", "text", "list", "complex"]
+)
+@pytest.mark.parametrize("name", sorted(_KNOB_RULES))
+def test_knob_its_type_cannot_convert_is_a_config_error(name, raw):
+    # not the bare TypeError or ValueError of the conversion
+    kind = _KNOB_RULES[name][0].__name__
+    with pytest.raises(ConfigError, match=re.escape(f"{name} must be of type {kind}, got {raw!r}")):
+        check_knob(name, raw)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RunManifest(alpha=None), "alpha must be of type float, got None"),
+    (lambda: ExperimentConfig(seed="abc"), "seed must be of type int, got 'abc'"),
+    (lambda: ConformalSpec("full", grid_points=[1]), "grid_points must be of type int, got [1]"),
+    (lambda: ExperimentConfig(min_relevant=np.inf), "min_relevant must be of type int, got inf"),
+    # a rule given only the other rule's knob has none of its own
+    (
+        lambda: select(Dataset(np.eye(3), np.zeros(3)), [1.0, 0.0, 0.0], "percentile", gamma=0.5),
+        "alpha must be of type float, got None",
+    ),
+    (
+        lambda: select(Dataset(np.eye(3), np.zeros(3)), [1.0, 0.0, 0.0], "cosine", 0.1, None, 2),
+        "gamma must be of type float, got None",
+    ),
+], ids=[
+    "manifest_alpha", "config_seed", "spec_grid_points", "config_min_relevant",
+    "select_percentile_without_alpha", "select_cosine_without_gamma",
+])
+def test_knob_its_type_cannot_convert_is_refused_where_it_is_set(build, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build()
+
+
 @pytest.fixture(scope="module")
 def four():
     """A 4-feature dataset, its fit by each engine, and one spec per method."""
@@ -287,22 +315,12 @@ TWO_ROW_CALLS = {
         f"predict-{reg}": lambda w, reg=reg: predict(w.fits[reg], TWO_ROWS)
         for reg in ("ols", "lasso", "kernel")
     },
-    "split_conformal": lambda w: split_conformal(w.d, "ols", TWO_ROWS, w.spec["split"], 0),
-    "full_conformal": lambda w: full_conformal(w.d, w.fits["ols"], TWO_ROWS, w.spec["full"]),
-    "full_conformal_accepted": lambda w: full_conformal_accepted(
-        w.d, w.fits["ols"], TWO_ROWS, w.spec["full"]
-    ),
-    "jackknife_conformal": lambda w: jackknife_conformal(
-        w.d, w.fits["ols"], TWO_ROWS, w.spec["jackknife"]
-    ),
     **{
         f"conformal_interval-{m}": lambda w, m=m: conformal_interval(
             w.d, "ols", TWO_ROWS, w.spec[m]
         )
         for m in ("split", "full", "jackknife")
     },
-    "select_percentile": lambda w: select_percentile(w.d, TWO_ROWS, 0.2, 10),
-    "select_cosine": lambda w: select_cosine(w.d, TWO_ROWS, 0.5, 10),
     **{
         f"select-{sim}": lambda w, sim=sim: select(w.d, TWO_ROWS, sim, 0.2, 0.5, 10)
         for sim in ("percentile", "cosine")
@@ -312,9 +330,6 @@ UNKNOWN_NAME_CALLS = {
     "fit": ("Regressor", lambda w: fit(w.d, "bogus")),
     "min_fit_rows": ("Regressor", lambda w: min_fit_rows("bogus")),
     "FittedModel": ("Regressor", lambda w: FittedModel(kind="bogus")),
-    "split_conformal": (
-        "Regressor", lambda w: split_conformal(w.d, "bogus", TAIL, w.spec["split"], 0)
-    ),
     **{
         f"conformal_interval-{m}": (
             "Regressor",
@@ -429,10 +444,11 @@ class TestCsv:
         [
             ("# only a comment\n\n", "no header row"),
             ("y,x1,y\n1.0,2.0,3.0\n", "head column 'y' appears more than once"),
+            ("y,x,x\n1.0,2.0,3.0\n", "feature name 'x' appears more than once"),
             ("y\n1.0\n2.0\n", "no feature columns besides 'y'"),
             ("y,x1\n# no rows follow\n", "no data rows"),
         ],
-        ids=["no_header", "head_twice", "head_only", "header_only"],
+        ids=["no_header", "head_twice", "feature_twice", "head_only", "header_only"],
     )
     def test_header_and_rows_refused(self, tmp_path, text, message):
         f = tmp_path / "d.csv"
@@ -504,7 +520,7 @@ class TestStandardize:
             _, _, scales, _ = _standardize_columns(d.x)
             assert scales[1] == 1.0
             x0 = np.array([1.5, 0.1000001])
-            sel = select_percentile(d, x0, 0.1, min_relevant=5)
+            sel = select(d, x0, "percentile", 0.1, min_relevant=5)
             nearest = np.argsort(np.abs(x[:, 0] - 1.5))[:5]
             assert sorted(sel.indices) == sorted(nearest)
             dropped = predict(fit_kernel(Dataset(x[:, :1], d.y)), x0[:1])
@@ -559,7 +575,7 @@ class TestStandardize:
         x = make_x(np.random.default_rng(6))
         d = Dataset(x, np.arange(40.0))
         for call in (
-            lambda: select_percentile(d, x[0], 0.1, min_relevant=5),
+            lambda: select(d, x[0], "percentile", 0.1, min_relevant=5),
             lambda: fit_kernel(d),
             lambda: fit_lasso(d, lam=0.01),
         ):

@@ -14,8 +14,6 @@ from relconf.individualize import (
     RelevanceSelection,
     _row_normals,
     select,
-    select_cosine,
-    select_percentile,
     simulate_controls,
 )
 
@@ -35,26 +33,26 @@ def line_dataset():
 class TestPercentile:
     def test_hand_quantile_enumeration(self):
         d = line_dataset()
-        sel = select_percentile(d, [0.0], alpha=0.3, min_relevant=2)
+        sel = select(d, [0.0], "percentile", alpha=0.3, min_relevant=2)
         np.testing.assert_array_equal(sel.indices, [0, 1, 2])
         assert not sel.fallback
 
     def test_alpha_near_one_keeps_everything(self):
         d = line_dataset()
-        sel = select_percentile(d, [0.0], alpha=0.99, min_relevant=2)
+        sel = select(d, [0.0], "percentile", alpha=0.99, min_relevant=2)
         assert sel.n_relevant == 10
 
     def test_zero_distance_row_always_selected(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(40, 3))
         d = Dataset(x, np.zeros(40))
-        sel = select_percentile(d, x[17], alpha=0.05, min_relevant=2)
+        sel = select(d, x[17], "percentile", alpha=0.05, min_relevant=2)
         assert 17 in sel.indices
 
     def test_threshold_ties_all_included(self):
         x = np.array([[1.0], [1.0], [1.0], [5.0], [6.0], [7.0]])
         d = Dataset(x, np.zeros(6))
-        sel = select_percentile(d, [1.0], alpha=0.2, min_relevant=2)
+        sel = select(d, [1.0], "percentile", alpha=0.2, min_relevant=2)
         # k = ceil(1.2) = 2 < min_relevant, floor to 2; rows 0-2 tie at 0
         np.testing.assert_array_equal(sel.indices, [0, 1, 2])
 
@@ -62,14 +60,14 @@ class TestPercentile:
         # k = ceil(1.2) = 2 < min_relevant = 3, but rows 0-2 tie at the k-th
         # distance 0: the rule alone admits 3 rows, so the floor never acts
         x = np.array([[1.0], [1.0], [1.0], [5.0], [6.0], [7.0]])
-        sel = select_percentile(Dataset(x, np.zeros(6)), [1.0], alpha=0.2, min_relevant=3)
+        sel = select(Dataset(x, np.zeros(6)), [1.0], "percentile", alpha=0.2, min_relevant=3)
         np.testing.assert_array_equal(sel.indices, [0, 1, 2])
         assert sel.threshold_used == 0.0
         assert not sel.fallback
 
     def test_min_relevant_floor_flags_fallback(self):
         d = line_dataset()
-        sel = select_percentile(d, [0.0], alpha=0.1, min_relevant=5)
+        sel = select(d, [0.0], "percentile", alpha=0.1, min_relevant=5)
         assert sel.fallback
         assert sel.n_relevant == 5
 
@@ -77,45 +75,46 @@ class TestPercentile:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(50, 3))
         x0 = rng.normal(size=3)
-        a = select_percentile(Dataset(x, np.zeros(50)), x0, 0.2, 2)
-        b = select_percentile(
-            Dataset(x * [3.0, 0.5, 40.0], np.zeros(50)), x0 * [3.0, 0.5, 40.0], 0.2, 2
+        a = select(Dataset(x, np.zeros(50)), x0, "percentile", 0.2, min_relevant=2)
+        b = select(
+            Dataset(x * [3.0, 0.5, 40.0], np.zeros(50)), x0 * [3.0, 0.5, 40.0],
+            "percentile", 0.2, min_relevant=2,
         )
         np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_needs_enough_rows(self):
         d = line_dataset()
         with pytest.raises(DataError):
-            select_percentile(d, [0.0], alpha=0.3, min_relevant=11)
+            select(d, [0.0], "percentile", alpha=0.3, min_relevant=11)
 
 
 class TestCosine:
     def test_collinear_row_selected(self):
         x = np.array([[1.0, 2.0], [0.5, 1.0], [-3.0, 1.0], [2.0, -1.0]])
         d = Dataset(x, np.zeros(4))
-        sel = select_cosine(d, [2.0, 4.0], gamma=0.999, min_relevant=2)
+        sel = select(d, [2.0, 4.0], "cosine", gamma=0.999, min_relevant=2)
         assert 0 in sel.indices and 1 in sel.indices
 
     def test_orthogonal_row_excluded(self):
         x = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 0.9]])
         d = Dataset(x, np.zeros(4))
         assert cosines(d, [1.0, 0.0])[0] == pytest.approx(0.0)
-        sel = select_cosine(d, [1.0, 0.0], gamma=0.5, min_relevant=2)
+        sel = select(d, [1.0, 0.0], "cosine", gamma=0.5, min_relevant=2)
         assert 0 not in sel.indices
 
     def test_fewer_rows_than_min_relevant_refused(self):
         d = Dataset(np.arange(1.0, 9.0).reshape(4, 2), np.zeros(4))
         with pytest.raises(DataError, match="need n >= min_relevant, got n=4, min_relevant=5"):
-            select_cosine(d, [1.0, 1.0], gamma=0.5, min_relevant=5)
+            select(d, [1.0, 1.0], "cosine", gamma=0.5, min_relevant=5)
 
     def test_dot_product_arithmetic(self):
         x = np.array([[1.0, 0.0], [1.0, 1.0], [0.9, 1.1], [1.0, 0.8]])
         d = Dataset(x, np.zeros(4))
         # row 0's cosine with the query is 1/sqrt(2) ~ 0.7071
         assert cosines(d, [1.0, 1.0])[0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-        sel = select_cosine(d, [1.0, 1.0], gamma=0.70, min_relevant=2)
+        sel = select(d, [1.0, 1.0], "cosine", gamma=0.70, min_relevant=2)
         assert 0 in sel.indices
-        sel = select_cosine(d, [1.0, 1.0], gamma=0.71, min_relevant=2)
+        sel = select(d, [1.0, 1.0], "cosine", gamma=0.71, min_relevant=2)
         assert 0 not in sel.indices
 
     def test_scale_free_in_query(self):
@@ -123,12 +122,12 @@ class TestCosine:
         x = rng.normal(size=(30, 4))
         d = Dataset(x, np.zeros(30))
         x0 = rng.normal(size=4)
-        a = select_cosine(d, x0, 0.5, 2)
-        b = select_cosine(d, 17.0 * x0, 0.5, 2)
+        a = select(d, x0, "cosine", gamma=0.5, min_relevant=2)
+        b = select(d, 17.0 * x0, "cosine", gamma=0.5, min_relevant=2)
         np.testing.assert_array_equal(a.indices, b.indices)
         # on a fallback the threshold is a row's cosine, equal up to rounding
-        a = select_cosine(d, x0, 0.999, 25)
-        b = select_cosine(d, 17.0 * x0, 0.999, 25)
+        a = select(d, x0, "cosine", gamma=0.999, min_relevant=25)
+        b = select(d, 17.0 * x0, "cosine", gamma=0.999, min_relevant=25)
         assert a.fallback and b.fallback
         np.testing.assert_array_equal(a.indices, b.indices)
         assert a.threshold_used == pytest.approx(b.threshold_used, abs=1e-12)
@@ -139,7 +138,7 @@ class TestCosine:
         d = Dataset(x, np.zeros(80))
         x0 = np.abs(rng.normal(size=3)) + 0.1
         sizes = [
-            select_cosine(d, x0, g, min_relevant=2).n_relevant
+            select(d, x0, "cosine", gamma=g, min_relevant=2).n_relevant
             for g in (0.5, 0.7, 0.9, 0.99)
         ]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
@@ -147,10 +146,10 @@ class TestCosine:
     def test_zero_norm_row_never_selected(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.9], [0.8, 1.0]])
         d = Dataset(x, np.zeros(4))
-        sel = select_cosine(d, [1.0, 1.0], gamma=0.5, min_relevant=2)
+        sel = select(d, [1.0, 1.0], "cosine", gamma=0.5, min_relevant=2)
         assert 0 not in sel.indices
         # not even as the last pick of a fallback's top rows
-        sel = select_cosine(d, [1.0, 1.0], gamma=0.9999, min_relevant=3)
+        sel = select(d, [1.0, 1.0], "cosine", gamma=0.9999, min_relevant=3)
         assert sel.fallback
         np.testing.assert_array_equal(sel.indices, [1, 2, 3])
 
@@ -158,7 +157,8 @@ class TestCosine:
         # two rows have a cosine and the floor asks for three: the threshold
         # is -inf and every row is kept, not the first zero-norm row
         x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 0.9]])
-        sel = select_cosine(Dataset(x, np.zeros(4)), [1.0, 1.0], gamma=0.9999, min_relevant=3)
+        d = Dataset(x, np.zeros(4))
+        sel = select(d, [1.0, 1.0], "cosine", gamma=0.9999, min_relevant=3)
         assert sel.fallback and sel.threshold_used == -np.inf
         np.testing.assert_array_equal(sel.indices, [0, 1, 2, 3])
 
@@ -176,7 +176,8 @@ class TestCosine:
         x = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
         for seed in range(3):
             perm = np.random.default_rng(seed).permutation(40)
-            sel = select_cosine(Dataset(x[perm], np.zeros(40)), [1.0, 0.0], 0.9999, 20)
+            d = Dataset(x[perm], np.zeros(40))
+            sel = select(d, [1.0, 0.0], "cosine", gamma=0.9999, min_relevant=20)
             assert sel.fallback and sel.n_relevant == 25
             np.testing.assert_array_equal(np.sort(perm[sel.indices]), np.arange(25))
 
@@ -186,11 +187,12 @@ class TestCosine:
         rng = np.random.default_rng(41)
         x = rng.normal(size=(40, 3))
         x0 = np.array([1.0, 0.5, -0.25])
-        base = select_cosine(Dataset(x, np.zeros(40)), x0, gamma=0.9, min_relevant=10)
+        base = select(Dataset(x, np.zeros(40)), x0, "cosine", gamma=0.9, min_relevant=10)
         assert base.fallback
         for k in (-1000, -600, 600, 1000):
-            sel = select_cosine(
-                Dataset(np.ldexp(x, k), np.zeros(40)), np.ldexp(x0, k), gamma=0.9, min_relevant=10
+            sel = select(
+                Dataset(np.ldexp(x, k), np.zeros(40)), np.ldexp(x0, k),
+                "cosine", gamma=0.9, min_relevant=10,
             )
             np.testing.assert_array_equal(sel.indices, base.indices)
             assert sel.threshold_used.hex() == base.threshold_used.hex()
@@ -203,15 +205,17 @@ class TestCosine:
             sels = []
             for big in (1.0, 1.5e308):
                 x[:5] = [big, -big]
-                sels.append(select_cosine(Dataset(x, np.zeros(40)), [1.0, 0.5], 0.9999, min_relevant))
+                d = Dataset(x, np.zeros(40))
+                sel = select(d, [1.0, 0.5], "cosine", gamma=0.9999, min_relevant=min_relevant)
+                sels.append(sel)
             np.testing.assert_array_equal(sels[0].indices, sels[1].indices)
             assert sels[0].threshold_used == sels[1].threshold_used
 
     def test_query_whose_squares_overflow_keeps_its_direction(self):
         # [1e200, 5e199] points where [1, 0.5] does, so it keeps the same rows
         d = Dataset(np.random.default_rng(41).normal(size=(40, 2)), np.zeros(40))
-        small = select_cosine(d, [1.0, 0.5], gamma=0.9, min_relevant=10)
-        big = select_cosine(d, [1e200, 5e199], gamma=0.9, min_relevant=10)
+        small = select(d, [1.0, 0.5], "cosine", gamma=0.9, min_relevant=10)
+        big = select(d, [1e200, 5e199], "cosine", gamma=0.9, min_relevant=10)
         assert small.n_relevant == 10
         assert small.threshold_used == pytest.approx(0.6933, abs=1e-4)
         np.testing.assert_array_equal(big.indices, small.indices)
@@ -220,14 +224,14 @@ class TestCosine:
     def test_zero_norm_query_rejected(self):
         d = Dataset(np.ones((5, 2)), np.zeros(5))
         with pytest.raises(DataError, match="zero-norm query"):
-            select_cosine(d, [0.0, 0.0], gamma=0.5, min_relevant=2)
+            select(d, [0.0, 0.0], "cosine", gamma=0.5, min_relevant=2)
 
     def test_fallback_is_exactly_top_k(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 3))
         d = Dataset(x, np.zeros(20))
         x0 = rng.normal(size=3)
-        sel = select_cosine(d, x0, gamma=0.999, min_relevant=6)
+        sel = select(d, x0, "cosine", gamma=0.999, min_relevant=6)
         assert sel.fallback
         assert sel.n_relevant == 6
         scores = cosines(d, x0)
@@ -249,14 +253,14 @@ class TestCosine:
         d = Dataset(rng.normal(size=(40, 2)), np.zeros(40))
         x0 = rng.normal(size=2)
         for rule, knobs, name in [
-            (select_percentile, dict(alpha=0.2, min_relevant=30.9), "min_relevant"),
-            (select_cosine, dict(gamma=0.5, min_relevant=30.9), "min_relevant"),
-            (select_cosine, dict(gamma=0.5, min_relevant=1), "min_relevant"),
-            (select_percentile, dict(alpha=1.0), "alpha"),
-            (select_cosine, dict(gamma=np.nan), "gamma"),
+            ("percentile", dict(alpha=0.2, min_relevant=30.9), "min_relevant"),
+            ("cosine", dict(gamma=0.5, min_relevant=30.9), "min_relevant"),
+            ("cosine", dict(gamma=0.5, min_relevant=1), "min_relevant"),
+            ("percentile", dict(alpha=1.0), "alpha"),
+            ("cosine", dict(gamma=np.nan), "gamma"),
         ]:
             with pytest.raises(ConfigError, match=name):
-                rule(d, x0, **knobs)
+                select(d, x0, rule, **knobs)
 
     @pytest.mark.parametrize("x0", [[0.5], [0.5, 0.2, 0.1]], ids=["short", "long"])
     def test_query_of_wrong_length_refused(self, x0):
@@ -265,8 +269,6 @@ class TestCosine:
         d = Dataset(rng.normal(size=(40, 2)), np.zeros(40))
         message = f"query has {len(x0)} features, dataset has 2"
         for rule in (
-            lambda: select_percentile(d, x0, 0.1, 10),
-            lambda: select_cosine(d, x0, 0.9, 10),
             lambda: select(d, x0, "percentile", 0.1, 0.9, 10),
             lambda: select(d, x0, "cosine", 0.1, 0.9, 10),
         ):
@@ -280,8 +282,6 @@ class TestCosine:
         d = Dataset(rng.normal(size=(50, 2)), np.zeros(50))
         x0 = [bad, 0.5]
         for rule in (
-            lambda: select_percentile(d, x0, 0.1, 10),
-            lambda: select_cosine(d, x0, 0.9, 10),
             lambda: select(d, x0, "percentile", 0.1, 0.9, 10),
             lambda: select(d, x0, "cosine", 0.1, 0.9, 10),
         ):

@@ -26,7 +26,7 @@ from relconf.regress import (
     predict_many,
 )
 from relconf import regress
-from relconf.conformal import ConformalSpec, full_conformal
+from relconf.conformal import ConformalSpec, conformal_interval
 from relconf.oracles import orthonormal_design
 from relconf.regress import (
     _gram_problem,
@@ -1262,7 +1262,7 @@ def test_full_conformal_memory_holds_no_candidate_matrix(reg, n, p, bound):
     spec = ConformalSpec(method="full")
     tracemalloc.start()
     try:
-        iv = full_conformal(d, base, x0, spec)
+        iv = conformal_interval(d, reg, x0, spec, base=base)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
