@@ -15,7 +15,6 @@ Ceilings are evaluated with a 1e-9 guard so that quantities like 10 * 0.9
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -35,6 +34,7 @@ from .core import (
 from .regress import (
     FittedModel,
     _forecast,
+    _split_order,
     candidate_residuals,
     fit,
     loo_residuals,
@@ -86,17 +86,6 @@ def loo_quantile(abs_residuals: np.ndarray, alpha: float) -> float:
 def _split_train_rows(n: int, rho: float) -> int:
     """Rows split conformal fits on, floor(rho*n)."""
     return int(math.floor(rho * n + _CEIL_GUARD))
-
-
-@functools.lru_cache(maxsize=4)
-def _split_order(seed: int, n: int) -> np.ndarray:
-    """The seeded row order split conformal cuts into fit and calibration
-    rows, read-only. Memoised: every path of a query runs on one seed and
-    the relevant and simulated rows share one n, so a query's few (seed, n)
-    keys recur across its paths and regressors."""
-    order = np.random.default_rng(seed).permutation(n)
-    order.flags.writeable = False
-    return order
 
 
 def _split(d: Dataset, reg: Regressor, x0: np.ndarray, spec: ConformalSpec, seed: int):

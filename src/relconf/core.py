@@ -421,7 +421,8 @@ def load_csv(path, head_column: str) -> Dataset:
 
     The cells are parsed in one conversion, which reads a cell as
     ``float`` does; only when it fails or meets a non-finite value are
-    they parsed one at a time, to name the first bad cell.
+    they parsed one at a time, to name the first bad cell. Every refusal
+    names the file, the ``Dataset`` checks' too.
     """
     rows = read_csv(path)[1]
     if not rows:
@@ -442,13 +443,16 @@ def load_csv(path, head_column: str) -> Dataset:
         cells = np.array(data, dtype=np.float64)
     except ValueError:
         cells = None
-    if cells is None or not np.isfinite(cells).all():
-        cells = np.empty((len(data), len(header)))
-        for i, row in enumerate(data):
-            for j, cell in enumerate(row):
-                cells[i, j] = _parse_cell(cell.strip(), i + 1, header[j])
-    x = np.delete(cells, head_idx, axis=1)
-    return Dataset(x, cells[:, head_idx], tuple(feature_names), head_column)
+    try:
+        if cells is None or not np.isfinite(cells).all():
+            cells = np.empty((len(data), len(header)))
+            for i, row in enumerate(data):
+                for j, cell in enumerate(row):
+                    cells[i, j] = _parse_cell(cell.strip(), i + 1, header[j])
+        x = np.delete(cells, head_idx, axis=1)
+        return Dataset(x, cells[:, head_idx], tuple(feature_names), head_column)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_csv(path, header, rows, comments=None) -> None:

@@ -19,6 +19,7 @@ support and signs solve every problem that shares them in one solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -361,6 +362,18 @@ def _held_out_problems(x, y, order, n_sets):
     return problems
 
 
+@functools.lru_cache(maxsize=4)
+def _split_order(seed: int, n: int) -> np.ndarray:
+    """The seeded order of n rows, read-only: split conformal cuts it into
+    fit and calibration rows, cross-validation into folds. Memoised: every
+    path of a query runs on one seed and the relevant and simulated rows
+    share one n, so a query's few (seed, n) keys recur across its paths and
+    regressors."""
+    order = np.random.default_rng(seed).permutation(n)
+    order.flags.writeable = False
+    return order
+
+
 def _cv_lambda(x, y, xty, seed: int) -> tuple[float, bool]:
     """Pick the penalty by LASSO_CV_FOLDS-fold cross-validation on mean squared error.
 
@@ -369,7 +382,7 @@ def _cv_lambda(x, y, xty, seed: int) -> tuple[float, bool]:
     the largest penalty. Returns (penalty, whether every path was finished).
     """
     grid = _lambda_grid(xty)
-    order = np.random.default_rng(seed).permutation(x.shape[0])
+    order = _split_order(seed, x.shape[0])
     held_out = _held_out_problems(x, y, order, LASSO_CV_FOLDS)
     sse = np.zeros(grid.size)
     converged = True

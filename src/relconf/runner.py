@@ -212,6 +212,12 @@ class RunManifest:
             raise ConfigError(f"unknown suite {self.suite!r}; expected one of {SUITE_NAMES}")
         if self.suite == "external-csv" and not (self.train_csv and self.queries_csv):
             raise ConfigError("external-csv suite needs train_csv and queries_csv paths")
+        for name in ("train_csv", "queries_csv"):
+            # a built-in suite would never read the file, yet hash its path
+            if self.suite != "external-csv" and getattr(self, name):
+                raise ConfigError(
+                    f"{name} is read by the external-csv suite only, not {self.suite!r}"
+                )
         for name, kind in _CHOICE_FIELDS.items():
             values = getattr(self, name)
             # the enums are str: a bare name is one choice, not its characters

@@ -398,7 +398,7 @@ class TestCsv:
     def test_non_numeric_cell_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("y,x1\n1.0,hello\n")
-        with pytest.raises(DataError, match="non-numeric"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(f))}: non-numeric"):
             load_csv(f, head_column="y")
 
     def test_first_bad_cell_is_named(self, tmp_path):
@@ -451,9 +451,10 @@ class TestCsv:
         ids=["no_header", "head_twice", "feature_twice", "head_only", "header_only"],
     )
     def test_header_and_rows_refused(self, tmp_path, text, message):
+        # every refusal names the file, the Dataset's repeated name too
         f = tmp_path / "d.csv"
         f.write_text(text)
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=f"^{re.escape(str(f))}: {message}"):
             load_csv(f, head_column="y")
 
     def test_byte_order_mark_is_skipped(self, tmp_path):

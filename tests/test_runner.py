@@ -485,7 +485,9 @@ class TestRunGrid:
         unhashed = {"output_dir": "elsewhere", "created": "2000-01-01T00:00:00+00:00"}
         assert set(changed) | set(unhashed) == {f.name for f in fields(RunManifest)}
         for name, value in changed.items():
-            assert replace(base, **{name: value}).config_hash() != base.config_hash(), name
+            # a built-in suite takes no CSV paths
+            paths = dict(train_csv=None, queries_csv=None) if name == "suite" else {}
+            assert replace(base, **{name: value}, **paths).config_hash() != base.config_hash(), name
         for name, value in unhashed.items():
             assert replace(base, **{name: value}).config_hash() == base.config_hash(), name
 
@@ -494,6 +496,10 @@ class TestRunGrid:
             RunManifest(suite="tiny")
         with pytest.raises(ConfigError, match="external-csv"):
             RunManifest(suite="external-csv")
+        for suite in ("small", "long"):
+            for name in ("train_csv", "queries_csv"):
+                with pytest.raises(ConfigError, match=f"^{name} is read by the external-csv suite"):
+                    RunManifest(suite=suite, **{name: "t.csv"})
         with pytest.raises(ConfigError, match="non-empty"):
             RunManifest(methods=())
         with pytest.raises(ConfigError, match="alpha"):
