@@ -66,12 +66,17 @@ def _parser(default):
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key=value`` lines; ``#`` comments and blank lines ignored."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    """Flat ``key=value`` lines of a UTF-8 file, with or without a leading
+    byte order mark, as ``core.read_csv`` reads; ``#`` comments and blank
+    lines ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     settings: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

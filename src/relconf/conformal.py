@@ -1,16 +1,11 @@
 """Conformal prediction intervals: split, full (transductive), and jackknife.
 
-All three constructors share the same nonconformity score (the absolute
-residual) and the same finite-sample rank conventions:
-
-* split:     d* = k-th smallest calibration residual, k = ceil((m+1)(1-a))
-* jackknife: d* = k-th smallest leave-one-out residual, k = ceil(n(1-a))
-* full:      candidate accepted iff its residual rank among all n+1 is
-             <= ceil((n+1)(1-a)); rank counts strictly smaller residuals,
-             so ties favor acceptance.
-
-Ceilings are evaluated with a 1e-9 guard so that quantities like 10 * 0.9
-(which floats render as 9.000000000000002) land on the intended integer.
+All three constructors score a row by its absolute residual and cut by
+one rank rule, ``core._rank``: k = ceil(size * (1 - alpha)), and a head is
+kept when at most k - 1 scores lie strictly below its own, so ties favor
+keeping it. Split ranks among its m calibration scores with size m + 1,
+the jackknife among its n leave-one-out scores with size n, and full
+conformal among all n + 1 refit scores with size n + 1.
 """
 
 from __future__ import annotations
@@ -27,8 +22,11 @@ from .core import (
     Dataset,
     PredictionInterval,
     Regressor,
+    _DUST,
     _choice,
+    _kth_smallest,
     _query_tail,
+    _rank,
     check_knob,
 )
 from .regress import (
@@ -41,41 +39,13 @@ from .regress import (
     min_fit_rows,
 )
 
-__all__ = [
-    "conformal_interval",
-    "ceil_guarded",
-    "split_quantile",
-    "loo_quantile",
-]
-
-_CEIL_GUARD = 1e-9
-
-
-def ceil_guarded(x: float) -> int:
-    """Ceiling that forgives float dust just above an integer."""
-    return math.ceil(x - _CEIL_GUARD)
+__all__ = ["conformal_interval"]
 
 
 def _point(model: FittedModel, x0: np.ndarray) -> float:
     """The forecast at the query tail ``x0`` that ``_query_tail`` has read,
     which is not checked again."""
     return float(_forecast(model, x0[None])[0])
-
-
-def _kth_smallest(values: np.ndarray, k: int) -> float:
-    """k-th smallest entry, with k clamped to [1, len(values)]."""
-    k = min(max(k, 1), len(values))
-    return float(np.partition(np.asarray(values, dtype=float), k - 1)[k - 1])
-
-
-def split_quantile(abs_residuals: np.ndarray, alpha: float) -> float:
-    """k-th smallest with k = ceil((m+1)(1-alpha)), clamped to [1, m]."""
-    return _kth_smallest(abs_residuals, ceil_guarded((len(abs_residuals) + 1) * (1.0 - alpha)))
-
-
-def loo_quantile(abs_residuals: np.ndarray, alpha: float) -> float:
-    """k-th smallest with k = ceil(n(1-alpha)), clamped to [1, n]."""
-    return _kth_smallest(abs_residuals, ceil_guarded(len(abs_residuals) * (1.0 - alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +55,7 @@ def loo_quantile(abs_residuals: np.ndarray, alpha: float) -> float:
 
 def _split_train_rows(n: int, rho: float) -> int:
     """Rows split conformal fits on, floor(rho*n)."""
-    return int(math.floor(rho * n + _CEIL_GUARD))
+    return int(math.floor(rho * n + _DUST))
 
 
 def _split(d: Dataset, reg: Regressor, x0: np.ndarray, spec: ConformalSpec, seed: int):
@@ -97,7 +67,7 @@ def _split(d: Dataset, reg: Regressor, x0: np.ndarray, spec: ConformalSpec, seed
     point = _point(model, x0)
     cal = perm[n_train:]
     resid = np.abs(d.y[cal] - _forecast(model, d.x[cal]))
-    dstar = split_quantile(resid, spec.alpha)
+    dstar = _kth_smallest(resid, _rank(cal.size + 1, 1.0 - spec.alpha))
     return PredictionInterval(point, point - dstar, point + dstar)
 
 
@@ -115,16 +85,15 @@ def _full_accepted(
 
     ``base`` is the engine's fit on ``d``. Each candidate head is appended
     to the data and the model refit on the n+1 rows
-    (``regress.candidate_residuals``); the candidate survives when its
-    absolute residual ranks within the lowest ceil((n+1)(1-alpha)) of all
-    n+1. The refits come one block of candidates at a time, and each
-    block's ranks are counted against its query row before the next block
-    is formed, so no (n+1) x G residual matrix is held.
+    (``regress.candidate_residuals``); the candidate survives by the rank
+    rule among all n+1 residuals. The refits come one block at a time,
+    and each block's ranks are counted against its query row before the
+    next block is formed, so no (n+1) x G residual matrix is held.
     """
     point = _point(base, x0)
     grid = _candidate_grid(d.y, spec)
     n = d.n
-    k_accept = max(ceil_guarded((n + 1) * (1.0 - spec.alpha)), 1)
+    k_accept = _rank(n + 1, 1.0 - spec.alpha)
     accepted = np.empty(grid.size, dtype=bool)
     for cols, resid in candidate_residuals(np.vstack([d.x, x0]), d.y, grid, base):
         accepted[cols] = 1 + (resid[:n] < resid[n]).sum(axis=0) <= k_accept
@@ -151,7 +120,7 @@ def _jackknife(d: Dataset, base: FittedModel, x0: np.ndarray, spec: ConformalSpe
     point = _point(base, x0)
     if scores is None:
         scores = np.abs(loo_residuals(d.x, d.y, base))
-    dstar = loo_quantile(scores, spec.alpha)
+    dstar = _kth_smallest(scores, _rank(d.n, 1.0 - spec.alpha))
     return PredictionInterval(point, point - dstar, point + dstar)
 
 
@@ -160,15 +129,23 @@ def _min_rows(spec: ConformalSpec, reg) -> int:
     ``reg``; it runs on every larger one too.
 
     A fit needs ``regress.min_fit_rows(reg)``; split fits on floor(rho*n)
-    rows and calibrates on the rest, at least 2; jackknife needs 3.
+    rows and calibrates on the rest, at least 2; jackknife needs 3. Where
+    no n below 2**63, more rows than numpy can index, splits, it is 2**63.
     """
     fit_rows = min_fit_rows(reg)
     if spec.method is ConformalMethod.SPLIT:
-        # neither floor(rho*n) nor n - floor(rho*n) falls as n grows
-        n = fit_rows + 2
-        while not fit_rows <= _split_train_rows(n, spec.rho) <= n - 2:
-            n += 1
-        return n
+        # neither floor(rho*n) nor n - floor(rho*n) falls as n grows: double
+        # n from a size that cannot split until one does, then bisect
+        def splits(n):
+            return fit_rows <= _split_train_rows(n, spec.rho) <= n - 2
+
+        lo, hi = fit_rows + 1, fit_rows + 2
+        while not splits(hi) and hi < 2**63:
+            lo, hi = hi, min(2 * hi, 2**63)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if splits(mid) else (mid, hi)
+        return hi
     if spec.method is ConformalMethod.JACKKNIFE:
         return max(fit_rows, 3)
     return fit_rows

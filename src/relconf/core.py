@@ -112,6 +112,22 @@ def _query_tail(d: Dataset, x0) -> np.ndarray:
     return _tail_rows(x0, d.p, one=True)[0]
 
 
+# float dust forgiven above an integer: 10 * 0.9 is 9.000000000000002
+_DUST = 1e-9
+
+
+def _rank(size: int, level: float) -> int:
+    """k = ceil(size * level), at least 1: the rank of every finite-sample
+    cut, the conformal intervals' and percentile selection's."""
+    return max(math.ceil(size * level - _DUST), 1)
+
+
+def _kth_smallest(values: np.ndarray, k: int) -> float:
+    """k-th smallest entry of ``values``, with k clamped to their number."""
+    k = min(k, len(values))
+    return float(np.partition(values, k - 1)[k - 1])
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """Squared Euclidean distance from each row of ``a`` to each row of ``b``.
 

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import ceil_guarded
 from .core import (
     DataError,
     Dataset,
     Similarity,
     _choice,
+    _kth_smallest,
     _query_tail,
+    _rank,
     _readonly,
     _sq_dists,
     _standardize_columns,
@@ -84,7 +85,7 @@ def select(d: Dataset, x0, method, alpha=None, gamma=None, min_relevant: int = 3
 
     percentile (reads ``alpha``): the key is the standardized Euclidean
     distance and the cut its nearest-rank alpha-quantile, the k-th smallest
-    distance with k = ceil(alpha * n).
+    distance with k = ``core._rank(n, alpha)``.
 
     cosine (reads ``gamma``): the key is minus the raw-tail cosine with the
     query and the cut -gamma. Every finite tail has a cosine: each row and
@@ -107,8 +108,7 @@ def select(d: Dataset, x0, method, alpha=None, gamma=None, min_relevant: int = 3
         # d's rows were checked when it was built: no second Dataset to re-check
         z, centers, scales, _ = _standardize_columns(d.x)
         key = np.sqrt(((z - transform_features(x0, centers, scales)) ** 2).sum(axis=1))
-        k = max(ceil_guarded(knob * d.n), 1)
-        cut = np.partition(key, k - 1)[k - 1]
+        cut = _kth_smallest(key, _rank(d.n, knob))
     else:
         x, x0 = (
             np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1]) for a in (d.x, x0)
@@ -121,11 +121,11 @@ def select(d: Dataset, x0, method, alpha=None, gamma=None, min_relevant: int = 3
         key = np.full(d.n, np.inf)
         np.divide(x @ x0, row_norms * -q_norm, out=key, where=row_norms > 0.0)
         cut = -knob
-    floor = np.partition(key, min_relevant - 1)[min_relevant - 1]
-    threshold = float(max(cut, floor))
+    floor = _kth_smallest(key, min_relevant)
+    threshold = max(cut, floor)
     indices = np.flatnonzero(key <= threshold)
     threshold_used = threshold if percentile else -threshold
-    return RelevanceSelection(indices, method, threshold_used, bool(floor > cut))
+    return RelevanceSelection(indices, method, threshold_used, floor > cut)
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,19 @@ class TestParseConfigFile:
         with pytest.raises(ConfigError, match="not found"):
             parse_config_file(tmp_path / "nope.cfg")
 
+    def test_byte_order_mark_is_read_as_read_csv_reads_it(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes("\ufeffalpha = 0.2\nseed = 3\n".encode("utf-8"))
+        assert parse_config_file(cfg) == {"alpha": 0.2, "seed": 3}
+
+    def test_undecodable_file_is_a_config_error_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"alpha = 0.2\n\xff\n")
+        with pytest.raises(ConfigError, match=r"cannot read config file .*bad\.cfg"):
+            parse_config_file(cfg)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config file")
+
     @pytest.mark.parametrize("value", ["", ",", " , ,"])
     def test_empty_list_value(self, tmp_path, value):
         cfg = tmp_path / "c.cfg"

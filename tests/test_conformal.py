@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -14,14 +15,10 @@ from relconf.core import (
     ExperimentConfig,
     PredictionInterval,
     Regressor,
+    _kth_smallest,
+    _rank,
 )
-from relconf.conformal import (
-    ConformalSpec,
-    ceil_guarded,
-    conformal_interval,
-    loo_quantile,
-    split_quantile,
-)
+from relconf.conformal import ConformalSpec, conformal_interval
 from relconf import conformal, oracles, regress
 from relconf.regress import (
     FittedModel,
@@ -60,20 +57,92 @@ def brute_force_full_ols(d, x0, alpha, grid):
 class TestQuantileRules:
     def test_split_hand_example(self):
         # 9 calibration residuals at alpha=0.1: k = ceil(10*0.9) = 9
-        assert split_quantile(np.arange(1.0, 10.0), 0.1) == 9.0
+        assert _kth_smallest(np.arange(1.0, 10.0), _rank(10, 0.9)) == 9.0
 
     def test_loo_hand_example(self):
         # 10 residuals at alpha=0.2: k = ceil(8) = 8
-        assert loo_quantile(np.arange(1.0, 11.0), 0.2) == 8.0
+        assert _kth_smallest(np.arange(1.0, 11.0), _rank(10, 0.8)) == 8.0
 
     def test_rank_clamps_to_sample_size(self):
-        assert split_quantile(np.array([3.0, 1.0, 2.0]), 0.01) == 3.0
+        # k = ceil(4*0.99) = 4 is clamped to the 3 residuals
+        assert _kth_smallest(np.array([3.0, 1.0, 2.0]), _rank(4, 0.99)) == 3.0
 
     def test_ceiling_guard_absorbs_float_dust(self):
         # 10 * 0.9 floats to 9.000000000000002; the guard keeps k = 9
-        assert ceil_guarded(10 * 0.9) == 9
-        assert ceil_guarded(9.0) == 9
-        assert ceil_guarded(9.1) == 10
+        assert _rank(10, 0.9) == 9
+        assert _rank(9, 1.0) == 9
+        assert _rank(91, 0.1) == 10
+
+
+def tied_ols_designs(seed, count):
+    """(dataset, alpha) pairs: OLS designs of 6-30 rows on two tails of
+    three values each, with heads rounded to integers, so that rows repeat
+    and their residuals tie."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(6, 31))
+        x = rng.integers(0, 3, size=(n, 2)).astype(float)
+        y = np.round(x @ rng.normal(size=2) + rng.normal(size=n))
+        yield Dataset(x, y), float(rng.choice([0.1, 0.2, 0.3, 0.5]))
+
+
+def separated(scores) -> bool:
+    """Whether distinct scores lie 1e-9 apart or more, so that a head at
+    one score never rounds onto the interval bound set by the next."""
+    return bool(np.all(np.diff(np.unique(scores)) >= 1e-9))
+
+
+def holds_rank_rule(iv, scores, k) -> bool:
+    """Whether the head y = point +- r lies in ``iv`` exactly when
+    1 + #{scores < r} <= k, for r at 0, at each score, between two and past
+    the last, given ``separated(scores)``."""
+    values = np.unique(scores)
+    for r in np.concatenate([[0.0], values, (values[:-1] + values[1:]) / 2, [values[-1] + 1]]):
+        keep = 1 + np.count_nonzero(scores < r) <= k
+        for y in (iv.point - r, iv.point + r):
+            if (iv.lo <= y <= iv.up) != keep:
+                return False
+    return True
+
+
+class TestOneRankRule:
+    """Split and the jackknife keep a head exactly when at most k - 1 scores
+    lie strictly below its own, k = ``_rank``, tied scores included; the
+    designs whose distinct residuals differ by rounding alone are skipped."""
+
+    def test_split(self):
+        checked = tied_cuts = 0
+        for seed, (d, alpha) in enumerate(tied_ols_designs(51, 200)):
+            perm = regress._split_order(seed, d.n)
+            n_train = conformal._split_train_rows(d.n, 0.5)
+            model = fit_ols(d.subset(perm[:n_train]))
+            cal = perm[n_train:]
+            scores = np.abs(d.y[cal] - predict_many(model, d.x[cal]))
+            k = _rank(cal.size + 1, 1.0 - alpha)
+            # k clamped to m keeps the largest score, where the rule keeps every head
+            if k > cal.size or not separated(scores):
+                continue
+            iv = conformal_interval(d, "ols", d.x[0], ConformalSpec("split", alpha), seed=seed)
+            assert iv.point == predict(model, d.x[0])
+            assert holds_rank_rule(iv, scores, k)
+            checked += 1
+            tied_cuts += np.count_nonzero(scores == np.sort(scores)[k - 1]) > 1
+        assert checked >= 50 and tied_cuts >= 10
+
+    def test_jackknife(self):
+        checked = tied_cuts = 0
+        for d, alpha in tied_ols_designs(52, 200):
+            base = fit_ols(d)
+            scores = np.abs(loo_residuals(d.x, d.y, base))
+            if not separated(scores):
+                continue
+            k = _rank(d.n, 1.0 - alpha)
+            spec = ConformalSpec("jackknife", alpha)
+            iv = conformal_interval(d, "ols", d.x[0], spec, base=base, scores=scores)
+            assert holds_rank_rule(iv, scores, k)
+            checked += 1
+            tied_cuts += np.count_nonzero(scores == np.sort(scores)[k - 1]) > 1
+        assert checked >= 50 and tied_cuts >= 10
 
 
 class TestSplit:
@@ -121,7 +190,9 @@ class TestSplit:
         d = make_dataset(np.random.default_rng(3), 30, 2)
         perm = np.random.default_rng(11).permutation(30)
         model = fit_ols(d.subset(perm[:15]))
-        dstar = split_quantile(np.abs(d.y[perm[15:]] - predict_many(model, d.x[perm[15:]])), 0.1)
+        cal = np.abs(d.y[perm[15:]] - predict_many(model, d.x[perm[15:]]))
+        # the k-th smallest of the m = 15 calibration residuals, k = ceil((m+1)(1-alpha))
+        dstar = np.sort(cal)[math.ceil(16 * 0.9) - 1]
         conformal._split_order.cache_clear()
         for _ in range(2):
             order = conformal._split_order(11, 30)
@@ -531,3 +602,40 @@ def test_dataset_below_the_fewest_rows_is_refused_with_one_message(cell, monkeyp
     for n in range(needed, needed + 4):
         iv = conformal_interval(make_dataset(rng, n, 1), reg, [0.0], spec)
         assert np.isfinite([iv.lo, iv.point, iv.up]).all()
+
+
+def walked_min_rows(fit_rows, rho):
+    """Split's size floor by its definition: the first n, walking up one row
+    at a time, on which floor(rho*n) rows fit and at least two calibrate."""
+    n = fit_rows + 2
+    while not fit_rows <= conformal._split_train_rows(n, rho) <= n - 2:
+        n += 1
+    return n
+
+
+class TestSplitSizeFloor:
+    @pytest.mark.parametrize("reg", ["ols", "lasso"])
+    def test_search_matches_the_walk(self, reg):
+        fit_rows = regress.min_fit_rows(reg)
+        assert fit_rows == {"ols": 2, "lasso": 5}[reg]
+        rng = np.random.default_rng(53)
+        rhos = np.concatenate([[1e-5, 0.5, 1 - 1e-5], rng.uniform(1e-5, 1 - 1e-5, 10_000)])
+        for rho in rhos.tolist():
+            found = conformal._min_rows(ConformalSpec("split", rho=rho), Regressor(reg))
+            assert found == walked_min_rows(fit_rows, rho), rho
+
+    @pytest.mark.parametrize("reg", ["ols", "lasso"])
+    @pytest.mark.parametrize("rho", [5e-324, 1e-300, 1e-12, 1 - 1e-12, math.nextafter(1.0, 0.0)])
+    def test_extreme_rho_is_refused_at_once(self, rho, reg, monkeypatch):
+        # walking one row at a time takes about fit_rows / rho or
+        # 2 / (1 - rho) steps, 1e300 at rho = 1e-300; at 5e-324 no n below
+        # the largest float splits, so the search stops at 2**63 rows,
+        # before rho * n could overflow
+        spec = ConformalSpec("split", rho=rho)
+        d = make_dataset(np.random.default_rng(54), 40, 1)
+        monkeypatch.setattr(conformal, "fit", None)  # a fit here would fail
+        start = time.perf_counter()
+        with pytest.raises(DataError, match=f"split conformal with {reg} needs n >= "):
+            conformal_interval(d, reg, [0.0], spec)
+        assert time.perf_counter() - start < 1.0
+        assert 40 < conformal._min_rows(spec, Regressor(reg)) <= 2**63
